@@ -3,7 +3,7 @@
 Quantum side: an entangled qubit pair is weakly measured on both arms,
 then projectively read out, and the four signals of every shot are folded
 into one CHSH-form correlator whose ensemble mean is estimated by Monte
-Carlo, by deterministic integration, and by a closed form.  Classical
+Carlo, exactly from the meters' outcome moments, and by a closed form.  Classical
 side: a local hidden-variable engine samples calibrated-noisy-detector
 strategies and establishes the bound |<C>| <= 2 that the quantum weak
 regime violates.

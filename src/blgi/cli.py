@@ -29,6 +29,7 @@ from .protocol import (
     NumericalError,
     analytic_mean,
     config_analytic_mean,
+    estimate_from_sums,
     exact_mean,
     iter_records,
     monte_carlo,
@@ -253,20 +254,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 total += float(values.sum())
                 total_sq += float((values * values).sum())
                 np.savetxt(handle, np.column_stack([alpha1, alpha2, b1, b2]), fmt="%.17g", delimiter=",")
-        n = config.shots
-        mean = total / n
-        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0
-        estimate_mean, estimate_stderr = mean, float(np.sqrt(variance / n))
+        estimate = estimate_from_sums(total, total_sq, config.shots)
     else:
         estimate = monte_carlo(config, threads=args.threads)
-        estimate_mean, estimate_stderr = estimate.mean, estimate.stderr
 
     exact = exact_mean(config)
     analytic = config_analytic_mean(config)
-    violation = estimate_mean - 4.0 * estimate_stderr > LMR_BOUND
+    violation = estimate.mean - 4.0 * estimate.stderr > LMR_BOUND
     lines = [
         "mean,stderr,exact,analytic,violation\n",
-        f"{_fmt(estimate_mean)},{_fmt(estimate_stderr)},{_fmt(exact)},{_fmt(analytic)},{_fmt_bool(violation)}\n",
+        f"{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt(exact)},{_fmt(analytic)},{_fmt_bool(violation)}\n",
     ]
     _write_text(out, "".join(lines))
     _maybe_write_manifest(
@@ -440,7 +437,6 @@ def _verify_checks() -> list[tuple[str, float, float]]:
     """Run the oracle cross-checks; returns (name, deviation, tolerance) rows."""
     from .qmath import analyzer_basis
     from .measurement import ancilla_kraus, gaussian_kraus
-    from scipy.special import roots_hermite
 
     checks: list[tuple[str, float, float]] = []
 
@@ -456,7 +452,7 @@ def _verify_checks() -> list[tuple[str, float, float]]:
                     meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v), shots=1
                 )
                 worst = max(worst, abs(exact_mean(config) - config_analytic_mean(config)))
-    checks.append(("closed form vs integration, gaussian grid", worst, 1e-6))
+    checks.append(("closed form vs instrument moments, gaussian grid", worst, 1e-6))
 
     worst = 0.0
     for v_total in (0.3, 0.6, 0.9):
@@ -469,12 +465,10 @@ def _verify_checks() -> list[tuple[str, float, float]]:
                     meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v), shots=1
                 )
                 worst = max(worst, abs(exact_mean(config) - config_analytic_mean(config)))
-    checks.append(("closed form vs integration, ancilla grid", worst, 1e-6))
+    checks.append(("closed form vs instrument moments, ancilla grid", worst, 1e-6))
 
     basis = analyzer_basis(0.7)
-    nodes, gh_weights = roots_hermite(200)
-    keep = gh_weights > 0
-    nodes, gh_weights = nodes[keep], gh_weights[keep]
+    nodes, gh_weights = np.polynomial.hermite.hermgauss(200)
     worst = 0.0
     for sigma in (0.5, 1.0, 2.0):
         alpha = np.sqrt(2.0) * sigma * nodes

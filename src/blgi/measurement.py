@@ -22,6 +22,7 @@ the state argument and safe to drive from disjoint RNG substreams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,11 @@ class GaussianMeterSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+
+    @property
+    def variance(self) -> float:
+        """``sigma**2``, or ``inf`` where that overflows a float."""
+        return _squared(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,14 @@ class MeterOutcome:
 MeterSpec = GaussianMeterSpec | AncillaMeterSpec
 
 
+def _squared(x: float) -> float:
+    # Python's float ``**`` raises OverflowError instead of returning inf
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def gaussian_kraus(alpha: float, sigma: float, basis: AnalyzerBasis) -> np.ndarray:
     """Kraus operator of the Gaussian meter for pointer readout ``alpha``.
 
@@ -104,9 +118,10 @@ def gaussian_kraus(alpha: float, sigma: float, basis: AnalyzerBasis) -> np.ndarr
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    norm = (2.0 * np.pi * sigma**2) ** (-0.25)
-    g0 = norm * np.exp(-((alpha - 1.0) ** 2) / (4.0 * sigma**2))
-    g1 = norm * np.exp(-((alpha + 1.0) ** 2) / (4.0 * sigma**2))
+    variance = _squared(sigma)
+    norm = (2.0 * np.pi * variance) ** (-0.25)
+    g0 = norm * np.exp(-((alpha - 1.0) ** 2) / (4.0 * variance))
+    g1 = norm * np.exp(-((alpha + 1.0) ** 2) / (4.0 * variance))
     return g0 * basis.projector0 + g1 * basis.projector1
 
 
@@ -133,7 +148,7 @@ def dephasing_factor(spec: MeterSpec) -> float:
     ``v`` is applied by the caller, not here.
     """
     if isinstance(spec, GaussianMeterSpec):
-        return float(np.exp(-1.0 / (2.0 * spec.sigma**2 * spec.eta)))
+        return float(np.exp(-1.0 / (2.0 * spec.variance * spec.eta)))
     if isinstance(spec, AncillaMeterSpec):
         return float(np.sqrt(max(1.0 - spec.v_ent**2, 0.0)))
     raise TypeError(f"unsupported meter spec {type(spec).__name__}")
@@ -144,7 +159,7 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 
     Chosen so that the total average damping is ``exp(-1/(2 sigma^2 eta))``.
     """
-    return float(np.exp(-(1.0 / (2.0 * spec.sigma**2)) * (1.0 / spec.eta - 1.0)))
+    return float(np.exp(-(1.0 / (2.0 * spec.variance)) * (1.0 / spec.eta - 1.0)))
 
 
 def apply_dephasing(state: TwoQubitState, arm: int, factor: float, basis: AnalyzerBasis) -> TwoQubitState:
@@ -293,8 +308,8 @@ def sample_gaussian_batch(
     p0 = np.einsum("nab,nab->n", projected, projected)
     centers = np.where(rng.random(p0.size) < p0, 1.0, -1.0)
     alpha = centers + spec.sigma * rng.standard_normal(p0.size)
-    g0 = np.exp(-((alpha - 1.0) ** 2) / (4.0 * spec.sigma**2))
-    g1 = np.exp(-((alpha + 1.0) ** 2) / (4.0 * spec.sigma**2))
+    g0 = np.exp(-((alpha - 1.0) ** 2) / (4.0 * spec.variance))
+    g1 = np.exp(-((alpha + 1.0) ** 2) / (4.0 * spec.variance))
     coeff = g0[:, None, None] * projected + g1[:, None, None] * (coeff - projected)
     coeff = _renormalize(coeff)
     if spec.eta < 1.0:

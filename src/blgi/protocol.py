@@ -7,26 +7,23 @@ One shot prepares the entangled pair, weakly measures arm 1 then arm 2
     C = alpha1*alpha2 + alpha1*b2 + b1*alpha2 - b1*b2.
 
 Every term of every C comes from the same shot of a single fixed analyzer
-configuration.  Three independent routes to the ensemble mean are
-provided:
+configuration.  Three routes to the ensemble mean are provided:
 
 * :func:`monte_carlo` averages C over sampled shots,
-* :func:`exact_mean` integrates the joint outcome distribution
-  deterministically (Gauss-Hermite quadrature per Gaussian arm, exact
-  branch sums per ancilla arm),
+* :func:`exact_mean` contracts each weak arm's zeroth and first outcome
+  moments (closed-form instrument maps on the density matrix) with the
+  readout observables, which suffices because C is linear in each alpha,
 * :func:`analytic_mean` evaluates the closed form
   ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)`` from the arms' dephasing factors.
 """
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from . import measurement as meas
 from .measurement import (
@@ -35,7 +32,7 @@ from .measurement import (
     MeterSpec,
     ProjectiveMeterSpec,
 )
-from .qmath import AnalyzerBasis, analyzer_basis, bell_state
+from .qmath import AnalyzerBasis, analyzer_basis, bell_state, embed
 
 SQRT2 = np.sqrt(2.0)
 
@@ -48,12 +45,9 @@ DEFAULT_ANGLES = (np.pi / 2.0, np.pi / 4.0, 0.0, 3.0 * np.pi / 4.0)
 #: matter how many workers execute the chunks)
 CHUNK_SHOTS = 1 << 16
 
-_QUADRATURE_LADDER = (256, 512, 1024, 2048, 4096)
-_QUADRATURE_RTOL = 1e-8
-
 
 class NumericalError(RuntimeError):
-    """Raised when deterministic integration fails to converge."""
+    """Raised when a computed mean or standard error is not finite."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +95,23 @@ class Estimate:
     mean: float
     stderr: float
     shots: int
+
+
+def estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
+    """Mean and standard error from the sum and sum of squares of ``n`` values.
+
+    Raises :class:`NumericalError` when either is not finite (signals so
+    wide that their products overflow).
+    """
+    mean = total / n
+    if n > 1:
+        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
+        stderr = float(np.sqrt(variance / n))
+    else:
+        stderr = 0.0
+    if not (np.isfinite(mean) and np.isfinite(stderr)):
+        raise NumericalError(f"Monte-Carlo mean {mean} or stderr {stderr} is not finite")
+    return Estimate(mean=mean, stderr=stderr, shots=n)
 
 
 def correlator(record: MeasurementRecord) -> float:
@@ -193,14 +204,7 @@ def monte_carlo(config: ExperimentConfig, threads: int = 1) -> Estimate:
     for part, part_sq in partials:
         total += part
         total_sq += part_sq
-    n = config.shots
-    mean = total / n
-    if n > 1:
-        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-        stderr = float(np.sqrt(variance / n))
-    else:
-        stderr = 0.0
-    return Estimate(mean=mean, stderr=stderr, shots=n)
+    return estimate_from_sums(total, total_sq, config.shots)
 
 
 def analytic_mean(xi1: float, xi2: float, v: float) -> float:
@@ -230,7 +234,7 @@ def predicted_stderr(config: ExperimentConfig) -> float:
 
     def second_moment(spec: MeterSpec) -> float:
         if isinstance(spec, GaussianMeterSpec):
-            return spec.sigma**2 + 1.0
+            return spec.variance + 1.0
         return 1.0 / spec.v_total**2
 
     m1 = second_moment(config.meter1)
@@ -240,152 +244,64 @@ def predicted_stderr(config: ExperimentConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic integration of the joint outcome distribution.
+# Exact mean from the instruments' outcome moments.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ArmNodes:
-    """Discretized weak measurement on one arm.
+def _arm_moments(spec: MeterSpec, basis: AnalyzerBasis, arm: int):
+    """Zeroth and first outcome moments of one weak arm, as maps on rho.
 
-    ``signals[i]`` is the flip-averaged recorded signal of branch i,
-    ``weights[i]`` its integration weight, ``kraus[i]`` the (2, 2)
-    back-action operator, and ``channel`` the Kraus decomposition of the
-    deterministic post-measurement channel (excess dephasing), or a single
-    identity when there is none.
+    With ``P0``/``P1`` the arm's analyzer projectors, the zeroth moment
+    (the outcome-averaged update) is ``P0 rho P0 + P1 rho P1 +
+    Xi*(P0 rho P1 + P1 rho P0)`` and the first moment (signal-weighted
+    update) is ``c*(P0 rho P0 - P1 rho P1)``.  ``c = 1`` for the Gaussian
+    meter at any ``eta``, since the excess dephasing leaves the diagonal
+    blocks alone; the ancilla meter's flip-averaged signal gives
+    ``c = u*v_ent/v_total``.
     """
+    p0 = embed(basis.projector0, arm)
+    p1 = embed(basis.projector1, arm)
+    xi = meas.dephasing_factor(spec)
+    c = 1.0 if isinstance(spec, GaussianMeterSpec) else spec.u * spec.v_ent / spec.v_total
 
-    signals: np.ndarray
-    weights: np.ndarray
-    kraus: np.ndarray
-    channel: tuple[np.ndarray, ...]
+    def zeroth(rho: np.ndarray) -> np.ndarray:
+        return p0 @ rho @ p0 + p1 @ rho @ p1 + xi * (p0 @ rho @ p1 + p1 @ rho @ p0)
 
+    def first(rho: np.ndarray) -> np.ndarray:
+        return c * (p0 @ rho @ p0 - p1 @ rho @ p1)
 
-def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, gh_weights = roots_hermite(order)
-    keep = gh_weights > 0.0  # weights below float range carry no usable mass
-    return nodes[keep], gh_weights[keep]
-
-
-def _gaussian_nodes(spec: GaussianMeterSpec, basis: AnalyzerBasis, order: int) -> _ArmNodes:
-    x, w = _gauss_hermite(order)
-    alpha = SQRT2 * spec.sigma * x
-    # flat weights for integrating f(alpha) d alpha; log form avoids the
-    # overflow of exp(x^2) at extreme nodes
-    weights = SQRT2 * spec.sigma * np.exp(np.log(w) + x * x)
-    norm = (2.0 * np.pi * spec.sigma**2) ** (-0.25)
-    g0 = norm * np.exp(-((alpha - 1.0) ** 2) / (4.0 * spec.sigma**2))
-    g1 = norm * np.exp(-((alpha + 1.0) ** 2) / (4.0 * spec.sigma**2))
-    kraus = g0[:, None, None] * basis.projector0 + g1[:, None, None] * basis.projector1
-    if spec.eta < 1.0:
-        factor = meas.excess_dephasing_factor(spec)
-        channel = (
-            np.sqrt((1.0 + factor) / 2.0) * np.eye(2, dtype=complex),
-            np.sqrt((1.0 - factor) / 2.0) * basis.observable,
-        )
-    else:
-        channel = (np.eye(2, dtype=complex),)
-    return _ArmNodes(signals=alpha, weights=weights, kraus=kraus, channel=channel)
-
-
-def _ancilla_nodes(spec: AncillaMeterSpec, basis: AnalyzerBasis) -> _ArmNodes:
-    kraus = np.stack(
-        [meas.ancilla_kraus(+1, spec.v_ent, basis), meas.ancilla_kraus(-1, spec.v_ent, basis)]
-    )
-    # flip-averaged signal: E[reported]/v_total = u*sign/v_total per branch
-    signals = np.array([+1.0, -1.0]) * spec.u / spec.v_total
-    return _ArmNodes(
-        signals=signals,
-        weights=np.ones(2),
-        kraus=kraus,
-        channel=(np.eye(2, dtype=complex),),
-    )
-
-
-def _arm_nodes(spec: MeterSpec, basis: AnalyzerBasis, order: int) -> _ArmNodes:
-    if isinstance(spec, GaussianMeterSpec):
-        return _gaussian_nodes(spec, basis, order)
-    return _ancilla_nodes(spec, basis)
-
-
-def _integrate_mean(config: ExperimentConfig, order: int) -> tuple[float, float]:
-    """One pass of the deterministic mean at a fixed quadrature order.
-
-    Propagates pure-state amplitude matrices C (|psi> = sum C[k,l] |k,l>)
-    through every branch pair: C -> L1 M1[i] C M2[j]^T L2^T, then projects
-    onto the four joint readout kets.  The correlator is assembled from
-    the branch signals and the flip-averaged readout eigenvalues
-    (+/- v for terms linear in each b, the flips being independent).
-
-    Returns ``(mean, norm)`` where ``norm`` is the integrated total
-    probability; a grid that resolves the distribution has ``norm = 1``.
-    """
-    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
-    arm1 = _arm_nodes(config.meter1, basis_a1, order)
-    arm2 = _arm_nodes(config.meter2, basis_a2, order)
-    v = config.b_spec.v
-
-    psi = np.eye(2, dtype=complex) / SQRT2
-    kets_b1 = (basis_b1.ket0, basis_b1.ket1)
-    kets_b2 = (basis_b2.ket0, basis_b2.ket1)
-    eigen = (+1.0, -1.0)
-
-    w1, w2 = arm1.weights, arm2.weights
-    s1, s2 = arm1.signals, arm2.signals
-    total = 0.0
-    norm = 0.0
-    block = max(1, (1 << 18) // max(len(s2), 1))
-    for start in range(0, len(s1), block):
-        stop = min(start + block, len(s1))
-        k1 = arm1.kraus[start:stop]
-        left = np.einsum("iab,bc->iac", k1, psi)
-        for l1, l2 in itertools.product(arm1.channel, arm2.channel):
-            k1c = np.einsum("ab,ibc->iac", l1, left)
-            k2c = np.einsum("ab,jbc->jac", l2, arm2.kraus)
-            coeff = np.einsum("iac,jdc->ijad", k1c, k2c)
-            for (i_b1, ket1), (i_b2, ket2) in itertools.product(
-                enumerate(kets_b1), enumerate(kets_b2)
-            ):
-                amp = np.einsum("ijad,a,d->ij", coeff, ket1.conj(), ket2.conj())
-                prob = (amp * amp.conj()).real
-                beta1, beta2 = eigen[i_b1], eigen[i_b2]
-                row = w1[start:stop] * np.einsum("ij,j->i", prob, w2 * s2)
-                row_plain = w1[start:stop] * np.einsum("ij,j->i", prob, w2)
-                weight = float(row_plain.sum())
-                total += float(np.dot(s1[start:stop], row))  # alpha1*alpha2 term
-                total += v * beta2 * float(np.dot(s1[start:stop], row_plain))
-                total += v * beta1 * float(row.sum())
-                total -= v * v * beta1 * beta2 * weight
-                norm += weight
-    return total, norm
+    return zeroth, first
 
 
 def exact_mean(config: ExperimentConfig) -> float:
     """Deterministic ensemble mean of the correlator, no sampling.
 
-    Gaussian arms are integrated with Gauss-Hermite quadrature; the order
-    starts at 256 points per axis and doubles until two successive results
-    agree to 1e-8, capped at 4096.  Ancilla arms are exact two-branch sums
-    (an all-ancilla config needs a single pass).  Raises
-    :class:`NumericalError` when the quadrature does not converge.
+    ``C`` is linear in ``alpha1`` and ``alpha2``, so only each weak arm's
+    zeroth and first outcome moments enter (see :func:`_arm_moments`).
+    With ``D``/``S`` the zeroth/first moment maps, ``XY`` the Bell state
+    after map X on arm 1 and map Y on arm 2, and ``R_k`` the readout
+    observable on arm k,
+
+        <C> = Tr[SS] + v*Tr[R2 SD] + v*Tr[R1 DS] - v^2*Tr[R1 R2 DD],
+
+    the readout flips (visibility ``v``) being independent per arm.
     """
-    has_gaussian = isinstance(config.meter1, GaussianMeterSpec) or isinstance(
-        config.meter2, GaussianMeterSpec
+    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
+    zeroth1, first1 = _arm_moments(config.meter1, basis_a1, 1)
+    zeroth2, first2 = _arm_moments(config.meter2, basis_a2, 2)
+    readout1 = embed(basis_b1.observable, 1)
+    readout2 = embed(basis_b2.observable, 2)
+    v = config.b_spec.v
+
+    rho = bell_state().rho
+    d1, s1 = zeroth1(rho), first1(rho)
+    mean = (
+        np.trace(first2(s1))
+        + v * np.trace(readout2 @ zeroth2(s1))
+        + v * np.trace(readout1 @ first2(d1))
+        - v * v * np.trace(readout1 @ readout2 @ zeroth2(d1))
     )
-    if not has_gaussian:
-        return _integrate_mean(config, order=2)[0]
-    previous = None
-    for order in _QUADRATURE_LADDER:
-        value, norm = _integrate_mean(config, order)
-        resolved = abs(norm - 1.0) <= _QUADRATURE_RTOL
-        if previous is not None and resolved and abs(value - previous) <= _QUADRATURE_RTOL:
-            return value
-        previous = value if resolved else None
-    raise NumericalError(
-        f"quadrature did not converge to {_QUADRATURE_RTOL} "
-        f"at {_QUADRATURE_LADDER[-1]} points per axis "
-        f"(integrated probability {norm:.6g}, signal widths may be too small)"
-    )
+    return float(mean.real)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_criterion_3_oracle_agreement():
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 60.0
     _report(
-        "criterion 3 (closed form vs integration)",
+        "criterion 3 (closed form vs instrument moments)",
         ok,
         f"max |exact - analytic| = {worst:.2e} < 1e-6 over {count} configs in {elapsed:.1f}s < 60s",
     )

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import blgi
 from blgi.cli import main
 
 SQRT2 = np.sqrt(2.0)
@@ -54,13 +60,22 @@ class TestSimulate:
         assert "sigma" in capsys.readouterr().err
 
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # signals of width 1e300 overflow the per-shot products
         out = tmp_path / "x.csv"
         code = main([
-            "simulate", "--meter", "gaussian", "--sigma", "0.01", "--shots", "10",
+            "simulate", "--meter", "gaussian", "--sigma", "1e300", "--shots", "10",
             "--out", str(out),
         ])
         assert code == 3
-        assert "converge" in capsys.readouterr().err
+        assert "numerical error:" in capsys.readouterr().err
+
+    def test_numerical_failure_with_records_exits_3(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--meter", "gaussian", "--sigma", "1e300", "--shots", "10",
+            "--out", str(tmp_path / "x.csv"), "--records", str(tmp_path / "r.csv"),
+        ])
+        assert code == 3
+        assert "numerical error:" in capsys.readouterr().err
 
     def test_records_csv(self, tmp_path):
         records = tmp_path / "records.csv"
@@ -259,3 +274,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
+
+
+def test_cli_import_does_not_load_scipy():
+    src = str(Path(blgi.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, blgi.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from blgi.measurement import (
     apply_dephasing,
     bell_coefficients,
     dephasing_factor,
+    excess_dephasing_factor,
     gaussian_kraus,
     projective_sample,
     sample_ancilla,
@@ -139,6 +140,13 @@ class TestDephasingFactor:
 
     def test_efficiency_accelerates_dephasing(self):
         assert abs(dephasing_factor(GaussianMeterSpec(sigma=1.0, eta=0.5)) - np.exp(-1.0)) < 1e-15
+
+    def test_overflowing_width_is_fully_coherent(self):
+        # sigma**2 overflows a float; the spec's variance reads inf instead
+        spec = GaussianMeterSpec(sigma=1e300, eta=0.5)
+        assert spec.variance == np.inf
+        assert dephasing_factor(spec) == 1.0
+        assert excess_dephasing_factor(spec) == 1.0
 
     def test_ancilla_with_readout_visibility(self):
         spec = AncillaMeterSpec(v_total=0.4, u=0.8)

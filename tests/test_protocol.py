@@ -2,16 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_hermite
 
-from blgi.measurement import AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
+from blgi.measurement import (
+    AncillaMeterSpec,
+    GaussianMeterSpec,
+    ProjectiveMeterSpec,
+    ancilla_kraus,
+    excess_dephasing_factor,
+    gaussian_kraus,
+)
 from blgi.protocol import (
     DEFAULT_ANGLES,
+    Estimate,
     ExperimentConfig,
     MeasurementRecord,
     NumericalError,
     analytic_mean,
     config_analytic_mean,
     correlator,
+    estimate_from_sums,
     exact_mean,
     iter_records,
     monte_carlo,
@@ -20,6 +30,7 @@ from blgi.protocol import (
     sweep,
     violation_threshold,
 )
+from blgi.qmath import bell_state, embed
 
 SQRT2 = np.sqrt(2.0)
 
@@ -143,6 +154,71 @@ class TestViolationThreshold:
         assert analytic_mean(t * 0.99, t * 0.99, 1.0) < 2.0
 
 
+# Reference mean by integrating the joint outcome distribution on a fixed
+# grid: Kraus operators and density matrices only, no outcome moments and
+# no dephasing factor.
+ORACLE_ORDER = 120
+
+
+def _oracle_arm(spec, basis, arm):
+    """Grid ``(signals, weights, kraus)`` of one weak arm, plus its post-channel."""
+    if isinstance(spec, GaussianMeterSpec):
+        x, w = roots_hermite(ORACLE_ORDER)
+        signals = SQRT2 * spec.sigma * x
+        # flat weights for integrating f(alpha) d alpha
+        weights = SQRT2 * spec.sigma * np.exp(np.log(w) + x * x)
+        kraus = np.stack([embed(gaussian_kraus(a, spec.sigma, basis), arm) for a in signals])
+        factor = excess_dephasing_factor(spec)
+    else:
+        # (back-action branch, reported sign) pairs; the report is flipped
+        # with probability (1 - u)/2
+        branches = [(sign, report) for sign in (+1, -1) for report in (+1, -1)]
+        signals = np.array([report / spec.v_total for _, report in branches])
+        weights = np.array([(1 + spec.u * sign * report) / 2 for sign, report in branches])
+        kraus = np.stack([embed(ancilla_kraus(sign, spec.v_ent, basis), arm) for sign, _ in branches])
+        factor = 1.0
+    flip = embed(basis.observable, arm)
+
+    def channel(rho):
+        return (1 + factor) / 2 * rho + (1 - factor) / 2 * (flip @ rho @ flip)
+
+    return signals, weights, kraus, channel
+
+
+def _quadrature_mean(config):
+    """``(mean, total probability)`` of the correlator on the oracle grid."""
+    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
+    s1, w1, k1, channel1 = _oracle_arm(config.meter1, basis_a1, 1)
+    s2, w2, k2, channel2 = _oracle_arm(config.meter2, basis_a2, 2)
+    rho1 = channel1(k1 @ bell_state().rho @ k1.conj().transpose(0, 2, 1))
+    rho12 = channel2(k2[None] @ rho1[:, None] @ k2.conj().transpose(0, 2, 1)[None])
+
+    def expect(op):
+        return np.einsum("ab,ijba->ij", op, rho12).real
+
+    readout1 = embed(basis_b1.observable, 1)
+    readout2 = embed(basis_b2.observable, 2)
+    prob = expect(np.eye(4))
+    # readout flips are independent, so E[b_k] = v<R_k> and E[b1 b2] = v^2<R1 R2>
+    v = config.b_spec.v
+    a1, a2 = s1[:, None], s2[None, :]
+    integrand = (
+        a1 * a2 * prob
+        + v * a1 * expect(readout2)
+        + v * a2 * expect(readout1)
+        - v * v * expect(readout1 @ readout2)
+    )
+    weights = w1[:, None] * w2[None, :]
+    return float((weights * integrand).sum()), float((weights * prob).sum())
+
+
+def _random_meter(rng, gaussian):
+    if gaussian:
+        return GaussianMeterSpec(sigma=rng.uniform(0.3, 20.0), eta=rng.uniform(0.3, 1.0))
+    u = rng.uniform(0.5, 1.0)
+    return AncillaMeterSpec(v_total=rng.uniform(0.05, u), u=u)
+
+
 class TestExactMean:
     def test_projective_ancilla_limit(self):
         assert abs(exact_mean(_ancilla_config(shots=1)) - 1 / SQRT2) < 1e-12
@@ -162,11 +238,26 @@ class TestExactMean:
         )
         assert abs(exact_mean(config) - config_analytic_mean(config)) < 1e-6
 
-    def test_unresolvable_signal_width_raises(self):
-        # at sigma = 0.01 the widest grid cannot reach the signal peaks at
-        # +/-1, and the normalization guard must refuse the result
-        with pytest.raises(NumericalError, match="did not converge"):
-            exact_mean(_gaussian_config(sigma=0.01, shots=1))
+    def test_narrow_signal_width_is_the_projective_limit(self):
+        # the moments need no grid, so a signal width far below the
+        # eigenvalue spacing resolves to the projective value
+        assert abs(exact_mean(_gaussian_config(sigma=0.01, shots=1)) - 1 / SQRT2) < 1e-12
+
+    def test_matches_quadrature_oracle_over_random_configs(self):
+        rng = np.random.default_rng(77)
+        kinds = [(True, True), (True, False), (False, True), (False, False)]
+        for index in range(52):
+            gaussian1, gaussian2 = kinds[index % 4]
+            config = ExperimentConfig(
+                meter1=_random_meter(rng, gaussian1),
+                meter2=_random_meter(rng, gaussian2),
+                b_spec=ProjectiveMeterSpec(v=rng.random()),
+                angles=tuple(rng.uniform(-np.pi, np.pi, size=4)),
+                shots=1,
+            )
+            reference, norm = _quadrature_mean(config)
+            assert abs(norm - 1.0) < 1e-10, config
+            assert abs(exact_mean(config) - reference) < 1e-9, config
 
     def test_term_separability_via_readout_visibility(self):
         # the four terms come from one joint distribution, so the mean is
@@ -286,6 +377,22 @@ class TestMonteCarlo:
         for config in configs:
             estimate = monte_carlo(config)
             assert abs(estimate.mean - exact_mean(config)) < 4 * estimate.stderr
+
+
+class TestEstimateFromSums:
+    def test_mean_and_stderr(self):
+        values = np.array([1.0, 2.0, 4.0])
+        estimate = estimate_from_sums(values.sum(), (values * values).sum(), values.size)
+        assert estimate.mean == values.mean()
+        np.testing.assert_allclose(estimate.stderr, values.std(ddof=1) / np.sqrt(3), rtol=1e-12)
+
+    def test_single_value_has_zero_stderr(self):
+        assert estimate_from_sums(2.5, 6.25, 1) == Estimate(mean=2.5, stderr=0.0, shots=1)
+
+    @pytest.mark.parametrize("total, total_sq", [(np.inf, np.inf), (np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_raises(self, total, total_sq):
+        with pytest.raises(NumericalError, match="not finite"):
+            estimate_from_sums(total, total_sq, 10)
 
 
 class TestSweep:
