@@ -25,15 +25,12 @@ from .lhv import (
 from .measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
-    MeterOutcome,
     ProjectiveMeterSpec,
     ancilla_kraus,
     apply_dephasing,
     dephasing_factor,
     gaussian_kraus,
-    projective_sample,
-    sample_ancilla,
-    sample_gaussian,
+    sample_records,
 )
 from .protocol import (
     DEFAULT_ANGLES,
@@ -47,7 +44,6 @@ from .protocol import (
     correlator,
     exact_mean,
     monte_carlo,
-    run_shot,
     sweep,
     violation_threshold,
 )

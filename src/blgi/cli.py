@@ -46,6 +46,12 @@ EXIT_BOUND_VIOLATION = 4
 STDERR_WARNING_LEVEL = 0.05
 LMR_BOUND = 2.0
 
+#: one per-shot record; ``%.17g`` round-trips every double
+_RECORD_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+#: rows formatted per write: enough to amortize the call, few enough that
+#: the text and its float objects stay near 100 kB (peak memory)
+_RECORD_BLOCK = 2048
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".17g")
@@ -196,6 +202,12 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
+def _require_two_shots(config: ExperimentConfig) -> None:
+    # the standard error, and with it the violation verdict, needs two shots
+    if config.shots < 2:
+        raise ConfigError(f"shots must be >= 2 for a standard error, got {config.shots}")
+
+
 def _load_rerun_manifest(args: argparse.Namespace, command: str) -> RunManifest | None:
     if args.manifest is None or not Path(args.manifest).exists():
         return None
@@ -243,6 +255,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         out = args.out
         records_path = args.records
 
+    _require_two_shots(config)
     _warn_shot_budget(config)
     if records_path is not None:
         total = 0.0
@@ -253,7 +266,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
                 total += float(values.sum())
                 total_sq += float((values * values).sum())
-                np.savetxt(handle, np.column_stack([alpha1, alpha2, b1, b2]), fmt="%.17g", delimiter=",")
+                rows = np.column_stack([alpha1, alpha2, b1, b2])
+                for start in range(0, len(rows), _RECORD_BLOCK):
+                    block = rows[start:start + _RECORD_BLOCK]
+                    handle.write((_RECORD_ROW * len(block)) % tuple(block.ravel().tolist()))
         estimate = estimate_from_sums(total, total_sq, config.shots)
     else:
         estimate = monte_carlo(config, threads=args.threads)
@@ -305,6 +321,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         axis = args.axis
         values = _parse_values(args.values)
 
+    _require_two_shots(config)
     try:
         points = sweep(config, axis, values, threads=args.threads)
     except ValueError as exc:
@@ -391,17 +408,17 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             raise ConfigError(f"--random: expected a positive count, got {params['random']}")
         for index in range(int(params["random"])):
             rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
-            strategies.append(
-                (
-                    f"random-{index}",
-                    lhv.random_strategy(
-                        int(params["hidden_states"]),
-                        rng,
-                        noise_sigma=float(params["noise_sigma"]),
-                        max_invasiveness=float(params["invasiveness"]),
-                    ),
+            try:
+                strategy = lhv.random_strategy(
+                    int(params["hidden_states"]),
+                    rng,
+                    noise_sigma=float(params["noise_sigma"]),
+                    max_invasiveness=float(params["invasiveness"]),
                 )
-            )
+                strategy.validate()
+            except ValueError as exc:
+                raise ConfigError(f"--random: {exc}") from exc
+            strategies.append((f"random-{index}", strategy))
     if not strategies:
         raise ConfigError("lhv needs --strategy, --random or --brute-force")
 
@@ -519,8 +536,11 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads: expected a positive count, got {args.threads}")
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

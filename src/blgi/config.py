@@ -61,6 +61,8 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
             parser.read_file(handle, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parser
 
 
@@ -110,18 +112,24 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
-    """Seed precedence: command-line flag, then BLGI_SEED, then file, then 42."""
+    """Seed precedence: command-line flag, then BLGI_SEED, then file, then 42.
+
+    The winner must be a 64-bit unsigned integer.
+    """
     if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed, where = flag_seed, "--seed"
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
         try:
-            return int(env)
+            seed, where = int(env), SEED_ENV_VAR
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from exc
-    if file_seed is not None:
-        return file_seed
-    return DEFAULT_SEED
+    elif file_seed is not None:
+        seed, where = file_seed, "run.seed"
+    else:
+        return DEFAULT_SEED
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{where}: expected a 64-bit unsigned integer, got {seed}")
+    return seed
 
 
 def load_strategy(path: str | Path) -> LHVStrategy:
@@ -256,8 +264,10 @@ class RunManifest:
             raise ConfigError(f"manifest file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse manifest {path}: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
         try:
             return cls(
                 command=data["command"],

@@ -1,4 +1,4 @@
-"""Weak and projective qubit measurement models with per-shot sampling.
+"""Weak and projective qubit measurement models and the per-shot record kernel.
 
 Two weak-meter models are implemented for the first measurement on each
 arm:
@@ -16,8 +16,14 @@ The final measurement on each arm is projective with readout visibility
 true outcome flipped with probability ``(1 - v)/2``, so reported means are
 ``v`` times the ideal ones while the record stays in ``{-1, +1}``.
 
-All samplers take an explicit ``numpy.random.Generator``; they are pure in
-the state argument and safe to drive from disjoint RNG substreams.
+The record law has one implementation, :func:`sample_records`.  It keeps
+each shot as four real amplitudes and runs four elementwise stages (weak
+arm 1, weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw
+order.  :func:`gaussian_kraus`, :func:`ancilla_kraus` and
+:func:`apply_dephasing` give the same instruments on density matrices;
+they are the oracle the kernel is tested against.  Every sampler takes an
+explicit ``numpy.random.Generator`` and is safe to drive from disjoint
+RNG substreams.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import AnalyzerBasis, TwoQubitState, ZeroProbabilityError, apply_operator, embed
+from .qmath import AnalyzerBasis, TwoQubitState, embed
 
 
 @dataclass(frozen=True)
@@ -42,11 +48,18 @@ class GaussianMeterSpec:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"eta must be in (0, 1], got {self.eta}")
+        if self.variance == 0.0:
+            raise ValueError(f"sigma must be wide enough that sigma**2 > 0 in floats, got {self.sigma}")
 
     @property
     def variance(self) -> float:
         """``sigma**2``, or ``inf`` where that overflows a float."""
         return _squared(self.sigma)
+
+    @property
+    def signal_second_moment(self) -> float:
+        """``E[alpha^2] = sigma^2 + 1`` on any state."""
+        return self.variance + 1.0
 
 
 @dataclass(frozen=True)
@@ -72,6 +85,11 @@ class AncillaMeterSpec:
         """Entangling strength: the visibility seen by the qubit back-action."""
         return min(self.v_total / self.u, 1.0)
 
+    @property
+    def signal_second_moment(self) -> float:
+        """``E[alpha^2] = 1/v_total^2``, exactly, or ``inf`` where that overflows."""
+        return _squared(1.0 / self.v_total)
+
 
 @dataclass(frozen=True)
 class ProjectiveMeterSpec:
@@ -82,20 +100,6 @@ class ProjectiveMeterSpec:
     def __post_init__(self):
         if not (0.0 <= self.v <= 1.0):
             raise ValueError(f"v must be in [0, 1], got {self.v}")
-
-
-@dataclass(frozen=True)
-class MeterOutcome:
-    """One sampled measurement: recorded signal, post-state, branch weight.
-
-    ``branch_weight`` is a probability for discrete meters.  For the
-    Gaussian meter it is the probability *density* of the drawn signal and
-    may exceed 1 when sigma is small.
-    """
-
-    signal: float
-    post_state: TwoQubitState
-    branch_weight: float
 
 
 MeterSpec = GaussianMeterSpec | AncillaMeterSpec
@@ -148,7 +152,9 @@ def dephasing_factor(spec: MeterSpec) -> float:
     ``v`` is applied by the caller, not here.
     """
     if isinstance(spec, GaussianMeterSpec):
-        return float(np.exp(-1.0 / (2.0 * spec.variance * spec.eta)))
+        width = 2.0 * spec.variance * spec.eta
+        # a product that underflows to zero is a full collapse
+        return float(np.exp(-1.0 / width)) if width > 0.0 else 0.0
     if isinstance(spec, AncillaMeterSpec):
         return float(np.sqrt(max(1.0 - spec.v_ent**2, 0.0)))
     raise TypeError(f"unsupported meter spec {type(spec).__name__}")
@@ -176,209 +182,174 @@ def apply_dephasing(state: TwoQubitState, arm: int, factor: float, basis: Analyz
     return TwoQubitState.from_rho(rho)
 
 
-def _arm_population(state: TwoQubitState, arm: int, basis: AnalyzerBasis) -> float:
-    proj = embed(basis.projector0, arm)
-    return float(np.clip(np.trace(proj @ state.rho).real, 0.0, 1.0))
-
-
-def sample_gaussian(
-    state: TwoQubitState,
-    arm: int,
-    spec: GaussianMeterSpec,
-    basis: AnalyzerBasis,
-    rng: np.random.Generator,
-) -> MeterOutcome:
-    """Draw one Gaussian-meter shot on ``arm`` and update the state.
-
-    The signal comes from the exact marginal, a two-component Gaussian
-    mixture centered on the eigenvalues +/-1 and weighted by the arm's
-    populations in ``basis``.  The post-state is the renormalized Kraus
-    update followed by the excess dephasing channel when ``eta < 1``.
-    """
-    p0 = _arm_population(state, arm, basis)
-    center = 1.0 if rng.random() < p0 else -1.0
-    alpha = center + spec.sigma * rng.standard_normal()
-    weight, post = apply_operator(state, embed(gaussian_kraus(alpha, spec.sigma, basis), arm))
-    if spec.eta < 1.0:
-        post = apply_dephasing(post, arm, excess_dephasing_factor(spec), basis)
-    return MeterOutcome(signal=float(alpha), post_state=post, branch_weight=weight)
-
-
-def sample_ancilla(
-    state: TwoQubitState,
-    arm: int,
-    spec: AncillaMeterSpec,
-    basis: AnalyzerBasis,
-    rng: np.random.Generator,
-) -> MeterOutcome:
-    """Draw one ancilla-meter shot on ``arm`` and update the state.
-
-    The +/- branch is chosen from the back-action operators at entangling
-    strength ``v_total/u``; the reported ancilla sign is then flipped with
-    probability ``(1-u)/2`` and rescaled to ``sign/v_total``, which makes
-    the signal mean equal to the measured observable exactly.
-    """
-    kraus_plus = embed(ancilla_kraus(+1, spec.v_ent, basis), arm)
-    p_plus = float(np.clip(np.trace(kraus_plus @ state.rho @ kraus_plus.conj().T).real, 0.0, 1.0))
-    sign = +1 if rng.random() < p_plus else -1
-    try:
-        weight, post = apply_operator(state, embed(ancilla_kraus(sign, spec.v_ent, basis), arm))
-    except ZeroProbabilityError:
-        # the drawn branch is numerically empty, so the other one is certain
-        sign = -sign
-        weight, post = apply_operator(state, embed(ancilla_kraus(sign, spec.v_ent, basis), arm))
-    reported = -sign if rng.random() < (1.0 - spec.u) / 2.0 else sign
-    return MeterOutcome(signal=reported / spec.v_total, post_state=post, branch_weight=weight)
-
-
-def projective_sample(
-    state: TwoQubitState,
-    arm: int,
-    spec: ProjectiveMeterSpec,
-    basis: AnalyzerBasis,
-    rng: np.random.Generator,
-) -> MeterOutcome:
-    """Draw one projective readout on ``arm`` with visibility ``spec.v``.
-
-    The post-state is the projection onto the *true* outcome; only the
-    reported sign suffers the misidentification flip.
-    """
-    p0 = _arm_population(state, arm, basis)
-    outcome = +1 if rng.random() < p0 else -1
-    projector = basis.projector0 if outcome == +1 else basis.projector1
-    try:
-        weight, post = apply_operator(state, embed(projector, arm))
-    except ZeroProbabilityError:
-        outcome = -outcome
-        projector = basis.projector0 if outcome == +1 else basis.projector1
-        weight, post = apply_operator(state, embed(projector, arm))
-    reported = -outcome if rng.random() < (1.0 - spec.v) / 2.0 else outcome
-    return MeterOutcome(signal=float(reported), post_state=post, branch_weight=weight)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized shot kernels.
+# The shot kernel.
 #
-# The batch samplers below draw many shots at once.  They propagate each
-# shot as a real (2, 2) amplitude matrix C with |psi> = sum_kl C[k,l] |k,l>
-# (analyzer kets and meter operators are all real here, and the excess
-# dephasing channel for eta < 1 is realized as a stochastic phase flip,
-# which is the same channel in expectation).  The per-shot *record* law is
-# identical to the single-shot samplers above; only the internal state
-# representation differs.
+# Every shot is a pure state of the pair with real amplitudes (analyzer
+# kets and meter operators are all real), held as four arrays
+# ``(c00, c01, c10, c11)`` with |psi> = sum_kl c_kl |k,l>, arm 1 first.
+# A stage on one arm rotates that arm into its analyzer frame by phi/2,
+# scales the ket0/ket1 branches by the drawn outcome's Kraus entries,
+# renormalizes and rotates back; every step is elementwise over shots.
+# The excess dephasing of a Gaussian meter with eta < 1 is realized as a
+# stochastic sign flip of the ket1 branch, which is the same channel in
+# expectation.  Scalars broadcast, so a state shared by all shots (the
+# Bell pair) is passed as four floats.
 # ---------------------------------------------------------------------------
 
+Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
 
-def _arm_matmul(coeff: np.ndarray, arm: int, op: np.ndarray) -> np.ndarray:
-    if arm == 1:
-        return np.einsum("ab,nbc->nac", op, coeff)
-    return np.einsum("nab,cb->nac", coeff, op)
+BELL_AMPLITUDES: Amplitudes = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
 
 
-def _real_projectors(basis: AnalyzerBasis) -> tuple[np.ndarray, np.ndarray]:
-    return basis.projector0.real, basis.projector1.real
+def _rotation(basis: AnalyzerBasis) -> tuple[float, float]:
+    # ket0 = (c, s) and ket1 = (-s, c) with c = cos(phi/2), s = sin(phi/2)
+    c, s = basis.ket0.real
+    return float(c), float(s)
 
 
-def _renormalize(coeff: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.einsum("nab,nab->n", coeff, coeff))
-    return coeff / norms[:, None, None]
+def _to_frame(amps: Amplitudes, arm: int, basis: AnalyzerBasis):
+    """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
+    indexed by the other arm's computational state."""
+    c00, c01, c10, c11 = amps
+    a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
+    c, s = _rotation(basis)
+    return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
 
 
-def bell_coefficients(n: int) -> np.ndarray:
-    """Amplitude matrices of ``n`` copies of the maximally entangled pair."""
-    coeff = np.eye(2) / np.sqrt(2.0)
-    return np.broadcast_to(coeff, (n, 2, 2)).copy()
+def _from_frame(x0, x1, y0, y1, arm: int, basis: AnalyzerBasis) -> Amplitudes:
+    c, s = _rotation(basis)
+    a0, a1, b0, b1 = c * x0 - s * y0, c * x1 - s * y1, s * x0 + c * y0, s * x1 + c * y1
+    return (a0, a1, b0, b1) if arm == 1 else (a0, b0, a1, b1)
 
 
-def sample_gaussian_batch(
-    coeff: np.ndarray,
-    arm: int,
-    spec: GaussianMeterSpec,
-    basis: AnalyzerBasis,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Gaussian-meter shots; returns ``(signals, new_coeff)``.
+def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus entries ``g0, g1`` of pointer readouts ``signals``, up to a
+    common per-shot factor.
 
-    Draw order per call: one uniform block (mixture component), one normal
-    block (pointer value), and, only when ``eta < 1``, one uniform block
-    (stochastic phase flip).
+    ``g0/g1 = exp(alpha/variance)``, so dividing both by the larger one
+    gives ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t =
+    alpha/variance``: neither underflows to zero with the other.
     """
-    proj0, _ = _real_projectors(basis)
-    projected = _arm_matmul(coeff, arm, proj0)
-    p0 = np.einsum("nab,nab->n", projected, projected)
-    centers = np.where(rng.random(p0.size) < p0, 1.0, -1.0)
-    alpha = centers + spec.sigma * rng.standard_normal(p0.size)
-    g0 = np.exp(-((alpha - 1.0) ** 2) / (4.0 * spec.variance))
-    g1 = np.exp(-((alpha + 1.0) ** 2) / (4.0 * spec.variance))
-    coeff = g0[:, None, None] * projected + g1[:, None, None] * (coeff - projected)
-    coeff = _renormalize(coeff)
-    if spec.eta < 1.0:
-        factor = excess_dephasing_factor(spec)
-        flip = rng.random(p0.size) < 0.5 * (1.0 - factor)
-        flipped = _arm_matmul(coeff, arm, basis.observable.real)
-        coeff = np.where(flip[:, None, None], flipped, coeff)
-    return alpha, coeff
+    t = signals / variance
+    return np.exp(np.minimum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
 
 
-def sample_ancilla_batch(
-    coeff: np.ndarray,
-    arm: int,
-    spec: AncillaMeterSpec,
-    basis: AnalyzerBasis,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ancilla-meter shots; returns ``(signals, new_coeff)``.
-
-    Draw order per call: one uniform block (branch), one uniform block
-    (readout flip).
-    """
-    proj0, proj1 = _real_projectors(basis)
-    v_ent = spec.v_ent
-    m_plus = np.sqrt(0.5 + v_ent / 2.0) * proj0 + np.sqrt(0.5 - v_ent / 2.0) * proj1
-    m_minus = np.sqrt(0.5 - v_ent / 2.0) * proj0 + np.sqrt(0.5 + v_ent / 2.0) * proj1
-    plus_branch = _arm_matmul(coeff, arm, m_plus)
-    p_plus = np.einsum("nab,nab->n", plus_branch, plus_branch)
-    took_plus = rng.random(p_plus.size) < p_plus
-    sign = np.where(took_plus, 1.0, -1.0)
-    coeff = np.where(took_plus[:, None, None], plus_branch, _arm_matmul(coeff, arm, m_minus))
-    coeff = _renormalize(coeff)
-    reported = np.where(rng.random(sign.size) < (1.0 - spec.u) / 2.0, -sign, sign)
-    return reported / spec.v_total, coeff
-
-
-def sample_projective_batch(
-    coeff: np.ndarray,
-    arm: int,
-    spec: ProjectiveMeterSpec,
-    basis: AnalyzerBasis,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projective readout; returns ``(signals, new_coeff)``.
-
-    Draw order per call: one uniform block (outcome), one uniform block
-    (misidentification flip).
-    """
-    proj0, _ = _real_projectors(basis)
-    projected = _arm_matmul(coeff, arm, proj0)
-    p0 = np.einsum("nab,nab->n", projected, projected)
-    hit0 = rng.random(p0.size) < p0
-    outcome = np.where(hit0, 1.0, -1.0)
-    coeff = np.where(hit0[:, None, None], projected, coeff - projected)
-    coeff = _renormalize(coeff)
-    reported = np.where(rng.random(outcome.size) < (1.0 - spec.v) / 2.0, -outcome, outcome)
-    return reported, coeff
-
-
-def sample_weak_batch(
-    coeff: np.ndarray,
+def weak_stage(
+    amps: Amplitudes,
     arm: int,
     spec: MeterSpec,
     basis: AnalyzerBasis,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the Gaussian or ancilla batch sampler by spec type."""
+    n: int,
+) -> tuple[np.ndarray, Amplitudes]:
+    """Weakly measure ``arm`` in ``n`` shots; returns ``(signals, post-state amplitudes)``.
+
+    Draw order: Gaussian, one uniform block (mixture component), one
+    normal block (pointer value) and, only when ``eta < 1``, one uniform
+    block (phase flip); ancilla, one uniform block (branch) and one
+    uniform block (readout flip).
+    """
+    x0, x1, y0, y1 = _to_frame(amps, arm, basis)
+    p0 = x0 * x0 + x1 * x1
+    p1 = y0 * y0 + y1 * y1
     if isinstance(spec, GaussianMeterSpec):
-        return sample_gaussian_batch(coeff, arm, spec, basis, rng)
-    if isinstance(spec, AncillaMeterSpec):
-        return sample_ancilla_batch(coeff, arm, spec, basis, rng)
-    raise TypeError(f"unsupported meter spec {type(spec).__name__}")
+        signals = _signs(rng.random(n) < p0) + spec.sigma * rng.standard_normal(n)
+        w0, w1 = _gaussian_branch_scales(signals, spec.variance)
+    elif isinstance(spec, AncillaMeterSpec):
+        half = spec.v_ent / 2.0
+        took_plus = rng.random(n) < (0.5 + half) * p0 + (0.5 - half) * p1
+        strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
+        shift = (strong - weak) * took_plus
+        w0, w1 = weak + shift, strong - shift
+        flip = rng.random(n) < (1.0 - spec.u) / 2.0
+        signals = _signs(took_plus != flip) / spec.v_total
+    else:
+        raise TypeError(f"unsupported meter spec {type(spec).__name__}")
+    norm = 1.0 / np.sqrt(w0 * w0 * p0 + w1 * w1 * p1)
+    w0 = w0 * norm
+    w1 = w1 * norm
+    if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
+        flip = rng.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
+        w1 = w1 * _signs(~flip)
+    x0, x1, y0, y1 = x0 * w0, x1 * w0, y0 * w1, y1 * w1
+    del p0, p1, w0, w1, norm  # freed before the rotation allocates: peak memory
+    return signals, _from_frame(x0, x1, y0, y1, arm, basis)
+
+
+def _signs(mask: np.ndarray) -> np.ndarray:
+    # +1.0 where mask, else -1.0; several times faster than np.where on
+    # unpredictable masks
+    return mask * 2.0 - 1.0
+
+
+def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator) -> np.ndarray:
+    # the reported sign is the true one, flipped with probability (1 - v)/2
+    return _signs(hit0 != (rng.random(hit0.size) < (1.0 - spec.v) / 2.0))
+
+
+def first_readout(
+    amps: Amplitudes,
+    spec: ProjectiveMeterSpec,
+    basis: AnalyzerBasis,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Projectively read out arm 1 in ``n`` shots.
+
+    Returns ``(signals, (z0, z1))``: the projection leaves the pair in
+    the product of the true outcome's analyzer ket with arm 2's
+    conditional ket ``z0|0> + z1|1>``, returned unnormalized.  Only the
+    reported sign suffers the misidentification flip.  Draw order: one
+    uniform block (outcome), one uniform block (flip).
+    """
+    x0, x1, y0, y1 = _to_frame(amps, 1, basis)
+    hit0 = rng.random(n) < x0 * x0 + x1 * x1
+    signals = _reported(hit0, spec, rng)
+    # exact select: one of the two products is x*1 or y*1, the other zero
+    keep_x = hit0.astype(float)
+    keep_y = 1.0 - keep_x
+    return signals, (x0 * keep_x + y0 * keep_y, x1 * keep_x + y1 * keep_y)
+
+
+def second_readout(
+    ket: tuple[np.ndarray, np.ndarray],
+    spec: ProjectiveMeterSpec,
+    basis: AnalyzerBasis,
+    rng: np.random.Generator,
+    n: int,
+) -> np.ndarray:
+    """Projectively read out arm 2, in state ``ket`` from :func:`first_readout`.
+
+    The last measurement leaves no state behind, so only the ket0
+    probability ``<ket0|z>^2 / <z|z>`` is formed.  Draw order: one
+    uniform block (outcome), one uniform block (flip).
+    """
+    z0, z1 = ket
+    c, s = _rotation(basis)
+    along0 = c * z0 + s * z1
+    hit0 = rng.random(n) < along0 * along0 / (z0 * z0 + z1 * z1)
+    return _reported(hit0, spec, rng)
+
+
+def sample_records(
+    n: int,
+    meter1: MeterSpec,
+    meter2: MeterSpec,
+    readout: ProjectiveMeterSpec,
+    bases: tuple[AnalyzerBasis, AnalyzerBasis, AnalyzerBasis, AnalyzerBasis],
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` shots of the full protocol from the Bell pair: ``(alpha1, alpha2, b1, b2)``.
+
+    ``bases`` are the analyzers ``(a1, a2, b1, b2)``.  Stages and draws
+    run in the order weak arm 1, weak arm 2, readout arm 1, readout arm 2.
+    """
+    basis_a1, basis_a2, basis_b1, basis_b2 = bases
+    alpha1, amps = weak_stage(BELL_AMPLITUDES, 1, meter1, basis_a1, rng, n)
+    alpha2, amps = weak_stage(amps, 2, meter2, basis_a2, rng, n)
+    b1, ket = first_readout(amps, readout, basis_b1, rng, n)
+    b2 = second_readout(ket, readout, basis_b2, rng, n)
+    return alpha1, alpha2, b1, b2

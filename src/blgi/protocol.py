@@ -124,27 +124,6 @@ def correlator(record: MeasurementRecord) -> float:
     )
 
 
-def run_shot(config: ExperimentConfig, rng: np.random.Generator) -> MeasurementRecord:
-    """Run one full shot: prepare, weakly measure both arms, read out both arms."""
-    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
-    state = bell_state()
-    if isinstance(config.meter1, GaussianMeterSpec):
-        out1 = meas.sample_gaussian(state, 1, config.meter1, basis_a1, rng)
-    else:
-        out1 = meas.sample_ancilla(state, 1, config.meter1, basis_a1, rng)
-    state = out1.post_state
-    if isinstance(config.meter2, GaussianMeterSpec):
-        out2 = meas.sample_gaussian(state, 2, config.meter2, basis_a2, rng)
-    else:
-        out2 = meas.sample_ancilla(state, 2, config.meter2, basis_a2, rng)
-    state = out2.post_state
-    outb1 = meas.projective_sample(state, 1, config.b_spec, basis_b1, rng)
-    outb2 = meas.projective_sample(outb1.post_state, 2, config.b_spec, basis_b2, rng)
-    return MeasurementRecord(
-        alpha1=out1.signal, alpha2=out2.signal, b1=outb1.signal, b2=outb2.signal
-    )
-
-
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     # Philox is counter based: keying by (seed, chunk index) gives disjoint
     # substreams without sequential jumping.
@@ -153,13 +132,7 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 def _run_chunk(config: ExperimentConfig, chunk_index: int, n: int) -> tuple[np.ndarray, ...]:
     rng = _chunk_rng(config.seed, chunk_index)
-    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
-    coeff = meas.bell_coefficients(n)
-    alpha1, coeff = meas.sample_weak_batch(coeff, 1, config.meter1, basis_a1, rng)
-    alpha2, coeff = meas.sample_weak_batch(coeff, 2, config.meter2, basis_a2, rng)
-    b1, coeff = meas.sample_projective_batch(coeff, 1, config.b_spec, basis_b1, rng)
-    b2, coeff = meas.sample_projective_batch(coeff, 2, config.b_spec, basis_b2, rng)
-    return alpha1, alpha2, b1, b2
+    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.bases(), rng)
 
 
 def _chunk_sizes(shots: int) -> list[int]:
@@ -232,13 +205,8 @@ def predicted_stderr(config: ExperimentConfig) -> float:
     which is enough for shot-budget warnings.
     """
 
-    def second_moment(spec: MeterSpec) -> float:
-        if isinstance(spec, GaussianMeterSpec):
-            return spec.variance + 1.0
-        return 1.0 / spec.v_total**2
-
-    m1 = second_moment(config.meter1)
-    m2 = second_moment(config.meter2)
+    m1 = config.meter1.signal_second_moment
+    m2 = config.meter2.signal_second_moment
     variance = m1 * m2 + m1 + m2 + 1.0
     return float(np.sqrt(variance / config.shots))
 

@@ -16,10 +16,9 @@ from blgi.measurement import (
     GaussianMeterSpec,
     ProjectiveMeterSpec,
     ancilla_kraus,
+    first_readout,
     gaussian_kraus,
-    sample_ancilla_batch,
-    sample_gaussian_batch,
-    sample_projective_batch,
+    weak_stage,
 )
 from blgi.protocol import (
     ExperimentConfig,
@@ -135,10 +134,9 @@ def test_criterion_5_ancilla_mid_strength():
 
     rng = np.random.default_rng(506)
     shots = 1_000_000
-    eigenstate = np.zeros((shots, 2, 2))
-    eigenstate[:, 0, 0] = 1.0
-    signals, _ = sample_ancilla_batch(
-        eigenstate, 1, AncillaMeterSpec(v_total=0.6), analyzer_basis(0.0), rng
+    eigenstate = (1.0, 0.0, 0.0, 0.0)  # |00>, shared by every shot
+    signals, _ = weak_stage(
+        eigenstate, 1, AncillaMeterSpec(v_total=0.6), analyzer_basis(0.0), rng, shots
     )
     variance = signals.var(ddof=1)
     variance_target = 1 / 0.36 - 1
@@ -313,25 +311,24 @@ def _invariant_calibration() -> tuple[bool, str]:
     ok = True
 
     rng = np.random.default_rng(809)
-    eigen = np.zeros((shots, 2, 2))
-    eigen[:, 0, 0] = 1.0
+    eigen = (1.0, 0.0, 0.0, 0.0)  # |00>, shared by every shot
 
     spec = GaussianMeterSpec(sigma=1.5, eta=0.7)
-    signals, _ = sample_gaussian_batch(eigen.copy(), 1, spec, basis, rng)
+    signals, _ = weak_stage(eigen, 1, spec, basis, rng, shots)
     stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"gaussian |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = AncillaMeterSpec(v_total=0.5, u=0.9)
-    signals, _ = sample_ancilla_batch(eigen.copy(), 1, spec, basis, rng)
+    signals, _ = weak_stage(eigen, 1, spec, basis, rng, shots)
     stderr = np.sqrt(1 / spec.v_total**2) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"ancilla |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = ProjectiveMeterSpec(v=0.8)
-    signals, _ = sample_projective_batch(eigen.copy(), 1, spec, basis, rng)
+    signals, _ = first_readout(eigen, spec, basis, rng, shots)
     stderr = 1 / np.sqrt(shots)
     dev = abs(signals.mean() - spec.v * target)
     ok = ok and dev < 4 * stderr

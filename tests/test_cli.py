@@ -1,9 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import blgi
 from blgi.cli import main
@@ -266,6 +271,84 @@ class TestLhvCommand:
 
     def test_needs_a_mode(self):
         assert main(["lhv"]) == 2
+
+
+class TestInputErrors:
+    """Inputs that once crashed or lied: exit 2 with a one-line error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--shots", "1"],
+            ["sweep", "--meter", "gaussian", "--axis", "sigma", "--values", "1", "--shots", "1"],
+            ["simulate", "--shots", "10", "--threads", "0"],
+            ["sweep", "--axis", "v", "--values", "1", "--shots", "10", "--threads", "-2"],
+            ["lhv", "--random", "1", "--shots", "100", "--seed", "-1"],
+            ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
+            ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
+            ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],
+            ["simulate", "--shots", "10", "--seed", str(2**64)],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_config_directory(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(tmp_path) in err[0]
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        code = main(["simulate", "--shots", "10", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error: ")
+
+    def test_vanishing_total_visibility_is_a_numerical_failure(self, tmp_path, capsys):
+        code = main([
+            "simulate", "--meter", "ancilla", "--v-total", "1e-200", "--shots", "10",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 3
+        assert "numerical error:" in capsys.readouterr().err
+
+
+def _flag(name, *values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda value: [name, value]))
+
+
+SIMULATE_FLAGS = st.tuples(
+    _flag("--meter", "gaussian", "ancilla"),
+    _flag("--sigma", "1", "10", "0.3", "-2", "0", "1e-200", "1e-160", "1e300", "nan", "inf"),
+    _flag("--eta", "1", "0.5", "1e-300", "0", "1.5", "nan"),
+    _flag("--v-total", "0.6", "1", "1e-200", "1e-320", "0", "2", "nan"),
+    _flag("--u", "0.9", "1", "0.1", "0"),
+    _flag("--v", "0.8", "1", "0", "-0.1", "1.1", "nan"),
+    _flag("--seed", "-1", "0", "3", str(2**64 - 1), str(2**64)),
+    _flag("--threads", "-1", "0", "1", "3"),
+    _flag("--phi-a1", "0", "1e300", "inf", "nan"),
+    st.sampled_from(["-1", "0", "1", "2", "64", "300", "many"]).map(lambda shots: ["--shots", shots]),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=SIMULATE_FLAGS, out=st.sampled_from(["file", "directory", "missing"]), records=st.booleans())
+def test_simulate_argv_ends_in_a_documented_exit_code(tmp_path_factory, flags, out, records):
+    tmp = tmp_path_factory.mktemp("argv")
+    paths = {"file": tmp / "out.csv", "directory": tmp, "missing": tmp / "no" / "out.csv"}
+    argv = ["simulate", *(part for flag in flags for part in flag), "--out", str(paths[out])]
+    if records:
+        argv += ["--records", str(tmp / "records.csv")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects unparseable values
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in stderr.getvalue()
 
 
 class TestVerify:

@@ -3,23 +3,23 @@ import pytest
 from scipy.special import roots_hermite
 
 from blgi.measurement import (
+    BELL_AMPLITUDES,
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
     ancilla_kraus,
     apply_dephasing,
-    bell_coefficients,
     dephasing_factor,
     excess_dephasing_factor,
+    first_readout,
     gaussian_kraus,
-    projective_sample,
-    sample_ancilla,
-    sample_ancilla_batch,
-    sample_gaussian,
-    sample_gaussian_batch,
-    sample_projective_batch,
+    second_readout,
+    weak_stage,
 )
 from blgi.qmath import TwoQubitState, analyzer_basis, apply_operator, bell_state, embed
+
+#: |00>, one state shared by every shot
+KET_00 = (1.0, 0.0, 0.0, 0.0)
 
 
 def _flat_hermite(order, sigma):
@@ -32,15 +32,38 @@ def _flat_hermite(order, sigma):
     return alpha, weights
 
 
-def _ket00_state():
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0
-    return TwoQubitState.from_rho(rho)
-
-
 def _product_state(ket1, ket2):
     psi = np.kron(ket1, ket2).astype(complex)
     return TwoQubitState.from_rho(np.outer(psi, psi.conj()))
+
+
+def _pure(amps, index):
+    """Density matrix of shot ``index`` of the kernel's amplitude arrays."""
+    psi = np.array([a[index] for a in amps], dtype=float)
+    return TwoQubitState.from_rho(np.outer(psi, psi))
+
+
+def _random_amplitudes(rng, n):
+    psi = rng.normal(size=(4, n))
+    return tuple(psi / np.linalg.norm(psi, axis=0))
+
+
+def _mean_rho(amps):
+    """Average of the shots' |psi><psi| in the |00>,|01>,|10>,|11> basis."""
+    psi = np.stack(amps)
+    return psi @ psi.T / psi.shape[1]
+
+
+class StubGenerator:
+    """Hands out fixed uniform blocks, in order, in place of ``random``."""
+
+    def __init__(self, *blocks):
+        self._blocks = list(blocks)
+
+    def random(self, n):
+        block = np.asarray(self._blocks.pop(0), dtype=float)
+        assert block.shape == (n,)
+        return block
 
 
 class TestSpecValidation:
@@ -48,6 +71,12 @@ class TestSpecValidation:
     def test_gaussian_sigma(self, kwargs):
         with pytest.raises(ValueError):
             GaussianMeterSpec(**kwargs)
+
+    def test_gaussian_sigma_whose_square_underflows(self):
+        # the kernel and the dephasing factor divide by sigma**2
+        with pytest.raises(ValueError, match="sigma"):
+            GaussianMeterSpec(sigma=1e-200)
+        assert GaussianMeterSpec(sigma=1e-160).variance > 0.0
 
     @pytest.mark.parametrize("eta", [0.0, -0.5, 1.5])
     def test_gaussian_eta(self, eta):
@@ -185,9 +214,7 @@ class TestGaussianSampling:
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(42)
         shots = 1_000_000
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = 1.0  # |00>
-        signals, _ = sample_gaussian_batch(coeff, 1, spec, basis, rng)
+        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
         stderr = spec.sigma / np.sqrt(shots)
         assert abs(signals.mean() - 1.0) < 4 * stderr
 
@@ -197,18 +224,16 @@ class TestGaussianSampling:
         basis = analyzer_basis(1.1)
         rng = np.random.default_rng(1)
         shots = 500_000
-        coeff = bell_coefficients(shots)
-        signals, _ = sample_gaussian_batch(coeff, 1, spec, basis, rng)
+        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, shots)
         stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
         assert abs(signals.mean() - 0.0) < 4 * stderr
 
     def test_single_shot_outcome_contract(self):
         spec = GaussianMeterSpec(sigma=0.7, eta=0.8)
         rng = np.random.default_rng(9)
-        out = sample_gaussian(bell_state(), 1, spec, analyzer_basis(0.5), rng)
-        assert np.isfinite(out.signal)
-        assert out.branch_weight > 0
-        assert abs(np.trace(out.post_state.rho).real - 1) < 1e-10
+        signals, post = weak_stage(BELL_AMPLITUDES, 1, spec, analyzer_basis(0.5), rng, 1)
+        assert signals.shape == (1,) and np.isfinite(signals[0])
+        assert abs(sum(float(a[0]) ** 2 for a in post) - 1) < 1e-12
 
     @pytest.mark.parametrize("eta,factor", [(1.0, np.exp(-0.5)), (0.5, np.exp(-1.0))])
     def test_average_damping_matches_dephasing_factor(self, eta, factor):
@@ -218,27 +243,22 @@ class TestGaussianSampling:
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(77)
         shots = 400_000
-        plus = np.array([1.0, 1.0]) / np.sqrt(2)
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = plus[0]
-        coeff[:, 1, 0] = plus[1]
-        _, coeff = sample_gaussian_batch(coeff, 1, spec, basis, rng)
-        mean_rho_arm1 = np.einsum("nab,ncb->ac", coeff, coeff) / shots
-        coherence = mean_rho_arm1[0, 1].real
+        plus = 1 / np.sqrt(2)
+        _, (c00, c01, c10, c11) = weak_stage((plus, 0.0, plus, 0.0), 1, spec, basis, rng, shots)
+        coherence = (c00 * c10 + c01 * c11).mean()
         assert abs(coherence - 0.5 * factor) < 4 * 0.5 / np.sqrt(shots)
 
     def test_single_shot_average_damping(self):
+        # the average of the per-shot post-states is the dephasing channel
         spec = GaussianMeterSpec(sigma=1.0)
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(123)
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         state = _product_state(plus, np.array([1.0, 0.0]))
         shots = 20_000
-        accumulated = np.zeros((4, 4), dtype=complex)
-        for _ in range(shots):
-            accumulated += sample_gaussian(state, 1, spec, basis, rng).post_state.rho
-        coherence = (accumulated / shots)[0, 2].real
-        assert abs(coherence - 0.5 * np.exp(-0.5)) < 5 * 0.5 / np.sqrt(shots)
+        _, post = weak_stage(tuple(np.kron(plus, [1.0, 0.0])), 1, spec, basis, rng, shots)
+        expected = apply_dephasing(state, 1, np.exp(-0.5), basis)
+        np.testing.assert_allclose(_mean_rho(post), expected.rho.real, atol=5 * 0.5 / np.sqrt(shots))
 
 
 class TestAncillaSampling:
@@ -247,20 +267,21 @@ class TestAncillaSampling:
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(4)
         shots = 1_000_000
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = 1.0
-        signals, _ = sample_ancilla_batch(coeff, 1, spec, basis, rng)
+        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
         assert set(np.unique(signals)) == {-2.0, 2.0}
         p_plus = (signals > 0).mean()
         assert abs(p_plus - 0.75) < 4 * np.sqrt(0.75 * 0.25 / shots)
         assert abs(signals.mean() - 1.0) < 4 * np.sqrt((1 / 0.25 - 1) / shots)
 
     def test_projective_limit(self):
+        # full strength collapses the Bell pair onto |00> or |11>, as signalled
         spec = AncillaMeterSpec(v_total=1.0, u=1.0)
         rng = np.random.default_rng(0)
-        out = sample_ancilla(bell_state(), 1, spec, analyzer_basis(0.0), rng)
-        assert out.signal in (-1.0, 1.0)
-        assert abs(out.post_state.purity() - 1.0) < 1e-10
+        signals, (c00, c01, c10, c11) = weak_stage(BELL_AMPLITUDES, 1, spec, analyzer_basis(0.0), rng, 200)
+        assert set(np.unique(signals)) == {-1.0, 1.0}
+        np.testing.assert_allclose(np.abs(c00), signals > 0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(c11), signals < 0, atol=1e-12)
+        np.testing.assert_allclose(np.abs(c01) + np.abs(c10), 0.0, atol=1e-12)
 
     def test_projective_limit_kraus_update_on_bell_state(self):
         # full-strength plus branch acts as the |0> projector: weight 1/2,
@@ -276,8 +297,7 @@ class TestAncillaSampling:
         spec = AncillaMeterSpec(v_total=0.6)
         rng = np.random.default_rng(8)
         shots = 200_000
-        coeff = bell_coefficients(shots)
-        signals, _ = sample_ancilla_batch(coeff, 1, spec, basis=analyzer_basis(0.4), rng=rng)
+        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis=analyzer_basis(0.4), rng=rng, n=shots)
         np.testing.assert_allclose(np.abs(signals), 1 / 0.6, atol=1e-12)
 
     def test_eigenstate_variance(self):
@@ -286,9 +306,7 @@ class TestAncillaSampling:
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(14)
         shots = 500_000
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = 1.0
-        signals, _ = sample_ancilla_batch(coeff, 1, spec, basis, rng)
+        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
         expected = 1 / 0.36 - 1
         assert abs(signals.var(ddof=1) - expected) < 0.01 * expected
 
@@ -310,9 +328,7 @@ class TestAncillaSampling:
         basis = analyzer_basis(np.pi / 3)
         rng = np.random.default_rng(21)
         shots = 1_000_000
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = 1.0
-        signals, _ = sample_ancilla_batch(coeff, 1, spec, basis, rng)
+        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
         target = np.cos(np.pi / 3)
         stderr = np.sqrt(1 / spec.v_total**2 - target**2) / np.sqrt(shots)
         assert abs(signals.mean() - target) < 4 * stderr
@@ -322,18 +338,15 @@ class TestProjectiveSampling:
     def test_eigenstate_is_deterministic(self):
         spec = ProjectiveMeterSpec(v=1.0)
         rng = np.random.default_rng(2)
-        state = _ket00_state()
-        for _ in range(50):
-            out = projective_sample(state, 1, spec, analyzer_basis(0.0), rng)
-            assert out.signal == 1.0
+        signals, (z0, z1) = first_readout(KET_00, spec, analyzer_basis(0.0), rng, 50)
+        assert np.all(signals == 1.0)
+        assert np.all(second_readout((z0, z1), spec, analyzer_basis(0.0), rng, 50) == 1.0)
 
     def test_zero_visibility_is_coin_flip(self):
         spec = ProjectiveMeterSpec(v=0.0)
         rng = np.random.default_rng(6)
         shots = 200_000
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = 1.0
-        signals, _ = sample_projective_batch(coeff, 1, spec, analyzer_basis(0.0), rng)
+        signals, _ = first_readout(KET_00, spec, analyzer_basis(0.0), rng, shots)
         assert set(np.unique(signals)) == {-1.0, 1.0}
         assert abs(signals.mean()) < 4 / np.sqrt(shots)
 
@@ -341,19 +354,17 @@ class TestProjectiveSampling:
         spec = ProjectiveMeterSpec(v=1.0)
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(10)
-        for _ in range(200):
-            out1 = projective_sample(bell_state(), 1, spec, basis, rng)
-            out2 = projective_sample(out1.post_state, 2, spec, basis, rng)
-            assert out1.signal == out2.signal
+        b1, ket = first_readout(BELL_AMPLITUDES, spec, basis, rng, 200)
+        b2 = second_readout(ket, spec, basis, rng, 200)
+        assert set(np.unique(b1)) == {-1.0, 1.0}
+        np.testing.assert_array_equal(b1, b2)
 
     def test_visibility_scales_reported_mean(self):
         spec = ProjectiveMeterSpec(v=0.7)
         basis = analyzer_basis(np.pi / 3)
         rng = np.random.default_rng(33)
         shots = 500_000
-        coeff = np.zeros((shots, 2, 2))
-        coeff[:, 0, 0] = 1.0
-        signals, _ = sample_projective_batch(coeff, 1, spec, basis, rng)
+        signals, _ = first_readout(KET_00, spec, basis, rng, shots)
         target = 0.7 * np.cos(np.pi / 3)
         assert abs(signals.mean() - target) < 4 / np.sqrt(shots)
 
@@ -402,34 +413,171 @@ class TestNoSignaling:
         after = TwoQubitState.from_rho(averaged).reduced(2)
         np.testing.assert_allclose(after, before, atol=1e-10)
 
+    def test_kernel_average_leaves_the_other_arm_alone(self):
+        # the kernel's weak and readout stages on arm 1, averaged over shots
+        state = self._probe_state()
+        before = state.reduced(2).real
+        psi = np.linalg.eigh(state.rho)[1][:, -1].real
+        amps = tuple(float(a) for a in psi)
+        rng = np.random.default_rng(5)
+        shots = 400_000
+        tolerance = 5 / np.sqrt(shots)
+        for spec in (GaussianMeterSpec(sigma=0.8, eta=0.6), AncillaMeterSpec(v_total=0.7, u=0.9)):
+            _, post = weak_stage(amps, 1, spec, analyzer_basis(0.6), rng, shots)
+            after = TwoQubitState.from_rho(_mean_rho(post)).reduced(2).real
+            np.testing.assert_allclose(after, before, atol=tolerance)
+        _, (z0, z1) = first_readout(amps, ProjectiveMeterSpec(v=1.0), analyzer_basis(-0.4), rng, shots)
+        norm = z0 * z0 + z1 * z1
+        after = np.array([[z0 * z0, z0 * z1], [z1 * z0, z1 * z1]]) / norm
+        np.testing.assert_allclose(after.mean(axis=-1), before, atol=tolerance)
+
 
 class TestBatchMatchesSingleShot:
-    """The vectorized kernels and the single-shot samplers share one record law."""
+    """The kernel called one shot at a time and in one batch follows one record law."""
 
     def test_gaussian_means_agree(self):
         spec = GaussianMeterSpec(sigma=1.5)
         basis = analyzer_basis(0.8)
-        state = bell_state()
         rng = np.random.default_rng(50)
-        single = np.array(
-            [sample_gaussian(state, 1, spec, basis, rng).signal for _ in range(20_000)]
+        single = np.concatenate(
+            [weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 1)[0] for _ in range(20_000)]
         )
         rng = np.random.default_rng(51)
-        batch, _ = sample_gaussian_batch(bell_coefficients(200_000), 1, spec, basis, rng)
+        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 200_000)
         pooled = np.sqrt(single.var() / single.size + batch.var() / batch.size)
         assert abs(single.mean() - batch.mean()) < 5 * pooled
 
     def test_ancilla_sign_probabilities_agree(self):
         spec = AncillaMeterSpec(v_total=0.6, u=0.9)
         basis = analyzer_basis(0.8)
-        state = bell_state()
         rng = np.random.default_rng(52)
-        single = np.array(
-            [sample_ancilla(state, 1, spec, basis, rng).signal for _ in range(20_000)]
+        single = np.concatenate(
+            [weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 1)[0] for _ in range(20_000)]
         )
         rng = np.random.default_rng(53)
-        batch, _ = sample_ancilla_batch(bell_coefficients(200_000), 1, spec, basis, rng)
+        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 200_000)
         p_single = (single > 0).mean()
         p_batch = (batch > 0).mean()
         pooled = np.sqrt(0.25 / single.size + 0.25 / batch.size)
         assert abs(p_single - p_batch) < 5 * pooled
+
+    def test_signal_laws_match_the_kraus_oracle(self):
+        # on a state with <O> != 0: the Gaussian signal mean is <O>, the
+        # ancilla's reported sign is + with p+ (1+u)/2 + (1-p+)(1-u)/2
+        psi = np.array([2.0, 1.0, 0.0, 1.0]) / np.sqrt(6.0)
+        state = TwoQubitState.from_rho(np.outer(psi, psi))
+        amps = tuple(float(a) for a in psi)
+        basis = analyzer_basis(0.8)
+        rng = np.random.default_rng(54)
+        shots = 400_000
+        observable = float(np.trace(embed(basis.observable, 1) @ state.rho).real)
+        gaussian = GaussianMeterSpec(sigma=1.5)
+        signals, _ = weak_stage(amps, 1, gaussian, basis, rng, shots)
+        assert abs(signals.mean() - observable) < 5 * signals.std() / np.sqrt(shots)
+        ancilla = AncillaMeterSpec(v_total=0.6, u=0.9)
+        p_plus = apply_operator(state, embed(ancilla_kraus(+1, ancilla.v_ent, basis), 1))[0]
+        p_report = p_plus * (1 + ancilla.u) / 2 + (1 - p_plus) * (1 - ancilla.u) / 2
+        signals, _ = weak_stage(amps, 1, ancilla, basis, rng, shots)
+        assert abs((signals > 0).mean() - p_report) < 5 * 0.5 / np.sqrt(shots)
+
+
+class TestKernelMatchesKrausOracle:
+    """Per shot, each kernel stage is the Kraus update of the outcome it drew.
+
+    The draws are replayed from an identically seeded generator in the
+    documented order, and each shot's outcome is decided from the oracle's
+    branch weight (4x4 density matrices, ``apply_operator``).
+    """
+
+    SHOTS = 24
+
+    @staticmethod
+    def _weight0(state, arm, basis):
+        return float(np.trace(embed(basis.projector0, arm) @ state.rho).real)
+
+    @pytest.mark.parametrize("arm", [1, 2])
+    def test_weak_stage(self, arm):
+        rng = np.random.default_rng(100 + arm)
+        n = self.SHOTS
+        for trial in range(8):
+            gaussian = trial % 2 == 0
+            if gaussian:
+                eta = 1.0 if trial % 4 == 0 else rng.uniform(0.3, 1.0)
+                spec = GaussianMeterSpec(sigma=rng.uniform(0.3, 3.0), eta=eta)
+            else:
+                u = rng.uniform(0.5, 1.0)
+                spec = AncillaMeterSpec(v_total=rng.uniform(0.05, u), u=u)
+            basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
+            amps = _random_amplitudes(rng, n)
+            seed = int(rng.integers(2**32))
+            signals, post = weak_stage(amps, arm, spec, basis, np.random.default_rng(seed), n)
+
+            replay = np.random.default_rng(seed)
+            branch_draws = replay.random(n)
+            if gaussian:
+                normal = replay.standard_normal(n)
+                flips = np.zeros(n, dtype=bool)
+                if spec.eta < 1.0:
+                    flips = replay.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
+            else:
+                report_draws = replay.random(n)
+            for i in range(n):
+                state = _pure(amps, i)
+                if gaussian:
+                    center = 1.0 if branch_draws[i] < self._weight0(state, arm, basis) else -1.0
+                    assert signals[i] == center + spec.sigma * normal[i]
+                    kraus = gaussian_kraus(signals[i], spec.sigma, basis)
+                else:
+                    plus = embed(ancilla_kraus(+1, spec.v_ent, basis), arm)
+                    sign = +1 if branch_draws[i] < apply_operator(state, plus)[0] else -1
+                    report = -sign if report_draws[i] < (1.0 - spec.u) / 2.0 else sign
+                    assert signals[i] == report / spec.v_total
+                    kraus = ancilla_kraus(sign, spec.v_ent, basis)
+                _, expected = apply_operator(state, embed(kraus, arm))
+                if gaussian and flips[i]:
+                    _, expected = apply_operator(expected, embed(basis.observable, arm))
+                np.testing.assert_allclose(_pure(post, i).rho, expected.rho, atol=1e-12)
+
+    def test_first_readout(self):
+        rng = np.random.default_rng(200)
+        n = self.SHOTS
+        for _ in range(6):
+            spec = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
+            basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
+            amps = _random_amplitudes(rng, n)
+            seed = int(rng.integers(2**32))
+            signals, (z0, z1) = first_readout(amps, spec, basis, np.random.default_rng(seed), n)
+
+            replay = np.random.default_rng(seed)
+            hit_draws, flip_draws = replay.random(n), replay.random(n)
+            for i in range(n):
+                state = _pure(amps, i)
+                outcome = +1 if hit_draws[i] < self._weight0(state, 1, basis) else -1
+                report = -outcome if flip_draws[i] < (1.0 - spec.v) / 2.0 else outcome
+                assert signals[i] == report
+                projector = basis.projector0 if outcome == +1 else basis.projector1
+                _, expected = apply_operator(state, embed(projector, 1))
+                ket = basis.ket0.real if outcome == +1 else basis.ket1.real
+                psi = np.kron(ket, [z0[i], z1[i]]) / np.hypot(z0[i], z1[i])
+                np.testing.assert_allclose(np.outer(psi, psi), expected.rho, atol=1e-12)
+
+    def test_second_readout(self):
+        # stub draws straddle the oracle's ket0 probability by 1e-12, so the
+        # outcomes pin the kernel's probability to that precision
+        rng = np.random.default_rng(300)
+        n = self.SHOTS
+        below = np.arange(n) % 2 == 0
+        for _ in range(6):
+            basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
+            z0, z1 = rng.normal(size=(2, n))
+            weights = []
+            for i in range(n):
+                psi = np.kron([1.0, 0.0], [z0[i], z1[i]]) / np.hypot(z0[i], z1[i])
+                weights.append(self._weight0(TwoQubitState.from_rho(np.outer(psi, psi)), 2, basis))
+            draws = np.asarray(weights) + np.where(below, -1e-12, 1e-12)
+            expected = np.where(below, 1.0, -1.0)
+            spec = ProjectiveMeterSpec(v=0.5)
+            kept = second_readout((z0, z1), spec, basis, StubGenerator(draws, np.ones(n)), n)
+            np.testing.assert_array_equal(kept, expected)
+            flipped = second_readout((z0, z1), spec, basis, StubGenerator(draws, np.zeros(n)), n)
+            np.testing.assert_array_equal(flipped, -expected)

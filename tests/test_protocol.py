@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +13,7 @@ from blgi.measurement import (
     ancilla_kraus,
     excess_dephasing_factor,
     gaussian_kraus,
+    sample_records,
 )
 from blgi.protocol import (
     DEFAULT_ANGLES,
@@ -18,6 +21,7 @@ from blgi.protocol import (
     ExperimentConfig,
     MeasurementRecord,
     NumericalError,
+    _run_chunk,
     analytic_mean,
     config_analytic_mean,
     correlator,
@@ -26,7 +30,6 @@ from blgi.protocol import (
     iter_records,
     monte_carlo,
     predicted_stderr,
-    run_shot,
     sweep,
     violation_threshold,
 )
@@ -95,25 +98,34 @@ class TestConfigValidation:
 
 
 class TestRunShot:
+    """One shot of the full protocol: the record kernel at ``n = 1``."""
+
+    @staticmethod
+    def _shot(config, rng):
+        alpha1, alpha2, b1, b2 = sample_records(
+            1, config.meter1, config.meter2, config.b_spec, config.bases(), rng
+        )
+        return MeasurementRecord(alpha1[0], alpha2[0], b1[0], b2[0])
+
     def test_projective_aligned_angles_are_perfectly_correlated(self):
         config = _ancilla_config(angles=(0.0, 0.0, 0.0, 0.0), shots=1)
         rng = np.random.default_rng(0)
         for _ in range(60):
-            record = run_shot(config, rng)
+            record = self._shot(config, rng)
             assert record.alpha1 == record.alpha2 == record.b1 == record.b2
             assert record.b1 in (-1.0, 1.0)
 
     def test_gaussian_record_types(self):
         config = _gaussian_config(sigma=3.0, shots=1)
         rng = np.random.default_rng(1)
-        record = run_shot(config, rng)
+        record = self._shot(config, rng)
         assert np.isfinite(record.alpha1) and np.isfinite(record.alpha2)
         assert record.b1 in (-1.0, 1.0) and record.b2 in (-1.0, 1.0)
 
     def test_single_shot_mean_tracks_oracle(self):
         config = _ancilla_config(v_total=0.8, shots=1)
         rng = np.random.default_rng(7)
-        values = [correlator(run_shot(config, rng)) for _ in range(4000)]
+        values = [correlator(self._shot(config, rng)) for _ in range(4000)]
         values = np.asarray(values)
         stderr = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - exact_mean(config)) < 5 * stderr
@@ -306,6 +318,52 @@ class TestMonteCarlo:
         second = monte_carlo(config)
         assert first == second
 
+    # SHA-256 of chunks 0 and 3 (4096 shots each) of three seeded configs,
+    # pinned from the earlier (n, 2, 2) einsum kernel: the elementwise
+    # kernel keeps its draw order and reproduces its records bit for bit
+    GOLDEN_CHUNKS = [
+        (
+            ExperimentConfig(
+                meter1=GaussianMeterSpec(sigma=1.3, eta=0.6),
+                meter2=GaussianMeterSpec(sigma=0.7, eta=0.9),
+                b_spec=ProjectiveMeterSpec(v=0.85),
+                angles=(0.3, -1.2, 2.5, 0.9),
+                shots=5000,
+                seed=7,
+            ),
+            "1fe561d76c336f6b63a42a3bd641d9f4af8cefd0bc27fb38a30cdd4919a48221",
+        ),
+        (
+            ExperimentConfig(
+                meter1=AncillaMeterSpec(v_total=0.5, u=0.8),
+                meter2=AncillaMeterSpec(v_total=0.3, u=0.9),
+                b_spec=ProjectiveMeterSpec(v=0.9),
+                angles=(1.1, -0.4, 2.0, -2.7),
+                shots=5000,
+                seed=8,
+            ),
+            "402a058305d4da718c7bd2041276b8f5ccd0dc9084cd83ace1f77223f41a90f4",
+        ),
+        (
+            ExperimentConfig(
+                meter1=GaussianMeterSpec(sigma=2.0, eta=1.0),
+                meter2=AncillaMeterSpec(v_total=0.6, u=1.0),
+                b_spec=ProjectiveMeterSpec(v=1.0),
+                shots=5000,
+                seed=9,
+            ),
+            "7e59c1c694f41a35c67d6bc2158c33512c31964947c482540120de04fc611609",
+        ),
+    ]
+
+    @pytest.mark.parametrize("config, digest", GOLDEN_CHUNKS, ids=["gaussian", "ancilla", "mixed"])
+    def test_chunk_records_are_pinned(self, config, digest):
+        sha = hashlib.sha256()
+        for index in (0, 3):
+            for part in _run_chunk(config, index, 4096):
+                sha.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+        assert sha.hexdigest() == digest
+
     def test_thread_count_does_not_change_the_result(self):
         config = _gaussian_config(sigma=2.0, shots=200_000, seed=5)
         assert monte_carlo(config, threads=1) == monte_carlo(config, threads=4)
@@ -354,6 +412,10 @@ class TestMonteCarlo:
         np.testing.assert_allclose(
             estimate.stderr, values.std(ddof=1) / np.sqrt(values.size), rtol=1e-12
         )
+
+    def test_predicted_stderr_survives_overflowing_moments(self):
+        config = _ancilla_config(v_total=1e-200, shots=10)
+        assert predicted_stderr(config) == np.inf
 
     def test_predicted_stderr_is_in_the_ballpark(self):
         config = _gaussian_config(sigma=3.0, shots=100_000, seed=8)
