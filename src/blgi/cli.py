@@ -17,6 +17,7 @@ from . import __version__, lhv
 from .config import (
     ConfigError,
     RunManifest,
+    check_seed,
     config_from_dict,
     load_experiment_config,
     load_strategy,
@@ -29,11 +30,10 @@ from .protocol import (
     NumericalError,
     analytic_mean,
     config_analytic_mean,
-    estimate_from_sums,
     exact_mean,
-    iter_records,
     monte_carlo,
     predicted_stderr,
+    retune,
     sweep,
     violation_threshold,
 )
@@ -51,6 +51,13 @@ _RECORD_ROW = "%.17g,%.17g,%.17g,%.17g\n"
 #: rows formatted per write: enough to amortize the call, few enough that
 #: the text and its float objects stay near 100 kB (peak memory)
 _RECORD_BLOCK = 2048
+
+
+def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
+    rows = np.column_stack(records)
+    for start in range(0, len(rows), _RECORD_BLOCK):
+        block = rows[start:start + _RECORD_BLOCK]
+        handle.write((_RECORD_ROW * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _fmt(value: float) -> str:
@@ -150,43 +157,11 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         config = _default_config()
 
     try:
-        if args.meter == "gaussian":
-            spec = GaussianMeterSpec(
-                sigma=args.sigma if args.sigma is not None else 1.0,
-                eta=args.eta if args.eta is not None else 1.0,
-            )
+        if args.meter is not None:
+            spec = GaussianMeterSpec(sigma=1.0) if args.meter == "gaussian" else AncillaMeterSpec(v_total=1.0)
             config = replace(config, meter1=spec, meter2=spec)
-        elif args.meter == "ancilla":
-            spec = AncillaMeterSpec(
-                v_total=args.v_total if args.v_total is not None else 1.0,
-                u=args.u if args.u is not None else 1.0,
-            )
-            config = replace(config, meter1=spec, meter2=spec)
-        else:
-            for field, value in (("sigma", args.sigma), ("eta", args.eta)):
-                if value is not None:
-                    if not isinstance(config.meter1, GaussianMeterSpec) or not isinstance(
-                        config.meter2, GaussianMeterSpec
-                    ):
-                        raise ConfigError(f"--{field} requires gaussian meters")
-                    config = replace(
-                        config,
-                        meter1=replace(config.meter1, **{field: value}),
-                        meter2=replace(config.meter2, **{field: value}),
-                    )
-            for field, value in (("v_total", args.v_total), ("u", args.u)):
-                if value is not None:
-                    if not isinstance(config.meter1, AncillaMeterSpec) or not isinstance(
-                        config.meter2, AncillaMeterSpec
-                    ):
-                        raise ConfigError(f"--{field.replace('_', '-')} requires ancilla meters")
-                    config = replace(
-                        config,
-                        meter1=replace(config.meter1, **{field: value}),
-                        meter2=replace(config.meter2, **{field: value}),
-                    )
-        if args.v is not None:
-            config = replace(config, b_spec=ProjectiveMeterSpec(v=args.v))
+        values = {name: getattr(args, name) for name in SWEEP_AXES if getattr(args, name) is not None}
+        config = retune(config, **values)
         if args.shots is not None:
             config = replace(config, shots=args.shots)
         angles = list(config.angles)
@@ -257,22 +232,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     _require_two_shots(config)
     _warn_shot_budget(config)
-    if records_path is not None:
-        total = 0.0
-        total_sq = 0.0
+    if records_path is None:
+        estimate = monte_carlo(config, threads=args.threads)
+    else:
         with open(records_path, "w", encoding="utf-8", newline="") as handle:
             handle.write("alpha1,alpha2,b1,b2\n")
-            for alpha1, alpha2, b1, b2 in iter_records(config):
-                values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
-                total += float(values.sum())
-                total_sq += float((values * values).sum())
-                rows = np.column_stack([alpha1, alpha2, b1, b2])
-                for start in range(0, len(rows), _RECORD_BLOCK):
-                    block = rows[start:start + _RECORD_BLOCK]
-                    handle.write((_RECORD_ROW * len(block)) % tuple(block.ravel().tolist()))
-        estimate = estimate_from_sums(total, total_sq, config.shots)
-    else:
-        estimate = monte_carlo(config, threads=args.threads)
+            estimate = monte_carlo(
+                config, threads=args.threads, on_records=lambda records: _write_records(handle, records)
+            )
 
     exact = exact_mean(config)
     analytic = config_analytic_mean(config)
@@ -366,6 +333,7 @@ def _lhv_params(args: argparse.Namespace) -> dict:
             raise ConfigError(f"manifest was written by {manifest.command!r}, but this is 'lhv'")
         params = {**_LHV_DEFAULTS, "strategy": None, "random": None, "seed": manifest.seed}
         params.update(manifest.extra)
+        params["seed"] = check_seed(params["seed"], f"manifest {args.manifest} seed")
         params["out"] = args.out if args.out is not None else manifest.out
         params["rerun"] = True
         return params

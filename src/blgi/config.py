@@ -127,8 +127,13 @@ def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
         seed, where = file_seed, "run.seed"
     else:
         return DEFAULT_SEED
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{where}: expected a 64-bit unsigned integer, got {seed}")
+    return check_seed(seed, where)
+
+
+def check_seed(seed: Any, where: str) -> int:
+    """Return ``seed`` if it is a 64-bit unsigned integer; ``where`` names its source."""
+    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+        raise ConfigError(f"{where}: expected a 64-bit unsigned integer, got {seed!r}")
     return seed
 
 

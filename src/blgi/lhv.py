@@ -159,13 +159,13 @@ def _sign_pattern_extrema(num_hidden_states: int) -> tuple[float, float]:
             f"brute-force enumeration supports 1..{MAX_BRUTE_FORCE_STATES} hidden states, "
             f"got {num_hidden_states}"
         )
-    lowest, highest = np.inf, -np.inf
-    for _ in range(num_hidden_states):
-        for a1, a2, b1, b2 in itertools.product((-1.0, 1.0), repeat=4):
-            value = a1 * a2 + a1 * b2 + b1 * a2 - b1 * b2
-            lowest = min(lowest, value)
-            highest = max(highest, value)
-    return lowest, highest
+    # every hidden state offers the same 16 sign patterns, so the extrema
+    # over mixtures of them do not depend on how many states there are
+    values = [
+        a1 * a2 + a1 * b2 + b1 * a2 - b1 * b2
+        for a1, a2, b1, b2 in itertools.product((-1.0, 1.0), repeat=4)
+    ]
+    return min(values), max(values)
 
 
 def brute_force_max(num_hidden_states: int) -> float:

@@ -19,9 +19,10 @@ configuration.  Three routes to the ensemble mean are provided:
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -140,43 +141,60 @@ def _chunk_sizes(shots: int) -> list[int]:
     return [CHUNK_SHOTS] * full + ([rest] if rest else [])
 
 
-def iter_records(config: ExperimentConfig) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield ``(alpha1, alpha2, b1, b2)`` arrays chunk by chunk.
+def _chunk(
+    config: ExperimentConfig, chunk_index: int, n: int
+) -> tuple[tuple[np.ndarray, ...], float, float]:
+    """One chunk's ``(alpha1, alpha2, b1, b2)`` arrays and the sum and sum of squares of C."""
+    alpha1, alpha2, b1, b2 = _run_chunk(config, chunk_index, n)
+    # signals wide enough to overflow end in NumericalError from the sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+        return (alpha1, alpha2, b1, b2), float(values.sum()), float((values * values).sum())
 
-    The concatenated stream is exactly the record sequence that
-    :func:`monte_carlo` averages for the same config.
+
+def _chunks_in_order(config: ExperimentConfig, threads: int) -> Iterator[tuple]:
+    """Yield :func:`_chunk` results in chunk order.
+
+    At most ``threads + 1`` chunks are submitted and not yet consumed: one
+    queued beyond the busy workers, so a worker that finishes picks up the
+    next chunk without waiting for the consumer to wake.
     """
-    for index, n in enumerate(_chunk_sizes(config.shots)):
-        yield _run_chunk(config, index, n)
+    jobs = enumerate(_chunk_sizes(config.shots))
+    if threads == 1:
+        for index, n in jobs:
+            yield _chunk(config, index, n)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for index, n in jobs:
+            pending.append(pool.submit(_chunk, config, index, n))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
-def monte_carlo(config: ExperimentConfig, threads: int = 1) -> Estimate:
+def monte_carlo(
+    config: ExperimentConfig,
+    threads: int = 1,
+    on_records: Callable[[tuple[np.ndarray, ...]], None] | None = None,
+) -> Estimate:
     """Average the per-shot correlator over ``config.shots`` sampled shots.
 
     Deterministic for a fixed (config, seed): shots are generated in fixed
     chunks from counter-based substreams and reduced in chunk order, so
-    the result is bit-identical for any ``threads`` value.
+    the result is bit-identical for any ``threads`` value.  ``on_records``,
+    if given, receives each chunk's ``(alpha1, alpha2, b1, b2)`` arrays in
+    chunk order on the calling thread: exactly the shots being averaged.
     """
-    sizes = _chunk_sizes(config.shots)
-
-    def chunk_sums(index_size):
-        index, n = index_size
-        alpha1, alpha2, b1, b2 = _run_chunk(config, index, n)
-        values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
-        return float(values.sum()), float((values * values).sum())
-
-    jobs = list(enumerate(sizes))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_sums, jobs))
-    else:
-        partials = [chunk_sums(job) for job in jobs]
-
     total = 0.0
     total_sq = 0.0
-    for part, part_sq in partials:
+    for records, part, part_sq in _chunks_in_order(config, threads):
         total += part
         total_sq += part_sq
+        if on_records is not None:
+            on_records(records)
+        del records
     return estimate_from_sums(total, total_sq, config.shots)
 
 
@@ -298,37 +316,38 @@ def config_analytic_mean(config: ExperimentConfig) -> float:
     )
 
 
-def _config_with_value(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis in ("sigma", "eta"):
-        for name, spec in (("meter1", config.meter1), ("meter2", config.meter2)):
-            if not isinstance(spec, GaussianMeterSpec):
-                raise ValueError(f"axis {axis!r} requires Gaussian meters, but {name} is ancilla")
-        try:
-            return replace(
-                config,
-                meter1=replace(config.meter1, **{axis: value}),
-                meter2=replace(config.meter2, **{axis: value}),
-            )
-        except ValueError as exc:
-            raise ValueError(f"invalid {axis} value {value}: {exc}") from exc
-    if axis in ("v_total", "u"):
-        for name, spec in (("meter1", config.meter1), ("meter2", config.meter2)):
-            if not isinstance(spec, AncillaMeterSpec):
-                raise ValueError(f"axis {axis!r} requires ancilla meters, but {name} is Gaussian")
-        try:
-            return replace(
-                config,
-                meter1=replace(config.meter1, **{axis: value}),
-                meter2=replace(config.meter2, **{axis: value}),
-            )
-        except ValueError as exc:
-            raise ValueError(f"invalid {axis} value {value}: {exc}") from exc
-    if axis == "v":
-        try:
-            return replace(config, b_spec=ProjectiveMeterSpec(v=value))
-        except ValueError as exc:
-            raise ValueError(f"invalid v value {value}: {exc}") from exc
-    raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
+#: the meter type that has each field :func:`retune` sets on both arms
+_METER_FIELDS = {"sigma": "Gaussian", "eta": "Gaussian", "v_total": "ancilla", "u": "ancilla"}
+_METER_NAMES = {GaussianMeterSpec: "Gaussian", AncillaMeterSpec: "ancilla"}
+
+
+def retune(config: ExperimentConfig, **values: float) -> ExperimentConfig:
+    """Set ``sigma``/``eta`` or ``v_total``/``u`` on both meters and ``v`` on the readout.
+
+    Each meter field must belong to both arms' meter type.  All meter
+    fields go into one ``replace`` per arm, so validation sees the final
+    pair (raising ``u`` and ``v_total`` together is fine in any order).
+    """
+    meter_values = {field: value for field, value in values.items() if field != "v"}
+    for field, value in meter_values.items():
+        for name in ("meter1", "meter2"):
+            found = _METER_NAMES[type(getattr(config, name))]
+            if found != _METER_FIELDS[field]:
+                raise ValueError(
+                    f"{field} {value} requires {_METER_FIELDS[field]} meters, but {name} is {found}"
+                )
+    try:
+        config = replace(
+            config,
+            meter1=replace(config.meter1, **meter_values),
+            meter2=replace(config.meter2, **meter_values),
+        )
+        if "v" in values:
+            config = replace(config, b_spec=ProjectiveMeterSpec(v=values["v"]))
+    except ValueError as exc:
+        given = ", ".join(f"{field}={value}" for field, value in values.items())
+        raise ValueError(f"invalid {given}: {exc}") from exc
+    return config
 
 
 def sweep(
@@ -343,9 +362,11 @@ def sweep(
     Gaussian meters, ``v_total``/``u`` both ancilla meters, ``v`` the
     projective readout.
     """
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     points = []
     for value in values:
-        derived = _config_with_value(config, axis, float(value))
+        derived = retune(config, **{axis: float(value)})
         points.append(
             SweepPoint(
                 value=float(value),

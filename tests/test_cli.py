@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,12 @@ SQRT2 = np.sqrt(2.0)
 
 def _read(path):
     return path.read_text(encoding="utf-8")
+
+
+def _child_env():
+    """Environment in which a child interpreter imports this ``blgi``."""
+    src = str(Path(blgi.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def _summary_row(path):
@@ -81,6 +88,56 @@ class TestSimulate:
         ])
         assert code == 3
         assert "numerical error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("records", [False, True])
+    def test_numerical_failure_prints_no_runtime_warning(self, tmp_path, records):
+        # a fresh interpreter, so the warning registry cannot hide a repeat
+        argv = ["simulate", "--sigma", "1e300", "--shots", "10", "--out", str(tmp_path / "x.csv")]
+        if records:
+            argv += ["--records", str(tmp_path / "r.csv")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "blgi.cli", *argv],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 3
+        assert "numerical error:" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_records_do_not_depend_on_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", "3"):
+            out, records = tmp_path / f"s{threads}.csv", tmp_path / f"r{threads}.csv"
+            code = main([
+                "simulate", "--meter", "ancilla", "--v-total", "0.6", "--u", "0.9",
+                "--shots", str(4 * (1 << 16) + 77), "--seed", "3", "--threads", threads,
+                "--out", str(out), "--records", str(records),
+            ])
+            assert code == 0
+            outputs.append((out.read_bytes(), records.read_bytes()))
+        assert outputs[0] == outputs[1]
+        # the summary reduces exactly the records written
+        alpha1, alpha2, b1, b2 = np.loadtxt(tmp_path / "r1.csv", delimiter=",", skiprows=1).T
+        values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+        mean = _summary_row(tmp_path / "s1.csv")[0]
+        np.testing.assert_allclose(mean, values.mean(), rtol=0, atol=1e-12)
+
+    def test_flag_overrides_apply_together(self, tmp_path):
+        # --v-total 0.8 alone would exceed the config's u = 0.4
+        config = tmp_path / "a.ini"
+        config.write_text(
+            "[meter1]\ntype = ancilla\nv_total = 0.3\nu = 0.4\n"
+            "[meter2]\ntype = ancilla\nv_total = 0.3\nu = 0.4\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "s.csv"
+        code = main([
+            "simulate", "--config", str(config), "--u", "0.9", "--v-total", "0.8",
+            "--shots", "1000", "--out", str(out),
+        ])
+        assert code == 0
+        analytic = _summary_row(out)[3]
+        xi = np.sqrt(1.0 - (0.8 / 0.9) ** 2)
+        assert abs(analytic - (1 + xi) ** 2 / SQRT2) < 1e-12
 
     def test_records_csv(self, tmp_path):
         records = tmp_path / "records.csv"
@@ -288,6 +345,7 @@ class TestInputErrors:
             ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
             ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],
             ["simulate", "--shots", "10", "--seed", str(2**64)],
+            ["simulate", "--meter", "gaussian", "--v-total", "0.5", "--u", "0.3", "--shots", "10"],
         ],
         ids=lambda argv: " ".join(argv),
     )
@@ -295,6 +353,18 @@ class TestInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_lhv_manifest_seed_out_of_range(self, tmp_path, capsys):
+        manifest = tmp_path / "run.json"
+        argv = ["lhv", "--random", "1", "--shots", "100", "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        data = json.loads(manifest.read_text(encoding="utf-8"))
+        data["seed"] = data["extra"]["seed"] = -1
+        manifest.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["lhv", "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "-1" in err[0]
 
     def test_config_directory(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path)]) == 2
@@ -360,10 +430,8 @@ class TestVerify:
 
 
 def test_cli_import_does_not_load_scipy():
-    src = str(Path(blgi.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", "import sys, blgi.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert result.stdout.strip() == "False"

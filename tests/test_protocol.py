@@ -16,6 +16,7 @@ from blgi.measurement import (
     sample_records,
 )
 from blgi.protocol import (
+    CHUNK_SHOTS,
     DEFAULT_ANGLES,
     Estimate,
     ExperimentConfig,
@@ -27,9 +28,9 @@ from blgi.protocol import (
     correlator,
     estimate_from_sums,
     exact_mean,
-    iter_records,
     monte_carlo,
     predicted_stderr,
+    retune,
     sweep,
     violation_threshold,
 )
@@ -392,7 +393,9 @@ class TestMonteCarlo:
         # per-shot C averages equal the sum of the four per-shot term
         # averages over the same record set, exactly
         config = _gaussian_config(sigma=1.5, shots=50_000, seed=3)
-        alpha1, alpha2, b1, b2 = (np.concatenate(parts) for parts in zip(*iter_records(config)))
+        chunks = []
+        estimate = monte_carlo(config, on_records=chunks.append)
+        alpha1, alpha2, b1, b2 = (np.concatenate(parts) for parts in zip(*chunks))
         per_shot = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
         term_sum = (
             (alpha1 * alpha2).mean()
@@ -401,17 +404,28 @@ class TestMonteCarlo:
             - (b1 * b2).mean()
         )
         np.testing.assert_allclose(per_shot.mean(), term_sum, rtol=0, atol=1e-12)
-        estimate = monte_carlo(config)
         np.testing.assert_allclose(estimate.mean, per_shot.mean(), rtol=0, atol=1e-12)
 
     def test_estimate_stderr_definition(self):
         config = _ancilla_config(shots=30_000, seed=21)
-        alpha1, alpha2, b1, b2 = (np.concatenate(parts) for parts in zip(*iter_records(config)))
+        chunks = []
+        estimate = monte_carlo(config, on_records=chunks.append)
+        alpha1, alpha2, b1, b2 = (np.concatenate(parts) for parts in zip(*chunks))
         values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
-        estimate = monte_carlo(config)
         np.testing.assert_allclose(
             estimate.stderr, values.std(ddof=1) / np.sqrt(values.size), rtol=1e-12
         )
+
+    def test_on_records_gets_every_chunk_in_order(self):
+        config = _ancilla_config(v_total=0.6, u=0.9, shots=3 * CHUNK_SHOTS + 123, seed=5)
+        chunks = []
+        threaded = monte_carlo(config, threads=3, on_records=chunks.append)
+        sizes = [CHUNK_SHOTS] * 3 + [123]
+        assert [len(chunk[0]) for chunk in chunks] == sizes
+        for index, (chunk, n) in enumerate(zip(chunks, sizes)):
+            for got, want in zip(chunk, _run_chunk(config, index, n)):
+                np.testing.assert_array_equal(got, want)
+        assert threaded == monte_carlo(config)
 
     def test_predicted_stderr_survives_overflowing_moments(self):
         config = _ancilla_config(v_total=1e-200, shots=10)
@@ -495,3 +509,24 @@ class TestSweep:
     def test_invalid_value_reported(self):
         with pytest.raises(ValueError, match="-3"):
             sweep(_gaussian_config(shots=10), "sigma", [-3.0])
+
+
+class TestRetune:
+    def test_sets_both_meters_and_the_readout(self):
+        config = retune(_gaussian_config(shots=10), sigma=2.5, eta=0.5, v=0.8)
+        assert config.meter1 == config.meter2 == GaussianMeterSpec(sigma=2.5, eta=0.5)
+        assert config.b_spec == ProjectiveMeterSpec(v=0.8)
+
+    def test_validates_the_final_pair(self):
+        # v_total=0.8 alone would exceed the old u=0.4
+        config = retune(_ancilla_config(v_total=0.3, u=0.4, shots=10), v_total=0.8, u=0.9)
+        assert config.meter1 == config.meter2 == AncillaMeterSpec(v_total=0.8, u=0.9)
+
+    def test_mixed_meters_reject_both_kinds(self):
+        config = ExperimentConfig(
+            meter1=GaussianMeterSpec(sigma=1.0), meter2=AncillaMeterSpec(v_total=0.5), shots=10
+        )
+        with pytest.raises(ValueError, match="meter2 is ancilla"):
+            retune(config, sigma=2.0)
+        with pytest.raises(ValueError, match="meter1 is Gaussian"):
+            retune(config, u=0.9)
