@@ -17,8 +17,7 @@ from . import __version__, lhv
 from .config import (
     ConfigError,
     RunManifest,
-    check_seed,
-    config_from_dict,
+    config_from_sections,
     load_experiment_config,
     load_strategy,
     resolve_seed,
@@ -117,31 +116,90 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_lhv)
     p_lhv.add_argument("--strategy", default=None, help="strategy file (INI)")
     p_lhv.add_argument("--random", type=int, default=None, metavar="N", help="check N random calibrated strategies")
-    p_lhv.add_argument("--brute-force", action="store_true", help="print the enumerated exact maximum and exit")
+    p_lhv.add_argument("--brute-force", action="store_true", default=None, help="print the enumerated exact maximum and exit")
     p_lhv.add_argument("--shots", type=int, default=None, help="shots per strategy (default 100000)")
     p_lhv.add_argument("--hidden-states", type=int, default=None, help="default 2")
     p_lhv.add_argument("--noise-sigma", type=float, default=None, help="default 1.0")
     p_lhv.add_argument("--invasiveness", type=float, default=None, help="max readout-mean shift from the first measurement (default 0)")
     p_lhv.add_argument("--calibration-shots", type=int, default=None, help="conditional draws per hidden state (default 10000)")
 
-    p_verify = sub.add_parser("verify", help="run the oracle cross-check suite")
-    _add_common_flags(p_verify)
+    sub.add_parser("verify", help="run the oracle cross-check suite")
     return parser
+
+
+# ---------------------------------------------------------------------------
+# Manifests: a manifest stores a run's resolved config and its command line.
+# ---------------------------------------------------------------------------
+
+#: the flags a manifest stores for each command; its config holds the rest
+_MANIFEST_FLAGS = {
+    "simulate": ("records", "out"),
+    "sweep": ("axis", "values", "out"),
+    "lhv": (
+        "strategy", "random", "shots", "hidden_states", "noise_sigma", "invasiveness",
+        "calibration_shots", "seed", "out",
+    ),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _flags_given(args: argparse.Namespace, allowed: tuple[str, ...]) -> list[str]:
+    """The flags set in ``args`` apart from ``allowed``; every unset flag is None."""
+    return [
+        _flag(name) for name, value in vars(args).items()
+        if value is not None and name not in ("command", *allowed)
+    ]
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``; an existing ``--manifest`` replaces it with the stored command line.
+
+    The stored flags go through the same parser, so they get exactly the
+    checks typed flags get.  ``args.stored_config`` is the manifest's
+    config sections on a re-run, else None.
+    """
+    args = parser.parse_args(argv)
+    path = getattr(args, "manifest", None)
+    if path is None or not Path(path).exists():
+        args.stored_config = None
+        return args
+    given = _flags_given(args, ("out", "threads", "manifest"))
+    if given:
+        raise ConfigError(
+            f"re-running from an existing manifest: drop {', '.join(given)} "
+            "(only --out and --threads may be overridden)"
+        )
+    manifest = RunManifest.load(path)
+    if manifest.command != args.command:
+        raise ConfigError(f"manifest was written by {manifest.command!r}, but this is {args.command!r}")
+    out = [] if args.out is None else ["--out", args.out]
+    rerun = parser.parse_args([args.command, *manifest.argv, *out, "--threads", str(args.threads)])
+    stored = _flags_given(rerun, ("threads", *_MANIFEST_FLAGS[args.command]))
+    if stored:
+        raise ConfigError(f"manifest {path}: a {args.command} manifest does not store {', '.join(stored)}")
+    rerun.stored_config = manifest.config
+    return rerun
+
+
+def _write_manifest(args: argparse.Namespace, config: ExperimentConfig | None) -> None:
+    """Write ``--manifest`` after a fresh run; a re-run's args hold no ``--manifest``."""
+    if args.manifest is None:
+        return
+    # one ``--flag=value`` token each, so a value that starts with "-" parses
+    argv = [
+        f"{_flag(name)}={getattr(args, name)}"
+        for name in _MANIFEST_FLAGS[args.command]
+        if getattr(args, name) is not None
+    ]
+    RunManifest.create(args.command, argv, config).write(args.manifest)
 
 
 # ---------------------------------------------------------------------------
 # Config resolution.
 # ---------------------------------------------------------------------------
-
-_OVERRIDE_FLAGS = (
-    "config", "meter", "sigma", "eta", "v_total", "u", "v", "shots",
-    "phi_a1", "phi_a2", "phi_b1", "phi_b2", "seed",
-)
-
-
-def _has_overrides(args: argparse.Namespace) -> bool:
-    return any(getattr(args, name, None) is not None for name in _OVERRIDE_FLAGS)
-
 
 def _default_config() -> ExperimentConfig:
     return ExperimentConfig(
@@ -151,6 +209,8 @@ def _default_config() -> ExperimentConfig:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    if args.stored_config is not None:
+        return config_from_sections(args.stored_config)
     if args.config is not None:
         config = load_experiment_config(args.config)
     else:
@@ -183,27 +243,6 @@ def _require_two_shots(config: ExperimentConfig) -> None:
         raise ConfigError(f"shots must be >= 2 for a standard error, got {config.shots}")
 
 
-def _load_rerun_manifest(args: argparse.Namespace, command: str) -> RunManifest | None:
-    if args.manifest is None or not Path(args.manifest).exists():
-        return None
-    if _has_overrides(args):
-        raise ConfigError(
-            "re-running from an existing manifest: drop the config/meter/seed flags "
-            "(only --out and --threads may be overridden)"
-        )
-    manifest = RunManifest.load(args.manifest)
-    if manifest.command != command:
-        raise ConfigError(
-            f"manifest was written by {manifest.command!r}, but this is {command!r}"
-        )
-    return manifest
-
-
-def _maybe_write_manifest(args: argparse.Namespace, manifest: RunManifest, rerun: bool) -> None:
-    if args.manifest is not None and not rerun:
-        manifest.write(args.manifest)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 # ---------------------------------------------------------------------------
@@ -220,22 +259,13 @@ def _warn_shot_budget(config: ExperimentConfig) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    manifest = _load_rerun_manifest(args, "simulate")
-    if manifest is not None:
-        config = config_from_dict(manifest.config)
-        out = args.out if args.out is not None else manifest.out
-        records_path = manifest.extra.get("records")
-    else:
-        config = _resolve_config(args)
-        out = args.out
-        records_path = args.records
-
+    config = _resolve_config(args)
     _require_two_shots(config)
     _warn_shot_budget(config)
-    if records_path is None:
+    if args.records is None:
         estimate = monte_carlo(config, threads=args.threads)
     else:
-        with open(records_path, "w", encoding="utf-8", newline="") as handle:
+        with open(args.records, "w", encoding="utf-8", newline="") as handle:
             handle.write("alpha1,alpha2,b1,b2\n")
             estimate = monte_carlo(
                 config, threads=args.threads, on_records=lambda records: _write_records(handle, records)
@@ -248,12 +278,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "mean,stderr,exact,analytic,violation\n",
         f"{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt(exact)},{_fmt(analytic)},{_fmt_bool(violation)}\n",
     ]
-    _write_text(out, "".join(lines))
-    _maybe_write_manifest(
-        args,
-        RunManifest.create("simulate", config, out, extra={"records": records_path}),
-        rerun=manifest is not None,
-    )
+    _write_text(args.out, "".join(lines))
+    _write_manifest(args, config)
     return EXIT_OK
 
 
@@ -268,29 +294,15 @@ def _parse_values(text: str) -> list[float]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    manifest = _load_rerun_manifest(args, "sweep")
-    if manifest is not None:
-        if args.axis is not None or args.values is not None:
-            raise ConfigError("re-running from a manifest: drop --axis/--values")
-        config = config_from_dict(manifest.config)
-        out = args.out if args.out is not None else manifest.out
-        axis = manifest.extra.get("axis")
-        values = [float(v) for v in manifest.extra.get("values", [])]
-        if axis is None or not values:
-            raise ConfigError("sweep manifest is missing axis/values")
-    else:
-        if args.axis is None:
-            raise ConfigError("sweep needs --axis")
-        if args.values is None:
-            raise ConfigError("sweep needs --values")
-        config = _resolve_config(args)
-        out = args.out
-        axis = args.axis
-        values = _parse_values(args.values)
-
+    if args.axis is None:
+        raise ConfigError("sweep needs --axis")
+    if args.values is None:
+        raise ConfigError("sweep needs --values")
+    values = _parse_values(args.values)
+    config = _resolve_config(args)
     _require_two_shots(config)
     try:
-        points = sweep(config, axis, values, threads=args.threads)
+        points = sweep(config, args.axis, values, threads=args.threads)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -300,12 +312,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{_fmt(point.value)},{_fmt(point.estimate.mean)},{_fmt(point.estimate.stderr)},"
             f"{_fmt(point.exact)},{_fmt(point.analytic)}\n"
         )
-    _write_text(out, "".join(lines))
-    _maybe_write_manifest(
-        args,
-        RunManifest.create("sweep", config, out, extra={"axis": axis, "values": values}),
-        rerun=manifest is not None,
-    )
+    _write_text(args.out, "".join(lines))
+    _write_manifest(args, config)
     return EXIT_OK
 
 
@@ -317,71 +325,39 @@ _LHV_DEFAULTS = {
     "calibration_shots": 10_000,
 }
 
-_LHV_MANIFEST_FLAGS = ("strategy", "random", "seed", *_LHV_DEFAULTS)
-
-
-def _lhv_params(args: argparse.Namespace) -> dict:
-    manifest = None
-    if args.manifest is not None and Path(args.manifest).exists():
-        if args.brute_force or any(getattr(args, name) is not None for name in _LHV_MANIFEST_FLAGS):
-            raise ConfigError(
-                "re-running from an existing manifest: drop the lhv parameter flags "
-                "(only --out and --threads may be overridden)"
-            )
-        manifest = RunManifest.load(args.manifest)
-        if manifest.command != "lhv":
-            raise ConfigError(f"manifest was written by {manifest.command!r}, but this is 'lhv'")
-        params = {**_LHV_DEFAULTS, "strategy": None, "random": None, "seed": manifest.seed}
-        params.update(manifest.extra)
-        params["seed"] = check_seed(params["seed"], f"manifest {args.manifest} seed")
-        params["out"] = args.out if args.out is not None else manifest.out
-        params["rerun"] = True
-        return params
-    params = {
-        name: getattr(args, name) if getattr(args, name) is not None else default
-        for name, default in _LHV_DEFAULTS.items()
-    }
-    params["strategy"] = args.strategy
-    params["random"] = args.random
-    params["seed"] = resolve_seed(args.seed)
-    params["out"] = args.out
-    params["rerun"] = False
-    return params
-
-
 def cmd_lhv(args: argparse.Namespace) -> int:
+    for name, default in _LHV_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.brute_force:
         try:
-            count = args.hidden_states if args.hidden_states is not None else _LHV_DEFAULTS["hidden_states"]
-            print(_fmt(lhv.brute_force_max(count)))
+            print(_fmt(lhv.brute_force_max(args.hidden_states)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return EXIT_OK
-    params = _lhv_params(args)
-    seed = int(params["seed"])
-    shots = int(params["shots"])
-    if shots < 1:
-        raise ConfigError(f"--shots: expected a positive count, got {shots}")
-    calibration_shots = int(params["calibration_shots"])
-    if calibration_shots < 10_000:
+    # the manifest stores the resolved seed, so BLGI_SEED cannot change a re-run
+    args.seed = seed = resolve_seed(args.seed)
+    if args.shots < 1:
+        raise ConfigError(f"--shots: expected a positive count, got {args.shots}")
+    if args.calibration_shots < 10_000:
         raise ConfigError(
-            f"--calibration-shots: needs at least 10000 per hidden state, got {calibration_shots}"
+            f"--calibration-shots: needs at least 10000 per hidden state, got {args.calibration_shots}"
         )
 
     strategies: list[tuple[str, lhv.LHVStrategy]] = []
-    if params["strategy"] is not None:
-        strategies.append((params["strategy"], load_strategy(params["strategy"])))
-    if params["random"] is not None:
-        if params["random"] < 1:
-            raise ConfigError(f"--random: expected a positive count, got {params['random']}")
-        for index in range(int(params["random"])):
+    if args.strategy is not None:
+        strategies.append((args.strategy, load_strategy(args.strategy)))
+    if args.random is not None:
+        if args.random < 1:
+            raise ConfigError(f"--random: expected a positive count, got {args.random}")
+        for index in range(args.random):
             rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
             try:
                 strategy = lhv.random_strategy(
-                    int(params["hidden_states"]),
+                    args.hidden_states,
                     rng,
-                    noise_sigma=float(params["noise_sigma"]),
-                    max_invasiveness=float(params["invasiveness"]),
+                    noise_sigma=args.noise_sigma,
+                    max_invasiveness=args.invasiveness,
                 )
                 strategy.validate()
             except ValueError as exc:
@@ -394,8 +370,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     any_violation = False
     for index, (name, strategy) in enumerate(strategies):
         rng = np.random.Generator(np.random.Philox(key=(seed << 64) + (1 << 32) + index))
-        estimate = lhv.lhv_mean(strategy, shots, rng)
-        calibration = lhv.calibration_check(strategy, calibration_shots, rng)
+        estimate = lhv.lhv_mean(strategy, args.shots, rng)
+        calibration = lhv.calibration_check(strategy, args.calibration_shots, rng)
         bound_ok = abs(estimate.mean) <= LMR_BOUND + 4.0 * estimate.stderr
         any_violation = any_violation or not bound_ok
         rows.append((name, estimate, bound_ok, calibration.all_ok))
@@ -411,10 +387,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             lines.append(
                 f"# brute_force_max({count} hidden states) = {_fmt(lhv.brute_force_max(count))}\n"
             )
-    _write_text(params["out"], "".join(lines))
-    if args.manifest is not None and not params["rerun"]:
-        extra = {name: params[name] for name in _LHV_MANIFEST_FLAGS}
-        RunManifest.create("lhv", None, params["out"], extra=extra).write(args.manifest)
+    _write_text(args.out, "".join(lines))
+    _write_manifest(args, None)
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 
 
@@ -496,7 +470,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "simulate": cmd_simulate,
         "sweep": cmd_sweep,
@@ -504,7 +477,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": cmd_verify,
     }
     try:
-        if args.threads < 1:
+        args = _parse_args(parser, argv)
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError(f"--threads: expected a positive count, got {args.threads}")
         return handlers[args.command](args)
     except (ConfigError, OSError) as exc:

@@ -3,8 +3,9 @@
 Config files are flat ``key = value`` INI text with sections ``meter1``,
 ``meter2``, ``b``, ``angles`` and ``run``; strategy files use a single
 ``strategy`` section with comma-separated per-hidden-state vectors.  A
-:class:`RunManifest` captures everything that determines a run's output,
-so re-running from a manifest reproduces the output byte for byte.
+:class:`RunManifest` holds a run's command line and its resolved config in
+the same section layout, so re-running from a manifest reproduces the
+output byte for byte.
 """
 
 from __future__ import annotations
@@ -24,24 +25,29 @@ from .protocol import DEFAULT_ANGLES, ExperimentConfig
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "BLGI_SEED"
 
+_ANGLE_KEYS = ("a1", "a2", "b1", "b2")
+
 
 class ConfigError(Exception):
     """A config or strategy file problem; the message names the culprit."""
 
 
-def _positive_int(text: str, where: str) -> int:
+def _parse_int(value: Any, where: str) -> int:
+    """An integer from INI text or a JSON number; a fractional number is an error."""
     try:
-        value = int(text)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected an integer, got {text!r}") from exc
-    return value
+        number = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
+    if not isinstance(value, str) and number != value:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    return number
 
 
-def _parse_float(text: str, where: str) -> float:
+def _parse_float(value: Any, where: str) -> float:
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: expected a number, got {text!r}") from exc
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
 
 
 def _parse_vector(text: str, where: str) -> list[float]:
@@ -66,49 +72,70 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
     return parser
 
 
-def _meter_from_section(section: dict[str, str], where: str) -> MeterSpec:
-    kind = section.get("type", "gaussian").strip().lower()
+def _meter_from_section(section: dict[str, Any], where: str) -> MeterSpec:
+    kind = str(section.get("type", "gaussian")).strip().lower()
     try:
         if kind == "gaussian":
             return GaussianMeterSpec(
-                sigma=_parse_float(section.get("sigma", "1.0"), f"{where}.sigma"),
-                eta=_parse_float(section.get("eta", "1.0"), f"{where}.eta"),
+                sigma=_parse_float(section.get("sigma", 1.0), f"{where}.sigma"),
+                eta=_parse_float(section.get("eta", 1.0), f"{where}.eta"),
             )
         if kind == "ancilla":
             return AncillaMeterSpec(
-                v_total=_parse_float(section.get("v_total", "1.0"), f"{where}.v_total"),
-                u=_parse_float(section.get("u", "1.0"), f"{where}.u"),
+                v_total=_parse_float(section.get("v_total", 1.0), f"{where}.v_total"),
+                u=_parse_float(section.get("u", 1.0), f"{where}.u"),
             )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     raise ConfigError(f"{where}.type: expected 'gaussian' or 'ancilla', got {kind!r}")
 
 
-def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    """Read an experiment config file into an :class:`ExperimentConfig`."""
-    parser = _read_ini(path)
-    sections = {name: dict(parser[name]) for name in parser.sections()}
+def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfig:
+    """Build an :class:`ExperimentConfig` from config-file sections.
+
+    Values may be INI text or JSON numbers; a missing key takes its default.
+    """
     meter1 = _meter_from_section(sections.get("meter1", {}), "meter1")
     meter2 = _meter_from_section(sections.get("meter2", {}), "meter2")
-    b_section = sections.get("b", {})
     try:
-        b_spec = ProjectiveMeterSpec(v=_parse_float(b_section.get("v", "1.0"), "b.v"))
+        b_spec = ProjectiveMeterSpec(v=_parse_float(sections.get("b", {}).get("v", 1.0), "b.v"))
     except ValueError as exc:
         raise ConfigError(f"b.v: {exc}") from exc
     angles_section = sections.get("angles", {})
     angles = tuple(
-        _parse_float(angles_section.get(key, str(default)), f"angles.{key}")
-        for key, default in zip(("a1", "a2", "b1", "b2"), DEFAULT_ANGLES)
+        _parse_float(angles_section.get(key, default), f"angles.{key}")
+        for key, default in zip(_ANGLE_KEYS, DEFAULT_ANGLES)
     )
     run_section = sections.get("run", {})
-    shots = _positive_int(run_section.get("shots", "1000000"), "run.shots")
-    seed = _positive_int(run_section.get("seed", str(DEFAULT_SEED)), "run.seed")
+    shots = _parse_int(run_section.get("shots", 1_000_000), "run.shots")
+    seed = _parse_int(run_section.get("seed", DEFAULT_SEED), "run.seed")
     try:
         return ExperimentConfig(
             meter1=meter1, meter2=meter2, b_spec=b_spec, angles=angles, shots=shots, seed=seed
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, Any]]:
+    """The inverse of :func:`config_from_sections`, exact for every field."""
+    sections: dict[str, dict[str, Any]] = {}
+    for name in ("meter1", "meter2"):
+        spec = getattr(config, name)
+        if isinstance(spec, GaussianMeterSpec):
+            sections[name] = {"type": "gaussian", "sigma": spec.sigma, "eta": spec.eta}
+        else:
+            sections[name] = {"type": "ancilla", "v_total": spec.v_total, "u": spec.u}
+    sections["b"] = {"v": config.b_spec.v}
+    sections["angles"] = dict(zip(_ANGLE_KEYS, config.angles))
+    sections["run"] = {"shots": config.shots, "seed": config.seed}
+    return sections
+
+
+def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    """Read an experiment config file into an :class:`ExperimentConfig`."""
+    parser = _read_ini(path)
+    return config_from_sections({name: dict(parser[name]) for name in parser.sections()})
 
 
 def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
@@ -127,12 +154,7 @@ def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
         seed, where = file_seed, "run.seed"
     else:
         return DEFAULT_SEED
-    return check_seed(seed, where)
-
-
-def check_seed(seed: Any, where: str) -> int:
-    """Return ``seed`` if it is a 64-bit unsigned integer; ``where`` names its source."""
-    if not (isinstance(seed, int) and 0 <= seed < 2**64):
+    if not 0 <= seed < 2**64:
         raise ConfigError(f"{where}: expected a 64-bit unsigned integer, got {seed!r}")
     return seed
 
@@ -145,7 +167,7 @@ def load_strategy(path: str | Path) -> LHVStrategy:
     section = dict(parser["strategy"])
     if "hidden_states" not in section:
         raise ConfigError("strategy.hidden_states is required")
-    n = _positive_int(section["hidden_states"], "strategy.hidden_states")
+    n = _parse_int(section["hidden_states"], "strategy.hidden_states")
 
     def vector(key: str, required: bool = True) -> list[float] | None:
         if key not in section:
@@ -184,79 +206,31 @@ def load_strategy(path: str | Path) -> LHVStrategy:
 # ---------------------------------------------------------------------------
 
 
-def _meter_to_dict(spec: MeterSpec) -> dict[str, Any]:
-    if isinstance(spec, GaussianMeterSpec):
-        return {"type": "gaussian", "sigma": spec.sigma, "eta": spec.eta}
-    return {"type": "ancilla", "v_total": spec.v_total, "u": spec.u}
-
-
-def _meter_from_dict(data: dict[str, Any], where: str) -> MeterSpec:
-    kind = data.get("type")
-    try:
-        if kind == "gaussian":
-            return GaussianMeterSpec(sigma=float(data["sigma"]), eta=float(data["eta"]))
-        if kind == "ancilla":
-            return AncillaMeterSpec(v_total=float(data["v_total"]), u=float(data["u"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.type: expected 'gaussian' or 'ancilla', got {kind!r}")
-
-
-def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    return {
-        "meter1": _meter_to_dict(config.meter1),
-        "meter2": _meter_to_dict(config.meter2),
-        "b": {"v": config.b_spec.v},
-        "angles": list(config.angles),
-        "shots": config.shots,
-        "seed": config.seed,
-    }
-
-
-def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(
-            meter1=_meter_from_dict(data["meter1"], "manifest.meter1"),
-            meter2=_meter_from_dict(data["meter2"], "manifest.meter2"),
-            b_spec=ProjectiveMeterSpec(v=float(data["b"]["v"])),
-            angles=tuple(float(a) for a in data["angles"]),
-            shots=int(data["shots"]),
-            seed=int(data["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"manifest config: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class RunManifest:
-    """A fully resolved run description; re-running it reproduces the output."""
+    """A run's command line and resolved config; re-running it reproduces the output.
+
+    ``argv`` holds the command's own flags (never the config ones) and
+    ``config`` the resolved config in :func:`config_to_sections` layout,
+    empty for commands that take no config.
+    """
 
     command: str
-    config: dict[str, Any]
-    seed: int
+    argv: list[str]
+    config: dict[str, dict[str, Any]]
     version: str
     created_utc: str
-    out: str | None = None
-    extra: dict[str, Any] | None = None
 
     @classmethod
-    def create(
-        cls,
-        command: str,
-        config: ExperimentConfig | None,
-        out: str | None,
-        extra: dict[str, Any] | None = None,
-    ) -> "RunManifest":
+    def create(cls, command: str, argv: list[str], config: ExperimentConfig | None) -> "RunManifest":
         from . import __version__
 
         return cls(
             command=command,
-            config=config_to_dict(config) if config is not None else {},
-            seed=int(config.seed) if config is not None else int((extra or {}).get("seed", DEFAULT_SEED)),
+            argv=list(argv),
+            config=config_to_sections(config) if config is not None else {},
             version=__version__,
             created_utc=datetime.now(timezone.utc).isoformat(),
-            out=out,
-            extra=extra or {},
         )
 
     def write(self, path: str | Path) -> None:
@@ -274,14 +248,22 @@ class RunManifest:
         except OSError as exc:
             raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
         try:
-            return cls(
+            manifest = cls(
                 command=data["command"],
+                argv=data["argv"],
                 config=data["config"],
-                seed=int(data["seed"]),
                 version=str(data.get("version", "")),
                 created_utc=str(data.get("created_utc", "")),
-                out=data.get("out"),
-                extra=data.get("extra") or {},
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"manifest {path} is missing fields: {exc}") from exc
+        if not (isinstance(manifest.argv, list) and all(isinstance(arg, str) for arg in manifest.argv)):
+            raise ConfigError(f"manifest {path}: argv must be a list of strings, got {manifest.argv!r}")
+        if not (
+            isinstance(manifest.config, dict)
+            and all(isinstance(section, dict) for section in manifest.config.values())
+        ):
+            raise ConfigError(
+                f"manifest {path}: config must map section names to dicts, got {manifest.config!r}"
+            )
+        return manifest

@@ -13,8 +13,9 @@ configuration.  Three routes to the ensemble mean are provided:
 * :func:`exact_mean` contracts each weak arm's zeroth and first outcome
   moments (closed-form instrument maps on the density matrix) with the
   readout observables, which suffices because C is linear in each alpha,
-* :func:`analytic_mean` evaluates the closed form
-  ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)`` from the arms' dephasing factors.
+* :func:`analytic_mean` evaluates the closed form in the arms' dephasing
+  factors and the analyzer angles, ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)`` at
+  the default angles.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .measurement import (
     ProjectiveMeterSpec,
 )
 from .qmath import AnalyzerBasis, analyzer_basis, bell_state, embed
-
-SQRT2 = np.sqrt(2.0)
 
 #: analyzer angles (phi_a1, phi_a2, phi_b1, phi_b2) of the standard
 #: maximally violating CHSH configuration
@@ -198,20 +197,50 @@ def monte_carlo(
     return estimate_from_sums(total, total_sq, config.shots)
 
 
-def analytic_mean(xi1: float, xi2: float, v: float) -> float:
-    """Closed-form ensemble mean ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)``.
+def analytic_mean(
+    xi1: float,
+    xi2: float,
+    v: float,
+    angles: tuple[float, float, float, float] = DEFAULT_ANGLES,
+) -> float:
+    """Closed-form ensemble mean at analyzer angles ``(a1, a2, b1, b2)``.
 
     ``xi1``/``xi2`` are the arms' dephasing factors and ``v`` the
-    projective readout visibility; all must lie in [0, 1].
+    projective readout visibility; all must lie in [0, 1].  On the Bell
+    pair ``<O(x) O(y)> = cos(x - y)``; each weak arm keeps the readout
+    component along its own analyzer and scales the perpendicular one by
+    its ``xi``.  With ``D = a1 - a2``, ``ck = cos(bk - ak)`` and
+    ``sk = sin(bk - ak)``,
+
+        <C> = cos D + v*(c2 cos D + xi2 s2 sin D) + v*(c1 cos D - xi1 s1 sin D)
+              - v^2*(c1 c2 cos D + xi2 c1 s2 sin D - xi1 s1 c2 sin D + xi1 xi2 s1 s2 cos D),
+
+    which at :data:`DEFAULT_ANGLES` is ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)``.
     """
     for name, value in (("xi1", xi1), ("xi2", xi2), ("v", v)):
         if not (0.0 <= value <= 1.0):
             raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return float((1.0 + v * xi1) * (1.0 + v * xi2) / SQRT2)
+    a1, a2, b1, b2 = angles
+    cos_d, sin_d = np.cos(a1 - a2), np.sin(a1 - a2)
+    c1, s1 = np.cos(b1 - a1), np.sin(b1 - a1)
+    c2, s2 = np.cos(b2 - a2), np.sin(b2 - a2)
+    mean = (
+        cos_d
+        + v * (c2 * cos_d + xi2 * s2 * sin_d)
+        + v * (c1 * cos_d - xi1 * s1 * sin_d)
+        - v * v * (
+            c1 * c2 * cos_d + xi2 * c1 * s2 * sin_d - xi1 * s1 * c2 * sin_d + xi1 * xi2 * s1 * s2 * cos_d
+        )
+    )
+    return float(mean)
 
 
 def violation_threshold() -> float:
-    """Dephasing-factor threshold ``2**(3/4) - 1`` above which the mean exceeds 2."""
+    """Dephasing-factor threshold ``2**(3/4) - 1`` above which the mean exceeds 2.
+
+    This is the statement at :data:`DEFAULT_ANGLES`, with equal factors on
+    both arms and ``v = 1``; other angles have other thresholds.
+    """
     return 2.0 ** 0.75 - 1.0
 
 
@@ -308,11 +337,12 @@ class SweepPoint:
 
 
 def config_analytic_mean(config: ExperimentConfig) -> float:
-    """Closed-form mean for a config, from the meters' dephasing factors."""
+    """Closed-form mean for a config, from the meters' dephasing factors and its angles."""
     return analytic_mean(
         meas.dephasing_factor(config.meter1),
         meas.dephasing_factor(config.meter2),
         config.b_spec.v,
+        config.angles,
     )
 
 

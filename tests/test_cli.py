@@ -270,6 +270,54 @@ class TestManifestRoundTrip:
         ])
         assert main(["sweep", "--manifest", str(manifest)]) == 2
 
+    @pytest.mark.parametrize(
+        "command", [["simulate", "--records", "records.csv"], ["sweep", "--axis", "v", "--values", "0.5,1"]]
+    )
+    def test_config_file_rerun_is_bit_identical(self, tmp_path, monkeypatch, command):
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[meter1]\ntype = gaussian\nsigma = 1.7\neta = 0.6\n\n"
+            "[meter2]\ntype = ancilla\nv_total = 0.5\nu = 0.8\n\n"
+            "[angles]\na1 = 1.1\n\n[run]\nshots = 20000\nseed = 9\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BLGI_SEED", raising=False)
+        manifest = tmp_path / "run.json"
+        out1 = tmp_path / "first.csv"
+        out2 = tmp_path / "second.csv"
+        code = main([*command, "--config", str(config), "--out", str(out1), "--manifest", str(manifest)])
+        assert code == 0
+        records = _read(tmp_path / "records.csv") if command[0] == "simulate" else None
+        # the re-run needs neither the config file nor the seed source
+        config.unlink()
+        monkeypatch.setenv("BLGI_SEED", "5")
+        assert main([command[0], "--manifest", str(manifest), "--out", str(out2)]) == 0
+        assert _read(out1) == _read(out2)
+        if records is not None:
+            assert _read(tmp_path / "records.csv") == records
+
+    def test_stored_path_may_start_with_a_dash(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--shots", "1000", "--out=-first.csv", "--records=-records.csv"]
+        assert main([*argv, "--manifest", "run.json"]) == 0
+        first = _read(tmp_path / "-first.csv"), _read(tmp_path / "-records.csv")
+        assert main(["simulate", "--manifest", "run.json"]) == 0
+        assert (_read(tmp_path / "-first.csv"), _read(tmp_path / "-records.csv")) == first
+
+    def test_lhv_rerun_ignores_blgi_seed(self, tmp_path, monkeypatch):
+        manifest = tmp_path / "run.json"
+        out1 = tmp_path / "first.csv"
+        out2 = tmp_path / "second.csv"
+        monkeypatch.setenv("BLGI_SEED", "11")
+        code = main([
+            "lhv", "--random", "3", "--shots", "20000",
+            "--out", str(out1), "--manifest", str(manifest),
+        ])
+        assert code == 0
+        monkeypatch.setenv("BLGI_SEED", "12")
+        assert main(["lhv", "--manifest", str(manifest), "--out", str(out2)]) == 0
+        assert _read(out1) == _read(out2)
+
     def test_lhv_rerun_is_bit_identical(self, tmp_path):
         manifest = tmp_path / "run.json"
         out1 = tmp_path / "first.csv"
@@ -282,6 +330,94 @@ class TestManifestRoundTrip:
         code = main(["lhv", "--manifest", str(manifest), "--out", str(out2)])
         assert code == 0
         assert _read(out1) == _read(out2)
+
+
+#: a manifest in the earlier layout, with ``seed``/``out``/``extra`` and no ``argv``
+OLD_FORMAT_MANIFEST = {
+    "command": "simulate",
+    "config": {
+        "meter1": {"type": "gaussian", "sigma": 1.0, "eta": 1.0},
+        "meter2": {"type": "gaussian", "sigma": 1.0, "eta": 1.0},
+        "b": {"v": 1.0},
+        "angles": [1.5707963267948966, 0.7853981633974483, 0.0, 2.356194490192345],
+        "shots": 100,
+        "seed": 3,
+    },
+    "seed": 3,
+    "version": "0.1.0",
+    "created_utc": "2026-01-01T00:00:00+00:00",
+    "out": None,
+    "extra": {"records": None},
+}
+
+
+def _set_stored(flag, value):
+    def change(data):
+        data["argv"] = [f"{flag}={value}" if arg.startswith(f"{flag}=") else arg for arg in data["argv"]]
+        return data
+
+    return change
+
+
+def _set_config(section, key, value):
+    def change(data):
+        data["config"][section][key] = value
+        return data
+
+    return change
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a value as if it had been typed
+        return exc.code
+
+
+class TestManifestRerunErrors:
+    """A manifest whose stored flags or config are bad exits 2, never with a traceback."""
+
+    SIMULATE = ["simulate", "--shots", "100", "--seed", "3"]
+    LHV = ["lhv", "--random", "1", "--shots", "100", "--seed", "3"]
+
+    @pytest.mark.parametrize(
+        "first, change, rerun_flags, named",
+        [
+            (SIMULATE, None, ["--records", "other.csv"], "--records"),
+            (LHV, _set_stored("--shots", "abc"), [], "--shots"),
+            (SIMULATE, lambda data: {**data, "argv": [1]}, [], "argv"),
+            (SIMULATE, lambda data: {**data, "config": [1]}, [], "config"),
+            (SIMULATE, lambda data: OLD_FORMAT_MANIFEST, [], "argv"),
+            (LHV, None, ["--shots", "100000"], "--shots"),
+            (SIMULATE, _set_config("run", "shots", 1000.7), [], "run.shots"),
+            (SIMULATE, _set_config("meter1", "sigma", None), [], "meter1.sigma"),
+            (SIMULATE, lambda data: {**data, "argv": ["--meter", "ancilla"]}, [], "--meter"),
+        ],
+        ids=[
+            "simulate --records on a re-run",
+            "stored --shots abc",
+            "argv [1]",
+            "config [1]",
+            "manifest without argv",
+            "lhv --shots 100000 on a re-run",
+            "run.shots 1000.7",
+            "meter1.sigma null",
+            "stored config flag",
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, first, change, rerun_flags, named):
+        monkeypatch.chdir(tmp_path)
+        manifest = tmp_path / "run.json"
+        assert main([*first, "--out", str(tmp_path / "first.csv"), "--manifest", str(manifest)]) == 0
+        if change is not None:
+            data = change(json.loads(_read(manifest)))
+            manifest.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert _exit_code([first[0], "--manifest", str(manifest), *rerun_flags]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1] and named in err.splitlines()[-1]
+        assert not (tmp_path / "other.csv").exists()
 
 
 class TestLhvCommand:
@@ -359,8 +495,7 @@ class TestInputErrors:
         argv = ["lhv", "--random", "1", "--shots", "100", "--out", str(tmp_path / "x.csv")]
         assert main([*argv, "--manifest", str(manifest)]) == 0
         data = json.loads(manifest.read_text(encoding="utf-8"))
-        data["seed"] = data["extra"]["seed"] = -1
-        manifest.write_text(json.dumps(data), encoding="utf-8")
+        manifest.write_text(json.dumps(_set_stored("--seed", "-1")(data)), encoding="utf-8")
         capsys.readouterr()
         assert main(["lhv", "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -427,6 +562,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--config", "x.ini"], ["--seed", "5"], ["--out", "x.csv"], ["--manifest", "m.json"], ["--threads", "4"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_takes_no_run_flags(self, flag, capsys):
+        assert _exit_code(["verify", *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_scipy():

@@ -4,8 +4,8 @@ import pytest
 from blgi.config import (
     ConfigError,
     RunManifest,
-    config_from_dict,
-    config_to_dict,
+    config_from_sections,
+    config_to_sections,
     load_experiment_config,
     load_strategy,
     resolve_seed,
@@ -101,7 +101,20 @@ class TestExperimentConfigFile:
             shots=123,
             seed=99,
         )
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_sections(config_to_sections(config)) == config
+
+    @pytest.mark.parametrize(
+        "sections, where",
+        [
+            ({"run": {"shots": 1000.7}}, "run.shots"),
+            ({"run": {"seed": float("inf")}}, "run.seed"),
+            ({"meter1": {"sigma": None}}, "meter1.sigma"),
+            ({"angles": {"a1": [1.0]}}, "angles.a1"),
+        ],
+    )
+    def test_json_values_that_are_not_numbers_of_the_right_kind(self, sections, where):
+        with pytest.raises(ConfigError, match=where):
+            config_from_sections(sections)
 
 
 class TestSeedResolution:
@@ -161,13 +174,13 @@ class TestManifest:
         config = ExperimentConfig(
             meter1=GaussianMeterSpec(sigma=3.0), meter2=GaussianMeterSpec(sigma=3.0), shots=77, seed=5
         )
-        manifest = RunManifest.create("simulate", config, out="a.csv", extra={"records": None})
+        manifest = RunManifest.create("simulate", ["--out", "a.csv"], config)
         path = tmp_path / "m.json"
         manifest.write(path)
         loaded = RunManifest.load(path)
         assert loaded.command == "simulate"
-        assert loaded.seed == 5
-        assert config_from_dict(loaded.config) == config
+        assert loaded.config["run"]["seed"] == 5
+        assert config_from_sections(loaded.config) == config
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError, match="manifest"):

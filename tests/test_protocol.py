@@ -151,6 +151,23 @@ class TestAnalyticMean:
     def test_never_exceeds_quantum_bound(self, xi1, xi2, v):
         assert analytic_mean(xi1, xi2, v) <= 2 * SQRT2 + 1e-12
 
+    def test_matches_quadrature_oracle_at_random_angles(self):
+        # the oracle integrates Kraus operators, so it checks the closed
+        # form's angle dependence without sharing any of its algebra
+        rng = np.random.default_rng(31)
+        kinds = [(True, True), (True, False), (False, True), (False, False)]
+        for index in range(40):
+            gaussian1, gaussian2 = kinds[index % 4]
+            config = ExperimentConfig(
+                meter1=_random_meter(rng, gaussian1),
+                meter2=_random_meter(rng, gaussian2),
+                b_spec=ProjectiveMeterSpec(v=rng.random()),
+                angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
+                shots=1,
+            )
+            reference, _ = _quadrature_mean(config)
+            assert abs(config_analytic_mean(config) - reference) < 1e-9, config
+
 
 class TestViolationThreshold:
     def test_value(self):
