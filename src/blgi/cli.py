@@ -45,18 +45,35 @@ EXIT_BOUND_VIOLATION = 4
 STDERR_WARNING_LEVEL = 0.05
 LMR_BOUND = 2.0
 
-#: one per-shot record; ``%.17g`` round-trips every double
-_RECORD_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+#: how every record value is written; it round-trips every double
+_RECORD_FORMAT = "%.17g"
 #: rows formatted per write: enough to amortize the call, few enough that
 #: the text and its float objects stay near 100 kB (peak memory)
 _RECORD_BLOCK = 2048
 
 
+def _record_column(values: np.ndarray) -> tuple[str, np.ndarray]:
+    """A row field and what fills it: the values, or their text if they repeat.
+
+    The readout signs are always ±1 and an ancilla signal is ±1/v_total, so
+    most columns hold a few distinct doubles; each is formatted once.  The
+    distinct values are told apart by bit pattern, so 0.0 and -0.0 keep
+    their own text.  A column of mostly distinct values (a Gaussian signal)
+    gains nothing from a lookup and is formatted value by value.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(values):
+        return _RECORD_FORMAT, values
+    text = [_RECORD_FORMAT % value for value in bits.view(np.float64).tolist()]
+    return "%s", np.array(text, dtype=object)[inverse]
+
+
 def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
-    rows = np.column_stack(records)
-    for start in range(0, len(rows), _RECORD_BLOCK):
-        block = rows[start:start + _RECORD_BLOCK]
-        handle.write((_RECORD_ROW * len(block)) % tuple(block.ravel().tolist()))
+    fields, columns = zip(*(_record_column(values) for values in records))
+    row = ",".join(fields) + "\n"
+    for start in range(0, len(columns[0]), _RECORD_BLOCK):
+        block = np.column_stack([column[start:start + _RECORD_BLOCK] for column in columns])
+        handle.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _fmt(value: float) -> str:
@@ -75,14 +92,14 @@ def _write_text(out: str | None, text: str) -> None:
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", default=None, help="experiment config file (INI)")
     parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (never changes results)")
     parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     parser.add_argument("--manifest", default=None, help="manifest path: re-run if it exists, else written after the run")
 
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", default=None, help="experiment config file (INI)")
+    parser.add_argument("--threads", type=int, default=1, help="worker cap (never changes results)")
     parser.add_argument("--meter", choices=("gaussian", "ancilla"), default=None, help="meter type for both arms")
     parser.add_argument("--sigma", type=float, default=None, help="gaussian signal std per eigenstate")
     parser.add_argument("--eta", type=float, default=None, help="gaussian meter quantum efficiency")
@@ -166,17 +183,19 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     if path is None or not Path(path).exists():
         args.stored_config = None
         return args
-    given = _flags_given(args, ("out", "threads", "manifest"))
+    overridable = ("out", "threads") if hasattr(args, "threads") else ("out",)
+    given = _flags_given(args, (*overridable, "manifest"))
     if given:
         raise ConfigError(
             f"re-running from an existing manifest: drop {', '.join(given)} "
-            "(only --out and --threads may be overridden)"
+            f"(only {' and '.join(map(_flag, overridable))} may be overridden)"
         )
     manifest = RunManifest.load(path)
     if manifest.command != args.command:
         raise ConfigError(f"manifest was written by {manifest.command!r}, but this is {args.command!r}")
     out = [] if args.out is None else ["--out", args.out]
-    rerun = parser.parse_args([args.command, *manifest.argv, *out, "--threads", str(args.threads)])
+    threads = ["--threads", str(args.threads)] if hasattr(args, "threads") else []
+    rerun = parser.parse_args([args.command, *manifest.argv, *out, *threads])
     stored = _flags_given(rerun, ("threads", *_MANIFEST_FLAGS[args.command]))
     if stored:
         raise ConfigError(f"manifest {path}: a {args.command} manifest does not store {', '.join(stored)}")

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import blgi
-from blgi.cli import main
+from blgi.cli import _RECORD_BLOCK, _write_records, main
 
 SQRT2 = np.sqrt(2.0)
 
@@ -120,6 +121,31 @@ class TestSimulate:
         values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
         mean = _summary_row(tmp_path / "s1.csv")[0]
         np.testing.assert_allclose(mean, values.mean(), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    @pytest.mark.parametrize(
+        "meter, digest",
+        [
+            (
+                ["--meter", "ancilla", "--v-total", "0.6", "--u", "0.9"],
+                "fcf4b07e814461245ce135e9a30bed7075729fcef56f614ec41703e66aaca530",
+            ),
+            (
+                ["--meter", "gaussian", "--sigma", "10", "--eta", "0.5"],
+                "dbb15cd13b495d3ddc46ab17617c5e1a318b36b1767ef25b5f4a4b5fab44ef20",
+            ),
+        ],
+        ids=["ancilla", "gaussian eta 0.5"],
+    )
+    def test_records_text_is_pinned(self, tmp_path, meter, digest, threads):
+        # two full blocks and a partial one; the digests pin the text, not just the values
+        records = tmp_path / "records.csv"
+        code = main([
+            "simulate", *meter, "--shots", str(2 * (1 << 16) + 77), "--seed", "3",
+            "--threads", threads, "--out", str(tmp_path / "s.csv"), "--records", str(records),
+        ])
+        assert code == 0
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == digest
 
     def test_flag_overrides_apply_together(self, tmp_path):
         # --v-total 0.8 alone would exceed the config's u = 0.4
@@ -490,6 +516,13 @@ class TestInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("flag", [["--config", "ghost.ini"], ["--threads", "2"]], ids=lambda flag: flag[0])
+    def test_lhv_takes_no_experiment_flags(self, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert _exit_code(["lhv", "--random", "1", "--shots", "100", *flag, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lhv_manifest_seed_out_of_range(self, tmp_path, capsys):
         manifest = tmp_path / "run.json"
         argv = ["lhv", "--random", "1", "--shots", "100", "--out", str(tmp_path / "x.csv")]
@@ -554,6 +587,57 @@ def test_simulate_argv_ends_in_a_documented_exit_code(tmp_path_factory, flags, o
             code = exc.code
     assert code in (0, 2, 3, 4), argv
     assert "Traceback" not in stderr.getvalue()
+
+
+#: doubles a lookup by value could merge or mangle: signed zeros, NaNs with
+#: other signs and payloads, infinities and subnormals
+SPECIAL_BITS = [
+    0x0000000000000000,  # 0.0
+    0x8000000000000000,  # -0.0
+    0x7FF8000000000000,  # nan
+    0xFFF8000000000000,  # nan, sign bit set
+    0x7FF8000000000001,  # nan, another payload
+    0x7FF0000000000001,  # signalling nan
+    0x7FF0000000000000,  # inf
+    0xFFF0000000000000,  # -inf
+    0x0000000000000001,  # smallest subnormal
+    0x800FFFFFFFFFFFFF,  # largest-magnitude negative subnormal
+]
+
+_BITS = st.one_of(
+    st.sampled_from(SPECIAL_BITS),
+    st.integers(0, 2**64 - 1),
+    st.floats(-10, 10).map(lambda value: int(np.float64(value).view(np.uint64))),
+)
+
+
+@st.composite
+def _record_chunks(draw):
+    """Four columns of one chunk, each a share of pool values among distinct ones."""
+    n = draw(st.sampled_from([1, 2, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1, 1 << 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(4):
+        pool = np.array(draw(st.lists(_BITS, min_size=1, max_size=6)), dtype=np.uint64)
+        # 0: all distinct, 1: all repeated, else a mix on either side of a half
+        share = draw(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]))
+        fresh = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        # selected as integers, so every NaN payload survives
+        bits = np.where(rng.random(n) < share, pool[rng.integers(len(pool), size=n)], fresh)
+        columns.append(bits.view(np.float64))
+    return tuple(columns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=_record_chunks())
+def test_write_records_formats_every_value_with_17_digits(records):
+    handle = io.StringIO()
+    _write_records(handle, records)
+    expected = "".join(
+        ",".join("%.17g" % value for value in row) + "\n"
+        for row in zip(*(column.tolist() for column in records))
+    )
+    assert handle.getvalue() == expected
 
 
 class TestVerify:
