@@ -45,35 +45,30 @@ EXIT_BOUND_VIOLATION = 4
 STDERR_WARNING_LEVEL = 0.05
 LMR_BOUND = 2.0
 
-#: how every record value is written; it round-trips every double
-_RECORD_FORMAT = "%.17g"
+#: what follows each of a record's four fields; every field is the
+#: ``%.17g`` text of its value, which round-trips every double
+_RECORD_ENDS = (",", ",", ",", "\n")
 #: rows formatted per write: enough to amortize the call, few enough that
-#: the text and its float objects stay near 100 kB (peak memory)
+#: the text and its objects stay near 100 kB (peak memory)
 _RECORD_BLOCK = 2048
 
 
-def _record_column(values: np.ndarray) -> tuple[str, np.ndarray]:
-    """A row field and what fills it: the values, or their text if they repeat.
+def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
+    """Write one chunk's records, formatting each distinct value of a block's column once.
 
     The readout signs are always ±1 and an ancilla signal is ±1/v_total, so
-    most columns hold a few distinct doubles; each is formatted once.  The
-    distinct values are told apart by bit pattern, so 0.0 and -0.0 keep
-    their own text.  A column of mostly distinct values (a Gaussian signal)
-    gains nothing from a lookup and is formatted value by value.
+    most columns hold a few distinct doubles.  They are told apart by bit
+    pattern, so 0.0 and -0.0 keep their own text.
     """
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(values):
-        return _RECORD_FORMAT, values
-    text = [_RECORD_FORMAT % value for value in bits.view(np.float64).tolist()]
-    return "%s", np.array(text, dtype=object)[inverse]
-
-
-def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
-    fields, columns = zip(*(_record_column(values) for values in records))
-    row = ",".join(fields) + "\n"
-    for start in range(0, len(columns[0]), _RECORD_BLOCK):
-        block = np.column_stack([column[start:start + _RECORD_BLOCK] for column in columns])
-        handle.write((row * len(block)) % tuple(block.ravel().tolist()))
+    for start in range(0, len(records[0]), _RECORD_BLOCK):
+        block = [values[start:start + _RECORD_BLOCK] for values in records]
+        fields = np.empty((len(block[0]), len(block)), dtype=object)
+        for column, (values, end) in enumerate(zip(block, _RECORD_ENDS)):
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            # one % call formats the distinct values; "\0" never occurs in their text
+            text = ((f"%.17g{end}\0" * len(bits)) % tuple(bits.view(np.float64).tolist())).split("\0")
+            fields[:, column] = np.array(text, dtype=object)[inverse]
+        handle.write("".join(fields.ravel().tolist()))
 
 
 def _fmt(value: float) -> str:
@@ -183,7 +178,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     if path is None or not Path(path).exists():
         args.stored_config = None
         return args
-    overridable = ("out", "threads") if hasattr(args, "threads") else ("out",)
+    overridable = tuple(name for name in ("out", "threads") if hasattr(args, name))
     given = _flags_given(args, (*overridable, "manifest"))
     if given:
         raise ConfigError(
@@ -194,8 +189,9 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     if manifest.command != args.command:
         raise ConfigError(f"manifest was written by {manifest.command!r}, but this is {args.command!r}")
     out = [] if args.out is None else ["--out", args.out]
-    threads = ["--threads", str(args.threads)] if hasattr(args, "threads") else []
-    rerun = parser.parse_args([args.command, *manifest.argv, *out, *threads])
+    rerun = parser.parse_args([args.command, *manifest.argv, *out])
+    if "threads" in overridable:
+        rerun.threads = args.threads
     stored = _flags_given(rerun, ("threads", *_MANIFEST_FLAGS[args.command]))
     if stored:
         raise ConfigError(f"manifest {path}: a {args.command} manifest does not store {', '.join(stored)}")
