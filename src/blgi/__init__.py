@@ -19,24 +19,19 @@ from .lhv import (
     calibration_check,
     lhv_mean,
     lhv_records,
-    lhv_shot,
     random_strategy,
 )
 from .measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    ancilla_kraus,
-    apply_dephasing,
     dephasing_factor,
-    gaussian_kraus,
     sample_records,
 )
 from .protocol import (
     DEFAULT_ANGLES,
     Estimate,
     ExperimentConfig,
-    MeasurementRecord,
     NumericalError,
     SweepPoint,
     analytic_mean,
@@ -47,13 +42,4 @@ from .protocol import (
     sweep,
     violation_threshold,
 )
-from .qmath import (
-    AnalyzerBasis,
-    TwoQubitState,
-    ZeroProbabilityError,
-    analyzer_basis,
-    apply_operator,
-    bell_state,
-    embed,
-    expectation,
-)
+from .qmath import AnalyzerBasis, analyzer_basis, embed

@@ -407,66 +407,89 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 
 
-def _verify_checks() -> list[tuple[str, float, float]]:
-    """Run the oracle cross-checks; returns (name, deviation, tolerance) rows."""
-    from .qmath import analyzer_basis
-    from .measurement import ancilla_kraus, gaussian_kraus
+def _closed_form_gap(configs) -> float:
+    """Largest ``|exact_mean - config_analytic_mean|`` over ``configs``."""
+    return max(abs(exact_mean(config) - config_analytic_mean(config)) for config in configs)
 
+
+def _symmetric_configs(specs) -> list[ExperimentConfig]:
+    """Both arms on each of ``specs``, at readout visibilities 0.8 and 1."""
+    return [
+        ExperimentConfig(meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v), shots=1)
+        for spec in specs
+        for v in (0.8, 1.0)
+    ]
+
+
+def _random_meter(rng: np.random.Generator) -> GaussianMeterSpec | AncillaMeterSpec:
+    if rng.random() < 0.5:
+        return GaussianMeterSpec(sigma=float(rng.uniform(0.2, 5.0)), eta=float(rng.uniform(0.05, 1.0)))
+    u = float(rng.uniform(0.05, 1.0))
+    return AncillaMeterSpec(v_total=u * float(rng.uniform(0.01, 1.0)), u=u)
+
+
+def _random_configs(count: int, seed: int) -> list[ExperimentConfig]:
+    """Independently drawn meters on the two arms, angles in [-7, 7], ``v`` in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    return [
+        ExperimentConfig(
+            meter1=_random_meter(rng),
+            meter2=_random_meter(rng),
+            b_spec=ProjectiveMeterSpec(v=float(rng.uniform(0.0, 1.0))),
+            angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
+            shots=1,
+        )
+        for _ in range(count)
+    ]
+
+
+def _verify_checks() -> list[tuple[str, float, float]]:
+    """Cross-check the routes to ``<C>`` against each other; returns (name, deviation, tolerance) rows.
+
+    ``blgi verify`` prints these rows and the acceptance suite asserts them.
+    """
     checks: list[tuple[str, float, float]] = []
 
     threshold = violation_threshold()
     checks.append(("threshold identity", abs(analytic_mean(threshold, threshold, 1.0) - 2.0), 1e-12))
 
-    worst = 0.0
-    for sigma in (0.5, 1.0, 2.0, 5.0):
-        for eta in (0.5, 1.0):
-            for v in (0.8, 1.0):
-                spec = GaussianMeterSpec(sigma=sigma, eta=eta)
-                config = ExperimentConfig(
-                    meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v), shots=1
-                )
-                worst = max(worst, abs(exact_mean(config) - config_analytic_mean(config)))
-    checks.append(("closed form vs instrument moments, gaussian grid", worst, 1e-6))
-
-    worst = 0.0
-    for v_total in (0.3, 0.6, 0.9):
-        for u in (0.8, 1.0):
-            for v in (0.8, 1.0):
-                if v_total > u:
-                    continue
-                spec = AncillaMeterSpec(v_total=v_total, u=u)
-                config = ExperimentConfig(
-                    meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v), shots=1
-                )
-                worst = max(worst, abs(exact_mean(config) - config_analytic_mean(config)))
-    checks.append(("closed form vs instrument moments, ancilla grid", worst, 1e-6))
-
-    basis = analyzer_basis(0.7)
-    nodes, gh_weights = np.polynomial.hermite.hermgauss(200)
-    worst = 0.0
-    for sigma in (0.5, 1.0, 2.0):
-        alpha = np.sqrt(2.0) * sigma * nodes
-        flat = np.sqrt(2.0) * sigma * np.exp(np.log(gh_weights) + nodes * nodes)
-        total = np.zeros((2, 2), dtype=complex)
-        for a, w in zip(alpha, flat):
-            kraus = gaussian_kraus(a, sigma, basis)
-            total += w * kraus.conj().T @ kraus
-        worst = max(worst, float(np.max(np.abs(total - np.eye(2)))))
-    checks.append(("gaussian meter completeness", worst, 1e-8))
-
-    worst = 0.0
-    for v_ent in (0.3, 0.9, 1.0):
-        total = sum(
-            ancilla_kraus(sign, v_ent, basis).conj().T @ ancilla_kraus(sign, v_ent, basis)
-            for sign in (+1, -1)
-        )
-        worst = max(worst, float(np.max(np.abs(total - np.eye(2)))))
-    checks.append(("ancilla meter completeness", worst, 1e-14))
+    gaussian = [GaussianMeterSpec(sigma=sigma, eta=eta) for sigma in (0.5, 1.0, 2.0, 5.0) for eta in (0.5, 1.0)]
+    checks.append(
+        ("closed form vs instrument moments, gaussian grid", _closed_form_gap(_symmetric_configs(gaussian)), 1e-6)
+    )
+    # the meter invariant v_total <= u rules out v_total = 0.9 at u = 0.8
+    ancilla = [
+        AncillaMeterSpec(v_total=v_total, u=u)
+        for v_total in (0.3, 0.6, 0.9)
+        for u in (0.8, 1.0)
+        if v_total <= u
+    ]
+    checks.append(
+        ("closed form vs instrument moments, ancilla grid", _closed_form_gap(_symmetric_configs(ancilla)), 1e-6)
+    )
+    checks.append((
+        "closed form vs instrument moments, random angles and mixed meters",
+        _closed_form_gap(_random_configs(200, seed=2013)),
+        1e-9,
+    ))
 
     threshold_sigma = 1.0 / np.sqrt(-2.0 * np.log(threshold))
     spec = GaussianMeterSpec(sigma=float(threshold_sigma))
     config = ExperimentConfig(meter1=spec, meter2=spec, shots=1)
     checks.append(("bound crossing at the threshold width", abs(exact_mean(config) - 2.0), 1e-6))
+
+    config = ExperimentConfig(
+        meter1=GaussianMeterSpec(sigma=2.0, eta=0.8),
+        meter2=AncillaMeterSpec(v_total=0.6, u=0.9),
+        b_spec=ProjectiveMeterSpec(v=0.9),
+        angles=(1.3, 0.4, -0.2, 2.6),
+        shots=100_000,
+        seed=2013,
+    )
+    estimate = monte_carlo(config)
+    checks.append(
+        ("monte carlo vs exact mean, in standard errors", abs(estimate.mean - exact_mean(config)) / estimate.stderr, 5.0)
+    )
 
     return checks
 

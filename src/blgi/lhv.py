@@ -11,7 +11,7 @@ this models locally invasive first measurements, which the correlator
 bound tolerates by construction.
 
 For every valid strategy the ensemble mean of the per-shot combination
-``C = alpha1*alpha2 + alpha1*b2 + b1*alpha2 - b1*b2`` lies in [-2, 2];
+:func:`blgi.protocol.correlator` lies in [-2, 2];
 :func:`brute_force_max` establishes the bound by enumeration.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import Estimate, MeasurementRecord
+from .protocol import Estimate, correlator
 
 PREP_DIST_TOL = 1e-12
 CALIBRATION_TOL = 1e-12
@@ -134,20 +134,12 @@ def lhv_records(
     return zeta, alpha1, alpha2, b1, b2
 
 
-def lhv_shot(strategy: LHVStrategy, rng: np.random.Generator) -> MeasurementRecord:
-    """Draw one classical shot from the strategy."""
-    _, alpha1, alpha2, b1, b2 = lhv_records(strategy, 1, rng)
-    return MeasurementRecord(
-        alpha1=float(alpha1[0]), alpha2=float(alpha2[0]), b1=float(b1[0]), b2=float(b2[0])
-    )
-
-
 def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Estimate:
     """Monte-Carlo mean of the per-shot correlator under the strategy."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     _, alpha1, alpha2, b1, b2 = lhv_records(strategy, shots, rng)
-    values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+    values = correlator(alpha1, alpha2, b1, b2)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
     return Estimate(mean=mean, stderr=stderr, shots=shots)
@@ -161,10 +153,7 @@ def _sign_pattern_extrema(num_hidden_states: int) -> tuple[float, float]:
         )
     # every hidden state offers the same 16 sign patterns, so the extrema
     # over mixtures of them do not depend on how many states there are
-    values = [
-        a1 * a2 + a1 * b2 + b1 * a2 - b1 * b2
-        for a1, a2, b1, b2 in itertools.product((-1.0, 1.0), repeat=4)
-    ]
+    values = [correlator(*signs) for signs in itertools.product((-1.0, 1.0), repeat=4)]
     return min(values), max(values)
 
 
@@ -191,9 +180,15 @@ def random_strategy(
     noise_sigma: float = 1.0,
     max_invasiveness: float = 0.0,
 ) -> LHVStrategy:
-    """Draw a calibrated strategy: flat simplex preparation, uniform properties."""
+    """Draw a calibrated strategy: flat simplex preparation, uniform properties.
+
+    Each arm's invasiveness is drawn per hidden state from
+    ``[0, max_invasiveness]``, which must be finite and >= 0.
+    """
     if num_hidden_states < 1:
         raise ValueError(f"num_hidden_states must be >= 1, got {num_hidden_states}")
+    if not (np.isfinite(max_invasiveness) and max_invasiveness >= 0.0):
+        raise ValueError(f"max_invasiveness must be finite and >= 0, got {max_invasiveness}")
     n = num_hidden_states
     prep = rng.dirichlet(np.ones(n))
     uniform = lambda: rng.uniform(-1.0, 1.0, size=n)

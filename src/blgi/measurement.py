@@ -19,11 +19,8 @@ true outcome flipped with probability ``(1 - v)/2``, so reported means are
 The record law has one implementation, :func:`sample_records`.  It keeps
 each shot as four real amplitudes and runs four elementwise stages (weak
 arm 1, weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw
-order.  :func:`gaussian_kraus`, :func:`ancilla_kraus` and
-:func:`apply_dephasing` give the same instruments on density matrices;
-they are the oracle the kernel is tested against.  Every sampler takes an
-explicit ``numpy.random.Generator`` and is safe to drive from disjoint
-RNG substreams.
+order.  Every sampler takes an explicit ``numpy.random.Generator`` and is
+safe to drive from disjoint RNG substreams.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import AnalyzerBasis, TwoQubitState, embed
+from .qmath import AnalyzerBasis
 
 
 @dataclass(frozen=True)
@@ -113,37 +110,6 @@ def _squared(x: float) -> float:
         return math.inf
 
 
-def gaussian_kraus(alpha: float, sigma: float, basis: AnalyzerBasis) -> np.ndarray:
-    """Kraus operator of the Gaussian meter for pointer readout ``alpha``.
-
-    Diagonal in ``basis`` with entries
-    ``(2 pi sigma^2)^(-1/4) exp(-(alpha -/+ 1)^2 / (4 sigma^2))``; the
-    squared completeness integral over alpha is the identity.
-    """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    variance = _squared(sigma)
-    norm = (2.0 * np.pi * variance) ** (-0.25)
-    g0 = norm * np.exp(-((alpha - 1.0) ** 2) / (4.0 * variance))
-    g1 = norm * np.exp(-((alpha + 1.0) ** 2) / (4.0 * variance))
-    return g0 * basis.projector0 + g1 * basis.projector1
-
-
-def ancilla_kraus(sign: int, v_ent: float, basis: AnalyzerBasis) -> np.ndarray:
-    """Back-action operator of the ancilla meter for outcome ``sign`` (+1/-1).
-
-    Diagonal in ``basis`` with entries ``sqrt(1/2 +/- v_ent/2)``; the two
-    outcomes satisfy ``M+^dag M+ + M-^dag M- = I`` exactly.
-    """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if not (0.0 < v_ent <= 1.0):
-        raise ValueError(f"v_ent must be in (0, 1], got {v_ent}")
-    e0 = np.sqrt(0.5 + sign * v_ent / 2.0)
-    e1 = np.sqrt(0.5 - sign * v_ent / 2.0)
-    return e0 * basis.projector0 + e1 * basis.projector1
-
-
 def dephasing_factor(spec: MeterSpec) -> float:
     """Coherence damping of the outcome-averaged meter back-action.
 
@@ -166,22 +132,6 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
     Chosen so that the total average damping is ``exp(-1/(2 sigma^2 eta))``.
     """
     return float(np.exp(-(1.0 / (2.0 * spec.variance)) * (1.0 / spec.eta - 1.0)))
-
-
-def apply_dephasing(state: TwoQubitState, arm: int, factor: float, basis: AnalyzerBasis) -> TwoQubitState:
-    """Multiply the arm's off-diagonal blocks (in ``basis``) by ``factor``.
-
-    Implemented as the channel ``(1+f)/2 rho + (1-f)/2 O rho O`` with the
-    basis observable ``O``, which is trace preserving and completely
-    positive for ``factor`` in [0, 1].
-    """
-    if not (0.0 <= factor <= 1.0):
-        raise ValueError(f"dephasing factor must be in [0, 1], got {factor}")
-    obs = embed(basis.observable, arm)
-    rho = 0.5 * (1.0 + factor) * state.rho + 0.5 * (1.0 - factor) * (obs @ state.rho @ obs)
-    return TwoQubitState.from_rho(rho)
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +215,9 @@ def weak_stage(
         shift = (strong - weak) * took_plus
         w0, w1 = weak + shift, strong - shift
         flip = rng.random(n) < (1.0 - spec.u) / 2.0
-        signals = _signs(took_plus != flip) / spec.v_total
+        # a Python-float reciprocal overflows to inf without a numpy warning,
+        # and +/-1 * (1/v) is +/-1/v exactly
+        signals = _signs(took_plus != flip) * (1.0 / spec.v_total)
     else:
         raise TypeError(f"unsupported meter spec {type(spec).__name__}")
     norm = 1.0 / np.sqrt(w0 * w0 * p0 + w1 * w1 * p1)

@@ -1,8 +1,9 @@
-"""The full correlator protocol: per-shot sampling, averaging, and oracles.
+"""The full correlator protocol: per-shot sampling, averaging, exact means, sweeps.
 
 One shot prepares the entangled pair, weakly measures arm 1 then arm 2
 (signals ``alpha1``, ``alpha2``), projectively reads out both arms
 (signals ``b1``, ``b2``), and evaluates the CHSH-form combination
+:func:`correlator`,
 
     C = alpha1*alpha2 + alpha1*b2 + b1*alpha2 - b1*b2.
 
@@ -11,8 +12,9 @@ configuration.  Three routes to the ensemble mean are provided:
 
 * :func:`monte_carlo` averages C over sampled shots,
 * :func:`exact_mean` contracts each weak arm's zeroth and first outcome
-  moments (closed-form instrument maps on the density matrix) with the
-  readout observables, which suffices because C is linear in each alpha,
+  moments (closed-form instrument maps on the Bell pair's density matrix)
+  with the readout observables, which suffices because C is linear in each
+  alpha,
 * :func:`analytic_mean` evaluates the closed form in the arms' dephasing
   factors and the analyzer angles, ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)`` at
   the default angles.
@@ -34,7 +36,7 @@ from .measurement import (
     MeterSpec,
     ProjectiveMeterSpec,
 )
-from .qmath import AnalyzerBasis, analyzer_basis, bell_state, embed
+from .qmath import AnalyzerBasis, analyzer_basis, embed
 
 #: analyzer angles (phi_a1, phi_a2, phi_b1, phi_b2) of the standard
 #: maximally violating CHSH configuration
@@ -48,16 +50,6 @@ CHUNK_SHOTS = 1 << 16
 
 class NumericalError(RuntimeError):
     """Raised when a computed mean or standard error is not finite."""
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """The four signals of one shot; ``b1``/``b2`` are exactly +/-1."""
-
-    alpha1: float
-    alpha2: float
-    b1: float
-    b2: float
 
 
 @dataclass(frozen=True)
@@ -114,14 +106,9 @@ def estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, shots=n)
 
 
-def correlator(record: MeasurementRecord) -> float:
-    """Per-shot CHSH-form combination of the four signals."""
-    return (
-        record.alpha1 * record.alpha2
-        + record.alpha1 * record.b2
-        + record.b1 * record.alpha2
-        - record.b1 * record.b2
-    )
+def correlator(alpha1, alpha2, b1, b2):
+    """Per-shot CHSH-form combination of the four signals, elementwise on arrays or floats."""
+    return alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -147,7 +134,7 @@ def _chunk(
     alpha1, alpha2, b1, b2 = _run_chunk(config, chunk_index, n)
     # signals wide enough to overflow end in NumericalError from the sums
     with np.errstate(over="ignore", invalid="ignore"):
-        values = alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+        values = correlator(alpha1, alpha2, b1, b2)
         return (alpha1, alpha2, b1, b2), float(values.sum()), float((values * values).sum())
 
 
@@ -308,7 +295,8 @@ def exact_mean(config: ExperimentConfig) -> float:
     readout2 = embed(basis_b2.observable, 2)
     v = config.b_spec.v
 
-    rho = bell_state().rho
+    psi = np.array(meas.BELL_AMPLITUDES, dtype=complex)
+    rho = np.outer(psi, psi.conj())
     d1, s1 = zeroth1(rho), first1(rho)
     mean = (
         np.trace(first2(s1))

@@ -1,14 +1,12 @@
-"""Exact linear algebra for two-qubit states and small measurement operators.
+"""Analyzer bases and single-qubit operators lifted to the pair.
 
 Conventions used throughout the package:
 
 * the joint basis is ordered ``|00>, |01>, |10>, |11>`` with arm 1 as the
   left tensor factor,
-* amplitudes are plain ``complex`` numbers, kets are length-2 complex
-  arrays, single-qubit operators are ``(2, 2)`` complex arrays,
-* two-qubit states are density matrices wrapped in :class:`TwoQubitState`
-  so that mixed states (finite detector efficiency, readout errors) are
-  first-class.
+* kets are length-2 complex arrays, single-qubit operators are ``(2, 2)``
+  complex arrays, and :func:`embed` lifts them to ``(4, 4)`` operators on
+  the pair.
 """
 
 from __future__ import annotations
@@ -17,21 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-EIGENVALUE_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-12
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
-
-
-class ZeroProbabilityError(RuntimeError):
-    """Raised when a measurement branch carries (numerically) zero weight.
-
-    The post-measurement state is undefined on such a branch and callers
-    must not renormalize it.
-    """
 
 
 @dataclass(frozen=True)
@@ -84,65 +70,6 @@ def analyzer_basis(phi: float) -> AnalyzerBasis:
     return AnalyzerBasis(phi=phi, ket0=ket0, ket1=ket1)
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
-    """A two-qubit density matrix in the fixed ``|00>,|01>,|10>,|11>`` basis.
-
-    Instances are immutable; construct through :meth:`from_rho`, which
-    validates Hermiticity, unit trace and positivity, and clips eigenvalues
-    in ``[-EIGENVALUE_TOL, 0)`` (accumulated floating-point error) to zero.
-    """
-
-    rho: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-
-    @classmethod
-    def from_rho(cls, rho: np.ndarray) -> "TwoQubitState":
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-        if not np.all(np.isfinite(rho.view(float))):
-            raise ValueError("density matrix contains non-finite entries")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        trace = np.trace(rho).real
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {trace}, expected 1")
-        rho = 0.5 * (rho + rho.conj().T)
-        evals = np.linalg.eigvalsh(rho)
-        if evals.min() < -EIGENVALUE_TOL:
-            raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{EIGENVALUE_TOL}")
-        if evals.min() < 0.0:
-            evals, evecs = np.linalg.eigh(rho)
-            evals = np.clip(evals, 0.0, None)
-            rho = (evecs * evals) @ evecs.conj().T
-            rho = rho / np.trace(rho).real
-        return cls(rho=rho)
-
-    def reduced(self, arm: int) -> np.ndarray:
-        """Partial trace over the other arm; returns the arm's 2x2 state."""
-        r = self.rho.reshape(2, 2, 2, 2)
-        if arm == 1:
-            return np.einsum("abcb->ac", r)
-        if arm == 2:
-            return np.einsum("abad->bd", r)
-        raise ValueError(f"arm must be 1 or 2, got {arm}")
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
-
-
-def bell_state() -> TwoQubitState:
-    """The maximally entangled pair ``(|00> + |11>)/sqrt(2)`` as a density matrix."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
-    return TwoQubitState(rho=np.outer(psi, psi.conj()))
-
-
 def embed(op: np.ndarray, arm: int) -> np.ndarray:
     """Lift a single-qubit operator to the pair: ``op (x) I`` or ``I (x) op``."""
     op = np.asarray(op, dtype=complex)
@@ -153,38 +80,3 @@ def embed(op: np.ndarray, arm: int) -> np.ndarray:
     if arm == 2:
         return np.kron(IDENTITY_2, op)
     raise ValueError(f"arm must be 1 or 2, got {arm}")
-
-
-def apply_operator(state: TwoQubitState, kraus: np.ndarray) -> tuple[float, TwoQubitState]:
-    """Apply a 4x4 Kraus operator: ``rho -> K rho K^dag / Tr(...)``.
-
-    Returns ``(weight, new_state)`` with ``weight = Tr(K rho K^dag)``.
-    Raises :class:`ZeroProbabilityError` when the branch weight is at or
-    below 1e-15.
-    """
-    kraus = np.asarray(kraus, dtype=complex)
-    if kraus.shape != (4, 4):
-        raise ValueError(f"two-qubit operator must be 4x4, got shape {kraus.shape}")
-    updated = kraus @ state.rho @ kraus.conj().T
-    weight = np.trace(updated).real
-    if weight <= 1e-15:
-        raise ZeroProbabilityError(f"measurement branch has weight {weight}")
-    return float(weight), TwoQubitState.from_rho(updated / weight)
-
-
-def expectation(
-    state: TwoQubitState,
-    basis1: AnalyzerBasis | None = None,
-    basis2: AnalyzerBasis | None = None,
-) -> float:
-    """Expectation of the +/-1 analyzer observable(s) on one or both arms.
-
-    With both bases given this is the pair correlator
-    ``Tr(rho O(phi1) (x) O(phi2))``; with one basis it is that arm's
-    marginal ``<O(phi)>``.
-    """
-    if basis1 is None and basis2 is None:
-        raise ValueError("at least one analyzer basis is required")
-    op1 = basis1.observable if basis1 is not None else IDENTITY_2
-    op2 = basis2.observable if basis2 is not None else IDENTITY_2
-    return float(np.trace(state.rho @ np.kron(op1, op2)).real)

@@ -1,0 +1,194 @@
+"""Density-matrix reference for the tests: states, Kraus operators, single shots.
+
+The runtime never builds a two-qubit density matrix shot by shot: the
+sampler works on four real amplitudes and the exact mean on closed-form
+instrument moments.  This module keeps the textbook formulation beside
+them, so that every kernel stage, every meter and the exact mean can be
+checked against it:
+
+* :class:`TwoQubitState` is a validated 4x4 density matrix in the joint
+  basis ``|00>, |01>, |10>, |11>`` with arm 1 as the left tensor factor,
+* :func:`gaussian_kraus` and :func:`ancilla_kraus` are the weak meters'
+  Kraus operators, :func:`apply_dephasing` the extra dephasing channel,
+* :class:`MeasurementRecord` and :func:`lhv_shot` give one shot as a
+  record of four floats.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from blgi.lhv import LHVStrategy, lhv_records
+from blgi.measurement import _squared
+from blgi.qmath import IDENTITY_2, AnalyzerBasis, embed
+
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
+EIGENVALUE_TOL = 1e-9
+
+
+class ZeroProbabilityError(RuntimeError):
+    """Raised when a measurement branch carries (numerically) zero weight.
+
+    The post-measurement state is undefined on such a branch and callers
+    must not renormalize it.
+    """
+
+
+@dataclass(frozen=True)
+class TwoQubitState:
+    """A two-qubit density matrix in the fixed ``|00>,|01>,|10>,|11>`` basis.
+
+    Instances are immutable; construct through :meth:`from_rho`, which
+    validates Hermiticity, unit trace and positivity, and clips eigenvalues
+    in ``[-EIGENVALUE_TOL, 0)`` (accumulated floating-point error) to zero.
+    """
+
+    rho: np.ndarray
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho, dtype=complex)
+        rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+
+    @classmethod
+    def from_rho(cls, rho: np.ndarray) -> "TwoQubitState":
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (4, 4):
+            raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+        if not np.all(np.isfinite(rho.view(float))):
+            raise ValueError("density matrix contains non-finite entries")
+        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+            raise ValueError("density matrix is not Hermitian")
+        trace = np.trace(rho).real
+        if abs(trace - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace is {trace}, expected 1")
+        rho = 0.5 * (rho + rho.conj().T)
+        evals = np.linalg.eigvalsh(rho)
+        if evals.min() < -EIGENVALUE_TOL:
+            raise ValueError(f"density matrix has eigenvalue {evals.min()} < -{EIGENVALUE_TOL}")
+        if evals.min() < 0.0:
+            evals, evecs = np.linalg.eigh(rho)
+            evals = np.clip(evals, 0.0, None)
+            rho = (evecs * evals) @ evecs.conj().T
+            rho = rho / np.trace(rho).real
+        return cls(rho=rho)
+
+    def reduced(self, arm: int) -> np.ndarray:
+        """Partial trace over the other arm; returns the arm's 2x2 state."""
+        r = self.rho.reshape(2, 2, 2, 2)
+        if arm == 1:
+            return np.einsum("abcb->ac", r)
+        if arm == 2:
+            return np.einsum("abad->bd", r)
+        raise ValueError(f"arm must be 1 or 2, got {arm}")
+
+    def purity(self) -> float:
+        return float(np.trace(self.rho @ self.rho).real)
+
+
+def bell_state() -> TwoQubitState:
+    """The maximally entangled pair ``(|00> + |11>)/sqrt(2)`` as a density matrix."""
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
+    return TwoQubitState(rho=np.outer(psi, psi.conj()))
+
+
+def apply_operator(state: TwoQubitState, kraus: np.ndarray) -> tuple[float, TwoQubitState]:
+    """Apply a 4x4 Kraus operator: ``rho -> K rho K^dag / Tr(...)``.
+
+    Returns ``(weight, new_state)`` with ``weight = Tr(K rho K^dag)``.
+    Raises :class:`ZeroProbabilityError` when the branch weight is at or
+    below 1e-15.
+    """
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.shape != (4, 4):
+        raise ValueError(f"two-qubit operator must be 4x4, got shape {kraus.shape}")
+    updated = kraus @ state.rho @ kraus.conj().T
+    weight = np.trace(updated).real
+    if weight <= 1e-15:
+        raise ZeroProbabilityError(f"measurement branch has weight {weight}")
+    return float(weight), TwoQubitState.from_rho(updated / weight)
+
+
+def expectation(
+    state: TwoQubitState,
+    basis1: AnalyzerBasis | None = None,
+    basis2: AnalyzerBasis | None = None,
+) -> float:
+    """Expectation of the +/-1 analyzer observable(s) on one or both arms.
+
+    With both bases given this is the pair correlator
+    ``Tr(rho O(phi1) (x) O(phi2))``; with one basis it is that arm's
+    marginal ``<O(phi)>``.
+    """
+    if basis1 is None and basis2 is None:
+        raise ValueError("at least one analyzer basis is required")
+    op1 = basis1.observable if basis1 is not None else IDENTITY_2
+    op2 = basis2.observable if basis2 is not None else IDENTITY_2
+    return float(np.trace(state.rho @ np.kron(op1, op2)).real)
+
+
+def gaussian_kraus(alpha: float, sigma: float, basis: AnalyzerBasis) -> np.ndarray:
+    """Kraus operator of the Gaussian meter for pointer readout ``alpha``.
+
+    Diagonal in ``basis`` with entries
+    ``(2 pi sigma^2)^(-1/4) exp(-(alpha -/+ 1)^2 / (4 sigma^2))``; the
+    squared completeness integral over alpha is the identity.
+    """
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    variance = _squared(sigma)
+    norm = (2.0 * np.pi * variance) ** (-0.25)
+    g0 = norm * np.exp(-((alpha - 1.0) ** 2) / (4.0 * variance))
+    g1 = norm * np.exp(-((alpha + 1.0) ** 2) / (4.0 * variance))
+    return g0 * basis.projector0 + g1 * basis.projector1
+
+
+def ancilla_kraus(sign: int, v_ent: float, basis: AnalyzerBasis) -> np.ndarray:
+    """Back-action operator of the ancilla meter for outcome ``sign`` (+1/-1).
+
+    Diagonal in ``basis`` with entries ``sqrt(1/2 +/- v_ent/2)``; the two
+    outcomes satisfy ``M+^dag M+ + M-^dag M- = I`` exactly.
+    """
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    if not (0.0 < v_ent <= 1.0):
+        raise ValueError(f"v_ent must be in (0, 1], got {v_ent}")
+    e0 = np.sqrt(0.5 + sign * v_ent / 2.0)
+    e1 = np.sqrt(0.5 - sign * v_ent / 2.0)
+    return e0 * basis.projector0 + e1 * basis.projector1
+
+
+def apply_dephasing(state: TwoQubitState, arm: int, factor: float, basis: AnalyzerBasis) -> TwoQubitState:
+    """Multiply the arm's off-diagonal blocks (in ``basis``) by ``factor``.
+
+    Implemented as the channel ``(1+f)/2 rho + (1-f)/2 O rho O`` with the
+    basis observable ``O``, which is trace preserving and completely
+    positive for ``factor`` in [0, 1].
+    """
+    if not (0.0 <= factor <= 1.0):
+        raise ValueError(f"dephasing factor must be in [0, 1], got {factor}")
+    obs = embed(basis.observable, arm)
+    rho = 0.5 * (1.0 + factor) * state.rho + 0.5 * (1.0 - factor) * (obs @ state.rho @ obs)
+    return TwoQubitState.from_rho(rho)
+
+
+@dataclass(frozen=True)
+class MeasurementRecord:
+    """The four signals of one shot; ``b1``/``b2`` are exactly +/-1."""
+
+    alpha1: float
+    alpha2: float
+    b1: float
+    b2: float
+
+
+def lhv_shot(strategy: LHVStrategy, rng: np.random.Generator) -> MeasurementRecord:
+    """Draw one classical shot from the strategy."""
+    _, alpha1, alpha2, b1, b2 = lhv_records(strategy, 1, rng)
+    return MeasurementRecord(
+        alpha1=float(alpha1[0]), alpha2=float(alpha2[0]), b1=float(b1[0]), b2=float(b2[0])
+    )

@@ -10,25 +10,23 @@ import numpy as np
 from scipy.special import roots_hermite
 
 import blgi
+from blgi.cli import _verify_checks
 from blgi.cli import main as cli_main
 from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    ancilla_kraus,
     first_readout,
-    gaussian_kraus,
     weak_stage,
 )
 from blgi.protocol import (
     ExperimentConfig,
-    analytic_mean,
-    config_analytic_mean,
     exact_mean,
     monte_carlo,
     violation_threshold,
 )
-from blgi.qmath import TwoQubitState, analyzer_basis, apply_operator, embed
+from blgi.qmath import analyzer_basis, embed
+from oracle import TwoQubitState, ancilla_kraus, apply_operator, gaussian_kraus
 
 SQRT2 = np.sqrt(2.0)
 
@@ -85,37 +83,34 @@ def test_criterion_2_weak_limit():
     )
 
 
+def _verify_rows() -> dict[str, float]:
+    """Deviation of each ``blgi verify`` row, by name."""
+    return {name: deviation for name, deviation, _ in _verify_checks()}
+
+
 def test_criterion_3_oracle_agreement():
     start = time.monotonic()
-    worst = 0.0
-    for sigma in (0.5, 1.0, 2.0, 5.0):
-        for eta in (0.5, 1.0):
-            for v in (0.8, 1.0):
-                config = _gaussian_config(sigma=sigma, eta=eta, v=v)
-                worst = max(worst, abs(exact_mean(config) - config_analytic_mean(config)))
-    count = 16
-    for v_total in (0.3, 0.6, 0.9):
-        for u in (0.8, 1.0):
-            for v in (0.8, 1.0):
-                if v_total > u:  # the meter invariant v_total <= u rules this cell out
-                    continue
-                config = _ancilla_config(v_total=v_total, u=u, v=v)
-                worst = max(worst, abs(exact_mean(config) - config_analytic_mean(config)))
-                count += 1
+    rows = _verify_rows()
+    worst = max(
+        rows["closed form vs instrument moments, gaussian grid"],
+        rows["closed form vs instrument moments, ancilla grid"],
+    )
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 60.0
     _report(
         "criterion 3 (closed form vs instrument moments)",
         ok,
-        f"max |exact - analytic| = {worst:.2e} < 1e-6 over {count} configs in {elapsed:.1f}s < 60s",
+        f"max |exact - analytic| = {worst:.2e} < 1e-6 over the gaussian and ancilla grids "
+        f"in {elapsed:.1f}s < 60s",
     )
 
 
 def test_criterion_4_threshold_identity():
     threshold = violation_threshold()
-    identity_error = abs(analytic_mean(threshold, threshold, 1.0) - 2.0)
+    rows = _verify_rows()
+    identity_error = rows["threshold identity"]
     crossing_sigma = 1.0 / np.sqrt(-2.0 * np.log(threshold))
-    crossing_error = abs(exact_mean(_gaussian_config(sigma=float(crossing_sigma))) - 2.0)
+    crossing_error = rows["bound crossing at the threshold width"]
     below = exact_mean(_gaussian_config(sigma=float(crossing_sigma) - 0.05))
     above = exact_mean(_gaussian_config(sigma=float(crossing_sigma) + 0.05))
     ok = identity_error < 1e-12 and crossing_error < 1e-6 and below < 2.0 < above

@@ -28,6 +28,12 @@ def _child_env():
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+#: signals wide enough that the per-shot products overflow
+GAUSSIAN_OVERFLOW = ["--sigma", "1e300", "--shots", "10"]
+#: 1/v_total overflows to inf in the ancilla kernel
+ANCILLA_OVERFLOW = ["--meter", "ancilla", "--v-total", "1e-320", "--shots", "3", "--seed", "1"]
+
+
 def _summary_row(path):
     lines = _read(path).splitlines()
     assert lines[0] == "mean,stderr,exact,analytic,violation"
@@ -90,10 +96,18 @@ class TestSimulate:
         assert code == 3
         assert "numerical error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("records", [False, True])
-    def test_numerical_failure_prints_no_runtime_warning(self, tmp_path, records):
+    @pytest.mark.parametrize(
+        "flags, records",
+        [
+            pytest.param(GAUSSIAN_OVERFLOW, False, id="False"),
+            pytest.param(GAUSSIAN_OVERFLOW, True, id="True"),
+            pytest.param(ANCILLA_OVERFLOW, False, id="ancilla-False"),
+            pytest.param(ANCILLA_OVERFLOW, True, id="ancilla-True"),
+        ],
+    )
+    def test_numerical_failure_prints_no_runtime_warning(self, tmp_path, flags, records):
         # a fresh interpreter, so the warning registry cannot hide a repeat
-        argv = ["simulate", "--sigma", "1e300", "--shots", "10", "--out", str(tmp_path / "x.csv")]
+        argv = ["simulate", *flags, "--out", str(tmp_path / "x.csv")]
         if records:
             argv += ["--records", str(tmp_path / "r.csv")]
         proc = subprocess.run(
@@ -496,6 +510,7 @@ class TestInputErrors:
             ["lhv", "--random", "1", "--shots", "100", "--seed", "-1"],
             ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
             ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
+            *(["lhv", "--random", "1", "--shots", "10", "--invasiveness", value] for value in ("inf", "nan", "-0.5")),
             ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],
             ["simulate", "--shots", "10", "--seed", str(2**64)],
             ["simulate", "--meter", "gaussian", "--v-total", "0.5", "--u", "0.3", "--shots", "10"],
@@ -572,6 +587,35 @@ def test_simulate_argv_ends_in_a_documented_exit_code(tmp_path_factory, flags, o
         argv += ["--records", str(tmp / "records.csv")]
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects unparseable values
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in stderr.getvalue()
+
+
+LHV_FLAGS = st.tuples(
+    _flag("--random", "-1", "0", "1", "2"),
+    st.sampled_from([[], ["--brute-force"]]),
+    _flag("--shots", "-1", "0", "1", "2", "50"),
+    _flag("--hidden-states", "0", "1", "8", "9"),
+    _flag("--noise-sigma", "0", "1", "2.5", "-1", "nan", "inf"),
+    _flag("--invasiveness", "0", "0.3", "-0.5", "nan", "inf", "1e308"),
+    _flag("--calibration-shots", "9999", "10000"),
+    _flag("--seed", "-1", "0", "3", str(2**64 - 1), str(2**64)),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flags=LHV_FLAGS)
+# rng.uniform(0, inf) once ended in an OverflowError traceback
+@example(flags=(["--random", "1"], [], ["--shots", "10"], [], [], ["--invasiveness", "inf"], [], []))
+def test_lhv_argv_ends_in_a_documented_exit_code(tmp_path_factory, flags):
+    out = tmp_path_factory.mktemp("argv") / "out.csv"
+    argv = ["lhv", *(part for flag in flags for part in flag), "--out", str(out)]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects unparseable values

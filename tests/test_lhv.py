@@ -8,9 +8,9 @@ from blgi.lhv import (
     calibration_check,
     lhv_mean,
     lhv_records,
-    lhv_shot,
     random_strategy,
 )
+from oracle import lhv_shot
 
 
 def _best_deterministic():

@@ -7,16 +7,14 @@ from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    ancilla_kraus,
-    apply_dephasing,
     dephasing_factor,
     excess_dephasing_factor,
     first_readout,
-    gaussian_kraus,
     second_readout,
     weak_stage,
 )
-from blgi.qmath import TwoQubitState, analyzer_basis, apply_operator, bell_state, embed
+from blgi.qmath import analyzer_basis, embed
+from oracle import TwoQubitState, ancilla_kraus, apply_dephasing, apply_operator, bell_state, gaussian_kraus
 
 #: |00>, one state shared by every shot
 KET_00 = (1.0, 0.0, 0.0, 0.0)

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    ancilla_kraus,
     excess_dephasing_factor,
-    gaussian_kraus,
     sample_records,
 )
 from blgi.protocol import (
@@ -20,7 +19,6 @@ from blgi.protocol import (
     DEFAULT_ANGLES,
     Estimate,
     ExperimentConfig,
-    MeasurementRecord,
     NumericalError,
     _run_chunk,
     analytic_mean,
@@ -34,7 +32,8 @@ from blgi.protocol import (
     sweep,
     violation_threshold,
 )
-from blgi.qmath import bell_state, embed
+from blgi.qmath import embed
+from oracle import MeasurementRecord, ancilla_kraus, bell_state, gaussian_kraus
 
 SQRT2 = np.sqrt(2.0)
 
@@ -65,18 +64,17 @@ def _ancilla_config(v_total=1.0, u=1.0, v=1.0, shots=100_000, seed=42, angles=DE
 
 class TestCorrelator:
     def test_all_ones(self):
-        assert correlator(MeasurementRecord(1, 1, 1, 1)) == 2.0
+        assert correlator(1, 1, 1, 1) == 2.0
 
     def test_zero_alphas(self):
-        assert correlator(MeasurementRecord(0, 0, 1, 1)) == -1.0
+        assert correlator(0, 0, 1, 1) == -1.0
 
     def test_mixed_values(self):
-        assert abs(correlator(MeasurementRecord(2.5, -0.4, 1, -1)) - (-2.9)) < 1e-12
+        assert abs(correlator(2.5, -0.4, 1, -1) - (-2.9)) < 1e-12
 
     @given(finite, finite, st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
     def test_formula(self, a1, a2, b1, b2):
-        record = MeasurementRecord(a1, a2, b1, b2)
-        assert correlator(record) == a1 * a2 + a1 * b2 + b1 * a2 - b1 * b2
+        assert correlator(a1, a2, b1, b2) == a1 * a2 + a1 * b2 + b1 * a2 - b1 * b2
 
 
 class TestConfigValidation:
@@ -126,7 +124,7 @@ class TestRunShot:
     def test_single_shot_mean_tracks_oracle(self):
         config = _ancilla_config(v_total=0.8, shots=1)
         rng = np.random.default_rng(7)
-        values = [correlator(self._shot(config, rng)) for _ in range(4000)]
+        values = [correlator(*astuple(self._shot(config, rng))) for _ in range(4000)]
         values = np.asarray(values)
         stderr = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - exact_mean(config)) < 5 * stderr
