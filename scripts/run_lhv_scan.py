@@ -13,6 +13,7 @@ import sys
 import numpy as np
 
 from blgi import brute_force_max, brute_force_min, lhv_mean, random_strategy
+from blgi.protocol import NumericalError, substream_rng
 
 
 def main() -> int:
@@ -29,13 +30,17 @@ def main() -> int:
     smallest = np.inf
     violations = 0
     for index in range(args.strategies):
-        rng = np.random.Generator(np.random.Philox(key=(args.seed << 64) + index))
+        rng = substream_rng(args.seed, index)
         strategy = random_strategy(
             args.hidden_states, rng,
             noise_sigma=args.noise_sigma,
             max_invasiveness=args.invasiveness,
         )
-        estimate = lhv_mean(strategy, args.shots, rng)
+        try:
+            estimate = lhv_mean(strategy, args.shots, rng)
+        except NumericalError as exc:
+            print(f"numerical error: {exc}", file=sys.stderr)
+            return 3
         largest = max(largest, estimate.mean)
         smallest = min(smallest, estimate.mean)
         if abs(estimate.mean) > 2.0 + 4.0 * estimate.stderr:

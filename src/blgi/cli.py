@@ -22,7 +22,7 @@ from .config import (
     load_strategy,
     resolve_seed,
 )
-from .measurement import AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
+from .measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
 from .protocol import (
     SWEEP_AXES,
     ExperimentConfig,
@@ -33,6 +33,7 @@ from .protocol import (
     monte_carlo,
     predicted_stderr,
     retune,
+    substream_rng,
     sweep,
     violation_threshold,
 )
@@ -95,7 +96,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="experiment config file (INI)")
     parser.add_argument("--threads", type=int, default=1, help="worker cap (never changes results)")
-    parser.add_argument("--meter", choices=("gaussian", "ancilla"), default=None, help="meter type for both arms")
+    parser.add_argument("--meter", choices=tuple(METER_KINDS), default=None, help="meter type for both arms")
     parser.add_argument("--sigma", type=float, default=None, help="gaussian signal std per eigenstate")
     parser.add_argument("--eta", type=float, default=None, help="gaussian meter quantum efficiency")
     parser.add_argument("--v-total", type=float, default=None, help="ancilla total visibility")
@@ -216,37 +217,22 @@ def _write_manifest(args: argparse.Namespace, config: ExperimentConfig | None) -
 # Config resolution.
 # ---------------------------------------------------------------------------
 
-def _default_config() -> ExperimentConfig:
-    return ExperimentConfig(
-        meter1=GaussianMeterSpec(sigma=1.0),
-        meter2=GaussianMeterSpec(sigma=1.0),
-    )
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.stored_config is not None:
         return config_from_sections(args.stored_config)
-    if args.config is not None:
-        config = load_experiment_config(args.config)
-    else:
-        config = _default_config()
-
+    config = ExperimentConfig() if args.config is None else load_experiment_config(args.config)
     try:
         if args.meter is not None:
-            spec = GaussianMeterSpec(sigma=1.0) if args.meter == "gaussian" else AncillaMeterSpec(v_total=1.0)
+            spec = METER_KINDS[args.meter]()
             config = replace(config, meter1=spec, meter2=spec)
         values = {name: getattr(args, name) for name in SWEEP_AXES if getattr(args, name) is not None}
         config = retune(config, **values)
         if args.shots is not None:
             config = replace(config, shots=args.shots)
-        angles = list(config.angles)
-        for index, name in enumerate(("phi_a1", "phi_a2", "phi_b1", "phi_b2")):
-            value = getattr(args, name)
-            if value is not None:
-                angles[index] = value
-        config = replace(config, angles=tuple(angles))
+        flags = (args.phi_a1, args.phi_a2, args.phi_b1, args.phi_b2)
+        angles = tuple(angle if flag is None else flag for angle, flag in zip(config.angles, flags))
         seed = resolve_seed(args.seed, file_seed=config.seed if args.config is not None else None)
-        config = replace(config, seed=seed)
+        config = replace(config, angles=angles, seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
@@ -366,7 +352,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         if args.random < 1:
             raise ConfigError(f"--random: expected a positive count, got {args.random}")
         for index in range(args.random):
-            rng = np.random.Generator(np.random.Philox(key=(seed << 64) + index))
+            rng = substream_rng(seed, index)
             try:
                 strategy = lhv.random_strategy(
                     args.hidden_states,
@@ -384,7 +370,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     rows = []
     any_violation = False
     for index, (name, strategy) in enumerate(strategies):
-        rng = np.random.Generator(np.random.Philox(key=(seed << 64) + (1 << 32) + index))
+        rng = substream_rng(seed, (1 << 32) + index)
         estimate = lhv.lhv_mean(strategy, args.shots, rng)
         calibration = lhv.calibration_check(strategy, args.calibration_shots, rng)
         bound_ok = abs(estimate.mean) <= LMR_BOUND + 4.0 * estimate.stderr

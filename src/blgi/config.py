@@ -13,18 +13,20 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
 
 from .lhv import LHVStrategy
-from .measurement import AncillaMeterSpec, GaussianMeterSpec, MeterSpec, ProjectiveMeterSpec
+from .measurement import METER_KINDS, MeterSpec, ProjectiveMeterSpec, check_meter_field, field_names
 from .protocol import DEFAULT_ANGLES, ExperimentConfig
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "BLGI_SEED"
 
+#: the config-file sections; the meter, ``b`` and ``run`` keys are dataclass fields
+_SECTIONS = ("meter1", "meter2", "b", "angles", "run")
 _ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 
 
@@ -57,10 +59,9 @@ def _parse_vector(text: str, where: str) -> list[float]:
         raise ConfigError(f"{where}: expected comma-separated numbers, got {text!r}") from exc
 
 
-def _read_ini(path: str | Path) -> configparser.ConfigParser:
+def _read_ini(path: str | Path) -> dict[str, dict[str, str]]:
+    """The sections of INI file ``path``; a ``[DEFAULT]`` section with keys is an error."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         with open(path, encoding="utf-8") as handle:
@@ -69,49 +70,63 @@ def _read_ini(path: str | Path) -> configparser.ConfigParser:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    return parser
+    if parser.defaults():
+        raise ConfigError("[DEFAULT]: unknown section; its keys would apply to every section")
+    return {name: dict(parser[name]) for name in parser.sections()}
+
+
+def _keywords(section: dict[str, Any], keys: tuple[str, ...], where: str, parse) -> dict[str, Any]:
+    """``section``'s values parsed by ``parse``; a key outside ``keys`` is an error."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown key; expected one of {', '.join(keys)}")
+    return {key: parse(value, f"{where}.{key}") for key, value in section.items()}
+
+
+def _build(cls: type, values: dict[str, Any], where: str):
+    """``cls(**values)``; a failed invariant is a config error naming ``where``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _meter_from_section(section: dict[str, Any], where: str) -> MeterSpec:
-    kind = str(section.get("type", "gaussian")).strip().lower()
-    try:
-        if kind == "gaussian":
-            return GaussianMeterSpec(
-                sigma=_parse_float(section.get("sigma", 1.0), f"{where}.sigma"),
-                eta=_parse_float(section.get("eta", 1.0), f"{where}.eta"),
-            )
-        if kind == "ancilla":
-            return AncillaMeterSpec(
-                v_total=_parse_float(section.get("v_total", 1.0), f"{where}.v_total"),
-                u=_parse_float(section.get("u", 1.0), f"{where}.u"),
-            )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.type: expected 'gaussian' or 'ancilla', got {kind!r}")
+    values = dict(section)
+    kind = str(values.pop("type", "gaussian")).strip().lower()
+    if kind not in METER_KINDS:
+        raise ConfigError(f"{where}.type: expected one of {', '.join(METER_KINDS)}, got {kind!r}")
+    for key in values:
+        try:
+            check_meter_field(METER_KINDS[kind], key, where, f"{where}.{key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    values = {key: _parse_float(value, f"{where}.{key}") for key, value in values.items()}
+    return _build(METER_KINDS[kind], values, where)
 
 
 def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from config-file sections.
 
-    Values may be INI text or JSON numbers; a missing key takes its default.
+    Values may be INI text or JSON numbers; a missing key takes its
+    dataclass default, and an unknown section or key is an error.
     """
+    for name in sections:
+        if name not in _SECTIONS:
+            raise ConfigError(f"[{name}]: unknown section; expected one of {', '.join(_SECTIONS)}")
     meter1 = _meter_from_section(sections.get("meter1", {}), "meter1")
     meter2 = _meter_from_section(sections.get("meter2", {}), "meter2")
-    try:
-        b_spec = ProjectiveMeterSpec(v=_parse_float(sections.get("b", {}).get("v", 1.0), "b.v"))
-    except ValueError as exc:
-        raise ConfigError(f"b.v: {exc}") from exc
-    angles_section = sections.get("angles", {})
-    angles = tuple(
-        _parse_float(angles_section.get(key, default), f"angles.{key}")
-        for key, default in zip(_ANGLE_KEYS, DEFAULT_ANGLES)
-    )
-    run_section = sections.get("run", {})
-    shots = _parse_int(run_section.get("shots", 1_000_000), "run.shots")
-    seed = _parse_int(run_section.get("seed", DEFAULT_SEED), "run.seed")
+    b_values = _keywords(sections.get("b", {}), field_names(ProjectiveMeterSpec), "b", _parse_float)
+    angles = dict(zip(_ANGLE_KEYS, DEFAULT_ANGLES))
+    angles.update(_keywords(sections.get("angles", {}), _ANGLE_KEYS, "angles", _parse_float))
+    run = _keywords(sections.get("run", {}), ("shots", "seed"), "run", _parse_int)
     try:
         return ExperimentConfig(
-            meter1=meter1, meter2=meter2, b_spec=b_spec, angles=angles, shots=shots, seed=seed
+            meter1=meter1,
+            meter2=meter2,
+            b_spec=_build(ProjectiveMeterSpec, b_values, "b"),
+            angles=tuple(angles.values()),
+            **run,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -119,23 +134,18 @@ def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfi
 
 def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, Any]]:
     """The inverse of :func:`config_from_sections`, exact for every field."""
-    sections: dict[str, dict[str, Any]] = {}
-    for name in ("meter1", "meter2"):
-        spec = getattr(config, name)
-        if isinstance(spec, GaussianMeterSpec):
-            sections[name] = {"type": "gaussian", "sigma": spec.sigma, "eta": spec.eta}
-        else:
-            sections[name] = {"type": "ancilla", "v_total": spec.v_total, "u": spec.u}
-    sections["b"] = {"v": config.b_spec.v}
-    sections["angles"] = dict(zip(_ANGLE_KEYS, config.angles))
-    sections["run"] = {"shots": config.shots, "seed": config.seed}
-    return sections
+    return {
+        "meter1": {"type": config.meter1.label.lower(), **asdict(config.meter1)},
+        "meter2": {"type": config.meter2.label.lower(), **asdict(config.meter2)},
+        "b": asdict(config.b_spec),
+        "angles": dict(zip(_ANGLE_KEYS, config.angles)),
+        "run": {"shots": config.shots, "seed": config.seed},
+    }
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read an experiment config file into an :class:`ExperimentConfig`."""
-    parser = _read_ini(path)
-    return config_from_sections({name: dict(parser[name]) for name in parser.sections()})
+    return config_from_sections(_read_ini(path))
 
 
 def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
@@ -160,41 +170,34 @@ def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
 
 
 def load_strategy(path: str | Path) -> LHVStrategy:
-    """Read a strategy file and validate its invariants."""
-    parser = _read_ini(path)
-    if not parser.has_section("strategy"):
-        raise ConfigError(f"{path}: missing [strategy] section")
-    section = dict(parser["strategy"])
+    """Read a strategy file and validate its invariants.
+
+    Besides ``hidden_states``, the keys are :class:`LHVStrategy` fields: a
+    field with a float default is a number, any other a vector with one
+    entry per hidden state, required when the field has no default.
+    """
+    sections = _read_ini(path)
+    if list(sections) != ["strategy"]:
+        found = ", ".join(f"[{name}]" for name in sections) or "none"
+        raise ConfigError(f"{path}: expected one section, [strategy], got {found}")
+    section = sections["strategy"]
     if "hidden_states" not in section:
         raise ConfigError("strategy.hidden_states is required")
-    n = _parse_int(section["hidden_states"], "strategy.hidden_states")
-
-    def vector(key: str, required: bool = True) -> list[float] | None:
-        if key not in section:
-            if required:
-                raise ConfigError(f"strategy.{key} is required")
-            return None
-        values = _parse_vector(section[key], f"strategy.{key}")
-        if len(values) != n:
-            raise ConfigError(
-                f"strategy.{key} must have {n} entries (one per hidden state), got {len(values)}"
-            )
-        return values
-
+    n = _parse_int(section.pop("hidden_states"), "strategy.hidden_states")
+    defaults = {field.name: field.default for field in fields(LHVStrategy)}
+    values = {}
+    for key, text in section.items():
+        where = f"strategy.{key}"
+        if key not in defaults:
+            raise ConfigError(f"{where}: unknown key; expected one of hidden_states, {', '.join(defaults)}")
+        values[key] = _parse_float(text, where) if isinstance(defaults[key], float) else _parse_vector(text, where)
+        if isinstance(values[key], list) and len(values[key]) != n:
+            raise ConfigError(f"{where} must have {n} entries (one per hidden state), got {len(values[key])}")
+    for key, default in defaults.items():
+        if default is MISSING and key not in values:
+            raise ConfigError(f"strategy.{key} is required")
     try:
-        strategy = LHVStrategy(
-            prep_dist=vector("prep_dist"),
-            a1=vector("a1"),
-            a2=vector("a2"),
-            b1=vector("b1"),
-            b2=vector("b2"),
-            noise_sigma1=_parse_float(section.get("noise_sigma1", "1.0"), "strategy.noise_sigma1"),
-            noise_sigma2=_parse_float(section.get("noise_sigma2", "1.0"), "strategy.noise_sigma2"),
-            noise_bias1=vector("noise_bias1", required=False),
-            noise_bias2=vector("noise_bias2", required=False),
-            invasiveness1=vector("invasiveness1", required=False),
-            invasiveness2=vector("invasiveness2", required=False),
-        )
+        strategy = LHVStrategy(**values)
         strategy.validate()
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -239,24 +242,16 @@ class RunManifest:
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"manifest file not found: {path}")
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse manifest {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
-        try:
-            manifest = cls(
-                command=data["command"],
-                argv=data["argv"],
-                config=data["config"],
-                version=str(data.get("version", "")),
-                created_utc=str(data.get("created_utc", "")),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"manifest {path} is missing fields: {exc}") from exc
+        keys = field_names(cls)
+        if not (isinstance(data, dict) and set(data) == set(keys)):
+            raise ConfigError(f"manifest {path}: expected exactly the fields {', '.join(keys)}")
+        manifest = cls(**data)
         if not (isinstance(manifest.argv, list) and all(isinstance(arg, str) for arg in manifest.argv)):
             raise ConfigError(f"manifest {path}: argv must be a list of strings, got {manifest.argv!r}")
         if not (

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import Estimate, correlator
+from .protocol import Estimate, NumericalError, correlator
 
 PREP_DIST_TOL = 1e-12
 CALIBRATION_TOL = 1e-12
@@ -135,13 +135,16 @@ def lhv_records(
 
 
 def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Estimate:
-    """Monte-Carlo mean of the per-shot correlator under the strategy."""
+    """Monte-Carlo mean of the per-shot correlator; :class:`NumericalError` if not finite."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    _, alpha1, alpha2, b1, b2 = lhv_records(strategy, shots, rng)
-    values = correlator(alpha1, alpha2, b1, b2)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, alpha1, alpha2, b1, b2 = lhv_records(strategy, shots, rng)
+        values = correlator(alpha1, alpha2, b1, b2)
+        mean = float(values.mean())
+        stderr = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(stderr)):
+        raise NumericalError(f"hidden-variable mean {mean} or stderr {stderr} is not finite")
     return Estimate(mean=mean, stderr=stderr, shots=shots)
 
 

@@ -26,7 +26,8 @@ safe to drive from disjoint RNG substreams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from .qmath import AnalyzerBasis
 class GaussianMeterSpec:
     """Gaussian pointer meter: signal std ``sigma`` > 0, efficiency ``eta`` in (0, 1]."""
 
-    sigma: float
+    label: ClassVar[str] = "Gaussian"
+
+    sigma: float = 1.0
     eta: float = 1.0
 
     def __post_init__(self):
@@ -66,7 +69,9 @@ class AncillaMeterSpec:
     ``v_total <= u`` always; the entangling strength is ``v_total / u``.
     """
 
-    v_total: float
+    label: ClassVar[str] = "ancilla"
+
+    v_total: float = 1.0
     u: float = 1.0
 
     def __post_init__(self):
@@ -100,6 +105,24 @@ class ProjectiveMeterSpec:
 
 
 MeterSpec = GaussianMeterSpec | AncillaMeterSpec
+
+#: the weak-meter types by their lowercase ``label``, the config files' ``type`` names
+METER_KINDS: dict[str, type[MeterSpec]] = {cls.label.lower(): cls for cls in (GaussianMeterSpec, AncillaMeterSpec)}
+
+
+def field_names(cls: type) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, in declaration order."""
+    return tuple(f.name for f in fields(cls))
+
+
+def check_meter_field(kind: type[MeterSpec], field: str, arm: str, what: str) -> None:
+    """Raise ValueError, its message opening with ``what``, unless meter type ``kind`` on ``arm`` has ``field``."""
+    if field in field_names(kind):
+        return
+    owner = next((cls for cls in METER_KINDS.values() if field in field_names(cls)), None)
+    if owner is None:
+        raise ValueError(f"{what}: unknown key; a {kind.label} meter has {', '.join(field_names(kind))}")
+    raise ValueError(f"{what} requires {owner.label} meters, but {arm} is {kind.label}")
 
 
 def _squared(x: float) -> float:

@@ -30,12 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import measurement as meas
-from .measurement import (
-    AncillaMeterSpec,
-    GaussianMeterSpec,
-    MeterSpec,
-    ProjectiveMeterSpec,
-)
+from .measurement import GaussianMeterSpec, MeterSpec, ProjectiveMeterSpec
 from .qmath import AnalyzerBasis, analyzer_basis, embed
 
 #: analyzer angles (phi_a1, phi_a2, phi_b1, phi_b2) of the standard
@@ -56,18 +51,18 @@ class NumericalError(RuntimeError):
 class ExperimentConfig:
     """Everything that determines a run: meters, angles, shots, seed."""
 
-    meter1: MeterSpec
-    meter2: MeterSpec
-    b_spec: ProjectiveMeterSpec = ProjectiveMeterSpec(v=1.0)
+    meter1: MeterSpec = GaussianMeterSpec()
+    meter2: MeterSpec = GaussianMeterSpec()
+    b_spec: ProjectiveMeterSpec = ProjectiveMeterSpec()
     angles: tuple[float, float, float, float] = DEFAULT_ANGLES
     shots: int = 1_000_000
     seed: int = 42
 
     def __post_init__(self):
-        if not isinstance(self.meter1, (GaussianMeterSpec, AncillaMeterSpec)):
-            raise ValueError(f"meter1 must be a meter spec, got {type(self.meter1).__name__}")
-        if not isinstance(self.meter2, (GaussianMeterSpec, AncillaMeterSpec)):
-            raise ValueError(f"meter2 must be a meter spec, got {type(self.meter2).__name__}")
+        for name in ("meter1", "meter2"):
+            spec = getattr(self, name)
+            if not isinstance(spec, tuple(meas.METER_KINDS.values())):
+                raise ValueError(f"{name} must be a meter spec, got {type(spec).__name__}")
         if len(self.angles) != 4 or not all(np.isfinite(a) for a in self.angles):
             raise ValueError(f"angles must be four finite radians, got {self.angles}")
         if self.shots < 1:
@@ -111,14 +106,17 @@ def correlator(alpha1, alpha2, b1, b2):
     return alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # Philox is counter based: keying by (seed, chunk index) gives disjoint
-    # substreams without sequential jumping.
-    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + chunk_index))
+def substream_rng(seed: int, index: int) -> np.random.Generator:
+    """Substream ``index`` of ``seed``, for any index below ``2**64``.
+
+    Philox is counter based: keying by (seed, index) gives disjoint
+    substreams without sequential jumping.
+    """
+    return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
 
 
 def _run_chunk(config: ExperimentConfig, chunk_index: int, n: int) -> tuple[np.ndarray, ...]:
-    rng = _chunk_rng(config.seed, chunk_index)
+    rng = substream_rng(config.seed, chunk_index)
     return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.bases(), rng)
 
 
@@ -334,11 +332,6 @@ def config_analytic_mean(config: ExperimentConfig) -> float:
     )
 
 
-#: the meter type that has each field :func:`retune` sets on both arms
-_METER_FIELDS = {"sigma": "Gaussian", "eta": "Gaussian", "v_total": "ancilla", "u": "ancilla"}
-_METER_NAMES = {GaussianMeterSpec: "Gaussian", AncillaMeterSpec: "ancilla"}
-
-
 def retune(config: ExperimentConfig, **values: float) -> ExperimentConfig:
     """Set ``sigma``/``eta`` or ``v_total``/``u`` on both meters and ``v`` on the readout.
 
@@ -349,11 +342,7 @@ def retune(config: ExperimentConfig, **values: float) -> ExperimentConfig:
     meter_values = {field: value for field, value in values.items() if field != "v"}
     for field, value in meter_values.items():
         for name in ("meter1", "meter2"):
-            found = _METER_NAMES[type(getattr(config, name))]
-            if found != _METER_FIELDS[field]:
-                raise ValueError(
-                    f"{field} {value} requires {_METER_FIELDS[field]} meters, but {name} is {found}"
-                )
+            meas.check_meter_field(type(getattr(config, name)), field, name, f"{field} {value}")
     try:
         config = replace(
             config,

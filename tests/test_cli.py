@@ -423,6 +423,11 @@ class TestManifestRerunErrors:
             (SIMULATE, _set_config("run", "shots", 1000.7), [], "run.shots"),
             (SIMULATE, _set_config("meter1", "sigma", None), [], "meter1.sigma"),
             (SIMULATE, lambda data: {**data, "argv": ["--meter", "ancilla"]}, [], "--meter"),
+            (SIMULATE, _set_config("meter1", "v_total", 0.5), [], "meter1.v_total"),
+            (SIMULATE, _set_config("meter2", "sigmaa", 5), [], "meter2.sigmaa"),
+            (SIMULATE, _set_config("run", "shot", 10), [], "run.shot"),
+            (SIMULATE, lambda data: {**data, "config": {**data["config"], "angels": {}}}, [], "angels"),
+            (SIMULATE, lambda data: {**data, "config": {**data["config"], "DEFAULT": {"sigma": 3}}}, [], "DEFAULT"),
         ],
         ids=[
             "simulate --records on a re-run",
@@ -434,6 +439,11 @@ class TestManifestRerunErrors:
             "run.shots 1000.7",
             "meter1.sigma null",
             "stored config flag",
+            "config meter1.v_total on a Gaussian meter",
+            "config meter2.sigmaa",
+            "config run.shot",
+            "config section angels",
+            "config section DEFAULT",
         ],
     )
     def test_exits_2(self, tmp_path, capsys, monkeypatch, first, change, rerun_flags, named):
@@ -495,6 +505,75 @@ class TestLhvCommand:
 
     def test_needs_a_mode(self):
         assert main(["lhv"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--noise-sigma", "1e308", "--shots", "10"], ["--noise-sigma", "1e154", "--shots", "1000"]],
+        ids=lambda flags: " ".join(flags),
+    )
+    def test_overflow_is_a_numerical_failure(self, tmp_path, flags):
+        # a fresh interpreter, so the warning registry cannot hide a repeat
+        proc = subprocess.run(
+            [sys.executable, "-m", "blgi.cli", "lhv", "--random", "1", *flags, "--out", str(tmp_path / "x.csv")],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert proc.returncode == 3
+        assert "numerical error:" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
+
+STRATEGY_BODY = "[strategy]\nhidden_states = 1\nprep_dist = 1\na1 = 1\na2 = 1\nb1 = 1\nb2 = 1\n"
+
+
+class TestStrictInputFiles:
+    """An unknown section or key, or a key of the other meter type, exits 2 instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[meter1]\ntype = ancilla\nsigma = 3\n", "meter1.sigma"),
+            ("[meter2]\nsigmaa = 5\n", "meter2.sigmaa"),
+            ("[angels]\na1 = 1\n", "angels"),
+            ("[run]\nshot = 10\n", "run.shot"),
+            ("[DEFAULT]\nsigma = 3\n[run]\nshots = 10\n", "DEFAULT"),
+            ("[b]\nv = 0.9\nu = 0.9\n", "b.u"),
+        ],
+        ids=["ancilla sigma", "sigmaa", "angels", "shot", "DEFAULT", "b.u"],
+    )
+    def test_config_file(self, tmp_path, capsys, text, named):
+        path = tmp_path / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["simulate", "--config", str(path), "--shots", "10", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            ("noise_sigma = 0\n", "strategy.noise_sigma"),
+            ("invasivenes1 = 0.5\n", "strategy.invasivenes1"),
+            ("[extra]\nx = 1\n", "extra"),
+        ],
+        ids=["noise_sigma", "invasivenes1", "extra section"],
+    )
+    def test_strategy_file(self, tmp_path, capsys, extra, named):
+        path = tmp_path / "strategy.ini"
+        path.write_text(STRATEGY_BODY + extra, encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert main(["lhv", "--strategy", str(path), "--shots", "100", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not out.exists()
+
+    def test_meter_flag_takes_the_class_defaults(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[meter1]\ntype = gaussian\nsigma = 3\neta = 0.5\n", encoding="utf-8")
+        manifest = tmp_path / "run.json"
+        argv = ["simulate", "--config", str(path), "--meter", "ancilla", "--shots", "10"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv"), "--manifest", str(manifest)]) == 0
+        stored = json.loads(_read(manifest))["config"]
+        assert stored["meter1"] == stored["meter2"] == {"type": "ancilla", "v_total": 1.0, "u": 1.0}
 
 
 class TestInputErrors:

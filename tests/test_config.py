@@ -103,6 +103,40 @@ class TestExperimentConfigFile:
         )
         assert config_from_sections(config_to_sections(config)) == config
 
+    def test_defaults_come_from_the_dataclasses(self):
+        assert config_from_sections({}) == ExperimentConfig()
+        assert ExperimentConfig().meter1 == ExperimentConfig().meter2 == GaussianMeterSpec(sigma=1.0, eta=1.0)
+
+    def test_sections_are_the_dataclass_fields_plus_type(self):
+        config = ExperimentConfig(meter2=AncillaMeterSpec(v_total=0.5, u=0.7))
+        sections = config_to_sections(config)
+        assert sections["meter1"] == {"type": "gaussian", "sigma": 1.0, "eta": 1.0}
+        assert sections["meter2"] == {"type": "ancilla", "v_total": 0.5, "u": 0.7}
+        assert sections["b"] == {"v": 1.0}
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"meter1": {"type": "ancilla", "sigma": 3}}, "meter1.sigma requires Gaussian meters, but meter1 is ancilla"),
+            ({"meter2": {"u": 0.5}}, "meter2.u requires ancilla meters, but meter2 is Gaussian"),
+            ({"meter2": {"sigmaa": 5}}, "meter2.sigmaa: unknown key"),
+            ({"meter1": {"type": "pointer"}}, "meter1.type"),
+            ({"angels": {}}, r"\[angels\]: unknown section"),
+            ({"angles": {"c1": 1.0}}, "angles.c1: unknown key"),
+            ({"run": {"shot": 10}}, "run.shot: unknown key"),
+            ({"b": {"v": 2.0}}, "b: v must be in"),
+        ],
+    )
+    def test_strict_sections(self, sections, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_sections(sections)
+
+    def test_nonempty_default_section(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[DEFAULT]\nsigma = 3\n\n[meter1]\ntype = gaussian\n")
+        with pytest.raises(ConfigError, match="DEFAULT"):
+            load_experiment_config(path)
+
     @pytest.mark.parametrize(
         "sections, where",
         [
@@ -166,6 +200,27 @@ class TestStrategyFile:
         path = tmp_path / "strategy.ini"
         path.write_text("[other]\nx = 1\n")
         with pytest.raises(ConfigError, match="strategy"):
+            load_strategy(path)
+
+    @pytest.mark.parametrize("key", ["hidden_states", "prep_dist", "b2"])
+    def test_missing_required_key(self, tmp_path, key):
+        path = tmp_path / "strategy.ini"
+        path.write_text("\n".join(line for line in GOOD_STRATEGY.splitlines() if not line.startswith(key)))
+        with pytest.raises(ConfigError, match=f"strategy.{key} is required"):
+            load_strategy(path)
+
+    def test_optional_vectors_and_defaults(self, tmp_path):
+        path = tmp_path / "strategy.ini"
+        path.write_text(GOOD_STRATEGY.replace("noise_sigma2 = 0.5\n", "invasiveness1 = 0.25, 0.5\n"))
+        strategy = load_strategy(path)
+        assert strategy.noise_sigma2 == 1.0
+        np.testing.assert_array_equal(strategy.invasiveness1, [0.25, 0.5])
+        np.testing.assert_array_equal(strategy.invasiveness2, [0.0, 0.0])
+
+    def test_scalar_field_takes_one_number(self, tmp_path):
+        path = tmp_path / "strategy.ini"
+        path.write_text(GOOD_STRATEGY.replace("noise_sigma1 = 0.5", "noise_sigma1 = 0.5, 0.5"))
+        with pytest.raises(ConfigError, match="strategy.noise_sigma1: expected a number"):
             load_strategy(path)
 
 
