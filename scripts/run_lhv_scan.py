@@ -31,13 +31,16 @@ def main() -> int:
     violations = 0
     for index in range(args.strategies):
         rng = substream_rng(args.seed, index)
-        strategy = random_strategy(
-            args.hidden_states, rng,
-            noise_sigma=args.noise_sigma,
-            max_invasiveness=args.invasiveness,
-        )
         try:
+            strategy = random_strategy(
+                args.hidden_states, rng,
+                noise_sigma=args.noise_sigma,
+                max_invasiveness=args.invasiveness,
+            )
             estimate = lhv_mean(strategy, args.shots, rng)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         except NumericalError as exc:
             print(f"numerical error: {exc}", file=sys.stderr)
             return 3

@@ -42,4 +42,4 @@ from .protocol import (
     sweep,
     violation_threshold,
 )
-from .qmath import AnalyzerBasis, analyzer_basis, embed
+from .qmath import embed

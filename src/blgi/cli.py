@@ -238,10 +238,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _require_two_shots(config: ExperimentConfig) -> None:
+def _require_two_shots(shots: int) -> None:
     # the standard error, and with it the violation verdict, needs two shots
-    if config.shots < 2:
-        raise ConfigError(f"shots must be >= 2 for a standard error, got {config.shots}")
+    if shots < 2:
+        raise ConfigError(f"shots must be >= 2 for a standard error, got {shots}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def _warn_shot_budget(config: ExperimentConfig) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    _require_two_shots(config)
+    _require_two_shots(config.shots)
     _warn_shot_budget(config)
     if args.records is None:
         estimate = monte_carlo(config, threads=args.threads)
@@ -301,7 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --values")
     values = _parse_values(args.values)
     config = _resolve_config(args)
-    _require_two_shots(config)
+    _require_two_shots(config.shots)
     try:
         points = sweep(config, args.axis, values, threads=args.threads)
     except ValueError as exc:
@@ -327,19 +327,23 @@ _LHV_DEFAULTS = {
 }
 
 def cmd_lhv(args: argparse.Namespace) -> int:
+    # --brute-force reads no other flag, so none may be given with it
+    given = _flags_given(args, ("brute_force", "hidden_states", "out"))
     for name, default in _LHV_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
     if args.brute_force:
+        if given:
+            raise ConfigError(f"--brute-force takes only --hidden-states and --out; drop {', '.join(given)}")
         try:
-            print(_fmt(lhv.brute_force_max(args.hidden_states)))
+            maximum = lhv.brute_force_max(args.hidden_states)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        _write_text(args.out, _fmt(maximum) + "\n")
         return EXIT_OK
     # the manifest stores the resolved seed, so BLGI_SEED cannot change a re-run
     args.seed = seed = resolve_seed(args.seed)
-    if args.shots < 1:
-        raise ConfigError(f"--shots: expected a positive count, got {args.shots}")
+    _require_two_shots(args.shots)
     if args.calibration_shots < 10_000:
         raise ConfigError(
             f"--calibration-shots: needs at least 10000 per hidden state, got {args.calibration_shots}"

@@ -135,14 +135,17 @@ def lhv_records(
 
 
 def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Estimate:
-    """Monte-Carlo mean of the per-shot correlator; :class:`NumericalError` if not finite."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    """Monte-Carlo mean of the per-shot correlator; :class:`NumericalError` if not finite.
+
+    ``shots`` must be at least 2, the fewest with a standard error.
+    """
+    if shots < 2:
+        raise ValueError(f"shots must be >= 2 for a standard error, got {shots}")
     with np.errstate(over="ignore", invalid="ignore"):
         _, alpha1, alpha2, b1, b2 = lhv_records(strategy, shots, rng)
         values = correlator(alpha1, alpha2, b1, b2)
         mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / np.sqrt(shots)) if shots > 1 else 0.0
+        stderr = float(values.std(ddof=1) / np.sqrt(shots))
     if not (np.isfinite(mean) and np.isfinite(stderr)):
         raise NumericalError(f"hidden-variable mean {mean} or stderr {stderr} is not finite")
     return Estimate(mean=mean, stderr=stderr, shots=shots)

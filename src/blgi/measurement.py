@@ -16,11 +16,13 @@ The final measurement on each arm is projective with readout visibility
 true outcome flipped with probability ``(1 - v)/2``, so reported means are
 ``v`` times the ideal ones while the record stays in ``{-1, +1}``.
 
-The record law has one implementation, :func:`sample_records`.  It keeps
-each shot as four real amplitudes and runs four elementwise stages (weak
-arm 1, weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw
-order.  Every sampler takes an explicit ``numpy.random.Generator`` and is
-safe to drive from disjoint RNG substreams.
+Every measurement is along an analyzer given by its angle ``phi`` in
+radians (the convention is in :mod:`blgi.qmath`).  The record law has one
+implementation, :func:`sample_records`.  It keeps each shot as four real
+amplitudes and runs four elementwise stages (weak arm 1, weak arm 2,
+readout arm 1, readout arm 2) with a fixed RNG draw order.  Every
+sampler takes an explicit ``numpy.random.Generator`` and is safe to drive
+from disjoint RNG substreams.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
-
-from .qmath import AnalyzerBasis
 
 
 @dataclass(frozen=True)
@@ -177,23 +177,22 @@ Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
 BELL_AMPLITUDES: Amplitudes = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
 
 
-def _rotation(basis: AnalyzerBasis) -> tuple[float, float]:
+def _rotation(phi: float) -> tuple[float, float]:
     # ket0 = (c, s) and ket1 = (-s, c) with c = cos(phi/2), s = sin(phi/2)
-    c, s = basis.ket0.real
-    return float(c), float(s)
+    return float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
 
 
-def _to_frame(amps: Amplitudes, arm: int, basis: AnalyzerBasis):
+def _to_frame(amps: Amplitudes, arm: int, phi: float):
     """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
     indexed by the other arm's computational state."""
     c00, c01, c10, c11 = amps
     a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
-    c, s = _rotation(basis)
+    c, s = _rotation(phi)
     return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
 
 
-def _from_frame(x0, x1, y0, y1, arm: int, basis: AnalyzerBasis) -> Amplitudes:
-    c, s = _rotation(basis)
+def _from_frame(x0, x1, y0, y1, arm: int, phi: float) -> Amplitudes:
+    c, s = _rotation(phi)
     a0, a1, b0, b1 = c * x0 - s * y0, c * x1 - s * y1, s * x0 + c * y0, s * x1 + c * y1
     return (a0, a1, b0, b1) if arm == 1 else (a0, b0, a1, b1)
 
@@ -214,18 +213,20 @@ def weak_stage(
     amps: Amplitudes,
     arm: int,
     spec: MeterSpec,
-    basis: AnalyzerBasis,
+    phi: float,
     rng: np.random.Generator,
     n: int,
 ) -> tuple[np.ndarray, Amplitudes]:
-    """Weakly measure ``arm`` in ``n`` shots; returns ``(signals, post-state amplitudes)``.
+    """Weakly measure ``arm`` along analyzer angle ``phi`` in ``n`` shots.
+
+    Returns ``(signals, post-state amplitudes)``.
 
     Draw order: Gaussian, one uniform block (mixture component), one
     normal block (pointer value) and, only when ``eta < 1``, one uniform
     block (phase flip); ancilla, one uniform block (branch) and one
     uniform block (readout flip).
     """
-    x0, x1, y0, y1 = _to_frame(amps, arm, basis)
+    x0, x1, y0, y1 = _to_frame(amps, arm, phi)
     p0 = x0 * x0 + x1 * x1
     p1 = y0 * y0 + y1 * y1
     if isinstance(spec, GaussianMeterSpec):
@@ -251,7 +252,7 @@ def weak_stage(
         w1 = w1 * _signs(~flip)
     x0, x1, y0, y1 = x0 * w0, x1 * w0, y0 * w1, y1 * w1
     del p0, p1, w0, w1, norm  # freed before the rotation allocates: peak memory
-    return signals, _from_frame(x0, x1, y0, y1, arm, basis)
+    return signals, _from_frame(x0, x1, y0, y1, arm, phi)
 
 
 def _signs(mask: np.ndarray) -> np.ndarray:
@@ -268,11 +269,11 @@ def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Genera
 def first_readout(
     amps: Amplitudes,
     spec: ProjectiveMeterSpec,
-    basis: AnalyzerBasis,
+    phi: float,
     rng: np.random.Generator,
     n: int,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Projectively read out arm 1 in ``n`` shots.
+    """Projectively read out arm 1 along analyzer angle ``phi`` in ``n`` shots.
 
     Returns ``(signals, (z0, z1))``: the projection leaves the pair in
     the product of the true outcome's analyzer ket with arm 2's
@@ -280,7 +281,7 @@ def first_readout(
     reported sign suffers the misidentification flip.  Draw order: one
     uniform block (outcome), one uniform block (flip).
     """
-    x0, x1, y0, y1 = _to_frame(amps, 1, basis)
+    x0, x1, y0, y1 = _to_frame(amps, 1, phi)
     hit0 = rng.random(n) < x0 * x0 + x1 * x1
     signals = _reported(hit0, spec, rng)
     # exact select: one of the two products is x*1 or y*1, the other zero
@@ -292,18 +293,18 @@ def first_readout(
 def second_readout(
     ket: tuple[np.ndarray, np.ndarray],
     spec: ProjectiveMeterSpec,
-    basis: AnalyzerBasis,
+    phi: float,
     rng: np.random.Generator,
     n: int,
 ) -> np.ndarray:
-    """Projectively read out arm 2, in state ``ket`` from :func:`first_readout`.
+    """Projectively read out arm 2 along ``phi``, in state ``ket`` from :func:`first_readout`.
 
     The last measurement leaves no state behind, so only the ket0
     probability ``<ket0|z>^2 / <z|z>`` is formed.  Draw order: one
     uniform block (outcome), one uniform block (flip).
     """
     z0, z1 = ket
-    c, s = _rotation(basis)
+    c, s = _rotation(phi)
     along0 = c * z0 + s * z1
     hit0 = rng.random(n) < along0 * along0 / (z0 * z0 + z1 * z1)
     return _reported(hit0, spec, rng)
@@ -314,17 +315,21 @@ def sample_records(
     meter1: MeterSpec,
     meter2: MeterSpec,
     readout: ProjectiveMeterSpec,
-    bases: tuple[AnalyzerBasis, AnalyzerBasis, AnalyzerBasis, AnalyzerBasis],
+    angles: tuple[float, float, float, float],
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``n`` shots of the full protocol from the Bell pair: ``(alpha1, alpha2, b1, b2)``.
 
-    ``bases`` are the analyzers ``(a1, a2, b1, b2)``.  Stages and draws
-    run in the order weak arm 1, weak arm 2, readout arm 1, readout arm 2.
+    ``angles`` are the analyzers ``(a1, a2, b1, b2)`` in radians; a
+    non-finite one raises ValueError.  Stages and draws run in the order
+    weak arm 1, weak arm 2, readout arm 1, readout arm 2.
     """
-    basis_a1, basis_a2, basis_b1, basis_b2 = bases
-    alpha1, amps = weak_stage(BELL_AMPLITUDES, 1, meter1, basis_a1, rng, n)
-    alpha2, amps = weak_stage(amps, 2, meter2, basis_a2, rng, n)
-    b1, ket = first_readout(amps, readout, basis_b1, rng, n)
-    b2 = second_readout(ket, readout, basis_b2, rng, n)
+    phi_a1, phi_a2, phi_b1, phi_b2 = angles
+    for phi in angles:
+        if not np.isfinite(phi):
+            raise ValueError(f"analyzer angle must be finite, got {phi}")
+    alpha1, amps = weak_stage(BELL_AMPLITUDES, 1, meter1, phi_a1, rng, n)
+    alpha2, amps = weak_stage(amps, 2, meter2, phi_a2, rng, n)
+    b1, ket = first_readout(amps, readout, phi_b1, rng, n)
+    b2 = second_readout(ket, readout, phi_b2, rng, n)
     return alpha1, alpha2, b1, b2

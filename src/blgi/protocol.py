@@ -31,7 +31,7 @@ import numpy as np
 
 from . import measurement as meas
 from .measurement import GaussianMeterSpec, MeterSpec, ProjectiveMeterSpec
-from .qmath import AnalyzerBasis, analyzer_basis, embed
+from .qmath import embed
 
 #: analyzer angles (phi_a1, phi_a2, phi_b1, phi_b2) of the standard
 #: maximally violating CHSH configuration
@@ -70,9 +70,6 @@ class ExperimentConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-
-    def bases(self) -> tuple[AnalyzerBasis, AnalyzerBasis, AnalyzerBasis, AnalyzerBasis]:
-        return tuple(analyzer_basis(phi) for phi in self.angles)
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def substream_rng(seed: int, index: int) -> np.random.Generator:
 
 def _run_chunk(config: ExperimentConfig, chunk_index: int, n: int) -> tuple[np.ndarray, ...]:
     rng = substream_rng(config.seed, chunk_index)
-    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.bases(), rng)
+    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.angles, rng)
 
 
 def _chunk_sizes(shots: int) -> list[int]:
@@ -248,7 +245,15 @@ def predicted_stderr(config: ExperimentConfig) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _arm_moments(spec: MeterSpec, basis: AnalyzerBasis, arm: int):
+def _projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The single-qubit projectors onto analyzer ``phi``'s ``ket0`` and ``ket1``."""
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    ket0 = np.array([c, s], dtype=complex)
+    ket1 = np.array([-s, c], dtype=complex)
+    return np.outer(ket0, ket0.conj()), np.outer(ket1, ket1.conj())
+
+
+def _arm_moments(spec: MeterSpec, phi: float, arm: int):
     """Zeroth and first outcome moments of one weak arm, as maps on rho.
 
     With ``P0``/``P1`` the arm's analyzer projectors, the zeroth moment
@@ -259,8 +264,7 @@ def _arm_moments(spec: MeterSpec, basis: AnalyzerBasis, arm: int):
     blocks alone; the ancilla meter's flip-averaged signal gives
     ``c = u*v_ent/v_total``.
     """
-    p0 = embed(basis.projector0, arm)
-    p1 = embed(basis.projector1, arm)
+    p0, p1 = (embed(projector, arm) for projector in _projectors(phi))
     xi = meas.dephasing_factor(spec)
     c = 1.0 if isinstance(spec, GaussianMeterSpec) else spec.u * spec.v_ent / spec.v_total
 
@@ -286,11 +290,11 @@ def exact_mean(config: ExperimentConfig) -> float:
 
     the readout flips (visibility ``v``) being independent per arm.
     """
-    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
-    zeroth1, first1 = _arm_moments(config.meter1, basis_a1, 1)
-    zeroth2, first2 = _arm_moments(config.meter2, basis_a2, 2)
-    readout1 = embed(basis_b1.observable, 1)
-    readout2 = embed(basis_b2.observable, 2)
+    phi_a1, phi_a2, phi_b1, phi_b2 = config.angles
+    zeroth1, first1 = _arm_moments(config.meter1, phi_a1, 1)
+    zeroth2, first2 = _arm_moments(config.meter2, phi_a2, 2)
+    readout1 = embed(np.subtract(*_projectors(phi_b1)), 1)
+    readout2 = embed(np.subtract(*_projectors(phi_b2)), 2)
     v = config.b_spec.v
 
     psi = np.array(meas.BELL_AMPLITUDES, dtype=complex)

@@ -1,73 +1,21 @@
-"""Analyzer bases and single-qubit operators lifted to the pair.
+"""Single-qubit operators lifted to the pair.
 
 Conventions used throughout the package:
 
 * the joint basis is ordered ``|00>, |01>, |10>, |11>`` with arm 1 as the
   left tensor factor,
-* kets are length-2 complex arrays, single-qubit operators are ``(2, 2)``
-  complex arrays, and :func:`embed` lifts them to ``(4, 4)`` operators on
-  the pair.
+* an analyzer is an angle ``phi`` in radians, with ``ket0 = cos(phi/2)|0>
+  + sin(phi/2)|1>`` and ``ket1 = -sin(phi/2)|0> + cos(phi/2)|1>``; its
+  dichotomic observable assigns +1 to ``ket0`` and -1 to ``ket1``,
+* single-qubit operators are ``(2, 2)`` complex arrays, and :func:`embed`
+  lifts them to ``(4, 4)`` operators on the pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-ORTHONORMALITY_TOL = 1e-12
-
 IDENTITY_2 = np.eye(2, dtype=complex)
-
-
-@dataclass(frozen=True)
-class AnalyzerBasis:
-    """A measurement axis: angle ``phi`` with its orthonormal qubit basis.
-
-    ``ket0 = cos(phi/2)|0> + sin(phi/2)|1>`` and
-    ``ket1 = -sin(phi/2)|0> + cos(phi/2)|1>``.  The associated dichotomic
-    observable assigns +1 to ``ket0`` and -1 to ``ket1``.
-    """
-
-    phi: float
-    ket0: np.ndarray
-    ket1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("ket0", "ket1"):
-            ket = np.asarray(getattr(self, name), dtype=complex)
-            ket.setflags(write=False)
-            object.__setattr__(self, name, ket)
-        if abs(np.vdot(self.ket0, self.ket0) - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError("ket0 is not normalized")
-        if abs(np.vdot(self.ket1, self.ket1) - 1.0) > ORTHONORMALITY_TOL:
-            raise ValueError("ket1 is not normalized")
-        if abs(np.vdot(self.ket0, self.ket1)) > ORTHONORMALITY_TOL:
-            raise ValueError("ket0 and ket1 are not orthogonal")
-
-    @property
-    def projector0(self) -> np.ndarray:
-        return np.outer(self.ket0, self.ket0.conj())
-
-    @property
-    def projector1(self) -> np.ndarray:
-        return np.outer(self.ket1, self.ket1.conj())
-
-    @property
-    def observable(self) -> np.ndarray:
-        """The +/-1 observable ``|ket0><ket0| - |ket1><ket1|``."""
-        return self.projector0 - self.projector1
-
-
-def analyzer_basis(phi: float) -> AnalyzerBasis:
-    """Build the analyzer basis for angle ``phi`` (radians)."""
-    phi = float(phi)
-    if not np.isfinite(phi):
-        raise ValueError(f"analyzer angle must be finite, got {phi}")
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    ket0 = np.array([c, s], dtype=complex)
-    ket1 = np.array([-s, c], dtype=complex)
-    return AnalyzerBasis(phi=phi, ket0=ket0, ket1=ket1)
 
 
 def embed(op: np.ndarray, arm: int) -> np.ndarray:

@@ -6,6 +6,8 @@ instrument moments.  This module keeps the textbook formulation beside
 them, so that every kernel stage, every meter and the exact mean can be
 checked against it:
 
+* :class:`AnalyzerBasis` is an analyzer angle's orthonormal complex qubit
+  basis, built by :func:`analyzer_basis`,
 * :class:`TwoQubitState` is a validated 4x4 density matrix in the joint
   basis ``|00>, |01>, |10>, |11>`` with arm 1 as the left tensor factor,
 * :func:`gaussian_kraus` and :func:`ancilla_kraus` are the weak meters'
@@ -22,11 +24,62 @@ import numpy as np
 
 from blgi.lhv import LHVStrategy, lhv_records
 from blgi.measurement import _squared
-from blgi.qmath import IDENTITY_2, AnalyzerBasis, embed
+from blgi.qmath import IDENTITY_2, embed
 
+ORTHONORMALITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class AnalyzerBasis:
+    """A measurement axis: angle ``phi`` with its orthonormal qubit basis.
+
+    ``ket0 = cos(phi/2)|0> + sin(phi/2)|1>`` and
+    ``ket1 = -sin(phi/2)|0> + cos(phi/2)|1>``.  The associated dichotomic
+    observable assigns +1 to ``ket0`` and -1 to ``ket1``.
+    """
+
+    phi: float
+    ket0: np.ndarray
+    ket1: np.ndarray
+
+    def __post_init__(self):
+        for name in ("ket0", "ket1"):
+            ket = np.asarray(getattr(self, name), dtype=complex)
+            ket.setflags(write=False)
+            object.__setattr__(self, name, ket)
+        if abs(np.vdot(self.ket0, self.ket0) - 1.0) > ORTHONORMALITY_TOL:
+            raise ValueError("ket0 is not normalized")
+        if abs(np.vdot(self.ket1, self.ket1) - 1.0) > ORTHONORMALITY_TOL:
+            raise ValueError("ket1 is not normalized")
+        if abs(np.vdot(self.ket0, self.ket1)) > ORTHONORMALITY_TOL:
+            raise ValueError("ket0 and ket1 are not orthogonal")
+
+    @property
+    def projector0(self) -> np.ndarray:
+        return np.outer(self.ket0, self.ket0.conj())
+
+    @property
+    def projector1(self) -> np.ndarray:
+        return np.outer(self.ket1, self.ket1.conj())
+
+    @property
+    def observable(self) -> np.ndarray:
+        """The +/-1 observable ``|ket0><ket0| - |ket1><ket1|``."""
+        return self.projector0 - self.projector1
+
+
+def analyzer_basis(phi: float) -> AnalyzerBasis:
+    """Build the analyzer basis for angle ``phi`` (radians)."""
+    phi = float(phi)
+    if not np.isfinite(phi):
+        raise ValueError(f"analyzer angle must be finite, got {phi}")
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    ket0 = np.array([c, s], dtype=complex)
+    ket1 = np.array([-s, c], dtype=complex)
+    return AnalyzerBasis(phi=phi, ket0=ket0, ket1=ket1)
 
 
 class ZeroProbabilityError(RuntimeError):

@@ -25,8 +25,8 @@ from blgi.protocol import (
     monte_carlo,
     violation_threshold,
 )
-from blgi.qmath import analyzer_basis, embed
-from oracle import TwoQubitState, ancilla_kraus, apply_operator, gaussian_kraus
+from blgi.qmath import embed
+from oracle import TwoQubitState, analyzer_basis, ancilla_kraus, apply_operator, gaussian_kraus
 
 SQRT2 = np.sqrt(2.0)
 
@@ -131,7 +131,7 @@ def test_criterion_5_ancilla_mid_strength():
     shots = 1_000_000
     eigenstate = (1.0, 0.0, 0.0, 0.0)  # |00>, shared by every shot
     signals, _ = weak_stage(
-        eigenstate, 1, AncillaMeterSpec(v_total=0.6), analyzer_basis(0.0), rng, shots
+        eigenstate, 1, AncillaMeterSpec(v_total=0.6), 0.0, rng, shots
     )
     variance = signals.var(ddof=1)
     variance_target = 1 / 0.36 - 1
@@ -300,7 +300,7 @@ def _invariant_no_signaling() -> float:
 
 def _invariant_calibration() -> tuple[bool, str]:
     shots = 1_000_000
-    basis = analyzer_basis(np.pi / 3)
+    phi = np.pi / 3
     target = np.cos(np.pi / 3)
     details = []
     ok = True
@@ -309,21 +309,21 @@ def _invariant_calibration() -> tuple[bool, str]:
     eigen = (1.0, 0.0, 0.0, 0.0)  # |00>, shared by every shot
 
     spec = GaussianMeterSpec(sigma=1.5, eta=0.7)
-    signals, _ = weak_stage(eigen, 1, spec, basis, rng, shots)
+    signals, _ = weak_stage(eigen, 1, spec, phi, rng, shots)
     stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"gaussian |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = AncillaMeterSpec(v_total=0.5, u=0.9)
-    signals, _ = weak_stage(eigen, 1, spec, basis, rng, shots)
+    signals, _ = weak_stage(eigen, 1, spec, phi, rng, shots)
     stderr = np.sqrt(1 / spec.v_total**2) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"ancilla |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = ProjectiveMeterSpec(v=0.8)
-    signals, _ = first_readout(eigen, spec, basis, rng, shots)
+    signals, _ = first_readout(eigen, spec, phi, rng, shots)
     stderr = 1 / np.sqrt(shots)
     dev = abs(signals.mean() - spec.v * target)
     ok = ok and dev < 4 * stderr

@@ -466,6 +466,12 @@ class TestLhvCommand:
         assert main(["lhv", "--brute-force", "--hidden-states", "2"]) == 0
         assert capsys.readouterr().out.strip() == "2"
 
+    def test_brute_force_writes_out(self, tmp_path, capsys):
+        out = tmp_path / "bf.csv"
+        assert main(["lhv", "--brute-force", "--out", str(out)]) == 0
+        assert _read(out) == "2\n"
+        assert capsys.readouterr().out == ""
+
     def test_random_strategies_all_pass(self, tmp_path):
         out = tmp_path / "lhv.csv"
         code = main([
@@ -587,6 +593,10 @@ class TestInputErrors:
             ["simulate", "--shots", "10", "--threads", "0"],
             ["sweep", "--axis", "v", "--values", "1", "--shots", "10", "--threads", "-2"],
             ["lhv", "--random", "1", "--shots", "100", "--seed", "-1"],
+            ["lhv", "--random", "3", "--shots", "1", "--seed", "1"],
+            *(["lhv", "--brute-force", *flag] for flag in (
+                ["--manifest", "m.json"], ["--strategy", "/nonexistent.ini"], ["--seed", "-7"],
+            )),
             ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
             ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
             *(["lhv", "--random", "1", "--shots", "10", "--invasiveness", value] for value in ("inf", "nan", "-0.5")),

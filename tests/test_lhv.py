@@ -104,6 +104,11 @@ class TestBound:
         assert estimate.mean == 2.0
         assert estimate.stderr == 0.0
 
+    @pytest.mark.parametrize("shots", [0, 1])
+    def test_fewer_than_two_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="2 for a standard error"):
+            lhv_mean(_best_deterministic(), shots, np.random.default_rng(8))
+
     def test_random_strategies_respect_the_bound(self):
         rng = np.random.default_rng(9)
         for index in range(300):

@@ -13,8 +13,16 @@ from blgi.measurement import (
     second_readout,
     weak_stage,
 )
-from blgi.qmath import analyzer_basis, embed
-from oracle import TwoQubitState, ancilla_kraus, apply_dephasing, apply_operator, bell_state, gaussian_kraus
+from blgi.qmath import embed
+from oracle import (
+    TwoQubitState,
+    analyzer_basis,
+    ancilla_kraus,
+    apply_dephasing,
+    apply_operator,
+    bell_state,
+    gaussian_kraus,
+)
 
 #: |00>, one state shared by every shot
 KET_00 = (1.0, 0.0, 0.0, 0.0)
@@ -209,27 +217,27 @@ class TestGaussianSampling:
     def test_calibration_on_eigenstate(self):
         # signal mean equals the eigenvalue on an eigenstate of the basis
         spec = GaussianMeterSpec(sigma=2.0)
-        basis = analyzer_basis(0.0)
+        phi = 0.0
         rng = np.random.default_rng(42)
         shots = 1_000_000
-        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
+        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
         stderr = spec.sigma / np.sqrt(shots)
         assert abs(signals.mean() - 1.0) < 4 * stderr
 
     def test_calibration_general_state(self):
         # E[signal] = <O(phi)> for a state that is not an eigenstate
         spec = GaussianMeterSpec(sigma=1.0)
-        basis = analyzer_basis(1.1)
+        phi = 1.1
         rng = np.random.default_rng(1)
         shots = 500_000
-        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, shots)
+        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, shots)
         stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
         assert abs(signals.mean() - 0.0) < 4 * stderr
 
     def test_single_shot_outcome_contract(self):
         spec = GaussianMeterSpec(sigma=0.7, eta=0.8)
         rng = np.random.default_rng(9)
-        signals, post = weak_stage(BELL_AMPLITUDES, 1, spec, analyzer_basis(0.5), rng, 1)
+        signals, post = weak_stage(BELL_AMPLITUDES, 1, spec, 0.5, rng, 1)
         assert signals.shape == (1,) and np.isfinite(signals[0])
         assert abs(sum(float(a[0]) ** 2 for a in post) - 1) < 1e-12
 
@@ -238,11 +246,11 @@ class TestGaussianSampling:
         # ensemble-averaged coherence of |+>|0> after measuring arm 1 in the
         # computational basis shrinks by the meter's dephasing factor
         spec = GaussianMeterSpec(sigma=1.0, eta=eta)
-        basis = analyzer_basis(0.0)
+        phi = 0.0
         rng = np.random.default_rng(77)
         shots = 400_000
         plus = 1 / np.sqrt(2)
-        _, (c00, c01, c10, c11) = weak_stage((plus, 0.0, plus, 0.0), 1, spec, basis, rng, shots)
+        _, (c00, c01, c10, c11) = weak_stage((plus, 0.0, plus, 0.0), 1, spec, phi, rng, shots)
         coherence = (c00 * c10 + c01 * c11).mean()
         assert abs(coherence - 0.5 * factor) < 4 * 0.5 / np.sqrt(shots)
 
@@ -254,7 +262,7 @@ class TestGaussianSampling:
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         state = _product_state(plus, np.array([1.0, 0.0]))
         shots = 20_000
-        _, post = weak_stage(tuple(np.kron(plus, [1.0, 0.0])), 1, spec, basis, rng, shots)
+        _, post = weak_stage(tuple(np.kron(plus, [1.0, 0.0])), 1, spec, basis.phi, rng, shots)
         expected = apply_dephasing(state, 1, np.exp(-0.5), basis)
         np.testing.assert_allclose(_mean_rho(post), expected.rho.real, atol=5 * 0.5 / np.sqrt(shots))
 
@@ -262,10 +270,10 @@ class TestGaussianSampling:
 class TestAncillaSampling:
     def test_eigenstate_signal_distribution(self):
         spec = AncillaMeterSpec(v_total=0.5, u=1.0)
-        basis = analyzer_basis(0.0)
+        phi = 0.0
         rng = np.random.default_rng(4)
         shots = 1_000_000
-        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
+        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
         assert set(np.unique(signals)) == {-2.0, 2.0}
         p_plus = (signals > 0).mean()
         assert abs(p_plus - 0.75) < 4 * np.sqrt(0.75 * 0.25 / shots)
@@ -275,7 +283,7 @@ class TestAncillaSampling:
         # full strength collapses the Bell pair onto |00> or |11>, as signalled
         spec = AncillaMeterSpec(v_total=1.0, u=1.0)
         rng = np.random.default_rng(0)
-        signals, (c00, c01, c10, c11) = weak_stage(BELL_AMPLITUDES, 1, spec, analyzer_basis(0.0), rng, 200)
+        signals, (c00, c01, c10, c11) = weak_stage(BELL_AMPLITUDES, 1, spec, 0.0, rng, 200)
         assert set(np.unique(signals)) == {-1.0, 1.0}
         np.testing.assert_allclose(np.abs(c00), signals > 0, atol=1e-12)
         np.testing.assert_allclose(np.abs(c11), signals < 0, atol=1e-12)
@@ -295,16 +303,16 @@ class TestAncillaSampling:
         spec = AncillaMeterSpec(v_total=0.6)
         rng = np.random.default_rng(8)
         shots = 200_000
-        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis=analyzer_basis(0.4), rng=rng, n=shots)
+        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi=0.4, rng=rng, n=shots)
         np.testing.assert_allclose(np.abs(signals), 1 / 0.6, atol=1e-12)
 
     def test_eigenstate_variance(self):
         # signal variance on a definite state is 1/V^2 - 1
         spec = AncillaMeterSpec(v_total=0.6)
-        basis = analyzer_basis(0.0)
+        phi = 0.0
         rng = np.random.default_rng(14)
         shots = 500_000
-        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
+        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
         expected = 1 / 0.36 - 1
         assert abs(signals.var(ddof=1) - expected) < 0.01 * expected
 
@@ -323,10 +331,10 @@ class TestAncillaSampling:
     def test_readout_visibility_preserves_calibration(self):
         # u < 1 flips the reported sign but the rescaled mean still matches <O>
         spec = AncillaMeterSpec(v_total=0.4, u=0.8)
-        basis = analyzer_basis(np.pi / 3)
+        phi = np.pi / 3
         rng = np.random.default_rng(21)
         shots = 1_000_000
-        signals, _ = weak_stage(KET_00, 1, spec, basis, rng, shots)
+        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
         target = np.cos(np.pi / 3)
         stderr = np.sqrt(1 / spec.v_total**2 - target**2) / np.sqrt(shots)
         assert abs(signals.mean() - target) < 4 * stderr
@@ -336,33 +344,33 @@ class TestProjectiveSampling:
     def test_eigenstate_is_deterministic(self):
         spec = ProjectiveMeterSpec(v=1.0)
         rng = np.random.default_rng(2)
-        signals, (z0, z1) = first_readout(KET_00, spec, analyzer_basis(0.0), rng, 50)
+        signals, (z0, z1) = first_readout(KET_00, spec, 0.0, rng, 50)
         assert np.all(signals == 1.0)
-        assert np.all(second_readout((z0, z1), spec, analyzer_basis(0.0), rng, 50) == 1.0)
+        assert np.all(second_readout((z0, z1), spec, 0.0, rng, 50) == 1.0)
 
     def test_zero_visibility_is_coin_flip(self):
         spec = ProjectiveMeterSpec(v=0.0)
         rng = np.random.default_rng(6)
         shots = 200_000
-        signals, _ = first_readout(KET_00, spec, analyzer_basis(0.0), rng, shots)
+        signals, _ = first_readout(KET_00, spec, 0.0, rng, shots)
         assert set(np.unique(signals)) == {-1.0, 1.0}
         assert abs(signals.mean()) < 4 / np.sqrt(shots)
 
     def test_bell_readouts_agree_at_equal_angles(self):
         spec = ProjectiveMeterSpec(v=1.0)
-        basis = analyzer_basis(0.0)
+        phi = 0.0
         rng = np.random.default_rng(10)
-        b1, ket = first_readout(BELL_AMPLITUDES, spec, basis, rng, 200)
-        b2 = second_readout(ket, spec, basis, rng, 200)
+        b1, ket = first_readout(BELL_AMPLITUDES, spec, phi, rng, 200)
+        b2 = second_readout(ket, spec, phi, rng, 200)
         assert set(np.unique(b1)) == {-1.0, 1.0}
         np.testing.assert_array_equal(b1, b2)
 
     def test_visibility_scales_reported_mean(self):
         spec = ProjectiveMeterSpec(v=0.7)
-        basis = analyzer_basis(np.pi / 3)
+        phi = np.pi / 3
         rng = np.random.default_rng(33)
         shots = 500_000
-        signals, _ = first_readout(KET_00, spec, basis, rng, shots)
+        signals, _ = first_readout(KET_00, spec, phi, rng, shots)
         target = 0.7 * np.cos(np.pi / 3)
         assert abs(signals.mean() - target) < 4 / np.sqrt(shots)
 
@@ -421,10 +429,10 @@ class TestNoSignaling:
         shots = 400_000
         tolerance = 5 / np.sqrt(shots)
         for spec in (GaussianMeterSpec(sigma=0.8, eta=0.6), AncillaMeterSpec(v_total=0.7, u=0.9)):
-            _, post = weak_stage(amps, 1, spec, analyzer_basis(0.6), rng, shots)
+            _, post = weak_stage(amps, 1, spec, 0.6, rng, shots)
             after = TwoQubitState.from_rho(_mean_rho(post)).reduced(2).real
             np.testing.assert_allclose(after, before, atol=tolerance)
-        _, (z0, z1) = first_readout(amps, ProjectiveMeterSpec(v=1.0), analyzer_basis(-0.4), rng, shots)
+        _, (z0, z1) = first_readout(amps, ProjectiveMeterSpec(v=1.0), -0.4, rng, shots)
         norm = z0 * z0 + z1 * z1
         after = np.array([[z0 * z0, z0 * z1], [z1 * z0, z1 * z1]]) / norm
         np.testing.assert_allclose(after.mean(axis=-1), before, atol=tolerance)
@@ -435,25 +443,25 @@ class TestBatchMatchesSingleShot:
 
     def test_gaussian_means_agree(self):
         spec = GaussianMeterSpec(sigma=1.5)
-        basis = analyzer_basis(0.8)
+        phi = 0.8
         rng = np.random.default_rng(50)
         single = np.concatenate(
-            [weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 1)[0] for _ in range(20_000)]
+            [weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 1)[0] for _ in range(20_000)]
         )
         rng = np.random.default_rng(51)
-        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 200_000)
+        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 200_000)
         pooled = np.sqrt(single.var() / single.size + batch.var() / batch.size)
         assert abs(single.mean() - batch.mean()) < 5 * pooled
 
     def test_ancilla_sign_probabilities_agree(self):
         spec = AncillaMeterSpec(v_total=0.6, u=0.9)
-        basis = analyzer_basis(0.8)
+        phi = 0.8
         rng = np.random.default_rng(52)
         single = np.concatenate(
-            [weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 1)[0] for _ in range(20_000)]
+            [weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 1)[0] for _ in range(20_000)]
         )
         rng = np.random.default_rng(53)
-        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, basis, rng, 200_000)
+        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 200_000)
         p_single = (single > 0).mean()
         p_batch = (batch > 0).mean()
         pooled = np.sqrt(0.25 / single.size + 0.25 / batch.size)
@@ -470,12 +478,12 @@ class TestBatchMatchesSingleShot:
         shots = 400_000
         observable = float(np.trace(embed(basis.observable, 1) @ state.rho).real)
         gaussian = GaussianMeterSpec(sigma=1.5)
-        signals, _ = weak_stage(amps, 1, gaussian, basis, rng, shots)
+        signals, _ = weak_stage(amps, 1, gaussian, basis.phi, rng, shots)
         assert abs(signals.mean() - observable) < 5 * signals.std() / np.sqrt(shots)
         ancilla = AncillaMeterSpec(v_total=0.6, u=0.9)
         p_plus = apply_operator(state, embed(ancilla_kraus(+1, ancilla.v_ent, basis), 1))[0]
         p_report = p_plus * (1 + ancilla.u) / 2 + (1 - p_plus) * (1 - ancilla.u) / 2
-        signals, _ = weak_stage(amps, 1, ancilla, basis, rng, shots)
+        signals, _ = weak_stage(amps, 1, ancilla, basis.phi, rng, shots)
         assert abs((signals > 0).mean() - p_report) < 5 * 0.5 / np.sqrt(shots)
 
 
@@ -508,7 +516,7 @@ class TestKernelMatchesKrausOracle:
             basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
             amps = _random_amplitudes(rng, n)
             seed = int(rng.integers(2**32))
-            signals, post = weak_stage(amps, arm, spec, basis, np.random.default_rng(seed), n)
+            signals, post = weak_stage(amps, arm, spec, basis.phi, np.random.default_rng(seed), n)
 
             replay = np.random.default_rng(seed)
             branch_draws = replay.random(n)
@@ -544,7 +552,7 @@ class TestKernelMatchesKrausOracle:
             basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
             amps = _random_amplitudes(rng, n)
             seed = int(rng.integers(2**32))
-            signals, (z0, z1) = first_readout(amps, spec, basis, np.random.default_rng(seed), n)
+            signals, (z0, z1) = first_readout(amps, spec, basis.phi, np.random.default_rng(seed), n)
 
             replay = np.random.default_rng(seed)
             hit_draws, flip_draws = replay.random(n), replay.random(n)
@@ -575,7 +583,7 @@ class TestKernelMatchesKrausOracle:
             draws = np.asarray(weights) + np.where(below, -1e-12, 1e-12)
             expected = np.where(below, 1.0, -1.0)
             spec = ProjectiveMeterSpec(v=0.5)
-            kept = second_readout((z0, z1), spec, basis, StubGenerator(draws, np.ones(n)), n)
+            kept = second_readout((z0, z1), spec, basis.phi, StubGenerator(draws, np.ones(n)), n)
             np.testing.assert_array_equal(kept, expected)
-            flipped = second_readout((z0, z1), spec, basis, StubGenerator(draws, np.zeros(n)), n)
+            flipped = second_readout((z0, z1), spec, basis.phi, StubGenerator(draws, np.zeros(n)), n)
             np.testing.assert_array_equal(flipped, -expected)

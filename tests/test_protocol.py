@@ -33,7 +33,7 @@ from blgi.protocol import (
     violation_threshold,
 )
 from blgi.qmath import embed
-from oracle import MeasurementRecord, ancilla_kraus, bell_state, gaussian_kraus
+from oracle import MeasurementRecord, analyzer_basis, ancilla_kraus, bell_state, gaussian_kraus
 
 SQRT2 = np.sqrt(2.0)
 
@@ -102,9 +102,16 @@ class TestRunShot:
     @staticmethod
     def _shot(config, rng):
         alpha1, alpha2, b1, b2 = sample_records(
-            1, config.meter1, config.meter2, config.b_spec, config.bases(), rng
+            1, config.meter1, config.meter2, config.b_spec, config.angles, rng
         )
         return MeasurementRecord(alpha1[0], alpha2[0], b1[0], b2[0])
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_angle_rejected(self, phi):
+        spec = GaussianMeterSpec()
+        angles = (0.0, 0.0, phi, 0.0)
+        with pytest.raises(ValueError, match="analyzer angle must be finite"):
+            sample_records(1, spec, spec, ProjectiveMeterSpec(), angles, np.random.default_rng(0))
 
     def test_projective_aligned_angles_are_perfectly_correlated(self):
         config = _ancilla_config(angles=(0.0, 0.0, 0.0, 0.0), shots=1)
@@ -215,7 +222,7 @@ def _oracle_arm(spec, basis, arm):
 
 def _quadrature_mean(config):
     """``(mean, total probability)`` of the correlator on the oracle grid."""
-    basis_a1, basis_a2, basis_b1, basis_b2 = config.bases()
+    basis_a1, basis_a2, basis_b1, basis_b2 = map(analyzer_basis, config.angles)
     s1, w1, k1, channel1 = _oracle_arm(config.meter1, basis_a1, 1)
     s2, w2, k2, channel2 = _oracle_arm(config.meter2, basis_a2, 2)
     rho1 = channel1(k1 @ bell_state().rho @ k1.conj().transpose(0, 2, 1))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blgi.qmath import analyzer_basis, embed
-from oracle import TwoQubitState, ZeroProbabilityError, apply_operator, bell_state, expectation
+from blgi.qmath import embed
+from oracle import TwoQubitState, ZeroProbabilityError, analyzer_basis, apply_operator, bell_state, expectation
 
 
 class TestBellState:

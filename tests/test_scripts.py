@@ -51,6 +51,13 @@ def test_lhv_scan_script():
     assert lines[-1] == "bound violations:   0"
 
 
+def test_lhv_scan_script_one_shot_exits_2():
+    proc = _run("run_lhv_scan.py", "--strategies", "1", "--shots", "1")
+    assert proc.returncode == 2
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "2 for a standard error" in err[0]
+
+
 def test_lhv_scan_script_overflow_is_a_numerical_failure():
     proc = _run("run_lhv_scan.py", "--strategies", "1", "--shots", "100", "--noise-sigma", "1e200")
     assert proc.returncode == 3
