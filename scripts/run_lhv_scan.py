@@ -25,6 +25,9 @@ def main() -> int:
     parser.add_argument("--invasiveness", type=float, default=0.5)
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
+    if args.strategies < 1:
+        print(f"error: --strategies: expected a positive count, got {args.strategies}", file=sys.stderr)
+        return 2
 
     largest = -np.inf
     smallest = np.inf
@@ -37,9 +40,11 @@ def main() -> int:
                 noise_sigma=args.noise_sigma,
                 max_invasiveness=args.invasiveness,
             )
+            strategy.validate()
             estimate = lhv_mean(strategy, args.shots, rng)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (ValueError, MemoryError) as exc:
+            # a bare MemoryError has no message
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return 2
         except NumericalError as exc:
             print(f"numerical error: {exc}", file=sys.stderr)

@@ -12,11 +12,9 @@ regime violates.
 __version__ = "0.1.0"
 
 from .lhv import (
-    CalibrationReport,
     LHVStrategy,
     brute_force_max,
     brute_force_min,
-    calibration_check,
     lhv_mean,
     lhv_records,
     random_strategy,

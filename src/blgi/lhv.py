@@ -1,14 +1,15 @@
 """Classical reference engine: local hidden-variable strategies.
 
 A strategy assigns, per hidden state ``zeta``, bounded property values
-``a1, a2`` (targets of the calibrated noisy detectors) and ``b1, b2``
-(means of the +/-1 readouts), plus a preparation distribution over
-``zeta``.  Detector noise is Gaussian, independent between the arms once
-``zeta`` is fixed, and calibrated: its conditional mean equals the
-declared property value.  An optional invasiveness term lets the first
-measurement on an arm shift that arm's readout mean, clamped to [-1, 1];
-this models locally invasive first measurements, which the correlator
-bound tolerates by construction.
+``a1, a2`` (targets of the noisy detectors) and ``b1, b2`` (means of the
++/-1 readouts), plus a preparation distribution over ``zeta``.  Detector
+noise is zero-mean Gaussian added to the declared value, independent
+between the arms once ``zeta`` is fixed, so every detector is calibrated
+by construction: its conditional mean is the declared property value,
+which is the assumption the bound needs.  An optional invasiveness term
+lets the first measurement on an arm shift that arm's readout mean,
+clamped to [-1, 1]; this models locally invasive first measurements,
+which the correlator bound tolerates by construction.
 
 For every valid strategy the ensemble mean of the per-shot combination
 :func:`blgi.protocol.correlator` lies in [-2, 2];
@@ -18,15 +19,13 @@ For every valid strategy the ensemble mean of the per-shot combination
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .protocol import Estimate, NumericalError, correlator
 
 PREP_DIST_TOL = 1e-12
-CALIBRATION_TOL = 1e-12
-MAX_BRUTE_FORCE_STATES = 8
 
 
 def _as_vector(values, n: int, name: str) -> np.ndarray:
@@ -43,11 +42,10 @@ def _as_vector(values, n: int, name: str) -> np.ndarray:
 class LHVStrategy:
     """One local hidden-variable strategy over a finite hidden-state set.
 
-    ``noise_bias1``/``noise_bias2`` shift the detectors' conditional means
-    away from the declared values; nonzero bias deliberately breaks the
-    calibration assumption and makes the strategy invalid (used to model
-    that failure mode, and caught by :func:`validate` and
-    :func:`calibration_check`).
+    Detector ``k`` reports ``a_k[zeta]`` plus zero-mean Gaussian noise of
+    width ``noise_sigma_k``, so its noise has mean zero given the hidden
+    state: the strategy is calibrated by construction, and no field can
+    make it otherwise.
     """
 
     prep_dist: np.ndarray
@@ -57,8 +55,6 @@ class LHVStrategy:
     b2: np.ndarray
     noise_sigma1: float = 1.0
     noise_sigma2: float = 1.0
-    noise_bias1: np.ndarray | None = None
-    noise_bias2: np.ndarray | None = None
     invasiveness1: np.ndarray | None = None
     invasiveness2: np.ndarray | None = None
 
@@ -71,7 +67,7 @@ class LHVStrategy:
         n = prep.size
         for name in ("a1", "a2", "b1", "b2"):
             object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
-        for name in ("noise_bias1", "noise_bias2", "invasiveness1", "invasiveness2"):
+        for name in ("invasiveness1", "invasiveness2"):
             value = getattr(self, name)
             if value is None:
                 value = np.zeros(n)
@@ -98,13 +94,6 @@ class LHVStrategy:
         for name, sigma in (("noise_sigma1", self.noise_sigma1), ("noise_sigma2", self.noise_sigma2)):
             if not (np.isfinite(sigma) and sigma >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
-        for name in ("noise_bias1", "noise_bias2"):
-            bias = getattr(self, name)
-            if np.max(np.abs(bias)) > CALIBRATION_TOL:
-                raise ValueError(
-                    f"{name} must vanish for a calibrated strategy (noise mean must equal "
-                    f"the declared property value), got max |bias| = {np.max(np.abs(bias))}"
-                )
 
 
 def lhv_records(
@@ -117,8 +106,8 @@ def lhv_records(
     """
     prep = strategy.prep_dist / strategy.prep_dist.sum()
     zeta = rng.choice(strategy.num_hidden_states, size=shots, p=prep)
-    alpha1 = strategy.a1[zeta] + strategy.noise_bias1[zeta]
-    alpha2 = strategy.a2[zeta] + strategy.noise_bias2[zeta]
+    alpha1 = strategy.a1[zeta]
+    alpha2 = strategy.a2[zeta]
     if strategy.noise_sigma1 > 0.0:
         alpha1 = alpha1 + strategy.noise_sigma1 * rng.standard_normal(shots)
     if strategy.noise_sigma2 > 0.0:
@@ -152,11 +141,8 @@ def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Est
 
 
 def _sign_pattern_extrema(num_hidden_states: int) -> tuple[float, float]:
-    if not (1 <= num_hidden_states <= MAX_BRUTE_FORCE_STATES):
-        raise ValueError(
-            f"brute-force enumeration supports 1..{MAX_BRUTE_FORCE_STATES} hidden states, "
-            f"got {num_hidden_states}"
-        )
+    if num_hidden_states < 1:
+        raise ValueError(f"brute-force enumeration needs at least 1 hidden state, got {num_hidden_states}")
     # every hidden state offers the same 16 sign patterns, so the extrema
     # over mixtures of them do not depend on how many states there are
     values = [correlator(*signs) for signs in itertools.product((-1.0, 1.0), repeat=4)]
@@ -211,62 +197,3 @@ def random_strategy(
         invasiveness1=invas1,
         invasiveness2=invas2,
     )
-
-
-@dataclass(frozen=True)
-class CalibrationRow:
-    """Per-(hidden state, detector) calibration comparison."""
-
-    zeta: int
-    detector: str
-    declared: float
-    empirical: float
-    stderr: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class CalibrationReport:
-    rows: tuple[CalibrationRow, ...] = field(default_factory=tuple)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(row.ok for row in self.rows)
-
-
-def calibration_check(
-    strategy: LHVStrategy, shots: int, rng: np.random.Generator
-) -> CalibrationReport:
-    """Compare per-state empirical detector means against declared values.
-
-    For each hidden state and each noisy detector, ``shots`` conditional
-    signals are drawn; the row fails when the empirical mean misses the
-    declared value by 5 empirical standard errors (plus a machine-epsilon
-    floor so that noiseless detectors require exact agreement only up to
-    rounding).  A failed row is how a miscalibrated detector shows up.
-    """
-    if shots < 10_000:
-        raise ValueError(f"calibration needs at least 10000 shots per hidden state, got {shots}")
-    rows = []
-    for detector, declared_all, bias, sigma in (
-        ("alpha1", strategy.a1, strategy.noise_bias1, strategy.noise_sigma1),
-        ("alpha2", strategy.a2, strategy.noise_bias2, strategy.noise_sigma2),
-    ):
-        for zeta in range(strategy.num_hidden_states):
-            declared = float(declared_all[zeta])
-            samples = declared + bias[zeta] + sigma * rng.standard_normal(shots)
-            empirical = float(samples.mean())
-            stderr = float(samples.std(ddof=1) / np.sqrt(shots))
-            floor = 64.0 * np.finfo(float).eps * (1.0 + abs(declared))
-            ok = abs(empirical - declared) < 5.0 * stderr + floor
-            rows.append(
-                CalibrationRow(
-                    zeta=zeta,
-                    detector=detector,
-                    declared=declared,
-                    empirical=empirical,
-                    stderr=stderr,
-                    ok=bool(ok),
-                )
-            )
-    return CalibrationReport(rows=tuple(rows))

@@ -5,7 +5,6 @@ from blgi.lhv import (
     LHVStrategy,
     brute_force_max,
     brute_force_min,
-    calibration_check,
     lhv_mean,
     lhv_records,
     random_strategy,
@@ -43,18 +42,6 @@ class TestStrategyValidation:
             prep_dist=[1.0], a1=[1.5], a2=[0.0], b1=[0.0], b2=[0.0]
         )
         with pytest.raises(ValueError, match="a1"):
-            strategy.validate()
-
-    def test_biased_noise_is_invalid(self):
-        strategy = LHVStrategy(
-            prep_dist=[1.0],
-            a1=[0.2],
-            a2=[0.0],
-            b1=[0.0],
-            b2=[0.0],
-            noise_bias1=[0.2],
-        )
-        with pytest.raises(ValueError, match="noise_bias1"):
             strategy.validate()
 
     def test_vector_length_mismatch(self):
@@ -135,43 +122,9 @@ class TestBruteForce:
         assert brute_force_min(n) == -2.0
 
     def test_resource_limit(self):
-        with pytest.raises(ValueError):
-            brute_force_max(9)
+        # the 16 sign patterns bound any number of hidden states
+        assert brute_force_max(9) == 2.0
+        assert brute_force_min(100) == -2.0
         with pytest.raises(ValueError):
             brute_force_max(0)
 
-
-class TestCalibrationCheck:
-    def test_well_formed_strategy_passes(self):
-        strategy = random_strategy(3, np.random.default_rng(11), noise_sigma=1.0)
-        report = calibration_check(strategy, 20_000, np.random.default_rng(12))
-        assert report.all_ok
-        assert len(report.rows) == 6
-
-    def test_biased_noise_is_flagged_on_the_affected_state(self):
-        strategy = LHVStrategy(
-            prep_dist=[0.5, 0.5],
-            a1=[0.3, -0.3],
-            a2=[0.0, 0.0],
-            b1=[1.0, -1.0],
-            b2=[1.0, -1.0],
-            noise_sigma1=1.0,
-            noise_sigma2=1.0,
-            noise_bias1=[0.2, 0.0],
-        )
-        report = calibration_check(strategy, 50_000, np.random.default_rng(13))
-        flagged = {(row.detector, row.zeta) for row in report.rows if not row.ok}
-        assert ("alpha1", 0) in flagged
-        assert ("alpha2", 0) not in flagged
-        assert ("alpha2", 1) not in flagged
-
-    def test_zero_noise_requires_exact_agreement(self):
-        strategy = _best_deterministic()
-        report = calibration_check(strategy, 10_000, np.random.default_rng(14))
-        assert report.all_ok
-        for row in report.rows:
-            assert row.empirical == row.declared
-
-    def test_minimum_shot_requirement(self):
-        with pytest.raises(ValueError):
-            calibration_check(_best_deterministic(), 100, np.random.default_rng(15))

@@ -1,6 +1,7 @@
 """The experiment scripts in ``scripts/``, each run in a child interpreter at tiny sizes."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -56,6 +57,42 @@ def test_lhv_scan_script_one_shot_exits_2():
     assert proc.returncode == 2
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "2 for a standard error" in err[0]
+
+
+def test_lhv_scan_script_many_hidden_states():
+    # the enumerated extrema hold at any number of hidden states
+    proc = _run("run_lhv_scan.py", "--strategies", "2", "--shots", "100", "--hidden-states", "9")
+    assert proc.returncode == 0, proc.stderr
+    assert "enumerated extrema: [-2.0, 2.0]" in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--strategies", "1", "--shots", "100", "--noise-sigma", "-1"], "noise_sigma1"),
+        (["--strategies", "0"], "--strategies"),
+    ],
+    ids=["noise-sigma -1", "strategies 0"],
+)
+def test_lhv_scan_script_bad_input_exits_2(args, named):
+    proc = _run("run_lhv_scan.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    err = proc.stderr.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
+
+def test_lhv_scan_script_out_of_memory(monkeypatch, capsys):
+    # in-process, so the engine can fail as a run too large to hold would
+    def raise_memory_error(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("blgi.lhv_mean", raise_memory_error)
+    monkeypatch.setattr(sys, "argv", ["run_lhv_scan.py", "--strategies", "1", "--shots", "100"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / "run_lhv_scan.py"), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["error: out of memory"]
 
 
 def test_lhv_scan_script_overflow_is_a_numerical_failure():
