@@ -32,6 +32,7 @@ from .protocol import (
     exact_mean,
     monte_carlo,
     predicted_stderr,
+    require_two_shots,
     retune,
     substream_rng,
     sweep,
@@ -235,9 +236,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _require_two_shots(shots: int) -> None:
-    # the standard error, and with it the violation verdict, needs two shots
-    if shots < 2:
-        raise ConfigError(f"shots must be >= 2 for a standard error, got {shots}")
+    try:
+        require_two_shots(shots)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

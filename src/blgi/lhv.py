@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Estimate, NumericalError, correlator
+from .protocol import Estimate, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
 
@@ -124,20 +124,13 @@ def lhv_records(
 
 
 def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Estimate:
-    """Monte-Carlo mean of the per-shot correlator; :class:`NumericalError` if not finite.
+    """Monte-Carlo mean of the per-shot correlator, reduced by :func:`blgi.protocol.estimate`.
 
-    ``shots`` must be at least 2, the fewest with a standard error.
+    Fewer than 2 shots raise ValueError before anything is drawn.
     """
-    if shots < 2:
-        raise ValueError(f"shots must be >= 2 for a standard error, got {shots}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, alpha1, alpha2, b1, b2 = lhv_records(strategy, shots, rng)
-        values = correlator(alpha1, alpha2, b1, b2)
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / np.sqrt(shots))
-    if not (np.isfinite(mean) and np.isfinite(stderr)):
-        raise NumericalError(f"hidden-variable mean {mean} or stderr {stderr} is not finite")
-    return Estimate(mean=mean, stderr=stderr, shots=shots)
+    require_two_shots(shots)
+    _, moments = _sampled_moments(lambda: lhv_records(strategy, shots, rng)[1:])
+    return estimate([moments])
 
 
 def _sign_pattern_extrema(num_hidden_states: int) -> tuple[float, float]:

@@ -25,7 +25,8 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -81,18 +82,45 @@ class Estimate:
     shots: int
 
 
-def estimate_from_sums(total: float, total_sq: float, n: int) -> Estimate:
-    """Mean and standard error from the sum and sum of squares of ``n`` values.
+def require_two_shots(n: int) -> None:
+    """Raise ValueError unless ``n >= 2``, the fewest shots with a standard error."""
+    if n < 2:
+        raise ValueError(f"shots must be >= 2 for a standard error, got {n}")
 
-    Raises :class:`NumericalError` when either is not finite (signals so
-    wide that their products overflow).
+
+def _moments(alpha1, alpha2, b1, b2) -> tuple[int, float, float]:
+    """Count, sum and sum of squared deviations from the mean of C over one block of records."""
+    values = correlator(alpha1, alpha2, b1, b2)
+    total = float(values.sum())
+    # the second pass of numpy's own variance, squared in place
+    values -= total / values.size
+    values *= values
+    return values.size, total, float(values.sum())
+
+
+def _sampled_moments(sample: Callable[[], tuple[np.ndarray, ...]]) -> tuple[tuple[np.ndarray, ...], tuple]:
+    """The records ``sample()`` draws and their :func:`_moments`."""
+    # an overflow, in the draw or in C, ends in NumericalError from estimate, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = sample()
+        return records, _moments(*records)
+
+
+def estimate(parts: Iterable[tuple[int, float, float]]) -> Estimate:
+    """Mean and standard error from blocks' :func:`_moments`, merged in block order.
+
+    The mean is the summed totals over ``n``; the squared deviations merge
+    pairwise (Chan, Golub & LeVeque 1979), and ``stderr`` follows the
+    operation order of ``values.std(ddof=1) / np.sqrt(n)``.
     """
+    n, total, m2 = 0, 0.0, 0.0
+    for n_b, total_b, m2_b in parts:
+        delta = total_b / n_b - (total / n if n else 0.0)
+        m2 += m2_b + delta * delta * n * n_b / (n + n_b)
+        n, total = n + n_b, total + total_b
+    require_two_shots(n)
     mean = total / n
-    if n > 1:
-        variance = max((total_sq - n * mean * mean) / (n - 1), 0.0)
-        stderr = float(np.sqrt(variance / n))
-    else:
-        stderr = 0.0
+    stderr = float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
     if not (np.isfinite(mean) and np.isfinite(stderr)):
         raise NumericalError(f"Monte-Carlo mean {mean} or stderr {stderr} is not finite")
     return Estimate(mean=mean, stderr=stderr, shots=n)
@@ -122,33 +150,21 @@ def _chunk_sizes(shots: int) -> list[int]:
     return [CHUNK_SHOTS] * full + ([rest] if rest else [])
 
 
-def _chunk(
-    config: ExperimentConfig, chunk_index: int, n: int
-) -> tuple[tuple[np.ndarray, ...], float, float]:
-    """One chunk's ``(alpha1, alpha2, b1, b2)`` arrays and the sum and sum of squares of C."""
-    alpha1, alpha2, b1, b2 = _run_chunk(config, chunk_index, n)
-    # signals wide enough to overflow end in NumericalError from the sums
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = correlator(alpha1, alpha2, b1, b2)
-        return (alpha1, alpha2, b1, b2), float(values.sum()), float((values * values).sum())
-
-
 def _chunks_in_order(config: ExperimentConfig, threads: int) -> Iterator[tuple]:
-    """Yield :func:`_chunk` results in chunk order.
+    """Yield each chunk's ``(alpha1, alpha2, b1, b2)`` arrays and their :func:`_moments`, in chunk order.
 
     At most ``threads + 1`` chunks are submitted and not yet consumed: one
     queued beyond the busy workers, so a worker that finishes picks up the
     next chunk without waiting for the consumer to wake.
     """
-    jobs = enumerate(_chunk_sizes(config.shots))
+    draws = (partial(_run_chunk, config, index, n) for index, n in enumerate(_chunk_sizes(config.shots)))
     if threads == 1:
-        for index, n in jobs:
-            yield _chunk(config, index, n)
+        yield from map(_sampled_moments, draws)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        for index, n in jobs:
-            pending.append(pool.submit(_chunk, config, index, n))
+        for draw in draws:
+            pending.append(pool.submit(_sampled_moments, draw))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:
@@ -163,20 +179,19 @@ def monte_carlo(
     """Average the per-shot correlator over ``config.shots`` sampled shots.
 
     Deterministic for a fixed (config, seed): shots are generated in fixed
-    chunks from counter-based substreams and reduced in chunk order, so
-    the result is bit-identical for any ``threads`` value.  ``on_records``,
-    if given, receives each chunk's ``(alpha1, alpha2, b1, b2)`` arrays in
-    chunk order on the calling thread: exactly the shots being averaged.
+    chunks from counter-based substreams and reduced in chunk order by
+    :func:`estimate` (at least two shots), so the result is bit-identical
+    for any ``threads`` value.  ``on_records``, if given, receives each
+    chunk's ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the
+    calling thread: exactly the shots being averaged.
     """
-    total = 0.0
-    total_sq = 0.0
-    for records, part, part_sq in _chunks_in_order(config, threads):
-        total += part
-        total_sq += part_sq
+    parts = []
+    for records, moments in _chunks_in_order(config, threads):
+        parts.append(moments)
         if on_records is not None:
             on_records(records)
         del records
-    return estimate_from_sums(total, total_sq, config.shots)
+    return estimate(parts)
 
 
 def analytic_mean(

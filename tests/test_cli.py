@@ -32,6 +32,8 @@ def _child_env():
 GAUSSIAN_OVERFLOW = ["--sigma", "1e300", "--shots", "10"]
 #: 1/v_total overflows to inf in the ancilla kernel
 ANCILLA_OVERFLOW = ["--meter", "ancilla", "--v-total", "1e-320", "--shots", "3", "--seed", "1"]
+#: sigma times a standard normal draw overflows in the Gaussian kernel itself
+DRAW_OVERFLOW = ["--sigma", "1e308", "--shots", "10", "--seed", "3"]
 
 
 def _summary_row(path):
@@ -103,6 +105,7 @@ class TestSimulate:
             pytest.param(GAUSSIAN_OVERFLOW, True, id="True"),
             pytest.param(ANCILLA_OVERFLOW, False, id="ancilla-False"),
             pytest.param(ANCILLA_OVERFLOW, True, id="ancilla-True"),
+            pytest.param(DRAW_OVERFLOW, False, id="draw-False"),
         ],
     )
     def test_numerical_failure_prints_no_runtime_warning(self, tmp_path, flags, records):

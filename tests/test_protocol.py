@@ -17,14 +17,14 @@ from blgi.measurement import (
 from blgi.protocol import (
     CHUNK_SHOTS,
     DEFAULT_ANGLES,
-    Estimate,
     ExperimentConfig,
     NumericalError,
+    _moments,
     _run_chunk,
     analytic_mean,
     config_analytic_mean,
     correlator,
-    estimate_from_sums,
+    estimate,
     exact_mean,
     monte_carlo,
     predicted_stderr,
@@ -477,20 +477,53 @@ class TestMonteCarlo:
             assert abs(estimate.mean - exact_mean(config)) < 4 * estimate.stderr
 
 
+def _value_moments(values):
+    """:func:`_moments` of blocks whose C is ``values``: alpha1 = values, alpha2 = 1, b1 = b2 = 0."""
+    values = np.asarray(values, dtype=float)
+    return _moments(values, np.ones_like(values), np.zeros_like(values), np.zeros_like(values))
+
+
 class TestEstimateFromSums:
+    """:func:`estimate` from per-block sums: counts, totals and centred sums of squares."""
+
     def test_mean_and_stderr(self):
         values = np.array([1.0, 2.0, 4.0])
-        estimate = estimate_from_sums(values.sum(), (values * values).sum(), values.size)
-        assert estimate.mean == values.mean()
-        np.testing.assert_allclose(estimate.stderr, values.std(ddof=1) / np.sqrt(3), rtol=1e-12)
+        result = estimate([_value_moments(values)])
+        assert result.mean == values.mean()
+        np.testing.assert_allclose(result.stderr, values.std(ddof=1) / np.sqrt(3), rtol=1e-12)
 
-    def test_single_value_has_zero_stderr(self):
-        assert estimate_from_sums(2.5, 6.25, 1) == Estimate(mean=2.5, stderr=0.0, shots=1)
+    def test_one_value_raises(self):
+        with pytest.raises(ValueError, match="2 for a standard error"):
+            estimate([_value_moments([2.5])])
 
-    @pytest.mark.parametrize("total, total_sq", [(np.inf, np.inf), (np.nan, 1.0), (1.0, np.inf)])
-    def test_non_finite_raises(self, total, total_sq):
+    def test_monte_carlo_at_one_shot_raises(self):
+        with pytest.raises(ValueError, match="2 for a standard error"):
+            monte_carlo(_gaussian_config(shots=1))
+
+    def test_large_offset_does_not_cancel(self):
+        # a one-pass sum of squares near 4e18 keeps nothing of the spread
+        result = estimate([_value_moments(1e9 + np.arange(4.0))])
+        assert result.mean == 1e9 + 1.5
+        assert result.stderr == np.sqrt(5.0 / 3.0) / 2.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_merged_parts_equal_one_part(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.normal(5.0, 2.0, size=2000)
+        cuts = np.sort(rng.choice(np.arange(1, values.size), size=20, replace=False))
+        # parts of one value at both ends and at a random place
+        cuts = np.unique(np.concatenate([[1, cuts[3] + 1, values.size - 1], cuts]))
+        parts = [_value_moments(part) for part in np.split(values, cuts)]
+        assert min(n for n, _, _ in parts) == 1
+        merged, whole = estimate(parts), estimate([_value_moments(values)])
+        assert merged.shots == whole.shots == values.size
+        np.testing.assert_allclose(merged.mean, whole.mean, rtol=1e-15)
+        np.testing.assert_allclose(merged.stderr, whole.stderr, rtol=1e-15)
+
+    @pytest.mark.parametrize("total, m2", [(np.inf, np.inf), (np.nan, 1.0), (1.0, np.inf)])
+    def test_non_finite_raises(self, total, m2):
         with pytest.raises(NumericalError, match="not finite"):
-            estimate_from_sums(total, total_sq, 10)
+            estimate([(10, total, m2)])
 
 
 class TestSweep:

@@ -71,8 +71,9 @@ def test_lhv_scan_script_many_hidden_states():
     [
         (["--strategies", "1", "--shots", "100", "--noise-sigma", "-1"], "noise_sigma1"),
         (["--strategies", "0"], "--strategies"),
+        (["--strategies", "1", "--shots", "100", "--seed", "-1"], "--seed"),
     ],
-    ids=["noise-sigma -1", "strategies 0"],
+    ids=["noise-sigma -1", "strategies 0", "seed -1"],
 )
 def test_lhv_scan_script_bad_input_exits_2(args, named):
     proc = _run("run_lhv_scan.py", *args)
@@ -80,6 +81,20 @@ def test_lhv_scan_script_bad_input_exits_2(args, named):
     assert proc.stdout == ""
     err = proc.stderr.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert "Traceback" not in proc.stderr
+
+
+def test_lhv_scan_script_reports_the_strategies_of_blgi_lhv(tmp_path):
+    flags = ["--shots", "200", "--hidden-states", "3", "--noise-sigma", "0.7", "--invasiveness", "0.5", "--seed", "5"]
+    proc = _run("run_lhv_scan.py", "--strategies", "6", *flags)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "lhv.csv"
+    assert main(["lhv", "--random", "6", *flags, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:] if not line.startswith("#")]
+    means = [float(row[1]) for row in rows]
+    lines = proc.stdout.splitlines()
+    assert lines[1] == f"largest mean seen:  {max(means):+.4f}"
+    assert lines[2] == f"smallest mean seen: {min(means):+.4f}"
 
 
 def test_lhv_scan_script_out_of_memory(monkeypatch, capsys):
@@ -87,7 +102,7 @@ def test_lhv_scan_script_out_of_memory(monkeypatch, capsys):
     def raise_memory_error(*args, **kwargs):
         raise MemoryError()
 
-    monkeypatch.setattr("blgi.lhv_mean", raise_memory_error)
+    monkeypatch.setattr("blgi.lhv.lhv_mean", raise_memory_error)
     monkeypatch.setattr(sys, "argv", ["run_lhv_scan.py", "--strategies", "1", "--shots", "100"])
     with pytest.raises(SystemExit) as exit_info:
         runpy.run_path(str(SCRIPTS / "run_lhv_scan.py"), run_name="__main__")
