@@ -357,15 +357,14 @@ def cmd_lhv(args: argparse.Namespace) -> int:
                     noise_sigma=args.noise_sigma,
                     max_invasiveness=args.invasiveness,
                 )
-                strategy.validate()
             except ValueError as exc:
                 raise ConfigError(f"--random: {exc}") from exc
             strategies.append((f"random-{index}", strategy))
     if not strategies:
         raise ConfigError("lhv needs --strategy, --random or --brute-force")
 
-    # calibration_ok is true on every row: each strategy passed validate(),
-    # and its detector noise has mean zero given the hidden state by construction
+    # calibration_ok is true on every row: each strategy checked its rules when
+    # built, and its detector noise has mean zero given the hidden state by construction
     lines = ["strategy,mean,stderr,bound_ok,calibration_ok\n"]
     any_violation = False
     for index, (name, strategy) in enumerate(strategies):

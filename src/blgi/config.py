@@ -170,7 +170,7 @@ def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
 
 
 def load_strategy(path: str | Path) -> LHVStrategy:
-    """Read a strategy file and validate its invariants.
+    """Read a strategy file into an :class:`LHVStrategy`, which checks its invariants.
 
     Besides ``hidden_states``, the keys are :class:`LHVStrategy` fields: a
     field with a float default is a number, any other a vector with one
@@ -185,23 +185,19 @@ def load_strategy(path: str | Path) -> LHVStrategy:
         raise ConfigError("strategy.hidden_states is required")
     n = _parse_int(section.pop("hidden_states"), "strategy.hidden_states")
     defaults = {field.name: field.default for field in fields(LHVStrategy)}
-    values = {}
-    for key, text in section.items():
-        where = f"strategy.{key}"
-        if key not in defaults:
-            raise ConfigError(f"{where}: unknown key; expected one of hidden_states, {', '.join(defaults)}")
-        values[key] = _parse_float(text, where) if isinstance(defaults[key], float) else _parse_vector(text, where)
-        if isinstance(values[key], list) and len(values[key]) != n:
-            raise ConfigError(f"{where} must have {n} entries (one per hidden state), got {len(values[key])}")
+
+    def parse(text: str, where: str):
+        # _keywords has rejected unknown keys, so the field is known
+        scalar = isinstance(defaults[where.rpartition(".")[2]], float)
+        return _parse_float(text, where) if scalar else _parse_vector(text, where)
+
+    values = _keywords(section, tuple(defaults), "strategy", parse)
     for key, default in defaults.items():
         if default is MISSING and key not in values:
             raise ConfigError(f"strategy.{key} is required")
-    try:
-        strategy = LHVStrategy(**values)
-        strategy.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return strategy
+    if (count := len(values["prep_dist"])) != n:
+        raise ConfigError(f"strategy.prep_dist must have {n} entries (one per hidden state), got {count}")
+    return _build(LHVStrategy, values, str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measurement import _signs
 from .protocol import Estimate, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
@@ -45,7 +46,9 @@ class LHVStrategy:
     Detector ``k`` reports ``a_k[zeta]`` plus zero-mean Gaussian noise of
     width ``noise_sigma_k``, so its noise has mean zero given the hidden
     state: the strategy is calibrated by construction, and no field can
-    make it otherwise.
+    make it otherwise.  The constructor checks every other invariant and
+    raises ValueError naming the first one broken, so every instance is a
+    valid local strategy.
     """
 
     prep_dist: np.ndarray
@@ -62,26 +65,10 @@ class LHVStrategy:
         prep = np.asarray(self.prep_dist, dtype=float)
         if prep.ndim != 1 or prep.size < 1:
             raise ValueError(f"prep_dist must be a non-empty vector, got shape {prep.shape}")
-        prep.setflags(write=False)
-        object.__setattr__(self, "prep_dist", prep)
         n = prep.size
-        for name in ("a1", "a2", "b1", "b2"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
-        for name in ("invasiveness1", "invasiveness2"):
+        for name in ("prep_dist", "a1", "a2", "b1", "b2", "invasiveness1", "invasiveness2"):
             value = getattr(self, name)
-            if value is None:
-                value = np.zeros(n)
-                value.setflags(write=False)
-                object.__setattr__(self, name, value)
-            else:
-                object.__setattr__(self, name, _as_vector(value, n, name))
-
-    @property
-    def num_hidden_states(self) -> int:
-        return self.prep_dist.size
-
-    def validate(self) -> None:
-        """Raise ValueError naming the first violated strategy invariant."""
+            object.__setattr__(self, name, _as_vector(np.zeros(n) if value is None else value, n, name))
         if np.any(self.prep_dist < 0.0):
             raise ValueError(f"prep_dist has negative entries (min {self.prep_dist.min()})")
         total = float(self.prep_dist.sum())
@@ -94,6 +81,10 @@ class LHVStrategy:
         for name, sigma in (("noise_sigma1", self.noise_sigma1), ("noise_sigma2", self.noise_sigma2)):
             if not (np.isfinite(sigma) and sigma >= 0.0):
                 raise ValueError(f"{name} must be finite and >= 0, got {sigma}")
+
+    @property
+    def num_hidden_states(self) -> int:
+        return self.prep_dist.size
 
 
 def lhv_records(
@@ -118,8 +109,8 @@ def lhv_records(
     mean_b2 = strategy.b2[zeta] + strategy.invasiveness2[zeta] * np.tanh(alpha2 - strategy.a2[zeta])
     mean_b1 = np.clip(mean_b1, -1.0, 1.0)
     mean_b2 = np.clip(mean_b2, -1.0, 1.0)
-    b1 = np.where(rng.random(shots) < (1.0 + mean_b1) / 2.0, 1.0, -1.0)
-    b2 = np.where(rng.random(shots) < (1.0 + mean_b2) / 2.0, 1.0, -1.0)
+    b1 = _signs(rng.random(shots) < (1.0 + mean_b1) / 2.0)
+    b2 = _signs(rng.random(shots) < (1.0 + mean_b2) / 2.0)
     return zeta, alpha1, alpha2, b1, b2
 
 

@@ -274,20 +274,19 @@ def _arm_moments(spec: MeterSpec, phi: float, arm: int):
     With ``P0``/``P1`` the arm's analyzer projectors, the zeroth moment
     (the outcome-averaged update) is ``P0 rho P0 + P1 rho P1 +
     Xi*(P0 rho P1 + P1 rho P0)`` and the first moment (signal-weighted
-    update) is ``c*(P0 rho P0 - P1 rho P1)``.  ``c = 1`` for the Gaussian
-    meter at any ``eta``, since the excess dephasing leaves the diagonal
-    blocks alone; the ancilla meter's flip-averaged signal gives
-    ``c = u*v_ent/v_total``.
+    update) is ``P0 rho P0 - P1 rho P1`` for either meter, since both
+    signals are calibrated: the Gaussian meter's excess dephasing leaves
+    the diagonal blocks alone, and the ancilla meter's flip-averaged signal
+    is scaled by ``1/v_total = 1/(u*v_ent)``.
     """
     p0, p1 = (embed(projector, arm) for projector in _projectors(phi))
     xi = meas.dephasing_factor(spec)
-    c = 1.0 if isinstance(spec, GaussianMeterSpec) else spec.u * spec.v_ent / spec.v_total
 
     def zeroth(rho: np.ndarray) -> np.ndarray:
         return p0 @ rho @ p0 + p1 @ rho @ p1 + xi * (p0 @ rho @ p1 + p1 @ rho @ p0)
 
     def first(rho: np.ndarray) -> np.ndarray:
-        return c * (p0 @ rho @ p0 - p1 @ rho @ p1)
+        return p0 @ rho @ p0 - p1 @ rho @ p1
 
     return zeroth, first
 

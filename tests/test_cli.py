@@ -525,6 +525,27 @@ class TestLhvCommand:
         assert code == 2
         assert "sum to 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "replace, named",
+        [
+            (("prep_dist = 0.5, 0.5", "prep_dist = nan, nan"), "prep_dist"),
+            (("hidden_states = 2", "hidden_states = 3"), "strategy.prep_dist"),
+        ],
+        ids=["nan prep_dist", "hidden_states 3"],
+    )
+    def test_invalid_strategy_exits_2_with_one_line(self, tmp_path, capsys, replace, named):
+        # prep_dist comes last: the hidden-state count is checked against it, whatever the key order
+        strategy = tmp_path / "bad.ini"
+        strategy.write_text(
+            "[strategy]\nhidden_states = 2\na1 = 1, -1\na2 = 1, -1\nb1 = 1, -1\nb2 = -1, 1\n"
+            "prep_dist = 0.5, 0.5\n".replace(*replace)
+        )
+        out = tmp_path / "x.csv"
+        assert main(["lhv", "--strategy", str(strategy), "--shots", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not out.exists()
+
     def test_needs_a_mode(self):
         assert main(["lhv"]) == 2
 

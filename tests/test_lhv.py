@@ -26,27 +26,28 @@ def _best_deterministic():
 
 
 class TestStrategyValidation:
+    """Every invariant is checked by the constructor, so an invalid strategy never exists."""
+
     def test_good_strategy_passes(self):
         strategy = random_strategy(3, np.random.default_rng(0))
-        strategy.validate()
+        assert strategy.num_hidden_states == 3
 
     def test_prep_dist_must_sum_to_one(self):
-        strategy = LHVStrategy(
-            prep_dist=[0.5, 0.4], a1=[1, -1], a2=[1, -1], b1=[1, -1], b2=[1, -1]
-        )
         with pytest.raises(ValueError, match="prep_dist"):
-            strategy.validate()
+            LHVStrategy(prep_dist=[0.5, 0.4], a1=[1, -1], a2=[1, -1], b1=[1, -1], b2=[1, -1])
 
     def test_property_range(self):
-        strategy = LHVStrategy(
-            prep_dist=[1.0], a1=[1.5], a2=[0.0], b1=[0.0], b2=[0.0]
-        )
         with pytest.raises(ValueError, match="a1"):
-            strategy.validate()
+            LHVStrategy(prep_dist=[1.0], a1=[1.5], a2=[0.0], b1=[0.0], b2=[0.0])
 
     def test_vector_length_mismatch(self):
         with pytest.raises(ValueError, match="a2"):
             LHVStrategy(prep_dist=[0.5, 0.5], a1=[1, -1], a2=[1], b1=[1, -1], b2=[1, -1])
+
+    def test_non_finite_prep_dist(self):
+        # NaN compares false against every bound, so only a finiteness check catches it
+        with pytest.raises(ValueError, match="prep_dist contains non-finite entries"):
+            LHVStrategy(prep_dist=[np.nan, np.nan], a1=[1, -1], a2=[1, -1], b1=[1, -1], b2=[1, -1])
 
 
 class TestShots:
