@@ -20,17 +20,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .measurement import _signs
 from .protocol import Estimate, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
 
 
 def _as_vector(values, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    # a copy: freezing the caller's own array would make it read-only too
+    arr = np.array(values, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"{name} must have one entry per hidden state ({n}), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -93,25 +94,45 @@ def lhv_records(
     """Vectorized shot sampling; returns ``(zeta, alpha1, alpha2, b1, b2)`` arrays.
 
     Draw order: hidden states, arm-1 noise, arm-2 noise, arm-1 readout,
-    arm-2 readout; one block each.
+    arm-2 readout; one block each.  Beside the five returned arrays one
+    scratch array is alive: the noise draws and each arm's readout mean
+    are built in it in place, and each readout's uniforms become its
+    +/-1 column.
     """
     prep = strategy.prep_dist / strategy.prep_dist.sum()
     zeta = rng.choice(strategy.num_hidden_states, size=shots, p=prep)
-    alpha1 = strategy.a1[zeta]
-    alpha2 = strategy.a2[zeta]
-    if strategy.noise_sigma1 > 0.0:
-        alpha1 = alpha1 + strategy.noise_sigma1 * rng.standard_normal(shots)
-    if strategy.noise_sigma2 > 0.0:
-        alpha2 = alpha2 + strategy.noise_sigma2 * rng.standard_normal(shots)
-    # local invasiveness: the observed alpha may shift the same arm's
-    # readout mean, but the perturbed mean stays in [-1, 1]
-    mean_b1 = strategy.b1[zeta] + strategy.invasiveness1[zeta] * np.tanh(alpha1 - strategy.a1[zeta])
-    mean_b2 = strategy.b2[zeta] + strategy.invasiveness2[zeta] * np.tanh(alpha2 - strategy.a2[zeta])
-    mean_b1 = np.clip(mean_b1, -1.0, 1.0)
-    mean_b2 = np.clip(mean_b2, -1.0, 1.0)
-    b1 = _signs(rng.random(shots) < (1.0 + mean_b1) / 2.0)
-    b2 = _signs(rng.random(shots) < (1.0 + mean_b2) / 2.0)
-    return zeta, alpha1, alpha2, b1, b2
+    # mode="clip" never clips a hidden state; unlike "raise" it writes out= unbuffered
+    take = partial(np.take, indices=zeta, mode="clip")
+    alpha1, alpha2 = take(strategy.a1), take(strategy.a2)
+    scratch = np.empty(shots)
+    for alpha, sigma in ((alpha1, strategy.noise_sigma1), (alpha2, strategy.noise_sigma2)):
+        if sigma > 0.0:
+            rng.standard_normal(out=scratch)
+            scratch *= sigma
+            alpha += scratch
+    readouts = []
+    for alpha, a, b, invasiveness in (
+        (alpha1, strategy.a1, strategy.b1, strategy.invasiveness1),
+        (alpha2, strategy.a2, strategy.b2, strategy.invasiveness2),
+    ):
+        # local invasiveness: the observed alpha may shift the same arm's
+        # readout mean b + invasiveness*tanh(alpha - a), clamped to [-1, 1];
+        # the readout fires +1 with probability (1 + mean)/2
+        mean, column = scratch, np.empty(shots)
+        np.subtract(alpha, take(a, out=mean), out=mean)
+        np.tanh(mean, out=mean)
+        mean *= take(invasiveness, out=column)
+        mean += take(b, out=column)
+        np.clip(mean, -1.0, 1.0, out=mean)
+        mean += 1.0
+        mean /= 2.0
+        rng.random(out=column)
+        # the +/-1 of measurement._signs, in place
+        np.less(column, mean, out=column)
+        column *= 2.0
+        column -= 1.0
+        readouts.append(column)
+    return zeta, alpha1, alpha2, *readouts
 
 
 def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Estimate:

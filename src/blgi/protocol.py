@@ -90,7 +90,14 @@ def require_two_shots(n: int) -> None:
 
 def _moments(alpha1, alpha2, b1, b2) -> tuple[int, float, float]:
     """Count, sum and sum of squared deviations from the mean of C over one block of records."""
-    values = correlator(alpha1, alpha2, b1, b2)
+    # correlator's operation order, with one temporary beside the values
+    values = alpha1 * alpha2
+    term = alpha1 * b2
+    values += term
+    np.multiply(b1, alpha2, out=term)
+    values += term
+    np.multiply(b1, b2, out=term)
+    values -= term
     total = float(values.sum())
     # the second pass of numpy's own variance, squared in place
     values -= total / values.size
@@ -150,21 +157,25 @@ def _chunk_sizes(shots: int) -> list[int]:
     return [CHUNK_SHOTS] * full + ([rest] if rest else [])
 
 
-def _chunks_in_order(config: ExperimentConfig, threads: int) -> Iterator[tuple]:
-    """Yield each chunk's ``(alpha1, alpha2, b1, b2)`` arrays and their :func:`_moments`, in chunk order.
+def _chunks_in_order(tasks: Iterable[Callable], threads: int) -> Iterator:
+    """Run zero-argument ``tasks`` on ``threads`` workers and yield their results in task order.
 
-    At most ``threads + 1`` chunks are submitted and not yet consumed: one
-    queued beyond the busy workers, so a worker that finishes picks up the
-    next chunk without waiting for the consumer to wake.
+    A task is one chunk of work: a Monte-Carlo chunk's draw and
+    :func:`_moments`, or one hidden-variable strategy's whole run.  At most
+    ``threads + 1`` tasks are submitted and not yet consumed: one queued
+    beyond the busy workers, so a worker that finishes picks up the next
+    task without waiting for the consumer to wake.  ``tasks`` is read
+    lazily; one thread runs them on the calling thread, without a pool.
+    A task's exception is raised from the ``next`` that would have
+    yielded its result.
     """
-    draws = (partial(_run_chunk, config, index, n) for index, n in enumerate(_chunk_sizes(config.shots)))
     if threads == 1:
-        yield from map(_sampled_moments, draws)
+        yield from (task() for task in tasks)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        for draw in draws:
-            pending.append(pool.submit(_sampled_moments, draw))
+        for task in tasks:
+            pending.append(pool.submit(task))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:
@@ -185,8 +196,9 @@ def monte_carlo(
     chunk's ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the
     calling thread: exactly the shots being averaged.
     """
+    draws = (partial(_run_chunk, config, index, n) for index, n in enumerate(_chunk_sizes(config.shots)))
     parts = []
-    for records, moments in _chunks_in_order(config, threads):
+    for records, moments in _chunks_in_order((partial(_sampled_moments, draw) for draw in draws), threads):
         parts.append(moments)
         if on_records is not None:
             on_records(records)

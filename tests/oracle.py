@@ -13,7 +13,10 @@ checked against it:
 * :func:`gaussian_kraus` and :func:`ancilla_kraus` are the weak meters'
   Kraus operators, :func:`apply_dephasing` the extra dephasing channel,
 * :class:`MeasurementRecord` and :func:`lhv_shot` give one shot as a
-  record of four floats.
+  record of four floats,
+* :func:`lhv_records_reference` is the hidden-variable sampler written as
+  one expression per array, the reference for the in-place
+  :func:`blgi.lhv.lhv_records`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from blgi.lhv import LHVStrategy, lhv_records
-from blgi.measurement import _squared
+from blgi.measurement import _signs, _squared
 from blgi.qmath import IDENTITY_2, embed
 
 ORTHONORMALITY_TOL = 1e-12
@@ -245,3 +248,24 @@ def lhv_shot(strategy: LHVStrategy, rng: np.random.Generator) -> MeasurementReco
     return MeasurementRecord(
         alpha1=float(alpha1[0]), alpha2=float(alpha2[0]), b1=float(b1[0]), b2=float(b2[0])
     )
+
+
+def lhv_records_reference(
+    strategy: LHVStrategy, shots: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`blgi.lhv.lhv_records` with fresh arrays: same draws in the same order, same bytes."""
+    prep = strategy.prep_dist / strategy.prep_dist.sum()
+    zeta = rng.choice(strategy.num_hidden_states, size=shots, p=prep)
+    alpha1 = strategy.a1[zeta]
+    alpha2 = strategy.a2[zeta]
+    if strategy.noise_sigma1 > 0.0:
+        alpha1 = alpha1 + strategy.noise_sigma1 * rng.standard_normal(shots)
+    if strategy.noise_sigma2 > 0.0:
+        alpha2 = alpha2 + strategy.noise_sigma2 * rng.standard_normal(shots)
+    mean_b1 = strategy.b1[zeta] + strategy.invasiveness1[zeta] * np.tanh(alpha1 - strategy.a1[zeta])
+    mean_b2 = strategy.b2[zeta] + strategy.invasiveness2[zeta] * np.tanh(alpha2 - strategy.a2[zeta])
+    mean_b1 = np.clip(mean_b1, -1.0, 1.0)
+    mean_b2 = np.clip(mean_b2, -1.0, 1.0)
+    b1 = _signs(rng.random(shots) < (1.0 + mean_b1) / 2.0)
+    b2 = _signs(rng.random(shots) < (1.0 + mean_b2) / 2.0)
+    return zeta, alpha1, alpha2, b1, b2

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import blgi
 from blgi.cli import _RECORD_BLOCK, _write_records, main
+from blgi.protocol import _chunks_in_order
 
 SQRT2 = np.sqrt(2.0)
 
@@ -502,6 +503,39 @@ class TestLhvCommand:
         assert code == 0
         digest = "8f9ae18ccf537d14f7650357a96cda73c26bc04268402b6570cae902ada13412"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_worker_count_never_changes_the_bytes(self, tmp_path, monkeypatch):
+        # lhv has no --threads: it runs min(strategies, usable CPUs) workers
+        workers = []
+
+        def spy(tasks, threads):
+            workers.append(threads)
+            return _chunks_in_order(tasks, threads)
+
+        monkeypatch.setattr("blgi.cli._chunks_in_order", spy)
+        argv = [
+            "lhv", "--random", "7", "--shots", "5000", "--hidden-states", "3",
+            "--invasiveness", "0.3", "--noise-sigma", "2", "--seed", "3",
+        ]
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+            out = tmp_path / f"lhv-{cpus}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert workers == [1, 3]
+        assert outputs[0] == outputs[1]
+
+    def test_numerical_error_in_a_worker_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("blgi.cli._usable_cpus", lambda: 3)
+        out = tmp_path / "x.csv"
+        code = main([
+            "lhv", "--random", "4", "--noise-sigma", "1e154", "--shots", "1000", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: ")
+        assert not out.exists()
 
     def test_strategy_file_run(self, tmp_path):
         strategy = tmp_path / "strategy.ini"

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from blgi.lhv import (
     lhv_records,
     random_strategy,
 )
-from oracle import lhv_shot
+from oracle import lhv_records_reference, lhv_shot
 
 
 def _best_deterministic():
@@ -50,6 +53,17 @@ class TestStrategyValidation:
             LHVStrategy(prep_dist=[np.nan, np.nan], a1=[1, -1], a2=[1, -1], b1=[1, -1], b2=[1, -1])
 
 
+    def test_caller_arrays_stay_writable(self):
+        # the strategy freezes copies of its vectors, never the arrays it was given
+        prep, values = np.array([0.5, 0.5]), np.array([1.0, -1.0])
+        strategy = LHVStrategy(prep_dist=prep, a1=values, a2=values, b1=values, b2=values, invasiveness1=values * 0)
+        assert prep.flags.writeable and values.flags.writeable
+        values[0] = 0.5
+        assert strategy.a1[0] == 1.0
+        for name in ("prep_dist", "a1", "a2", "b1", "b2", "invasiveness1", "invasiveness2"):
+            assert not getattr(strategy, name).flags.writeable, name
+
+
 class TestShots:
     def test_deterministic_strategy_reproduces_its_table(self):
         strategy = _best_deterministic()
@@ -84,6 +98,32 @@ class TestShots:
             assert n > 1000
             correlation = float(np.mean(res1 * res2))
             assert abs(correlation) < 5 / np.sqrt(n)
+
+
+class TestLeanRecords:
+    """The in-place sampler draws and returns exactly what the one-expression reference does."""
+
+    @pytest.mark.parametrize("noise_sigma", [1.0, 1e308])
+    @pytest.mark.parametrize("quiet_arm", [None, 1, 2])
+    @pytest.mark.parametrize("shots", [2, 77])
+    @pytest.mark.parametrize(
+        "hidden_states, invasiveness", list(itertools.product([1, 4, 9], [0.0, 0.7]))
+    )
+    def test_matches_the_reference_byte_for_byte(self, hidden_states, invasiveness, shots, quiet_arm, noise_sigma):
+        seed = hidden_states * 100 + shots
+        strategy = random_strategy(
+            hidden_states, np.random.default_rng(seed), noise_sigma=noise_sigma, max_invasiveness=invasiveness
+        )
+        if quiet_arm is not None:
+            strategy = replace(strategy, **{f"noise_sigma{quiet_arm}": 0.0})
+        # a noise of 1e308 overflows to inf in both samplers alike
+        with np.errstate(over="ignore", invalid="ignore"):
+            lean = lhv_records(strategy, shots, np.random.default_rng(seed + 1))
+            reference = lhv_records_reference(strategy, shots, np.random.default_rng(seed + 1))
+        assert len(lean) == len(reference) == 5
+        for got, want in zip(lean, reference):
+            assert got.dtype == want.dtype and got.shape == want.shape == (shots,)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBound:

@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import astuple
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from blgi.protocol import (
     DEFAULT_ANGLES,
     ExperimentConfig,
     NumericalError,
+    _chunks_in_order,
     _moments,
     _run_chunk,
     analytic_mean,
@@ -481,6 +483,53 @@ def _value_moments(values):
     """:func:`_moments` of blocks whose C is ``values``: alpha1 = values, alpha2 = 1, b1 = b2 = 0."""
     values = np.asarray(values, dtype=float)
     return _moments(values, np.ones_like(values), np.zeros_like(values), np.zeros_like(values))
+
+
+class TestMoments:
+    """:func:`_moments` with one temporary equals :func:`correlator` and numpy's two passes, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_correlator_then_two_passes(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 5000))
+        alpha1, alpha2 = rng.normal(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 70.0), size=(2, n))
+        b1, b2 = rng.choice([-1.0, 1.0], size=(2, n))
+        values = correlator(alpha1, alpha2, b1, b2)
+        total = values.sum()
+        deviations = values - total / n
+        assert _moments(alpha1, alpha2, b1, b2) == (n, float(total), float((deviations * deviations).sum()))
+
+
+class TestChunksInOrder:
+    """The one bounded, in-order pool behind monte_carlo and ``blgi lhv``."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_results_in_task_order_with_bounded_lookahead(self, threads):
+        started = []
+
+        def task(index):
+            started.append(index)
+            return index
+
+        results = []
+        for result in _chunks_in_order((partial(task, index) for index in range(20)), threads):
+            # at most threads + 1 tasks submitted and not yet consumed
+            assert max(started) <= result + threads
+            results.append(result)
+        assert results == list(range(20))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_a_task_error_is_raised_in_its_place(self, threads):
+        def task(index):
+            if index == 2:
+                raise NumericalError("task 2")
+            return index
+
+        results = []
+        with pytest.raises(NumericalError, match="task 2"):
+            for result in _chunks_in_order((partial(task, index) for index in range(6)), threads):
+                results.append(result)
+        assert results == [0, 1]
 
 
 class TestEstimateFromSums:
