@@ -327,6 +327,12 @@ _LHV_DEFAULTS = {
 }
 
 
+# shots alive at once across lhv's workers: about 48 bytes each, so some
+# 200 MiB.  A strategy with more shots than this runs alone, as it would
+# without the pool
+_LHV_LIVE_SHOTS = 1 << 22
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask where the platform has one."""
     try:
@@ -380,7 +386,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         partial(lhv.lhv_mean, strategy, args.shots, substream_rng(seed, (1 << 32) + index))
         for index, (_, strategy) in enumerate(strategies)
     )
-    estimates = list(_chunks_in_order(tasks, min(len(strategies), _usable_cpus())))
+    workers = min(len(strategies), _usable_cpus(), max(1, _LHV_LIVE_SHOTS // args.shots))
+    estimates = list(_chunks_in_order(tasks, workers))
 
     # calibration_ok is true on every row: each strategy checked its rules when
     # built, and its detector noise has mean zero given the hidden state by construction

@@ -24,6 +24,7 @@ from functools import partial
 
 import numpy as np
 
+from .measurement import _signs
 from .protocol import Estimate, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
@@ -127,11 +128,7 @@ def lhv_records(
         mean += 1.0
         mean /= 2.0
         rng.random(out=column)
-        # the +/-1 of measurement._signs, in place
-        np.less(column, mean, out=column)
-        column *= 2.0
-        column -= 1.0
-        readouts.append(column)
+        readouts.append(_signs(np.less(column, mean, out=column), out=column))
     return zeta, alpha1, alpha2, *readouts
 
 

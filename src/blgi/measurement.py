@@ -255,10 +255,12 @@ def weak_stage(
     return signals, _from_frame(x0, x1, y0, y1, arm, phi)
 
 
-def _signs(mask: np.ndarray) -> np.ndarray:
+def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # +1.0 where mask, else -1.0; several times faster than np.where on
-    # unpredictable masks
-    return mask * 2.0 - 1.0
+    # unpredictable masks.  ``out`` may be the mask itself, as 0.0/1.0 floats
+    signs = np.multiply(mask, 2.0, out=out)
+    signs -= 1.0
+    return signs
 
 
 def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator) -> np.ndarray:

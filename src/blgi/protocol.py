@@ -90,14 +90,7 @@ def require_two_shots(n: int) -> None:
 
 def _moments(alpha1, alpha2, b1, b2) -> tuple[int, float, float]:
     """Count, sum and sum of squared deviations from the mean of C over one block of records."""
-    # correlator's operation order, with one temporary beside the values
-    values = alpha1 * alpha2
-    term = alpha1 * b2
-    values += term
-    np.multiply(b1, alpha2, out=term)
-    values += term
-    np.multiply(b1, b2, out=term)
-    values -= term
+    values = correlator(alpha1, alpha2, b1, b2)
     total = float(values.sum())
     # the second pass of numpy's own variance, squared in place
     values -= total / values.size

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import blgi
 from blgi.cli import _RECORD_BLOCK, _write_records, main
-from blgi.protocol import _chunks_in_order
+from blgi.protocol import Estimate, _chunks_in_order
 
 SQRT2 = np.sqrt(2.0)
 
@@ -525,6 +525,26 @@ class TestLhvCommand:
             outputs.append(out.read_bytes())
         assert workers == [1, 3]
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "strategies, shots, cpus, workers",
+        [(4, 50_000_000, 8, 1), (4, 2_000_000, 8, 2), (16, 100_000, 8, 8), (200, 100_000, 2, 2), (3, 100_000, 8, 3)],
+    )
+    def test_workers_are_capped_by_live_shots(self, tmp_path, monkeypatch, strategies, shots, cpus, workers):
+        # every worker holds one strategy's records, so many shots mean fewer workers
+        seen = []
+
+        def spy(tasks, threads):
+            seen.append(threads)
+            return _chunks_in_order(tasks, threads)
+
+        monkeypatch.setattr("blgi.cli._chunks_in_order", spy)
+        monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+        # nothing is drawn: a stub stands in for each strategy's run
+        monkeypatch.setattr("blgi.lhv.lhv_mean", lambda strategy, n, rng: Estimate(mean=0.0, stderr=0.1, shots=n))
+        argv = ["lhv", "--random", str(strategies), "--shots", str(shots), "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        assert seen == [workers]
 
     def test_numerical_error_in_a_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("blgi.cli._usable_cpus", lambda: 3)

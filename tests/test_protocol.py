@@ -485,21 +485,6 @@ def _value_moments(values):
     return _moments(values, np.ones_like(values), np.zeros_like(values), np.zeros_like(values))
 
 
-class TestMoments:
-    """:func:`_moments` with one temporary equals :func:`correlator` and numpy's two passes, bit for bit."""
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_equals_correlator_then_two_passes(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 5000))
-        alpha1, alpha2 = rng.normal(rng.uniform(-5.0, 5.0), 10.0 ** rng.uniform(-3.0, 70.0), size=(2, n))
-        b1, b2 = rng.choice([-1.0, 1.0], size=(2, n))
-        values = correlator(alpha1, alpha2, b1, b2)
-        total = values.sum()
-        deviations = values - total / n
-        assert _moments(alpha1, alpha2, b1, b2) == (n, float(total), float((deviations * deviations).sum()))
-
-
 class TestChunksInOrder:
     """The one bounded, in-order pool behind monte_carlo and ``blgi lhv``."""
 
