@@ -22,7 +22,7 @@ def main() -> int:
     parser.add_argument("--outdir", default="out/gaussian", type=Path)
     parser.add_argument("--shots", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=None, help="worker cap (default: blgi's, every usable CPU)")
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
@@ -33,8 +33,8 @@ def main() -> int:
                 "sweep", "--meter", "gaussian", "--eta", str(eta), "--v", str(v),
                 "--axis", "sigma", "--values", SIGMA_VALUES,
                 "--shots", str(args.shots), "--seed", str(args.seed),
-                "--threads", str(args.threads),
                 "--out", str(out), "--manifest", str(out.with_suffix(".manifest.json")),
+                *([] if args.threads is None else ["--threads", str(args.threads)]),
             ])
             if code != 0:
                 return code

@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage/config problem, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from functools import partial
@@ -30,6 +29,7 @@ from .protocol import (
     ExperimentConfig,
     NumericalError,
     _chunks_in_order,
+    _usable_cpus,
     analytic_mean,
     config_analytic_mean,
     exact_mean,
@@ -99,7 +99,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="experiment config file (INI)")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (never changes results)")
+    parser.add_argument("--threads", type=int, default=None, help="worker cap (default: every usable CPU); never changes results")
     parser.add_argument("--meter", choices=tuple(METER_KINDS), default=None, help="meter type for both arms")
     parser.add_argument("--sigma", type=float, default=None, help="gaussian signal std per eigenstate")
     parser.add_argument("--eta", type=float, default=None, help="gaussian meter quantum efficiency")
@@ -333,14 +333,6 @@ _LHV_DEFAULTS = {
 _LHV_LIVE_SHOTS = 1 << 22
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def cmd_lhv(args: argparse.Namespace) -> int:
     # --brute-force reads no other flag, so none may be given with it
     given = _flags_given(args, ("brute_force", "hidden_states", "out"))
@@ -513,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         args = _parse_args(parser, argv)
-        if getattr(args, "threads", 1) < 1:
+        if getattr(args, "threads", None) is not None and args.threads < 1:
             raise ConfigError(f"--threads: expected a positive count, got {args.threads}")
         return handlers[args.command](args)
     except (ConfigError, OSError, MemoryError) as exc:

@@ -20,7 +20,8 @@ Every measurement is along an analyzer given by its angle ``phi`` in
 radians (the convention is in :mod:`blgi.qmath`).  The record law has one
 implementation, :func:`sample_records`.  It keeps each shot as four real
 amplitudes and runs four elementwise stages (weak arm 1, weak arm 2,
-readout arm 1, readout arm 2) with a fixed RNG draw order.  Every
+readout arm 1, readout arm 2) with a fixed RNG draw order; each stage
+works in place on the amplitude arrays it is handed.  Every
 sampler takes an explicit ``numpy.random.Generator`` and is safe to drive
 from disjoint RNG substreams.
 """
@@ -169,7 +170,12 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # The excess dephasing of a Gaussian meter with eta < 1 is realized as a
 # stochastic sign flip of the ket1 branch, which is the same channel in
 # expectation.  Scalars broadcast, so a state shared by all shots (the
-# Bell pair) is passed as four floats.
+# Bell pair) is passed as four floats.  A stage consumes the amplitude
+# arrays it is handed: it rotates and scales them in place and returns
+# them as the post-state, so a chunk holds one set of them.  Every element
+# still goes through the operations of the written-out expressions
+# (``c*a + s*b``, ``x*keep_x + y*keep_y``, ...) in the same order, so the
+# records keep every bit.
 # ---------------------------------------------------------------------------
 
 Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
@@ -184,17 +190,38 @@ def _rotation(phi: float) -> tuple[float, float]:
 
 def _to_frame(amps: Amplitudes, arm: int, phi: float):
     """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
-    indexed by the other arm's computational state."""
+    indexed by the other arm's computational state.
+
+    Arrays are rotated in place: ``x0`` and ``y0`` are written over the
+    arm's ``|0>`` and ``|1>`` arrays at the other arm's ``|0>``, and so on.
+    """
     c00, c01, c10, c11 = amps
     a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
     c, s = _rotation(phi)
-    return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
+    if not isinstance(c00, np.ndarray):
+        return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
+    for a, b in ((a0, b0), (a1, b1)):
+        sa, sb = s * a, s * b
+        # c*a + s*b and c*b - s*a, each with the operands in that order
+        np.add(np.multiply(c, a, out=a), sb, out=a)
+        np.subtract(np.multiply(c, b, out=b), sa, out=b)
+    return a0, a1, b0, b1
 
 
 def _from_frame(x0, x1, y0, y1, arm: int, phi: float) -> Amplitudes:
+    """Rotate the frame components back, in place, into ``(c00, c01, c10, c11)``."""
     c, s = _rotation(phi)
-    a0, a1, b0, b1 = c * x0 - s * y0, c * x1 - s * y1, s * x0 + c * y0, s * x1 + c * y1
-    return (a0, a1, b0, b1) if arm == 1 else (a0, b0, a1, b1)
+    for x, y in ((x0, y0), (x1, y1)):
+        sx, sy = s * x, s * y
+        # c*x - s*y and s*x + c*y, each with the operands in that order
+        np.subtract(np.multiply(c, x, out=x), sy, out=x)
+        np.add(sx, np.multiply(c, y, out=y), out=y)
+    return (x0, x1, y0, y1) if arm == 1 else (x0, y0, x1, y1)
+
+
+def _scaled(x, w: np.ndarray) -> np.ndarray:
+    """``x * w``, written over ``x`` where it is an array."""
+    return np.multiply(x, w, out=x if isinstance(x, np.ndarray) else None)
 
 
 def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +233,9 @@ def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.nd
     alpha/variance``: neither underflows to zero with the other.
     """
     t = signals / variance
-    return np.exp(np.minimum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
+    g0 = np.minimum(t, 0.0)
+    g1 = np.negative(np.maximum(t, 0.0, out=t), out=t)
+    return np.exp(g0, out=g0), np.exp(g1, out=g1)
 
 
 def weak_stage(
@@ -219,7 +248,10 @@ def weak_stage(
 ) -> tuple[np.ndarray, Amplitudes]:
     """Weakly measure ``arm`` along analyzer angle ``phi`` in ``n`` shots.
 
-    Returns ``(signals, post-state amplitudes)``.
+    Returns ``(signals, post-state amplitudes)``.  The stage consumes
+    ``amps``: arrays are overwritten and returned as the post-state, so
+    the caller must not read them again.  Floats, such as a state shared
+    by every shot, are left alone.
 
     Draw order: Gaussian, one uniform block (mixture component), one
     normal block (pointer value) and, only when ``eta < 1``, one uniform
@@ -230,28 +262,41 @@ def weak_stage(
     p0 = x0 * x0 + x1 * x1
     p1 = y0 * y0 + y1 * y1
     if isinstance(spec, GaussianMeterSpec):
-        signals = _signs(rng.random(n) < p0) + spec.sigma * rng.standard_normal(n)
+        signals = _signs(rng.random(n) < p0)
+        signals += spec.sigma * rng.standard_normal(n)
         w0, w1 = _gaussian_branch_scales(signals, spec.variance)
     elif isinstance(spec, AncillaMeterSpec):
         half = spec.v_ent / 2.0
         took_plus = rng.random(n) < (0.5 + half) * p0 + (0.5 - half) * p1
         strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
-        shift = (strong - weak) * took_plus
-        w0, w1 = weak + shift, strong - shift
+        shift = np.multiply(strong - weak, took_plus)
+        w0 = weak + shift
+        w1 = np.subtract(strong, shift, out=shift)
         flip = rng.random(n) < (1.0 - spec.u) / 2.0
         # a Python-float reciprocal overflows to inf without a numpy warning,
         # and +/-1 * (1/v) is +/-1/v exactly
-        signals = _signs(took_plus != flip) * (1.0 / spec.v_total)
+        signals = _signs(took_plus != flip)
+        signals *= 1.0 / spec.v_total
     else:
         raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-    norm = 1.0 / np.sqrt(w0 * w0 * p0 + w1 * w1 * p1)
-    w0 = w0 * norm
-    w1 = w1 * norm
+    # norm = 1/sqrt(w0*w0*p0 + w1*w1*p1), each product's buffer freed as it is summed
+    norm = w0 * w0
+    norm *= p0
+    del p0
+    scratch = w1 * w1
+    scratch *= p1
+    del p1
+    norm += scratch
+    del scratch
+    np.divide(1.0, np.sqrt(norm, out=norm), out=norm)
+    w0 *= norm
+    w1 *= norm
+    del norm
     if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
         flip = rng.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
-        w1 = w1 * _signs(~flip)
-    x0, x1, y0, y1 = x0 * w0, x1 * w0, y0 * w1, y1 * w1
-    del p0, p1, w0, w1, norm  # freed before the rotation allocates: peak memory
+        w1 *= _signs(~flip)
+    x0, x1, y0, y1 = _scaled(x0, w0), _scaled(x1, w0), _scaled(y0, w1), _scaled(y1, w1)
+    del w0, w1  # freed before the rotation allocates: peak memory
     return signals, _from_frame(x0, x1, y0, y1, arm, phi)
 
 
@@ -280,8 +325,10 @@ def first_readout(
     Returns ``(signals, (z0, z1))``: the projection leaves the pair in
     the product of the true outcome's analyzer ket with arm 2's
     conditional ket ``z0|0> + z1|1>``, returned unnormalized.  Only the
-    reported sign suffers the misidentification flip.  Draw order: one
-    uniform block (outcome), one uniform block (flip).
+    reported sign suffers the misidentification flip.  Like
+    :func:`weak_stage`, the stage consumes the arrays in ``amps``: ``z0``
+    and ``z1`` are written over two of them.  Draw order: one uniform
+    block (outcome), one uniform block (flip).
     """
     x0, x1, y0, y1 = _to_frame(amps, 1, phi)
     hit0 = rng.random(n) < x0 * x0 + x1 * x1
@@ -289,7 +336,11 @@ def first_readout(
     # exact select: one of the two products is x*1 or y*1, the other zero
     keep_x = hit0.astype(float)
     keep_y = 1.0 - keep_x
-    return signals, (x0 * keep_x + y0 * keep_y, x1 * keep_x + y1 * keep_y)
+    z0 = _scaled(x0, keep_x)
+    z0 += _scaled(y0, keep_y)
+    z1 = _scaled(x1, keep_x)
+    z1 += _scaled(y1, keep_y)
+    return signals, (z0, z1)
 
 
 def second_readout(
@@ -302,14 +353,19 @@ def second_readout(
     """Projectively read out arm 2 along ``phi``, in state ``ket`` from :func:`first_readout`.
 
     The last measurement leaves no state behind, so only the ket0
-    probability ``<ket0|z>^2 / <z|z>`` is formed.  Draw order: one
-    uniform block (outcome), one uniform block (flip).
+    probability ``<ket0|z>^2 / <z|z>`` is formed, in place: the stage
+    consumes the arrays of ``ket``.  Draw order: one uniform block
+    (outcome), one uniform block (flip).
     """
     z0, z1 = ket
     c, s = _rotation(phi)
-    along0 = c * z0 + s * z1
-    hit0 = rng.random(n) < along0 * along0 / (z0 * z0 + z1 * z1)
-    return _reported(hit0, spec, rng)
+    squared_norm = z0 * z0 + z1 * z1
+    # along0 = c*z0 + s*z1, then along0*along0 / squared_norm, all over z0
+    along0 = np.add(np.multiply(c, z0, out=z0), np.multiply(s, z1, out=z1), out=z0)
+    del z1
+    probability0 = np.divide(np.multiply(along0, along0, out=along0), squared_norm, out=along0)
+    del squared_norm
+    return _reported(rng.random(n) < probability0, spec, rng)
 
 
 def sample_records(

@@ -22,10 +22,13 @@ configuration.  Three routes to the ensemble mean are provided:
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -150,6 +153,14 @@ def _chunk_sizes(shots: int) -> list[int]:
     return [CHUNK_SHOTS] * full + ([rest] if rest else [])
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _chunks_in_order(tasks: Iterable[Callable], threads: int) -> Iterator:
     """Run zero-argument ``tasks`` on ``threads`` workers and yield their results in task order.
 
@@ -175,9 +186,42 @@ def _chunks_in_order(tasks: Iterable[Callable], threads: int) -> Iterator:
             yield pending.popleft().result()
 
 
+def _monte_carlo_estimates(
+    configs: list[ExperimentConfig],
+    threads: int | None,
+    on_records: Callable[[tuple[np.ndarray, ...]], None] | None = None,
+) -> Iterator[Estimate]:
+    """The :func:`monte_carlo` estimate of each of ``configs``, in order.
+
+    Every chunk of every config goes through one :func:`_chunks_in_order`
+    call, so the workers run on into the next config's chunks while the
+    caller handles the last one's estimate.  The pool has one worker per
+    usable CPU, capped by ``threads`` when given: more workers would add
+    no speed, only threads and chunks of some megabytes in flight.  It is
+    shut down when the estimates end, however they end.
+    """
+    sizes = [_chunk_sizes(config.shots) for config in configs]
+    tasks = (
+        partial(_sampled_moments, partial(_run_chunk, config, index, n))
+        for config, chunks in zip(configs, sizes)
+        for index, n in enumerate(chunks)
+    )
+    usable = _usable_cpus()
+    workers = usable if threads is None else min(threads, usable)
+    with closing(_chunks_in_order(tasks, workers)) as results:
+        for chunks in sizes:
+            parts = []
+            for records, moments in islice(results, len(chunks)):
+                parts.append(moments)
+                if on_records is not None:
+                    on_records(records)
+                del records
+            yield estimate(parts)
+
+
 def monte_carlo(
     config: ExperimentConfig,
-    threads: int = 1,
+    threads: int | None = None,
     on_records: Callable[[tuple[np.ndarray, ...]], None] | None = None,
 ) -> Estimate:
     """Average the per-shot correlator over ``config.shots`` sampled shots.
@@ -185,18 +229,13 @@ def monte_carlo(
     Deterministic for a fixed (config, seed): shots are generated in fixed
     chunks from counter-based substreams and reduced in chunk order by
     :func:`estimate` (at least two shots), so the result is bit-identical
-    for any ``threads`` value.  ``on_records``, if given, receives each
+    for any number of workers.  The chunks run on every usable CPU, or on
+    at most ``threads`` of them.  ``on_records``, if given, receives each
     chunk's ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the
     calling thread: exactly the shots being averaged.
     """
-    draws = (partial(_run_chunk, config, index, n) for index, n in enumerate(_chunk_sizes(config.shots)))
-    parts = []
-    for records, moments in _chunks_in_order((partial(_sampled_moments, draw) for draw in draws), threads):
-        parts.append(moments)
-        if on_records is not None:
-            on_records(records)
-        del records
-    return estimate(parts)
+    [result] = _monte_carlo_estimates([config], threads, on_records)
+    return result
 
 
 def analytic_mean(
@@ -384,25 +423,27 @@ def sweep(
     config: ExperimentConfig,
     axis: str,
     values: list[float],
-    threads: int = 1,
+    threads: int | None = None,
 ) -> list[SweepPoint]:
     """Evaluate Monte-Carlo, deterministic, and closed-form means per value.
 
     ``axis`` selects the swept parameter: ``sigma``/``eta`` retune both
     Gaussian meters, ``v_total``/``u`` both ancilla meters, ``v`` the
-    projective readout.
+    projective readout.  Every value is checked before anything is drawn.
+    All points' chunks run through one pool, on every usable CPU or at
+    most ``threads`` of them, and each point's Monte-Carlo mean is
+    bit-identical to :func:`monte_carlo` on its own config.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    points = []
-    for value in values:
-        derived = retune(config, **{axis: float(value)})
-        points.append(
+    configs = [retune(config, **{axis: float(value)}) for value in values]
+    with closing(_monte_carlo_estimates(configs, threads)) as estimates:
+        return [
             SweepPoint(
                 value=float(value),
-                estimate=monte_carlo(derived, threads=threads),
+                estimate=sampled,
                 exact=exact_mean(derived),
                 analytic=config_analytic_mean(derived),
             )
-        )
-    return points
+            for value, derived, sampled in zip(values, configs, estimates)
+        ]

@@ -16,17 +16,30 @@ checked against it:
   record of four floats,
 * :func:`lhv_records_reference` is the hidden-variable sampler written as
   one expression per array, the reference for the in-place
-  :func:`blgi.lhv.lhv_records`.
+  :func:`blgi.lhv.lhv_records`,
+* :func:`sample_records_reference` is the record kernel written one
+  expression per array, the reference for the in-place stages of
+  :func:`blgi.measurement.sample_records`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from blgi.lhv import LHVStrategy, lhv_records
-from blgi.measurement import _signs, _squared
+from blgi.measurement import (
+    BELL_AMPLITUDES,
+    AncillaMeterSpec,
+    GaussianMeterSpec,
+    MeterSpec,
+    ProjectiveMeterSpec,
+    _signs,
+    _squared,
+    excess_dephasing_factor,
+)
 from blgi.qmath import IDENTITY_2, embed
 
 ORTHONORMALITY_TOL = 1e-12
@@ -269,3 +282,162 @@ def lhv_records_reference(
     b1 = _signs(rng.random(shots) < (1.0 + mean_b1) / 2.0)
     b2 = _signs(rng.random(shots) < (1.0 + mean_b2) / 2.0)
     return zeta, alpha1, alpha2, b1, b2
+
+
+# ---------------------------------------------------------------------------
+# The record kernel written one expression per array: every stage returns
+# fresh arrays and leaves its inputs alone.  The runtime stages in
+# :mod:`blgi.measurement` work in place; they must match these bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _rotation(phi: float) -> tuple[float, float]:
+    # ket0 = (c, s) and ket1 = (-s, c) with c = cos(phi/2), s = sin(phi/2)
+    return float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
+
+
+def _to_frame(amps: tuple, arm: int, phi: float):
+    """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
+    indexed by the other arm's computational state."""
+    c00, c01, c10, c11 = amps
+    a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
+    c, s = _rotation(phi)
+    return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
+
+
+def _from_frame(x0, x1, y0, y1, arm: int, phi: float) -> tuple:
+    c, s = _rotation(phi)
+    a0, a1, b0, b1 = c * x0 - s * y0, c * x1 - s * y1, s * x0 + c * y0, s * x1 + c * y1
+    return (a0, a1, b0, b1) if arm == 1 else (a0, b0, a1, b1)
+
+
+def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Kraus entries ``g0, g1`` of pointer readouts ``signals``, up to a
+    common per-shot factor.
+
+    ``g0/g1 = exp(alpha/variance)``, so dividing both by the larger one
+    gives ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t =
+    alpha/variance``: neither underflows to zero with the other.
+    """
+    t = signals / variance
+    return np.exp(np.minimum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
+
+
+def weak_stage_reference(
+    amps: tuple,
+    arm: int,
+    spec: MeterSpec,
+    phi: float,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, tuple]:
+    """Weakly measure ``arm`` along analyzer angle ``phi`` in ``n`` shots.
+
+    Returns ``(signals, post-state amplitudes)``.
+
+    Draw order: Gaussian, one uniform block (mixture component), one
+    normal block (pointer value) and, only when ``eta < 1``, one uniform
+    block (phase flip); ancilla, one uniform block (branch) and one
+    uniform block (readout flip).
+    """
+    x0, x1, y0, y1 = _to_frame(amps, arm, phi)
+    p0 = x0 * x0 + x1 * x1
+    p1 = y0 * y0 + y1 * y1
+    if isinstance(spec, GaussianMeterSpec):
+        signals = _signs(rng.random(n) < p0) + spec.sigma * rng.standard_normal(n)
+        w0, w1 = _gaussian_branch_scales(signals, spec.variance)
+    elif isinstance(spec, AncillaMeterSpec):
+        half = spec.v_ent / 2.0
+        took_plus = rng.random(n) < (0.5 + half) * p0 + (0.5 - half) * p1
+        strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
+        shift = (strong - weak) * took_plus
+        w0, w1 = weak + shift, strong - shift
+        flip = rng.random(n) < (1.0 - spec.u) / 2.0
+        # a Python-float reciprocal overflows to inf without a numpy warning,
+        # and +/-1 * (1/v) is +/-1/v exactly
+        signals = _signs(took_plus != flip) * (1.0 / spec.v_total)
+    else:
+        raise TypeError(f"unsupported meter spec {type(spec).__name__}")
+    norm = 1.0 / np.sqrt(w0 * w0 * p0 + w1 * w1 * p1)
+    w0 = w0 * norm
+    w1 = w1 * norm
+    if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
+        flip = rng.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
+        w1 = w1 * _signs(~flip)
+    x0, x1, y0, y1 = x0 * w0, x1 * w0, y0 * w1, y1 * w1
+    del p0, p1, w0, w1, norm  # freed before the rotation allocates: peak memory
+    return signals, _from_frame(x0, x1, y0, y1, arm, phi)
+
+
+def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator) -> np.ndarray:
+    # the reported sign is the true one, flipped with probability (1 - v)/2
+    return _signs(hit0 != (rng.random(hit0.size) < (1.0 - spec.v) / 2.0))
+
+
+def first_readout_reference(
+    amps: tuple,
+    spec: ProjectiveMeterSpec,
+    phi: float,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Projectively read out arm 1 along analyzer angle ``phi`` in ``n`` shots.
+
+    Returns ``(signals, (z0, z1))``: the projection leaves the pair in
+    the product of the true outcome's analyzer ket with arm 2's
+    conditional ket ``z0|0> + z1|1>``, returned unnormalized.  Only the
+    reported sign suffers the misidentification flip.  Draw order: one
+    uniform block (outcome), one uniform block (flip).
+    """
+    x0, x1, y0, y1 = _to_frame(amps, 1, phi)
+    hit0 = rng.random(n) < x0 * x0 + x1 * x1
+    signals = _reported(hit0, spec, rng)
+    # exact select: one of the two products is x*1 or y*1, the other zero
+    keep_x = hit0.astype(float)
+    keep_y = 1.0 - keep_x
+    return signals, (x0 * keep_x + y0 * keep_y, x1 * keep_x + y1 * keep_y)
+
+
+def second_readout_reference(
+    ket: tuple[np.ndarray, np.ndarray],
+    spec: ProjectiveMeterSpec,
+    phi: float,
+    rng: np.random.Generator,
+    n: int,
+) -> np.ndarray:
+    """Projectively read out arm 2 along ``phi``, in state ``ket`` from :func:`first_readout_reference`.
+
+    The last measurement leaves no state behind, so only the ket0
+    probability ``<ket0|z>^2 / <z|z>`` is formed.  Draw order: one
+    uniform block (outcome), one uniform block (flip).
+    """
+    z0, z1 = ket
+    c, s = _rotation(phi)
+    along0 = c * z0 + s * z1
+    hit0 = rng.random(n) < along0 * along0 / (z0 * z0 + z1 * z1)
+    return _reported(hit0, spec, rng)
+
+
+def sample_records_reference(
+    n: int,
+    meter1: MeterSpec,
+    meter2: MeterSpec,
+    readout: ProjectiveMeterSpec,
+    angles: tuple[float, float, float, float],
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` shots of the full protocol from the Bell pair: ``(alpha1, alpha2, b1, b2)``.
+
+    ``angles`` are the analyzers ``(a1, a2, b1, b2)`` in radians; a
+    non-finite one raises ValueError.  Stages and draws run in the order
+    weak arm 1, weak arm 2, readout arm 1, readout arm 2.
+    """
+    phi_a1, phi_a2, phi_b1, phi_b2 = angles
+    for phi in angles:
+        if not np.isfinite(phi):
+            raise ValueError(f"analyzer angle must be finite, got {phi}")
+    alpha1, amps = weak_stage_reference(BELL_AMPLITUDES, 1, meter1, phi_a1, rng, n)
+    alpha2, amps = weak_stage_reference(amps, 2, meter2, phi_a2, rng, n)
+    b1, ket = first_readout_reference(amps, readout, phi_b1, rng, n)
+    b2 = second_readout_reference(ket, readout, phi_b2, rng, n)
+    return alpha1, alpha2, b1, b2

@@ -257,6 +257,60 @@ class TestSweep:
         assert code == 2
 
 
+class TestWorkers:
+    """``simulate`` and ``sweep`` run one pool of ``min(--threads or usable CPUs, usable CPUs)`` workers."""
+
+    @staticmethod
+    def _spy_pool(monkeypatch, cpus):
+        # no thread starts and nothing is drawn: the spy runs each task inline,
+        # and every chunk is two fixed shots
+        seen = []
+
+        def spy(tasks, threads):
+            seen.append(threads)
+            return (task() for task in tasks)
+
+        monkeypatch.setattr("blgi.protocol._chunks_in_order", spy)
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("blgi.protocol._run_chunk", lambda config, index, n: tuple(np.ones(2) for _ in range(4)))
+        return seen
+
+    @staticmethod
+    def _argv(command, tmp_path):
+        argv = [command, "--shots", "100000000", "--seed", "3", "--out", str(tmp_path / "x.csv")]
+        return argv + (["--axis", "sigma", "--values", "1,2,4"] if command == "sweep" else [])
+
+    @pytest.mark.parametrize("flags, workers", [([], 2), (["--threads", "1"], 1), (["--threads", "1000"], 2)])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_one_pool_capped_by_usable_cpus(self, tmp_path, monkeypatch, command, flags, workers):
+        seen = self._spy_pool(monkeypatch, cpus=2)
+        assert main([*self._argv(command, tmp_path), *flags]) == 0
+        # one pool per command, even for a sweep's three points
+        assert seen == [workers]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_non_positive_threads_exit_2(self, tmp_path, monkeypatch, capsys, command, threads):
+        seen = self._spy_pool(monkeypatch, cpus=2)
+        assert main([*self._argv(command, tmp_path), "--threads", threads]) == 2
+        assert capsys.readouterr().err.strip() == f"error: --threads: expected a positive count, got {threads}"
+        assert seen == []
+
+    def test_sweep_bytes_do_not_depend_on_workers(self, tmp_path, monkeypatch):
+        # four usable CPUs, so --threads 1, --threads 3 and the default each run a different pool
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 4)
+        base = [
+            "sweep", "--meter", "gaussian", "--eta", "0.5", "--axis", "sigma", "--values", "0.5,1,2",
+            "--shots", str((1 << 16) + 77), "--seed", "3",
+        ]
+        outputs = []
+        for index, flags in enumerate((["--threads", "1"], ["--threads", "3"], [])):
+            out = tmp_path / f"sweep{index}.csv"
+            assert main([*base, *flags, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
 class TestManifestRoundTrip:
     def test_sweep_rerun_is_bit_identical(self, tmp_path):
         manifest = tmp_path / "run.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import roots_hermite
@@ -10,6 +12,7 @@ from blgi.measurement import (
     dephasing_factor,
     excess_dephasing_factor,
     first_readout,
+    sample_records,
     second_readout,
     weak_stage,
 )
@@ -21,7 +24,11 @@ from oracle import (
     apply_dephasing,
     apply_operator,
     bell_state,
+    first_readout_reference,
     gaussian_kraus,
+    sample_records_reference,
+    second_readout_reference,
+    weak_stage_reference,
 )
 
 #: |00>, one state shared by every shot
@@ -516,7 +523,9 @@ class TestKernelMatchesKrausOracle:
             basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
             amps = _random_amplitudes(rng, n)
             seed = int(rng.integers(2**32))
-            signals, post = weak_stage(amps, arm, spec, basis.phi, np.random.default_rng(seed), n)
+            # a stage consumes its amplitude arrays, and the checks below read amps
+            copies = tuple(a.copy() for a in amps)
+            signals, post = weak_stage(copies, arm, spec, basis.phi, np.random.default_rng(seed), n)
 
             replay = np.random.default_rng(seed)
             branch_draws = replay.random(n)
@@ -552,7 +561,8 @@ class TestKernelMatchesKrausOracle:
             basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
             amps = _random_amplitudes(rng, n)
             seed = int(rng.integers(2**32))
-            signals, (z0, z1) = first_readout(amps, spec, basis.phi, np.random.default_rng(seed), n)
+            copies = tuple(a.copy() for a in amps)
+            signals, (z0, z1) = first_readout(copies, spec, basis.phi, np.random.default_rng(seed), n)
 
             replay = np.random.default_rng(seed)
             hit_draws, flip_draws = replay.random(n), replay.random(n)
@@ -583,7 +593,67 @@ class TestKernelMatchesKrausOracle:
             draws = np.asarray(weights) + np.where(below, -1e-12, 1e-12)
             expected = np.where(below, 1.0, -1.0)
             spec = ProjectiveMeterSpec(v=0.5)
-            kept = second_readout((z0, z1), spec, basis.phi, StubGenerator(draws, np.ones(n)), n)
+            kept = second_readout((z0.copy(), z1.copy()), spec, basis.phi, StubGenerator(draws, np.ones(n)), n)
             np.testing.assert_array_equal(kept, expected)
-            flipped = second_readout((z0, z1), spec, basis.phi, StubGenerator(draws, np.zeros(n)), n)
+            flipped = second_readout((z0.copy(), z1.copy()), spec, basis.phi, StubGenerator(draws, np.zeros(n)), n)
             np.testing.assert_array_equal(flipped, -expected)
+
+
+def _assert_same_bytes(lean, reference):
+    assert len(lean) == len(reference)
+    for got, want in zip(lean, reference):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestKernelMatchesReference:
+    """The in-place stages write the bytes of the kernel written one expression per array."""
+
+    METERS = (
+        GaussianMeterSpec(sigma=0.7, eta=1.0),
+        GaussianMeterSpec(sigma=1.9, eta=0.5),
+        # sigma**2 is near the largest double, and at 1e308 it overflows, as do the draws
+        GaussianMeterSpec(sigma=1e154, eta=0.5),
+        GaussianMeterSpec(sigma=1e308, eta=1.0),
+        AncillaMeterSpec(v_total=0.45, u=0.8),
+        AncillaMeterSpec(v_total=1.0, u=1.0),
+    )
+
+    @pytest.mark.parametrize("v", [0.0, 0.8, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 77, 65536])
+    def test_sample_records(self, n, v):
+        rng = np.random.default_rng(n + int(10 * v))
+        for meter1, meter2 in itertools.product(self.METERS, repeat=2):
+            angles = tuple(rng.uniform(-7.0, 7.0, size=4))
+            seed = int(rng.integers(2**63))
+            readout = ProjectiveMeterSpec(v=v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lean = sample_records(n, meter1, meter2, readout, angles, np.random.default_rng(seed))
+                reference = sample_records_reference(n, meter1, meter2, readout, angles, np.random.default_rng(seed))
+            _assert_same_bytes(lean, reference)
+
+    @pytest.mark.parametrize("n", [1, 77, 4096])
+    def test_stages_on_amplitude_arrays(self, n):
+        # sample_records hands arrays to every stage but the first; here every stage gets them
+        rng = np.random.default_rng(n)
+        for arm, meter in itertools.product((1, 2), self.METERS[:2] + self.METERS[4:]):
+            amps = _random_amplitudes(rng, n)
+            phi = rng.uniform(-7.0, 7.0)
+            seed = int(rng.integers(2**63))
+            signals, post = weak_stage(tuple(a.copy() for a in amps), arm, meter, phi, np.random.default_rng(seed), n)
+            want_signals, want_post = weak_stage_reference(amps, arm, meter, phi, np.random.default_rng(seed), n)
+            _assert_same_bytes((signals, *post), (want_signals, *want_post))
+
+            readout = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
+            b1, ket = first_readout(tuple(a.copy() for a in amps), readout, phi, np.random.default_rng(seed), n)
+            want_b1, want_ket = first_readout_reference(amps, readout, phi, np.random.default_rng(seed), n)
+            _assert_same_bytes((b1, *ket), (want_b1, *want_ket))
+
+            b2 = second_readout(ket, readout, -phi, np.random.default_rng(seed), n)
+            want_b2 = second_readout_reference(want_ket, readout, -phi, np.random.default_rng(seed), n)
+            _assert_same_bytes((b2,), (want_b2,))
+
+    def test_a_stage_returns_the_arrays_it_was_handed(self):
+        amps = _random_amplitudes(np.random.default_rng(11), 5)
+        _, post = weak_stage(amps, 2, GaussianMeterSpec(sigma=1.0), 0.3, np.random.default_rng(12), 5)
+        assert {id(a) for a in post} == {id(a) for a in amps}

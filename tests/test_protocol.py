@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import astuple
 from functools import partial
 
@@ -23,6 +24,7 @@ from blgi.protocol import (
     _chunks_in_order,
     _moments,
     _run_chunk,
+    _sampled_moments,
     analytic_mean,
     config_analytic_mean,
     correlator,
@@ -598,6 +600,38 @@ class TestSweep:
     def test_invalid_value_reported(self):
         with pytest.raises(ValueError, match="-3"):
             sweep(_gaussian_config(shots=10), "sigma", [-3.0])
+
+    def test_each_point_is_its_own_monte_carlo(self):
+        # all points' chunks share one pool; each point still reduces exactly its own
+        config = _gaussian_config(eta=0.5, shots=2 * CHUNK_SHOTS + 5, seed=9)
+        values = [0.6, 1.5, 4.0]
+        points = sweep(config, "sigma", values, threads=3)
+        assert [p.estimate for p in points] == [monte_carlo(retune(config, sigma=v), threads=1) for v in values]
+
+    def test_every_value_is_checked_before_anything_is_drawn(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew a chunk")
+
+        monkeypatch.setattr("blgi.protocol._run_chunk", no_draws)
+        with pytest.raises(ValueError, match="-3"):
+            sweep(_gaussian_config(shots=10), "sigma", [1.0, 2.0, -3.0])
+
+
+class TestChunkMemory:
+    def test_one_gaussian_chunk_peaks_under_seven_mib(self):
+        # each worker holds one chunk's kernel peak, so the kernel must stay lean
+        config = _gaussian_config(sigma=10.0, eta=0.5, shots=CHUNK_SHOTS, seed=3)
+        draw = partial(_run_chunk, config, 0, CHUNK_SHOTS)
+        _sampled_moments(draw)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _sampled_moments(draw)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
 
 class TestRetune:

@@ -43,6 +43,21 @@ def test_sweep_script(tmp_path, script, rows):
     assert rerun.read_bytes() == original.read_bytes()
 
 
+@pytest.mark.parametrize("flags, threads", [([], None), (["--threads", "3"], "3")])
+@pytest.mark.parametrize("script", ["run_gaussian_sweep.py", "run_ancilla_sweep.py"])
+def test_sweep_script_passes_threads_only_when_given(tmp_path, monkeypatch, script, flags, threads):
+    # without --threads the script leaves the worker count to blgi's default
+    calls = []
+    monkeypatch.setattr("blgi.cli.main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", [script, "--outdir", str(tmp_path), *flags])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exit_info.value.code == 0
+    assert len(calls) == 4
+    for argv in calls:
+        assert (argv[argv.index("--threads") + 1] if "--threads" in argv else None) == threads
+
+
 def test_lhv_scan_script():
     proc = _run("run_lhv_scan.py", "--strategies", "3", "--shots", "100")
     assert proc.returncode == 0, proc.stderr
