@@ -21,7 +21,9 @@ radians (the convention is in :mod:`blgi.qmath`).  The record law has one
 implementation, :func:`sample_records`.  It keeps each shot as four real
 amplitudes and runs four elementwise stages (weak arm 1, weak arm 2,
 readout arm 1, readout arm 2) with a fixed RNG draw order; each stage
-works in place on the amplitude arrays it is handed.  Every
+works in place on the amplitude arrays it is handed and takes every
+other array from a :class:`Workspace` that a caller may keep from chunk
+to chunk.  Every
 sampler takes an explicit ``numpy.random.Generator`` and is safe to drive
 from disjoint RNG substreams.
 """
@@ -172,10 +174,14 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # expectation.  Scalars broadcast, so a state shared by all shots (the
 # Bell pair) is passed as four floats.  A stage consumes the amplitude
 # arrays it is handed: it rotates and scales them in place and returns
-# them as the post-state, so a chunk holds one set of them.  Every element
-# still goes through the operations of the written-out expressions
-# (``c*a + s*b``, ``x*keep_x + y*keep_y``, ...) in the same order, so the
-# records keep every bit.
+# them as the post-state, so a chunk holds one set of them.  Every other
+# array, each RNG block included, is a buffer of a Workspace: a stage
+# takes it, writes it through ``out=`` and gives it back once it is
+# summed or compared, so a workspace kept from chunk to chunk allocates
+# nothing after its first chunk.  Every element still goes through the
+# operations of the written-out expressions (``c*a + s*b``,
+# ``x*keep_x + y*keep_y``, ...) in the same order, so the records keep
+# every bit.
 # ---------------------------------------------------------------------------
 
 Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
@@ -183,12 +189,51 @@ Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
 BELL_AMPLITUDES: Amplitudes = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
 
 
+class Workspace:
+    """Float64 and bool buffers of ``size`` entries that the record kernel reuses.
+
+    :meth:`take` hands out the first ``n`` entries of a free buffer and
+    allocates a buffer only when every one of that dtype is in use;
+    :meth:`give` frees what :meth:`take` handed out, and :meth:`reset`
+    frees every buffer.  So a caller that keeps one workspace from chunk
+    to chunk allocates only during its first chunk, as many buffers as
+    the kernel holds at its peak.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._buffers: dict[type, list[np.ndarray]] = {np.float64: [], np.bool_: []}
+        self._free: dict[type, list[np.ndarray]] = {np.float64: [], np.bool_: []}
+
+    def take(self, n: int, dtype: type = np.float64) -> np.ndarray:
+        """The first ``n`` entries of a free buffer of ``dtype``, contents undefined."""
+        if n > self.size:
+            raise ValueError(f"a workspace of {self.size} entries cannot hold {n}")
+        free = self._free[dtype]
+        if not free:
+            buffer = np.empty(self.size, dtype)
+            self._buffers[dtype].append(buffer)
+            free.append(buffer)
+        return free.pop()[:n]
+
+    def give(self, *arrays) -> None:
+        """Free the buffers behind ``arrays``, each from :meth:`take`; floats are skipped."""
+        for array in arrays:
+            if isinstance(array, np.ndarray):
+                self._free[array.dtype.type].append(array.base)
+
+    def reset(self) -> None:
+        """Free every buffer, whatever still holds views of it."""
+        for dtype, buffers in self._buffers.items():
+            self._free[dtype] = list(buffers)
+
+
 def _rotation(phi: float) -> tuple[float, float]:
     # ket0 = (c, s) and ket1 = (-s, c) with c = cos(phi/2), s = sin(phi/2)
     return float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
 
 
-def _to_frame(amps: Amplitudes, arm: int, phi: float):
+def _to_frame(amps: Amplitudes, arm: int, phi: float, workspace: Workspace):
     """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
     indexed by the other arm's computational state.
 
@@ -200,31 +245,58 @@ def _to_frame(amps: Amplitudes, arm: int, phi: float):
     c, s = _rotation(phi)
     if not isinstance(c00, np.ndarray):
         return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
+    sa, sb = workspace.take(c00.size), workspace.take(c00.size)
     for a, b in ((a0, b0), (a1, b1)):
-        sa, sb = s * a, s * b
+        np.multiply(s, a, out=sa)
+        np.multiply(s, b, out=sb)
         # c*a + s*b and c*b - s*a, each with the operands in that order
         np.add(np.multiply(c, a, out=a), sb, out=a)
         np.subtract(np.multiply(c, b, out=b), sa, out=b)
+    workspace.give(sa, sb)
     return a0, a1, b0, b1
 
 
-def _from_frame(x0, x1, y0, y1, arm: int, phi: float) -> Amplitudes:
+def _from_frame(x0, x1, y0, y1, arm: int, phi: float, workspace: Workspace) -> Amplitudes:
     """Rotate the frame components back, in place, into ``(c00, c01, c10, c11)``."""
     c, s = _rotation(phi)
+    sx, sy = workspace.take(x0.size), workspace.take(x0.size)
     for x, y in ((x0, y0), (x1, y1)):
-        sx, sy = s * x, s * y
+        np.multiply(s, x, out=sx)
+        np.multiply(s, y, out=sy)
         # c*x - s*y and s*x + c*y, each with the operands in that order
         np.subtract(np.multiply(c, x, out=x), sy, out=x)
         np.add(sx, np.multiply(c, y, out=y), out=y)
+    workspace.give(sx, sy)
     return (x0, x1, y0, y1) if arm == 1 else (x0, y0, x1, y1)
 
 
-def _scaled(x, w: np.ndarray) -> np.ndarray:
-    """``x * w``, written over ``x`` where it is an array."""
-    return np.multiply(x, w, out=x if isinstance(x, np.ndarray) else None)
+def _scaled(x, w: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """``x * w``, written over ``x`` where it is an array, else into a buffer."""
+    return np.multiply(x, w, out=x if isinstance(x, np.ndarray) else workspace.take(w.size))
 
 
-def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
+def _squared_sum(x, y, workspace: Workspace):
+    """``x*x + y*y``: a float for floats, else a buffer."""
+    if not isinstance(x, np.ndarray):
+        return x * x + y * y
+    total = np.multiply(x, x, out=workspace.take(x.size))
+    square = np.multiply(y, y, out=workspace.take(x.size))
+    total += square
+    workspace.give(square)
+    return total
+
+
+def _uniform_below(threshold, rng: np.random.Generator, n: int, workspace: Workspace) -> np.ndarray:
+    """``rng.random(n) < threshold`` from one uniform block, as a bool buffer."""
+    draws = rng.random(out=workspace.take(n))
+    below = np.less(draws, threshold, out=workspace.take(n, np.bool_))
+    workspace.give(draws)
+    return below
+
+
+def _gaussian_branch_scales(
+    signals: np.ndarray, variance: float, workspace: Workspace
+) -> tuple[np.ndarray, np.ndarray]:
     """The Kraus entries ``g0, g1`` of pointer readouts ``signals``, up to a
     common per-shot factor.
 
@@ -232,8 +304,8 @@ def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.nd
     gives ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t =
     alpha/variance``: neither underflows to zero with the other.
     """
-    t = signals / variance
-    g0 = np.minimum(t, 0.0)
+    t = np.divide(signals, variance, out=workspace.take(signals.size))
+    g0 = np.minimum(t, 0.0, out=workspace.take(signals.size))
     g1 = np.negative(np.maximum(t, 0.0, out=t), out=t)
     return np.exp(g0, out=g0), np.exp(g1, out=g1)
 
@@ -245,59 +317,76 @@ def weak_stage(
     phi: float,
     rng: np.random.Generator,
     n: int,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, Amplitudes]:
     """Weakly measure ``arm`` along analyzer angle ``phi`` in ``n`` shots.
 
     Returns ``(signals, post-state amplitudes)``.  The stage consumes
     ``amps``: arrays are overwritten and returned as the post-state, so
     the caller must not read them again.  Floats, such as a state shared
-    by every shot, are left alone.
+    by every shot, are left alone, and the post-state is then four
+    buffers of ``workspace``, as ``signals`` always is (a new workspace
+    of ``n`` entries when none is given).
 
     Draw order: Gaussian, one uniform block (mixture component), one
     normal block (pointer value) and, only when ``eta < 1``, one uniform
     block (phase flip); ancilla, one uniform block (branch) and one
     uniform block (readout flip).
     """
-    x0, x1, y0, y1 = _to_frame(amps, arm, phi)
-    p0 = x0 * x0 + x1 * x1
-    p1 = y0 * y0 + y1 * y1
+    workspace = Workspace(n) if workspace is None else workspace
+    x0, x1, y0, y1 = _to_frame(amps, arm, phi, workspace)
+    p0 = _squared_sum(x0, x1, workspace)
+    p1 = _squared_sum(y0, y1, workspace)
     if isinstance(spec, GaussianMeterSpec):
-        signals = _signs(rng.random(n) < p0)
-        signals += spec.sigma * rng.standard_normal(n)
-        w0, w1 = _gaussian_branch_scales(signals, spec.variance)
+        component = _uniform_below(p0, rng, n, workspace)
+        signals = _signs(component, out=workspace.take(n))
+        workspace.give(component)
+        normal = rng.standard_normal(out=workspace.take(n))
+        signals += np.multiply(spec.sigma, normal, out=normal)
+        workspace.give(normal)
+        w0, w1 = _gaussian_branch_scales(signals, spec.variance, workspace)
     elif isinstance(spec, AncillaMeterSpec):
         half = spec.v_ent / 2.0
-        took_plus = rng.random(n) < (0.5 + half) * p0 + (0.5 - half) * p1
+        threshold = np.multiply(0.5 + half, p0, out=workspace.take(n))
+        term = np.multiply(0.5 - half, p1, out=workspace.take(n))
+        threshold += term
+        workspace.give(term)
+        took_plus = _uniform_below(threshold, rng, n, workspace)
+        workspace.give(threshold)
         strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
-        shift = np.multiply(strong - weak, took_plus)
-        w0 = weak + shift
+        shift = np.multiply(strong - weak, took_plus, out=workspace.take(n))
+        w0 = np.add(weak, shift, out=workspace.take(n))
         w1 = np.subtract(strong, shift, out=shift)
-        flip = rng.random(n) < (1.0 - spec.u) / 2.0
+        flip = _uniform_below((1.0 - spec.u) / 2.0, rng, n, workspace)
         # a Python-float reciprocal overflows to inf without a numpy warning,
         # and +/-1 * (1/v) is +/-1/v exactly
-        signals = _signs(took_plus != flip)
+        signals = _signs(np.not_equal(took_plus, flip, out=flip), out=workspace.take(n))
+        workspace.give(took_plus, flip)
         signals *= 1.0 / spec.v_total
     else:
         raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-    # norm = 1/sqrt(w0*w0*p0 + w1*w1*p1), each product's buffer freed as it is summed
-    norm = w0 * w0
+    # norm = 1/sqrt(w0*w0*p0 + w1*w1*p1), each buffer given back as soon as it is summed
+    norm = np.multiply(w0, w0, out=workspace.take(n))
     norm *= p0
-    del p0
-    scratch = w1 * w1
+    workspace.give(p0)
+    scratch = np.multiply(w1, w1, out=workspace.take(n))
     scratch *= p1
-    del p1
+    workspace.give(p1)
     norm += scratch
-    del scratch
+    workspace.give(scratch)
     np.divide(1.0, np.sqrt(norm, out=norm), out=norm)
     w0 *= norm
     w1 *= norm
-    del norm
+    workspace.give(norm)
     if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
-        flip = rng.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
-        w1 *= _signs(~flip)
-    x0, x1, y0, y1 = _scaled(x0, w0), _scaled(x1, w0), _scaled(y0, w1), _scaled(y1, w1)
-    del w0, w1  # freed before the rotation allocates: peak memory
-    return signals, _from_frame(x0, x1, y0, y1, arm, phi)
+        flip = _uniform_below(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, n, workspace)
+        signs = _signs(np.invert(flip, out=flip), out=workspace.take(n))
+        w1 *= signs
+        workspace.give(flip, signs)
+    x0, x1 = _scaled(x0, w0, workspace), _scaled(x1, w0, workspace)
+    y0, y1 = _scaled(y0, w1, workspace), _scaled(y1, w1, workspace)
+    workspace.give(w0, w1)  # freed before the rotation takes its two: peak memory
+    return signals, _from_frame(x0, x1, y0, y1, arm, phi, workspace)
 
 
 def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -308,9 +397,12 @@ def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return signs
 
 
-def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator) -> np.ndarray:
+def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator, workspace: Workspace):
     # the reported sign is the true one, flipped with probability (1 - v)/2
-    return _signs(hit0 != (rng.random(hit0.size) < (1.0 - spec.v) / 2.0))
+    flip = _uniform_below((1.0 - spec.v) / 2.0, rng, hit0.size, workspace)
+    signs = _signs(np.not_equal(hit0, flip, out=flip), out=workspace.take(hit0.size))
+    workspace.give(flip)
+    return signs
 
 
 def first_readout(
@@ -319,6 +411,7 @@ def first_readout(
     phi: float,
     rng: np.random.Generator,
     n: int,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Projectively read out arm 1 along analyzer angle ``phi`` in ``n`` shots.
 
@@ -327,19 +420,26 @@ def first_readout(
     conditional ket ``z0|0> + z1|1>``, returned unnormalized.  Only the
     reported sign suffers the misidentification flip.  Like
     :func:`weak_stage`, the stage consumes the arrays in ``amps``: ``z0``
-    and ``z1`` are written over two of them.  Draw order: one uniform
-    block (outcome), one uniform block (flip).
+    and ``z1`` are written over two of them, and ``signals`` is a buffer
+    of ``workspace``.  Draw order: one uniform block (outcome), one
+    uniform block (flip).
     """
-    x0, x1, y0, y1 = _to_frame(amps, 1, phi)
-    hit0 = rng.random(n) < x0 * x0 + x1 * x1
-    signals = _reported(hit0, spec, rng)
+    workspace = Workspace(n) if workspace is None else workspace
+    x0, x1, y0, y1 = _to_frame(amps, 1, phi, workspace)
+    weight0 = _squared_sum(x0, x1, workspace)
+    hit0 = _uniform_below(weight0, rng, n, workspace)
+    workspace.give(weight0)
+    signals = _reported(hit0, spec, rng, workspace)
     # exact select: one of the two products is x*1 or y*1, the other zero
-    keep_x = hit0.astype(float)
-    keep_y = 1.0 - keep_x
-    z0 = _scaled(x0, keep_x)
-    z0 += _scaled(y0, keep_y)
-    z1 = _scaled(x1, keep_x)
-    z1 += _scaled(y1, keep_y)
+    keep_x = workspace.take(n)
+    np.copyto(keep_x, hit0)
+    keep_y = np.subtract(1.0, keep_x, out=workspace.take(n))
+    workspace.give(hit0)
+    z0 = _scaled(x0, keep_x, workspace)
+    z0 += _scaled(y0, keep_y, workspace)
+    z1 = _scaled(x1, keep_x, workspace)
+    z1 += _scaled(y1, keep_y, workspace)
+    workspace.give(keep_x, keep_y)
     return signals, (z0, z1)
 
 
@@ -349,23 +449,28 @@ def second_readout(
     phi: float,
     rng: np.random.Generator,
     n: int,
+    workspace: Workspace | None = None,
 ) -> np.ndarray:
     """Projectively read out arm 2 along ``phi``, in state ``ket`` from :func:`first_readout`.
 
     The last measurement leaves no state behind, so only the ket0
     probability ``<ket0|z>^2 / <z|z>`` is formed, in place: the stage
-    consumes the arrays of ``ket``.  Draw order: one uniform block
-    (outcome), one uniform block (flip).
+    consumes the arrays of ``ket``.  The signals are a buffer of
+    ``workspace``.  Draw order: one uniform block (outcome), one uniform
+    block (flip).
     """
+    workspace = Workspace(n) if workspace is None else workspace
     z0, z1 = ket
     c, s = _rotation(phi)
-    squared_norm = z0 * z0 + z1 * z1
+    squared_norm = _squared_sum(z0, z1, workspace)
     # along0 = c*z0 + s*z1, then along0*along0 / squared_norm, all over z0
     along0 = np.add(np.multiply(c, z0, out=z0), np.multiply(s, z1, out=z1), out=z0)
-    del z1
     probability0 = np.divide(np.multiply(along0, along0, out=along0), squared_norm, out=along0)
-    del squared_norm
-    return _reported(rng.random(n) < probability0, spec, rng)
+    workspace.give(squared_norm)
+    hit0 = _uniform_below(probability0, rng, n, workspace)
+    signals = _reported(hit0, spec, rng, workspace)
+    workspace.give(hit0)
+    return signals
 
 
 def sample_records(
@@ -375,19 +480,29 @@ def sample_records(
     readout: ProjectiveMeterSpec,
     angles: tuple[float, float, float, float],
     rng: np.random.Generator,
+    workspace: Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``n`` shots of the full protocol from the Bell pair: ``(alpha1, alpha2, b1, b2)``.
 
     ``angles`` are the analyzers ``(a1, a2, b1, b2)`` in radians; a
     non-finite one raises ValueError.  Stages and draws run in the order
     weak arm 1, weak arm 2, readout arm 1, readout arm 2.
+
+    Every array of the chunk, the four records included, is a buffer of
+    ``workspace``, which is reset first; without one, a new workspace of
+    ``n`` entries is used and the records are the caller's own.  A
+    caller that passes one workspace chunk after chunk allocates nothing
+    after the first, and each call overwrites the records of the last:
+    copy any it keeps.
     """
     phi_a1, phi_a2, phi_b1, phi_b2 = angles
     for phi in angles:
         if not np.isfinite(phi):
             raise ValueError(f"analyzer angle must be finite, got {phi}")
-    alpha1, amps = weak_stage(BELL_AMPLITUDES, 1, meter1, phi_a1, rng, n)
-    alpha2, amps = weak_stage(amps, 2, meter2, phi_a2, rng, n)
-    b1, ket = first_readout(amps, readout, phi_b1, rng, n)
-    b2 = second_readout(ket, readout, phi_b2, rng, n)
+    workspace = Workspace(n) if workspace is None else workspace
+    workspace.reset()
+    alpha1, amps = weak_stage(BELL_AMPLITUDES, 1, meter1, phi_a1, rng, n, workspace)
+    alpha2, amps = weak_stage(amps, 2, meter2, phi_a2, rng, n, workspace)
+    b1, ket = first_readout(amps, readout, phi_b1, rng, n, workspace)
+    b2 = second_readout(ket, readout, phi_b2, rng, n, workspace)
     return alpha1, alpha2, b1, b2

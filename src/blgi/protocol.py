@@ -23,6 +23,7 @@ configuration.  Three routes to the ensemble mean are provided:
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -91,22 +92,34 @@ def require_two_shots(n: int) -> None:
         raise ValueError(f"shots must be >= 2 for a standard error, got {n}")
 
 
-def _moments(alpha1, alpha2, b1, b2) -> tuple[int, float, float]:
-    """Count, sum and sum of squared deviations from the mean of C over one block of records."""
-    values = correlator(alpha1, alpha2, b1, b2)
+def _moments(alpha1, alpha2, b1, b2, workspace: meas.Workspace | None = None) -> tuple[int, float, float]:
+    """Count, sum and sum of squared deviations from the mean of C over one block of records.
+
+    C and its terms go into two buffers of ``workspace`` when one is given.
+    """
+    out = None if workspace is None else (workspace.take(alpha1.size), workspace.take(alpha1.size))
+    values = correlator(alpha1, alpha2, b1, b2, out)
     total = float(values.sum())
     # the second pass of numpy's own variance, squared in place
     values -= total / values.size
     values *= values
-    return values.size, total, float(values.sum())
+    m2 = float(values.sum())
+    if workspace is not None:
+        workspace.give(*out)
+    return values.size, total, m2
 
 
 def _sampled_moments(sample: Callable[[], tuple[np.ndarray, ...]]) -> tuple[tuple[np.ndarray, ...], tuple]:
-    """The records ``sample()`` draws and their :func:`_moments`."""
+    """The records ``sample()`` draws and their :func:`_moments`.
+
+    A block of at most :data:`CHUNK_SHOTS` records forms C in the calling
+    thread's :func:`_workspace`; a larger one allocates.
+    """
     # an overflow, in the draw or in C, ends in NumericalError from estimate, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         records = sample()
-        return records, _moments(*records)
+        workspace = _workspace() if records[0].size <= CHUNK_SHOTS else None
+        return records, _moments(*records, workspace)
 
 
 def estimate(parts: Iterable[tuple[int, float, float]]) -> Estimate:
@@ -129,9 +142,20 @@ def estimate(parts: Iterable[tuple[int, float, float]]) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, shots=n)
 
 
-def correlator(alpha1, alpha2, b1, b2):
-    """Per-shot CHSH-form combination of the four signals, elementwise on arrays or floats."""
-    return alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+def correlator(alpha1, alpha2, b1, b2, out: tuple[np.ndarray, np.ndarray] | None = None):
+    """Per-shot CHSH-form combination of the four signals, elementwise on arrays or floats.
+
+    ``out``, two arrays shaped like the signals, takes C and each later
+    term in turn; the terms are summed in the same order either way.
+    """
+    if out is None:
+        return alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+    values, term = out
+    np.multiply(alpha1, alpha2, out=values)
+    values += np.multiply(alpha1, b2, out=term)
+    values += np.multiply(b1, alpha2, out=term)
+    values -= np.multiply(b1, b2, out=term)
+    return values
 
 
 def substream_rng(seed: int, index: int) -> np.random.Generator:
@@ -143,9 +167,30 @@ def substream_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
 
 
+_thread = threading.local()
+
+
+def _workspace() -> meas.Workspace:
+    """The calling thread's chunk workspace, made on its first chunk and kept while it lives."""
+    workspace = getattr(_thread, "workspace", None)
+    if workspace is None:
+        workspace = _thread.workspace = meas.Workspace(CHUNK_SHOTS)
+    return workspace
+
+
 def _run_chunk(config: ExperimentConfig, chunk_index: int, n: int) -> tuple[np.ndarray, ...]:
+    """Chunk ``chunk_index``'s ``n`` records, drawn into the calling thread's :func:`_workspace`.
+
+    The thread's next chunk overwrites them.
+    """
     rng = substream_rng(config.seed, chunk_index)
-    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.angles, rng)
+    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.angles, rng, _workspace())
+
+
+def _chunk_moments(config: ExperimentConfig, chunk_index: int, n: int, keep_records: bool) -> tuple:
+    """One chunk's :func:`_moments`, with copies of its records if ``keep_records``, else None."""
+    records, moments = _sampled_moments(partial(_run_chunk, config, chunk_index, n))
+    return (tuple(np.copy(r) for r in records) if keep_records else None), moments
 
 
 def _chunk_sizes(shots: int) -> list[int]:
@@ -199,10 +244,16 @@ def _monte_carlo_estimates(
     usable CPU, capped by ``threads`` when given: more workers would add
     no speed, only threads and chunks of some megabytes in flight.  It is
     shut down when the estimates end, however they end.
+
+    Each worker draws every chunk it runs into its one :func:`_workspace`,
+    so after its first chunk it allocates no array of a chunk's size.
+    Only with ``on_records`` does a worker copy a chunk's four records
+    out of its workspace; those copies are the consumer's own.
     """
     sizes = [_chunk_sizes(config.shots) for config in configs]
+    keep_records = on_records is not None
     tasks = (
-        partial(_sampled_moments, partial(_run_chunk, config, index, n))
+        partial(_chunk_moments, config, index, n, keep_records)
         for config, chunks in zip(configs, sizes)
         for index, n in enumerate(chunks)
     )
@@ -230,9 +281,11 @@ def monte_carlo(
     chunks from counter-based substreams and reduced in chunk order by
     :func:`estimate` (at least two shots), so the result is bit-identical
     for any number of workers.  The chunks run on every usable CPU, or on
-    at most ``threads`` of them.  ``on_records``, if given, receives each
-    chunk's ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the
-    calling thread: exactly the shots being averaged.
+    at most ``threads`` of them, each worker reusing one workspace for all
+    its chunks.  ``on_records``, if given, receives each chunk's
+    ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the calling
+    thread: exactly the shots being averaged, copied out of the worker's
+    workspace, so the consumer may keep them.
     """
     [result] = _monte_carlo_estimates([config], threads, on_records)
     return result

@@ -9,6 +9,7 @@ from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
+    Workspace,
     dephasing_factor,
     excess_dephasing_factor,
     first_readout,
@@ -73,10 +74,11 @@ class StubGenerator:
     def __init__(self, *blocks):
         self._blocks = list(blocks)
 
-    def random(self, n):
+    def random(self, *, out):
         block = np.asarray(self._blocks.pop(0), dtype=float)
-        assert block.shape == (n,)
-        return block
+        assert block.shape == out.shape
+        out[:] = block
+        return out
 
 
 class TestSpecValidation:
@@ -623,14 +625,18 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("n", [1, 2, 77, 65536])
     def test_sample_records(self, n, v):
         rng = np.random.default_rng(n + int(10 * v))
+        # one workspace for every meter pair, as a worker keeps one from chunk to chunk
+        shared = Workspace(65536)
         for meter1, meter2 in itertools.product(self.METERS, repeat=2):
             angles = tuple(rng.uniform(-7.0, 7.0, size=4))
             seed = int(rng.integers(2**63))
             readout = ProjectiveMeterSpec(v=v)
             with np.errstate(over="ignore", invalid="ignore"):
                 lean = sample_records(n, meter1, meter2, readout, angles, np.random.default_rng(seed))
+                reused = sample_records(n, meter1, meter2, readout, angles, np.random.default_rng(seed), shared)
                 reference = sample_records_reference(n, meter1, meter2, readout, angles, np.random.default_rng(seed))
             _assert_same_bytes(lean, reference)
+            _assert_same_bytes(reused, reference)
 
     @pytest.mark.parametrize("n", [1, 77, 4096])
     def test_stages_on_amplitude_arrays(self, n):
@@ -652,6 +658,10 @@ class TestKernelMatchesReference:
             b2 = second_readout(ket, readout, -phi, np.random.default_rng(seed), n)
             want_b2 = second_readout_reference(want_ket, readout, -phi, np.random.default_rng(seed), n)
             _assert_same_bytes((b2,), (want_b2,))
+
+    def test_a_workspace_refuses_more_than_its_size(self):
+        with pytest.raises(ValueError, match="cannot hold 5"):
+            sample_records(5, *self.METERS[:2], ProjectiveMeterSpec(), (0.0, 0.0, 0.0, 0.0), np.random.default_rng(0), Workspace(4))
 
     def test_a_stage_returns_the_arrays_it_was_handed(self):
         amps = _random_amplitudes(np.random.default_rng(11), 5)

@@ -13,6 +13,7 @@ from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
+    Workspace,
     excess_dephasing_factor,
     sample_records,
 )
@@ -22,6 +23,7 @@ from blgi.protocol import (
     ExperimentConfig,
     NumericalError,
     _chunks_in_order,
+    _monte_carlo_estimates,
     _moments,
     _run_chunk,
     _sampled_moments,
@@ -33,11 +35,19 @@ from blgi.protocol import (
     monte_carlo,
     predicted_stderr,
     retune,
+    substream_rng,
     sweep,
     violation_threshold,
 )
 from blgi.qmath import embed
-from oracle import MeasurementRecord, analyzer_basis, ancilla_kraus, bell_state, gaussian_kraus
+from oracle import (
+    MeasurementRecord,
+    analyzer_basis,
+    ancilla_kraus,
+    bell_state,
+    gaussian_kraus,
+    sample_records_reference,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -632,6 +642,67 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 7 * 2**20
+
+    def test_a_warm_chunk_allocates_nothing_large(self):
+        # after one chunk, the thread's workspace holds every array a chunk needs
+        config = _gaussian_config(sigma=10.0, eta=0.5, shots=64 * CHUNK_SHOTS, seed=3)
+        _sampled_moments(partial(_run_chunk, config, 0, CHUNK_SHOTS))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _sampled_moments(partial(_run_chunk, config, 1, CHUNK_SHOTS))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # one array of CHUNK_SHOTS doubles is 0.5 MiB
+        assert peak < 2**19
+
+    def test_a_workspace_holds_one_chunk_peak_over_many_chunks(self):
+        config = _gaussian_config(sigma=10.0, eta=0.5, shots=CHUNK_SHOTS, seed=3)
+        other = _ancilla_config(v_total=0.6, u=0.9, shots=CHUNK_SHOTS, seed=3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            workspace = Workspace(CHUNK_SHOTS)
+            for index, c in enumerate([config, other, config]):
+                sample_records(
+                    CHUNK_SHOTS, c.meter1, c.meter2, c.b_spec, c.angles, substream_rng(c.seed, index), workspace
+                )
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 7 * 2**20
+
+
+class TestWorkspaceReuse:
+    """A worker's workspace carries no state from one chunk into the next."""
+
+    CONFIGS = [
+        _gaussian_config(sigma=1.3, eta=1.0, shots=2 * CHUNK_SHOTS + 77, seed=4),
+        _gaussian_config(sigma=0.8, eta=0.5, v=0.9, shots=2 * CHUNK_SHOTS + 77, seed=5, angles=(0.3, -1.2, 2.5, 0.9)),
+        _ancilla_config(v_total=0.45, u=0.8, v=0.85, shots=2 * CHUNK_SHOTS + 77, seed=6),
+        _gaussian_config(sigma=2.0, eta=0.5, shots=2, seed=7),
+    ]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_every_chunk_is_the_reference_and_stays_so(self, monkeypatch, threads):
+        # three usable CPUs, so --threads 3 runs three workers on any host
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 3)
+        received = []
+        estimates = list(_monte_carlo_estimates(self.CONFIGS, threads, received.append))
+        assert [e.shots for e in estimates] == [c.shots for c in self.CONFIGS]
+        chunks = [
+            (config, index, n)
+            for config in self.CONFIGS
+            for index, n in enumerate([CHUNK_SHOTS, CHUNK_SHOTS, 77] if config.shots > 2 else [2])
+        ]
+        assert len(received) == len(chunks)
+        # read only now that every chunk has run: no worker wrote into a chunk it handed over
+        for records, (c, index, n) in zip(received, chunks):
+            want = sample_records_reference(n, c.meter1, c.meter2, c.b_spec, c.angles, substream_rng(c.seed, index))
+            assert [r.tobytes() for r in records] == [w.tobytes() for w in want]
+        assert estimates == list(_monte_carlo_estimates(self.CONFIGS, 1))
 
 
 class TestRetune:
