@@ -53,9 +53,30 @@ LMR_BOUND = 2.0
 #: what follows each of a record's four fields; every field is the
 #: ``%.17g`` text of its value, which round-trips every double
 _RECORD_ENDS = (",", ",", ",", "\n")
-#: rows formatted per write: enough to amortize the call, few enough that
-#: the text and its objects stay near 100 kB (peak memory)
-_RECORD_BLOCK = 2048
+#: rows formatted per write: enough to amortize numpy's per-call cost, few
+#: enough that writing a block peaks near 0.4 MiB for an ancilla chunk and
+#: 1.2 MiB for a Gaussian one, whose signals all differ (tracemalloc).  Timed
+#: in one process, 2048 and 8192 rows wrote an ancilla chunk slower, and
+#: 8192 rows a Gaussian one
+_RECORD_BLOCK = 4096
+#: most distinct rows a block formats as whole rows, each once
+_ROW_TABLE = 64
+
+
+def _bit_patterns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A column's distinct bit patterns and each value's index into them.
+
+    A column of one or two patterns, as signs and ancilla signals are, is
+    recognized from its min and max without a sort.
+    """
+    bits = values.view(np.int64)
+    low, high = bits.min(), bits.max()
+    if low == high:
+        return bits[:1], np.zeros(len(bits), dtype=np.intp)
+    is_high = bits == high
+    if np.count_nonzero(is_high) + np.count_nonzero(bits == low) == len(bits):
+        return np.array([low, high]), is_high.astype(np.intp)
+    return np.unique(bits, return_inverse=True)
 
 
 def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
@@ -63,17 +84,31 @@ def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
 
     The readout signs are always ±1 and an ancilla signal is ±1/v_total, so
     most columns hold a few distinct doubles.  They are told apart by bit
-    pattern, so 0.0 and -0.0 keep their own text.
+    pattern, so 0.0 and -0.0 keep their own text.  When a block holds at
+    most ``_ROW_TABLE`` combinations of them, each distinct row's text is
+    built once and the block is one join over the rows' mixed-radix codes;
+    otherwise it joins field by field.
     """
     for start in range(0, len(records[0]), _RECORD_BLOCK):
-        block = [values[start:start + _RECORD_BLOCK] for values in records]
-        fields = np.empty((len(block[0]), len(block)), dtype=object)
-        for column, (values, end) in enumerate(zip(block, _RECORD_ENDS)):
-            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        texts, inverses = [], []
+        for values, end in zip(records, _RECORD_ENDS):
+            bits, inverse = _bit_patterns(values[start:start + _RECORD_BLOCK])
             # one % call formats the distinct values; "\0" never occurs in their text
             text = ((f"%.17g{end}\0" * len(bits)) % tuple(bits.view(np.float64).tolist())).split("\0")
-            fields[:, column] = np.array(text, dtype=object)[inverse]
-        handle.write("".join(fields.ravel().tolist()))
+            texts.append(text[:-1])
+            inverses.append(inverse)
+        t1, t2, t3, t4 = texts
+        if len(t1) * len(t2) * len(t3) * len(t4) <= _ROW_TABLE:
+            rows = np.array([a + b + c + d for a in t1 for b in t2 for c in t3 for d in t4], dtype=object)
+            code = inverses[0]
+            for text, inverse in zip(texts[1:], inverses[1:]):
+                code = code * len(text) + inverse
+            handle.write("".join(rows[code].tolist()))
+        else:
+            fields = np.empty((len(inverses[0]), len(texts)), dtype=object)
+            for column, (text, inverse) in enumerate(zip(texts, inverses)):
+                fields[:, column] = np.array(text, dtype=object)[inverse]
+            handle.write("".join(fields.ravel().tolist()))
 
 
 def _fmt(value: float) -> str:
@@ -176,6 +211,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     """
     args = parser.parse_args(argv)
     path = getattr(args, "manifest", None)
+    _require_distinct_outputs(args, path)
     if path is None or not Path(path).exists():
         args.stored_config = None
         return args
@@ -197,7 +233,21 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     if stored:
         raise ConfigError(f"manifest {path}: a {args.command} manifest does not store {', '.join(stored)}")
     rerun.stored_config = manifest.config
+    _require_distinct_outputs(rerun, path)
     return rerun
+
+
+def _require_distinct_outputs(args: argparse.Namespace, manifest: str | None) -> None:
+    """Reject two output flags that name one file: the later write would replace the earlier."""
+    named: dict[Path, str] = {}
+    for name, path in (("out", getattr(args, "out", None)), ("records", getattr(args, "records", None)),
+                       ("manifest", manifest)):
+        if path is None:
+            continue
+        key = Path(path).resolve()
+        if key in named:
+            raise ConfigError(f"{_flag(named[key])} and {_flag(name)} both name {path}; give each its own file")
+        named[key] = name
 
 
 def _write_manifest(args: argparse.Namespace, config: ExperimentConfig | None) -> None:

@@ -19,7 +19,9 @@ checked against it:
   :func:`blgi.lhv.lhv_records`,
 * :func:`sample_records_reference` is the record kernel written one
   expression per array, the reference for the in-place stages of
-  :func:`blgi.measurement.sample_records`.
+  :func:`blgi.measurement.sample_records`,
+* :func:`write_records_reference` is the records writer joined field by
+  field, the reference for :func:`blgi.cli._write_records`.
 """
 
 from __future__ import annotations
@@ -441,3 +443,27 @@ def sample_records_reference(
     b1, ket = first_readout_reference(amps, readout, phi_b1, rng, n)
     b2 = second_readout_reference(ket, readout, phi_b2, rng, n)
     return alpha1, alpha2, b1, b2
+
+
+# ---------------------------------------------------------------------------
+# The records writer as it formatted field by field: every 2048-row block's
+# columns go through a sort.  :func:`blgi.cli._write_records` must write the
+# same text byte for byte.
+# ---------------------------------------------------------------------------
+
+#: what follows each of a record's four fields
+_RECORD_ENDS = (",", ",", ",", "\n")
+_RECORD_BLOCK = 2048
+
+
+def write_records_reference(handle, records: tuple[np.ndarray, ...]) -> None:
+    """Write one chunk's records, formatting each distinct value of a block's column once."""
+    for start in range(0, len(records[0]), _RECORD_BLOCK):
+        block = [values[start:start + _RECORD_BLOCK] for values in records]
+        fields = np.empty((len(block[0]), len(block)), dtype=object)
+        for column, (values, end) in enumerate(zip(block, _RECORD_ENDS)):
+            bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            # one % call formats the distinct values; "\0" never occurs in their text
+            text = ((f"%.17g{end}\0" * len(bits)) % tuple(bits.view(np.float64).tolist())).split("\0")
+            fields[:, column] = np.array(text, dtype=object)[inverse]
+        handle.write("".join(fields.ravel().tolist()))

@@ -13,8 +13,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import blgi
-from blgi.cli import _RECORD_BLOCK, _write_records, main
+from blgi.cli import _RECORD_BLOCK, _ROW_TABLE, _write_records, main
 from blgi.protocol import Estimate, _chunks_in_order
+from oracle import write_records_reference
 
 SQRT2 = np.sqrt(2.0)
 
@@ -154,6 +155,26 @@ class TestSimulate:
         ])
         assert code == 0
         digest = "dbb15cd13b495d3ddc46ab17617c5e1a318b36b1767ef25b5f4a4b5fab44ef20"
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_mixed_meter_records_text_is_pinned(self, tmp_path, threads):
+        # a block holds two-valued ancilla and sign columns beside a Gaussian
+        # signal column with no repeats
+        config = tmp_path / "mixed.ini"
+        config.write_text(
+            "[meter1]\ntype = ancilla\nv_total = 0.6\nu = 0.9\n"
+            "[meter2]\ntype = gaussian\nsigma = 10\neta = 0.5\n",
+            encoding="utf-8",
+        )
+        records = tmp_path / "records.csv"
+        code = main([
+            "simulate", "--config", str(config), "--shots", str(2 * (1 << 16) + 77), "--seed", "3",
+            "--threads", threads, "--out", str(tmp_path / "s.csv"), "--records", str(records),
+        ])
+        assert code == 0
+        # taken from the writer that joined every block field by field
+        digest = "d93314af3c7d3fe3a7c70e2b8aed467a4ecfd5440f0adcff23a4c2608025b166"
         assert hashlib.sha256(records.read_bytes()).hexdigest() == digest
 
     def test_flag_overrides_apply_together(self, tmp_path):
@@ -775,6 +796,39 @@ class TestInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "-1" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["simulate", "--shots", "100", "--records", "x.csv", "--out", "x.csv"], ("--out", "--records")),
+            (["simulate", "--shots", "100", "--records", "x.csv", "--manifest", "./x.csv"], ("--records", "--manifest")),
+            (["sweep", "--axis", "v", "--values", "1", "--shots", "100", "--out", "s.json", "--manifest", "s.json"],
+             ("--out", "--manifest")),
+            (["lhv", "--random", "1", "--shots", "100", "--out", "l.json", "--manifest", "sub/../l.json"],
+             ("--out", "--manifest")),
+        ],
+        ids=lambda value: " ".join(value),
+    )
+    def test_colliding_output_paths_write_nothing(self, argv, flags, tmp_path, monkeypatch, capsys):
+        # the later write used to replace the earlier one and the run exited 0
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and all(flag in err[0] for flag in flags)
+        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+
+    def test_rerun_output_colliding_with_stored_records_writes_nothing(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        records = tmp_path / "r.csv"
+        argv = ["simulate", "--shots", "100", "--seed", "3", "--records", str(records)]
+        assert main([*argv, "--out", str(tmp_path / "s.csv"), "--manifest", str(manifest)]) == 0
+        stored = manifest.read_bytes(), records.read_bytes()
+        capsys.readouterr()
+        assert main(["simulate", "--manifest", str(manifest), "--out", str(records)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--out" in err[0] and "--records" in err[0]
+        assert (manifest.read_bytes(), records.read_bytes()) == stored
+
     def test_config_directory(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
@@ -934,6 +988,56 @@ def test_write_records_formats_every_value_with_17_digits(records):
     # report the first differing row: a diff of the whole text is very slow
     assert len(written) == len(expected)
     assert next(((i, a, b) for i, (a, b) in enumerate(zip(written, expected)) if a != b), None) is None
+
+
+#: distinct patterns per column whose product sits at the row-table bound or just above it
+_BOUND_COUNTS = [
+    (_ROW_TABLE, 1, 1, 1),
+    (_ROW_TABLE + 1, 1, 1, 1),
+    (1, 2, _ROW_TABLE // 4, 2),
+    (1, 2, _ROW_TABLE // 4 + 1, 2),
+]
+
+
+@st.composite
+def _patterned_chunks(draw):
+    """Four columns of one chunk; every block of a column holds ``count`` distinct patterns, or all differ."""
+    n = draw(st.sampled_from([1, 2, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1, 2 * _RECORD_BLOCK + 1]))
+    counts = draw(st.one_of(st.tuples(*[st.sampled_from([1, 2, 3, None])] * 4), st.sampled_from(_BOUND_COUNTS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for count in counts:
+        if count is None:
+            bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+        else:
+            pool = draw(st.lists(_BITS, min_size=min(count, 3), max_size=min(count, 3), unique=True))
+            while len(pool) < count:
+                pool = list(dict.fromkeys([*pool, int(rng.integers(0, 2**64, dtype=np.uint64))]))
+            index = rng.integers(count, size=n)
+            for start in range(0, n, _RECORD_BLOCK):
+                head = min(count, n - start)
+                index[start:start + head] = rng.permutation(head)
+            bits = np.array(pool, dtype=np.uint64)[index]
+        columns.append(bits.view(np.float64))
+    return tuple(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=_patterned_chunks())
+# two-valued columns a lookup by value would merge: signed zeros, NaN payloads, signs of NaN
+@example(records=tuple(
+    np.resize(np.array(pair, dtype=np.uint64), _RECORD_BLOCK + 1).view(np.float64)
+    for pair in (SPECIAL_BITS[0:2], SPECIAL_BITS[2:4], SPECIAL_BITS[2:5:2], SPECIAL_BITS[4:6])
+))
+def test_write_records_matches_the_field_by_field_writer(records):
+    written, expected = io.StringIO(), io.StringIO()
+    _write_records(written, records)
+    write_records_reference(expected, records)
+    written, expected = written.getvalue(), expected.getvalue()
+    # report the first differing row: a diff of the whole text is very slow
+    if written != expected:
+        rows = zip(written.splitlines(keepends=True), expected.splitlines(keepends=True))
+        pytest.fail(f"first differing row: {next(((i, a, b) for i, (a, b) in enumerate(rows) if a != b), None)}")
 
 
 class TestVerify:
