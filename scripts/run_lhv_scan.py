@@ -3,7 +3,8 @@
 
 Runs ``blgi lhv --random`` (calibrated strategies, optionally with locally
 invasive first measurements) and reports the largest and smallest means
-seen together with the enumerated exact extrema.  The strategies are
+seen together with ``blgi.sign_pattern_extrema()``, the exact extrema over
+every local strategy at any hidden-state count.  The strategies are
 exactly those ``blgi lhv --random`` checks at the same flags and seed.
 Everything stays inside [-2, 2]; the quantum weak regime does not.
 """
@@ -14,7 +15,7 @@ import csv
 import io
 import sys
 
-from blgi import brute_force_max, brute_force_min
+from blgi import sign_pattern_extrema
 from blgi.cli import main as blgi_main
 
 
@@ -47,7 +48,8 @@ def main() -> int:
     print(f"strategies checked: {args.strategies} x {args.shots} shots")
     print(f"largest mean seen:  {max(means):+.4f}")
     print(f"smallest mean seen: {min(means):+.4f}")
-    print(f"enumerated extrema: [{brute_force_min(args.hidden_states)}, {brute_force_max(args.hidden_states)}]")
+    low, high = sign_pattern_extrema()
+    print(f"enumerated extrema: [{low}, {high}]")
     print(f"bound violations:   {sum(row['bound_ok'] == 'false' for row in rows)}")
     return code
 

@@ -13,11 +13,10 @@ __version__ = "0.1.0"
 
 from .lhv import (
     LHVStrategy,
-    brute_force_max,
-    brute_force_min,
     lhv_mean,
     lhv_records,
     random_strategy,
+    sign_pattern_extrema,
 )
 from .measurement import (
     AncillaMeterSpec,

@@ -48,7 +48,7 @@ EXIT_NUMERICAL = 3
 EXIT_BOUND_VIOLATION = 4
 
 STDERR_WARNING_LEVEL = 0.05
-LMR_BOUND = 2.0
+LMR_BOUND = lhv.sign_pattern_extrema()[1]
 
 #: what follows each of a record's four fields; every field is the
 #: ``%.17g`` text of its value, which round-trips every double
@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_lhv)
     p_lhv.add_argument("--strategy", default=None, help="strategy file (INI)")
     p_lhv.add_argument("--random", type=int, default=None, metavar="N", help="check N random calibrated strategies")
-    p_lhv.add_argument("--brute-force", action="store_true", default=None, help="print the enumerated exact maximum and exit")
+    p_lhv.add_argument("--brute-force", action="store_true", default=None, help="print the sign-pattern bound on every local strategy and exit")
     p_lhv.add_argument("--shots", type=int, default=None, help="shots per strategy (default 100000)")
     p_lhv.add_argument("--hidden-states", type=int, default=None, help="default 2")
     p_lhv.add_argument("--noise-sigma", type=float, default=None, help="default 1.0")
@@ -238,10 +238,15 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
 
 
 def _require_distinct_outputs(args: argparse.Namespace, manifest: str | None) -> None:
-    """Reject two output flags that name one file: the later write would replace the earlier."""
+    """Reject two file flags that name one file, before anything is read or written.
+
+    An output would replace the input or the earlier output it names.  A
+    command reads at most one of ``--config`` and ``--strategy``, so two
+    flags that share a file always include an output.
+    """
     named: dict[Path, str] = {}
-    for name, path in (("out", getattr(args, "out", None)), ("records", getattr(args, "records", None)),
-                       ("manifest", manifest)):
+    flags = {name: getattr(args, name, None) for name in ("config", "strategy", "out", "records")}
+    for name, path in {**flags, "manifest": manifest}.items():
         if path is None:
             continue
         key = Path(path).resolve()
@@ -384,20 +389,16 @@ _LHV_LIVE_SHOTS = 1 << 22
 
 
 def cmd_lhv(args: argparse.Namespace) -> int:
-    # --brute-force reads no other flag, so none may be given with it
-    given = _flags_given(args, ("brute_force", "hidden_states", "out"))
+    if args.brute_force:
+        # --brute-force reads no other flag, so none may be given with it
+        given = _flags_given(args, ("brute_force", "out"))
+        if given:
+            raise ConfigError(f"--brute-force takes only --out; drop {', '.join(given)}")
+        _write_text(args.out, _fmt(LMR_BOUND) + "\n")
+        return EXIT_OK
     for name, default in _LHV_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    if args.brute_force:
-        if given:
-            raise ConfigError(f"--brute-force takes only --hidden-states and --out; drop {', '.join(given)}")
-        try:
-            maximum = lhv.brute_force_max(args.hidden_states)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        _write_text(args.out, _fmt(maximum) + "\n")
-        return EXIT_OK
     # the manifest stores the resolved seed, so BLGI_SEED cannot change a re-run
     args.seed = seed = resolve_seed(args.seed)
     _require_two_shots(args.shots)
@@ -440,7 +441,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         any_violation = any_violation or not bound_ok
         lines.append(f"{name},{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt_bool(bound_ok)},true\n")
     for count in sorted({strategy.num_hidden_states for _, strategy in strategies}):
-        lines.append(f"# brute_force_max({count} hidden states) = {_fmt(lhv.brute_force_max(count))}\n")
+        lines.append(f"# brute_force_max({count} hidden states) = {_fmt(LMR_BOUND)}\n")
     _write_text(args.out, "".join(lines))
     _write_manifest(args, None)
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK

@@ -13,7 +13,7 @@ which the correlator bound tolerates by construction.
 
 For every valid strategy the ensemble mean of the per-shot combination
 :func:`blgi.protocol.correlator` lies in [-2, 2];
-:func:`brute_force_max` establishes the bound by enumeration.
+:func:`sign_pattern_extrema` states the bound and why it holds.
 """
 
 from __future__ import annotations
@@ -142,30 +142,21 @@ def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Est
     return estimate([moments])
 
 
-def _sign_pattern_extrema(num_hidden_states: int) -> tuple[float, float]:
-    if num_hidden_states < 1:
-        raise ValueError(f"brute-force enumeration needs at least 1 hidden state, got {num_hidden_states}")
-    # every hidden state offers the same 16 sign patterns, so the extrema
-    # over mixtures of them do not depend on how many states there are
+def sign_pattern_extrema() -> tuple[float, float]:
+    """The least and greatest mean correlator of any local strategy, ``(-2.0, 2.0)``.
+
+    Given ``zeta``, the two arms' noises are independent and each readout
+    depends only on its own arm, while every term of
+    :func:`blgi.protocol.correlator` pairs the two arms.  So ``<C | zeta>``
+    is the correlator at each arm's conditional means: ``a1, a2`` by
+    calibration, and readout means in [-1, 1] however invasive the first
+    measurement is.  The correlator is multilinear, so on [-1, 1]^4 its
+    extrema lie at the 16 sign patterns, and ``<C>``, a convex mixture over
+    ``zeta`` of such values, lies between them whatever the hidden-state
+    count or the invasiveness.
+    """
     values = [correlator(*signs) for signs in itertools.product((-1.0, 1.0), repeat=4)]
     return min(values), max(values)
-
-
-def brute_force_max(num_hidden_states: int) -> float:
-    """Exact maximum of the mean correlator over all strategies.
-
-    Enumerates every extremal sign assignment (all 16 choices of
-    ``a1, a2, b1, b2`` in {-1, +1}) at each hidden state.  The mean of any
-    strategy is a convex mixture of per-state values of this multilinear
-    form, and property values inside (-1, 1) are themselves mixtures of
-    the sign extremes, so the enumerated maximum bounds every strategy.
-    """
-    return _sign_pattern_extrema(num_hidden_states)[1]
-
-
-def brute_force_min(num_hidden_states: int) -> float:
-    """Exact minimum over the same enumeration as :func:`brute_force_max`."""
-    return _sign_pattern_extrema(num_hidden_states)[0]
 
 
 def random_strategy(

@@ -147,8 +147,7 @@ def test_criterion_5_ancilla_mid_strength():
 
 
 def test_criterion_6_classical_bound():
-    brute_ok = all(blgi.brute_force_max(n) == 2.0 for n in range(1, 9))
-    min_ok = all(blgi.brute_force_min(n) == -2.0 for n in range(1, 9))
+    extrema_ok = blgi.sign_pattern_extrema() == (-2.0, 2.0)
 
     num_strategies = 10_000
     shots = 10_000
@@ -164,11 +163,11 @@ def test_criterion_6_classical_bound():
         estimate = blgi.lhv_mean(strategy, shots, rng)
         if abs(estimate.mean) > 2.0 + 4 * estimate.stderr:
             violations += 1
-    ok = brute_ok and min_ok and violations == 0
+    ok = extrema_ok and violations == 0
     _report(
         "criterion 6 (classical bound)",
         ok,
-        f"brute_force_max = 2.000000 exactly for 1..8 hidden states: {brute_ok}; "
+        f"sign_pattern_extrema() = (-2, 2) exactly: {extrema_ok}; "
         f"{num_strategies} random strategies x {shots} shots: {violations} violations",
     )
 

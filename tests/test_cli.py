@@ -545,8 +545,19 @@ class TestManifestRerunErrors:
 
 class TestLhvCommand:
     def test_brute_force_prints_two(self, capsys):
-        assert main(["lhv", "--brute-force", "--hidden-states", "2"]) == 0
+        assert main(["lhv", "--brute-force"]) == 0
         assert capsys.readouterr().out.strip() == "2"
+
+    @pytest.mark.parametrize("out", [[], ["--out", "bf.csv"]], ids=["stdout", "out"])
+    def test_brute_force_takes_no_hidden_states(self, out, tmp_path, monkeypatch, capsys):
+        # the bound is the same at every hidden-state count, so the flag would change nothing
+        monkeypatch.chdir(tmp_path)
+        assert main(["lhv", "--brute-force", "--hidden-states", "2", *out]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--hidden-states" in err[0]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_brute_force_writes_out(self, tmp_path, capsys):
         out = tmp_path / "bf.csv"
@@ -805,17 +816,29 @@ class TestInputErrors:
              ("--out", "--manifest")),
             (["lhv", "--random", "1", "--shots", "100", "--out", "l.json", "--manifest", "sub/../l.json"],
              ("--out", "--manifest")),
+            (["simulate", "--config", "c.ini", "--records", "c.ini", "--shots", "1000"], ("--config", "--records")),
+            (["simulate", "--config", "c.ini", "--shots", "1000", "--out", "c.ini"], ("--config", "--out")),
+            (["sweep", "--config", "c.ini", "--axis", "sigma", "--values", "1,2", "--out", "c.ini"],
+             ("--config", "--out")),
+            (["sweep", "--config", "c.ini", "--axis", "sigma", "--values", "1,2", "--manifest", "sub/../c.ini"],
+             ("--config", "--manifest")),
+            (["lhv", "--strategy", "s.ini", "--out", "s.ini"], ("--strategy", "--out")),
+            (["lhv", "--strategy", "./s.ini", "--shots", "100", "--manifest", "s.ini"], ("--strategy", "--manifest")),
         ],
         ids=lambda value: " ".join(value),
     )
     def test_colliding_output_paths_write_nothing(self, argv, flags, tmp_path, monkeypatch, capsys):
-        # the later write used to replace the earlier one and the run exited 0
+        # the later write used to replace the earlier one, or the input, and the run exited 0
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
+        inputs = {"c.ini": "[run]\nshots = 1000\n", "s.ini": STRATEGY_BODY}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and all(flag in err[0] for flag in flags)
-        assert [path.name for path in tmp_path.iterdir()] == ["sub"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["c.ini", "s.ini", "sub"]
+        assert {name: _read(tmp_path / name) for name in inputs} == inputs
 
     def test_rerun_output_colliding_with_stored_records_writes_nothing(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
@@ -828,6 +851,19 @@ class TestInputErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "--out" in err[0] and "--records" in err[0]
         assert (manifest.read_bytes(), records.read_bytes()) == stored
+
+    def test_rerun_output_colliding_with_stored_strategy_writes_nothing(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        strategy = tmp_path / "s.ini"
+        strategy.write_text(STRATEGY_BODY, encoding="utf-8")
+        argv = ["lhv", "--strategy", str(strategy), "--shots", "100", "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "l.csv"), "--manifest", str(manifest)]) == 0
+        stored = manifest.read_bytes()
+        capsys.readouterr()
+        assert main(["lhv", "--manifest", str(manifest), "--out", str(strategy)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--strategy" in err[0] and "--out" in err[0]
+        assert (manifest.read_bytes(), _read(strategy)) == (stored, STRATEGY_BODY)
 
     def test_config_directory(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path)]) == 2

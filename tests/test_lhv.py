@@ -3,16 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blgi.lhv import (
     LHVStrategy,
-    brute_force_max,
-    brute_force_min,
     lhv_mean,
     lhv_records,
     random_strategy,
+    sign_pattern_extrema,
 )
+from blgi.protocol import correlator
 from oracle import lhv_records_reference, lhv_shot
+
+SIGN_PATTERNS = list(itertools.product((-1.0, 1.0), repeat=4))
 
 
 def _best_deterministic():
@@ -153,19 +157,48 @@ class TestBound:
             assert abs(estimate.mean) <= 2.0 + 4 * estimate.stderr
 
 
+def _sign_pattern_strategy(hidden_states: int, value: float) -> LHVStrategy:
+    """A noiseless strategy whose hidden states take turns on the sign patterns worth ``value``."""
+    patterns = [signs for signs in SIGN_PATTERNS if correlator(*signs) == value]
+    a1, a2, b1, b2 = np.array([patterns[zeta % len(patterns)] for zeta in range(hidden_states)]).T
+    return LHVStrategy(
+        prep_dist=np.full(hidden_states, 1.0 / hidden_states),
+        a1=a1,
+        a2=a2,
+        b1=b1,
+        b2=b2,
+        noise_sigma1=0.0,
+        noise_sigma2=0.0,
+    )
+
+
 class TestBruteForce:
+    def test_extrema_are_exactly_two(self):
+        low, high = sign_pattern_extrema()
+        assert (low, high) == (-2.0, 2.0)
+        assert {low, high} <= {correlator(*signs) for signs in SIGN_PATTERNS}
+
+    # the extrema bound every hidden-state count, and every count reaches them
     @pytest.mark.parametrize("n", range(1, 9))
     def test_maximum_is_exactly_two(self, n):
-        assert brute_force_max(n) == 2.0
+        estimate = lhv_mean(_sign_pattern_strategy(n, 2.0), 1000, np.random.default_rng(n))
+        assert (estimate.mean, estimate.stderr) == (sign_pattern_extrema()[1], 0.0)
 
     @pytest.mark.parametrize("n", [1, 4, 8])
     def test_minimum_is_exactly_minus_two(self, n):
-        assert brute_force_min(n) == -2.0
+        estimate = lhv_mean(_sign_pattern_strategy(n, -2.0), 1000, np.random.default_rng(n))
+        assert (estimate.mean, estimate.stderr) == (sign_pattern_extrema()[0], 0.0)
 
-    def test_resource_limit(self):
-        # the 16 sign patterns bound any number of hidden states
-        assert brute_force_max(9) == 2.0
-        assert brute_force_min(100) == -2.0
-        with pytest.raises(ValueError):
-            brute_force_max(0)
+    @settings(max_examples=500, deadline=None)
+    @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4))
+    def test_correlator_is_a_mixture_of_its_sign_patterns(self, values):
+        # multilinearity: C at a point of [-1, 1]^4 is the mixture of its values at
+        # the 16 sign patterns with product weights prod((1 + s*x)/2)
+        weights = [np.prod([(1.0 + s * x) / 2.0 for s, x in zip(signs, values)]) for signs in SIGN_PATTERNS]
+        mixture = sum(w * correlator(*signs) for w, signs in zip(weights, SIGN_PATTERNS))
+        value = correlator(*values)
+        assert abs(value - mixture) <= 1e-14
+        # the four-term sum rounds, by up to an ulp of 2 near a vertex
+        low, high = sign_pattern_extrema()
+        assert low - 1e-15 <= value <= high + 1e-15
 
