@@ -31,7 +31,7 @@ def main() -> int:
             values = ",".join(str(round(f * u, 6)) for f in fractions)
             out = args.outdir / f"correlator_vs_visibility_u{u}_v{v}.csv"
             code = blgi_main([
-                "sweep", "--meter", "ancilla", "--v-total", str(0.5 * u), "--u", str(u),
+                "sweep", "--meter", "ancilla", "--u", str(u),
                 "--v", str(v), "--axis", "v_total", "--values", values,
                 "--shots", str(args.shots), "--seed", str(args.seed),
                 "--out", str(out), "--manifest", str(out.with_suffix(".manifest.json")),

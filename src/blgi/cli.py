@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -25,7 +25,9 @@ from .config import (
 )
 from .measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
 from .protocol import (
+    ANGLE_KEYS,
     SWEEP_AXES,
+    TUNABLE_SPECS,
     ExperimentConfig,
     NumericalError,
     _chunks_in_order,
@@ -136,16 +138,13 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="experiment config file (INI)")
     parser.add_argument("--threads", type=int, default=None, help="worker cap (default: every usable CPU); never changes results")
     parser.add_argument("--meter", choices=tuple(METER_KINDS), default=None, help="meter type for both arms")
-    parser.add_argument("--sigma", type=float, default=None, help="gaussian signal std per eigenstate")
-    parser.add_argument("--eta", type=float, default=None, help="gaussian meter quantum efficiency")
-    parser.add_argument("--v-total", type=float, default=None, help="ancilla total visibility")
-    parser.add_argument("--u", type=float, default=None, help="ancilla readout visibility")
-    parser.add_argument("--v", type=float, default=None, help="projective readout visibility")
+    for axis in SWEEP_AXES:
+        owner, field = next((cls, field) for cls in TUNABLE_SPECS for field in fields(cls) if field.name == axis)
+        parser.add_argument(_flag(axis), type=float, default=None, help=f"{owner.label.lower()} {field.metadata['help']}")
     parser.add_argument("--shots", type=int, default=None, help="number of shots")
-    parser.add_argument("--phi-a1", type=float, default=None, help="first weak analyzer angle (radians)")
-    parser.add_argument("--phi-a2", type=float, default=None, help="second weak analyzer angle (radians)")
-    parser.add_argument("--phi-b1", type=float, default=None, help="first readout analyzer angle (radians)")
-    parser.add_argument("--phi-b2", type=float, default=None, help="second readout analyzer angle (radians)")
+    for key in ANGLE_KEYS:
+        role = ("first " if key[1] == "1" else "second ") + ("weak" if key[0] == "a" else "readout")
+        parser.add_argument(f"--phi-{key}", type=float, default=None, help=f"{role} analyzer angle (radians)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,7 +283,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         config = retune(config, **values)
         if args.shots is not None:
             config = replace(config, shots=args.shots)
-        flags = (args.phi_a1, args.phi_a2, args.phi_b1, args.phi_b2)
+        flags = (getattr(args, f"phi_{key}") for key in ANGLE_KEYS)
         angles = tuple(angle if flag is None else flag for angle, flag in zip(config.angles, flags))
         seed = resolve_seed(args.seed, file_seed=config.seed if args.config is not None else None)
         config = replace(config, angles=angles, seed=seed)
@@ -355,7 +354,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --axis")
     if args.values is None:
         raise ConfigError("sweep needs --values")
+    if getattr(args, args.axis) is not None:
+        raise ConfigError(f"--axis {args.axis} sweeps {_flag(args.axis)}; drop {_flag(args.axis)}")
     values = _parse_values(args.values)
+    # every point sets the axis, and the base config is the first: --u 0.8 never meets v_total = 1
+    setattr(args, args.axis, values[0])
     config = _resolve_config(args)
     _require_two_shots(config.shots)
     try:
@@ -374,12 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_LHV_DEFAULTS = {
-    "shots": 100_000,
-    "hidden_states": 2,
-    "noise_sigma": 1.0,
-    "invasiveness": 0.0,
-}
+_LHV_DEFAULTS = {"shots": 100_000, "hidden_states": 2, "noise_sigma": 1.0, "invasiveness": 0.0}
 
 
 # shots alive at once across lhv's workers: about 48 bytes each, so some
@@ -548,12 +546,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    handlers = {
-        "simulate": cmd_simulate,
-        "sweep": cmd_sweep,
-        "lhv": cmd_lhv,
-        "verify": cmd_verify,
-    }
+    handlers = {"simulate": cmd_simulate, "sweep": cmd_sweep, "lhv": cmd_lhv, "verify": cmd_verify}
     try:
         args = _parse_args(parser, argv)
         if getattr(args, "threads", None) is not None and args.threads < 1:

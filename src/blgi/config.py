@@ -20,14 +20,12 @@ from typing import Any
 
 from .lhv import LHVStrategy
 from .measurement import METER_KINDS, MeterSpec, ProjectiveMeterSpec, check_meter_field, field_names
-from .protocol import DEFAULT_ANGLES, ExperimentConfig
+from .protocol import ANGLE_KEYS, DEFAULT_ANGLES, ExperimentConfig
 
-DEFAULT_SEED = 42
 SEED_ENV_VAR = "BLGI_SEED"
 
 #: the config-file sections; the meter, ``b`` and ``run`` keys are dataclass fields
 _SECTIONS = ("meter1", "meter2", "b", "angles", "run")
-_ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 
 
 class ConfigError(Exception):
@@ -117,8 +115,8 @@ def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfi
     meter1 = _meter_from_section(sections.get("meter1", {}), "meter1")
     meter2 = _meter_from_section(sections.get("meter2", {}), "meter2")
     b_values = _keywords(sections.get("b", {}), field_names(ProjectiveMeterSpec), "b", _parse_float)
-    angles = dict(zip(_ANGLE_KEYS, DEFAULT_ANGLES))
-    angles.update(_keywords(sections.get("angles", {}), _ANGLE_KEYS, "angles", _parse_float))
+    angles = dict(zip(ANGLE_KEYS, DEFAULT_ANGLES))
+    angles.update(_keywords(sections.get("angles", {}), ANGLE_KEYS, "angles", _parse_float))
     run = _keywords(sections.get("run", {}), ("shots", "seed"), "run", _parse_int)
     try:
         return ExperimentConfig(
@@ -138,7 +136,7 @@ def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, Any]]:
         "meter1": {"type": config.meter1.label.lower(), **asdict(config.meter1)},
         "meter2": {"type": config.meter2.label.lower(), **asdict(config.meter2)},
         "b": asdict(config.b_spec),
-        "angles": dict(zip(_ANGLE_KEYS, config.angles)),
+        "angles": dict(zip(ANGLE_KEYS, config.angles)),
         "run": {"shots": config.shots, "seed": config.seed},
     }
 
@@ -149,7 +147,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
-    """Seed precedence: command-line flag, then BLGI_SEED, then file, then 42.
+    """Seed precedence: command-line flag, then BLGI_SEED, then file, then ``ExperimentConfig``'s default.
 
     The winner must be a 64-bit unsigned integer.
     """
@@ -163,7 +161,7 @@ def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
     elif file_seed is not None:
         seed, where = file_seed, "run.seed"
     else:
-        return DEFAULT_SEED
+        return ExperimentConfig.seed
     if not 0 <= seed < 2**64:
         raise ConfigError(f"{where}: expected a 64-bit unsigned integer, got {seed!r}")
     return seed

@@ -31,7 +31,7 @@ from disjoint RNG substreams.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -39,12 +39,15 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GaussianMeterSpec:
-    """Gaussian pointer meter: signal std ``sigma`` > 0, efficiency ``eta`` in (0, 1]."""
+    """Gaussian pointer meter: signal std ``sigma`` > 0, efficiency ``eta`` in (0, 1].
+
+    Each field's ``help`` metadata follows the kind name in its command-line help.
+    """
 
     label: ClassVar[str] = "Gaussian"
 
-    sigma: float = 1.0
-    eta: float = 1.0
+    sigma: float = field(default=1.0, metadata={"help": "signal std per eigenstate"})
+    eta: float = field(default=1.0, metadata={"help": "meter quantum efficiency"})
 
     def __post_init__(self):
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
@@ -74,8 +77,8 @@ class AncillaMeterSpec:
 
     label: ClassVar[str] = "ancilla"
 
-    v_total: float = 1.0
-    u: float = 1.0
+    v_total: float = field(default=1.0, metadata={"help": "total visibility"})
+    u: float = field(default=1.0, metadata={"help": "readout visibility"})
 
     def __post_init__(self):
         if not (0.0 < self.v_total <= 1.0):
@@ -100,7 +103,9 @@ class AncillaMeterSpec:
 class ProjectiveMeterSpec:
     """Projective readout with visibility ``v`` in [0, 1]."""
 
-    v: float = 1.0
+    label: ClassVar[str] = "projective"
+
+    v: float = field(default=1.0, metadata={"help": "readout visibility"})
 
     def __post_init__(self):
         if not (0.0 <= self.v <= 1.0):

@@ -41,6 +41,8 @@ from .qmath import embed
 #: analyzer angles (phi_a1, phi_a2, phi_b1, phi_b2) of the standard
 #: maximally violating CHSH configuration
 DEFAULT_ANGLES = (np.pi / 2.0, np.pi / 4.0, 0.0, 3.0 * np.pi / 4.0)
+#: the same angles' names, as ``[angles]`` keys and ``--phi-<key>`` flags
+ANGLE_KEYS = ("a1", "a2", "b1", "b2")
 
 #: fixed number of shots per RNG substream; part of the reproducibility
 #: contract (results are bit-identical for a given (config, seed) no
@@ -424,7 +426,10 @@ def exact_mean(config: ExperimentConfig) -> float:
 # Parameter sweeps.
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("sigma", "eta", "v", "v_total", "u")
+#: the spec classes whose fields a run can set: the weak-meter kinds, then the readout
+TUNABLE_SPECS = (*meas.METER_KINDS.values(), ProjectiveMeterSpec)
+#: each field of :data:`TUNABLE_SPECS` once, in order: what :func:`retune` sets
+SWEEP_AXES = tuple(dict.fromkeys(name for cls in TUNABLE_SPECS for name in meas.field_names(cls)))
 
 
 @dataclass(frozen=True)
@@ -448,28 +453,28 @@ def config_analytic_mean(config: ExperimentConfig) -> float:
 
 
 def retune(config: ExperimentConfig, **values: float) -> ExperimentConfig:
-    """Set ``sigma``/``eta`` or ``v_total``/``u`` on both meters and ``v`` on the readout.
+    """Set each of ``values`` where it is declared: a meter field on both meters, a readout field on ``b_spec``.
 
-    Each meter field must belong to both arms' meter type.  All meter
-    fields go into one ``replace`` per arm, so validation sees the final
-    pair (raising ``u`` and ``v_total`` together is fine in any order).
+    Each meter field must belong to both arms' meter type.  Every field goes
+    into one ``replace``, so validation sees the final specs (raising ``u``
+    and ``v_total`` together is fine in any order), and the fields not
+    given keep their values.
     """
-    meter_values = {field: value for field, value in values.items() if field != "v"}
+    readout = {field: value for field, value in values.items() if field in meas.field_names(ProjectiveMeterSpec)}
+    meter_values = {field: value for field, value in values.items() if field not in readout}
     for field, value in meter_values.items():
         for name in ("meter1", "meter2"):
             meas.check_meter_field(type(getattr(config, name)), field, name, f"{field} {value}")
     try:
-        config = replace(
+        return replace(
             config,
             meter1=replace(config.meter1, **meter_values),
             meter2=replace(config.meter2, **meter_values),
+            b_spec=replace(config.b_spec, **readout),
         )
-        if "v" in values:
-            config = replace(config, b_spec=ProjectiveMeterSpec(v=values["v"]))
     except ValueError as exc:
         given = ", ".join(f"{field}={value}" for field, value in values.items())
         raise ValueError(f"invalid {given}: {exc}") from exc
-    return config
 
 
 def sweep(
@@ -480,9 +485,8 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate Monte-Carlo, deterministic, and closed-form means per value.
 
-    ``axis`` selects the swept parameter: ``sigma``/``eta`` retune both
-    Gaussian meters, ``v_total``/``u`` both ancilla meters, ``v`` the
-    projective readout.  Every value is checked before anything is drawn.
+    ``axis``, one of :data:`SWEEP_AXES`, is the field :func:`retune` sets
+    to each value.  Every value is checked before anything is drawn.
     All points' chunks run through one pool, on every usable CPU or at
     most ``threads`` of them, and each point's Monte-Carlo mean is
     bit-identical to :func:`monte_carlo` on its own config.

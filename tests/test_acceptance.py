@@ -205,7 +205,7 @@ def test_criterion_7_figure_reproduction(tmp_path):
         for v in (0.8, 1.0):
             out = tmp_path / f"ancilla_u{u}_v{v}.csv"
             code = cli_main([
-                "sweep", "--meter", "ancilla", "--v-total", "0.5", "--u", str(u),
+                "sweep", "--meter", "ancilla", "--u", str(u),
                 "--v", str(v), "--axis", "v_total", "--values", v_values,
                 "--shots", "30000", "--seed", "708", "--out", str(out),
             ])

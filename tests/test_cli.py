@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -5,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import blgi
-from blgi.cli import _RECORD_BLOCK, _ROW_TABLE, _write_records, main
-from blgi.protocol import Estimate, _chunks_in_order
+from blgi.cli import _RECORD_BLOCK, _ROW_TABLE, _write_records, build_parser, main
+from blgi.measurement import METER_KINDS, AncillaMeterSpec, ProjectiveMeterSpec
+from blgi.protocol import SWEEP_AXES, Estimate, _chunks_in_order
 from oracle import write_records_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -276,6 +279,42 @@ class TestSweep:
     def test_bad_values_exit_2(self, capsys):
         code = main(["sweep", "--meter", "gaussian", "--axis", "sigma", "--values", "a,b"])
         assert code == 2
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_flag_on_the_swept_field_writes_nothing(self, axis, tmp_path, capsys):
+        # every point sets the axis, so the flag was ignored and the run exited 0
+        meter = "ancilla" if axis in {f.name for f in fields(AncillaMeterSpec)} else "gaussian"
+        flag = "--" + axis.replace("_", "-")
+        out, manifest = tmp_path / "s.csv", tmp_path / "m.json"
+        argv = ["sweep", "--meter", meter, "--axis", axis, "--values", "0.5,1", flag, "0.9", "--shots", "100"]
+        assert main([*argv, "--seed", "3", "--out", str(out), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --axis ") and flag in err[0]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_value_on_the_swept_field_is_allowed(self, tmp_path):
+        config = tmp_path / "c.ini"
+        config.write_text("[meter1]\nsigma = 5\n\n[meter2]\nsigma = 5\n", encoding="utf-8")
+        argv = ["sweep", "--axis", "sigma", "--values", "1,2", "--shots", "100", "--seed", "3"]
+        assert main([*argv, "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert _read(tmp_path / "a.csv") == _read(tmp_path / "b.csv")
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_one_float_flag_per_spec_field(command):
+    """Each field of each meter kind, then of the readout, is one float flag with that field's help."""
+    [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {action.dest: action for action in commands.choices[command]._actions}
+    declared = [(cls, field) for cls in (*METER_KINDS.values(), ProjectiveMeterSpec) for field in fields(cls)]
+    assert SWEEP_AXES == tuple(field.name for _, field in declared)
+    for cls, field in declared:
+        action = actions[field.name]
+        assert action.option_strings == ["--" + field.name.replace("_", "-")]
+        assert (action.type, action.default) == (float, None)
+        assert action.help == f"{cls.label.lower()} {field.metadata['help']}"
+    floats = sorted(flag for action in actions.values() if action.type is float for flag in action.option_strings)
+    assert floats == sorted(["--sigma", "--eta", "--v-total", "--u", "--v", "--phi-a1", "--phi-a2", "--phi-b1", "--phi-b2"])
 
 
 class TestWorkers:

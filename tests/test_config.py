@@ -166,7 +166,7 @@ class TestSeedResolution:
 
     def test_default(self, monkeypatch):
         monkeypatch.delenv("BLGI_SEED", raising=False)
-        assert resolve_seed(None) == 42
+        assert resolve_seed(None) == ExperimentConfig().seed == 42
 
     def test_bad_env_value(self, monkeypatch):
         monkeypatch.setenv("BLGI_SEED", "not-a-seed")

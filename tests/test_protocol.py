@@ -1,6 +1,6 @@
 import hashlib
 import tracemalloc
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
@@ -710,6 +710,12 @@ class TestRetune:
         config = retune(_gaussian_config(shots=10), sigma=2.5, eta=0.5, v=0.8)
         assert config.meter1 == config.meter2 == GaussianMeterSpec(sigma=2.5, eta=0.5)
         assert config.b_spec == ProjectiveMeterSpec(v=0.8)
+        # the readout alone keeps both meters and every other readout field
+        base = ExperimentConfig(
+            meter1=GaussianMeterSpec(sigma=2.5, eta=0.5), meter2=AncillaMeterSpec(v_total=0.3, u=0.4),
+            b_spec=ProjectiveMeterSpec(v=0.7), shots=10,
+        )
+        assert retune(base, v=0.8) == replace(base, b_spec=replace(base.b_spec, v=0.8))
 
     def test_validates_the_final_pair(self):
         # v_total=0.8 alone would exceed the old u=0.4
