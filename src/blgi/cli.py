@@ -382,7 +382,8 @@ _LHV_DEFAULTS = {"shots": 100_000, "hidden_states": 2, "noise_sigma": 1.0, "inva
 
 # shots alive at once across lhv's workers: about 48 bytes each, so some
 # 200 MiB.  A strategy with more shots than this runs alone, as it would
-# without the pool
+# without the pool.  It also caps the random strategies, all built first:
+# each holds 56 bytes per hidden state plus some 1.4 kB, 32 states' worth
 _LHV_LIVE_SHOTS = 1 << 22
 
 
@@ -401,12 +402,18 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     args.seed = seed = resolve_seed(args.seed)
     _require_two_shots(args.shots)
 
+    if args.random is not None and args.random < 1:
+        raise ConfigError(f"--random: expected a positive count, got {args.random}")
+    if args.random is not None and args.random * (args.hidden_states + 32) > _LHV_LIVE_SHOTS:
+        raise ConfigError(
+            f"--random x (--hidden-states + 32) must be at most {_LHV_LIVE_SHOTS}, "
+            f"got {args.random} x ({args.hidden_states} + 32)"
+        )
+
     strategies: list[tuple[str, lhv.LHVStrategy]] = []
     if args.strategy is not None:
         strategies.append((args.strategy, load_strategy(args.strategy)))
     if args.random is not None:
-        if args.random < 1:
-            raise ConfigError(f"--random: expected a positive count, got {args.random}")
         for index in range(args.random):
             rng = substream_rng(seed, index)
             try:

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .measurement import _signs
+from .measurement import _signs, _uniform_below
 from .protocol import Estimate, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
@@ -127,8 +127,7 @@ def lhv_records(
         np.clip(mean, -1.0, 1.0, out=mean)
         mean += 1.0
         mean /= 2.0
-        rng.random(out=column)
-        readouts.append(_signs(np.less(column, mean, out=column), out=column))
+        readouts.append(_signs(_uniform_below(mean, rng, column), out=column))
     return zeta, alpha1, alpha2, *readouts
 
 

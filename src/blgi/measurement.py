@@ -22,8 +22,9 @@ implementation, :func:`sample_records`.  It keeps each shot as four real
 amplitudes and runs four elementwise stages (weak arm 1, weak arm 2,
 readout arm 1, readout arm 2) with a fixed RNG draw order; each stage
 works in place on the amplitude arrays it is handed and takes every
-other array from a :class:`Workspace` that a caller may keep from chunk
-to chunk.  Every
+other array from a :class:`Workspace` of float64 buffers that a caller
+may keep from chunk to chunk.  Every coin flip is a uniform block
+written over by its 0.0/1.0 outcome (:func:`_uniform_below`).  Every
 sampler takes an explicit ``numpy.random.Generator`` and is safe to drive
 from disjoint RNG substreams.
 """
@@ -180,13 +181,14 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # Bell pair) is passed as four floats.  A stage consumes the amplitude
 # arrays it is handed: it rotates and scales them in place and returns
 # them as the post-state, so a chunk holds one set of them.  Every other
-# array, each RNG block included, is a buffer of a Workspace: a stage
-# takes it, writes it through ``out=`` and gives it back once it is
-# summed or compared, so a workspace kept from chunk to chunk allocates
-# nothing after its first chunk.  Every element still goes through the
-# operations of the written-out expressions (``c*a + s*b``,
-# ``x*keep_x + y*keep_y``, ...) in the same order, so the records keep
-# every bit.
+# array, each RNG block included, is a float64 buffer of a Workspace: a
+# stage takes it, writes it through ``out=`` and gives it back once it
+# is summed or compared, so a workspace kept from chunk to chunk
+# allocates nothing after its first chunk.  A coin flip's uniform block
+# becomes its 0.0/1.0 mask, and the mask its signs, in one buffer.  Every
+# element still goes through the operations of the written-out
+# expressions (``c*a + s*b``, ``x*keep_x + y*keep_y``, ...) in the same
+# order, so the records keep every bit.
 # ---------------------------------------------------------------------------
 
 Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
@@ -195,10 +197,10 @@ BELL_AMPLITUDES: Amplitudes = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2
 
 
 class Workspace:
-    """Float64 and bool buffers of ``size`` entries that the record kernel reuses.
+    """Float64 buffers of ``size`` entries that the record kernel reuses.
 
     :meth:`take` hands out the first ``n`` entries of a free buffer and
-    allocates a buffer only when every one of that dtype is in use;
+    allocates a buffer only when every one is in use;
     :meth:`give` frees what :meth:`take` handed out, and :meth:`reset`
     frees every buffer.  So a caller that keeps one workspace from chunk
     to chunk allocates only during its first chunk, as many buffers as
@@ -207,30 +209,25 @@ class Workspace:
 
     def __init__(self, size: int):
         self.size = size
-        self._buffers: dict[type, list[np.ndarray]] = {np.float64: [], np.bool_: []}
-        self._free: dict[type, list[np.ndarray]] = {np.float64: [], np.bool_: []}
+        self._buffers: list[np.ndarray] = []
+        self._free: list[np.ndarray] = []
 
-    def take(self, n: int, dtype: type = np.float64) -> np.ndarray:
-        """The first ``n`` entries of a free buffer of ``dtype``, contents undefined."""
+    def take(self, n: int) -> np.ndarray:
+        """The first ``n`` entries of a free buffer, contents undefined."""
         if n > self.size:
             raise ValueError(f"a workspace of {self.size} entries cannot hold {n}")
-        free = self._free[dtype]
-        if not free:
-            buffer = np.empty(self.size, dtype)
-            self._buffers[dtype].append(buffer)
-            free.append(buffer)
-        return free.pop()[:n]
+        if not self._free:
+            self._buffers.append(np.empty(self.size))
+            self._free.append(self._buffers[-1])
+        return self._free.pop()[:n]
 
     def give(self, *arrays) -> None:
         """Free the buffers behind ``arrays``, each from :meth:`take`; floats are skipped."""
-        for array in arrays:
-            if isinstance(array, np.ndarray):
-                self._free[array.dtype.type].append(array.base)
+        self._free.extend(array.base for array in arrays if isinstance(array, np.ndarray))
 
     def reset(self) -> None:
         """Free every buffer, whatever still holds views of it."""
-        for dtype, buffers in self._buffers.items():
-            self._free[dtype] = list(buffers)
+        self._free = list(self._buffers)
 
 
 def _rotation(phi: float) -> tuple[float, float]:
@@ -291,12 +288,10 @@ def _squared_sum(x, y, workspace: Workspace):
     return total
 
 
-def _uniform_below(threshold, rng: np.random.Generator, n: int, workspace: Workspace) -> np.ndarray:
-    """``rng.random(n) < threshold`` from one uniform block, as a bool buffer."""
-    draws = rng.random(out=workspace.take(n))
-    below = np.less(draws, threshold, out=workspace.take(n, np.bool_))
-    workspace.give(draws)
-    return below
+def _uniform_below(threshold, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``rng.random(out.size) < threshold`` as 1.0/0.0, written over its own uniforms in ``out``."""
+    rng.random(out=out)
+    return np.less(out, threshold, out=out)
 
 
 def _gaussian_branch_scales(
@@ -343,9 +338,8 @@ def weak_stage(
     p0 = _squared_sum(x0, x1, workspace)
     p1 = _squared_sum(y0, y1, workspace)
     if isinstance(spec, GaussianMeterSpec):
-        component = _uniform_below(p0, rng, n, workspace)
-        signals = _signs(component, out=workspace.take(n))
-        workspace.give(component)
+        component = _uniform_below(p0, rng, workspace.take(n))
+        signals = _signs(component, out=component)
         normal = rng.standard_normal(out=workspace.take(n))
         signals += np.multiply(spec.sigma, normal, out=normal)
         workspace.give(normal)
@@ -356,17 +350,17 @@ def weak_stage(
         term = np.multiply(0.5 - half, p1, out=workspace.take(n))
         threshold += term
         workspace.give(term)
-        took_plus = _uniform_below(threshold, rng, n, workspace)
+        took_plus = _uniform_below(threshold, rng, workspace.take(n))
         workspace.give(threshold)
         strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
         shift = np.multiply(strong - weak, took_plus, out=workspace.take(n))
         w0 = np.add(weak, shift, out=workspace.take(n))
         w1 = np.subtract(strong, shift, out=shift)
-        flip = _uniform_below((1.0 - spec.u) / 2.0, rng, n, workspace)
+        flip = _uniform_below((1.0 - spec.u) / 2.0, rng, workspace.take(n))
         # a Python-float reciprocal overflows to inf without a numpy warning,
         # and +/-1 * (1/v) is +/-1/v exactly
-        signals = _signs(np.not_equal(took_plus, flip, out=flip), out=workspace.take(n))
-        workspace.give(took_plus, flip)
+        signals = _signs(np.not_equal(took_plus, flip, out=flip), out=flip)
+        workspace.give(took_plus)
         signals *= 1.0 / spec.v_total
     else:
         raise TypeError(f"unsupported meter spec {type(spec).__name__}")
@@ -384,10 +378,11 @@ def weak_stage(
     w1 *= norm
     workspace.give(norm)
     if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
-        flip = _uniform_below(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, n, workspace)
-        signs = _signs(np.invert(flip, out=flip), out=workspace.take(n))
-        w1 *= signs
-        workspace.give(flip, signs)
+        flip = _uniform_below(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, workspace.take(n))
+        flip *= -2.0  # 1 - 2*flip: -1.0 where the ket1 branch flips, else +1.0
+        flip += 1.0
+        w1 *= flip
+        workspace.give(flip)
     x0, x1 = _scaled(x0, w0, workspace), _scaled(x1, w0, workspace)
     y0, y1 = _scaled(y0, w1, workspace), _scaled(y1, w1, workspace)
     workspace.give(w0, w1)  # freed before the rotation takes its two: peak memory
@@ -396,7 +391,7 @@ def weak_stage(
 
 def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # +1.0 where mask, else -1.0; several times faster than np.where on
-    # unpredictable masks.  ``out`` may be the mask itself, as 0.0/1.0 floats
+    # unpredictable masks.  ``out`` may be a 0.0/1.0 float mask itself
     signs = np.multiply(mask, 2.0, out=out)
     signs -= 1.0
     return signs
@@ -404,10 +399,8 @@ def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator, workspace: Workspace):
     # the reported sign is the true one, flipped with probability (1 - v)/2
-    flip = _uniform_below((1.0 - spec.v) / 2.0, rng, hit0.size, workspace)
-    signs = _signs(np.not_equal(hit0, flip, out=flip), out=workspace.take(hit0.size))
-    workspace.give(flip)
-    return signs
+    flip = _uniform_below((1.0 - spec.v) / 2.0, rng, workspace.take(hit0.size))
+    return _signs(np.not_equal(hit0, flip, out=flip), out=flip)
 
 
 def first_readout(
@@ -432,14 +425,11 @@ def first_readout(
     workspace = Workspace(n) if workspace is None else workspace
     x0, x1, y0, y1 = _to_frame(amps, 1, phi, workspace)
     weight0 = _squared_sum(x0, x1, workspace)
-    hit0 = _uniform_below(weight0, rng, n, workspace)
+    keep_x = _uniform_below(weight0, rng, workspace.take(n))
     workspace.give(weight0)
-    signals = _reported(hit0, spec, rng, workspace)
+    signals = _reported(keep_x, spec, rng, workspace)
     # exact select: one of the two products is x*1 or y*1, the other zero
-    keep_x = workspace.take(n)
-    np.copyto(keep_x, hit0)
     keep_y = np.subtract(1.0, keep_x, out=workspace.take(n))
-    workspace.give(hit0)
     z0 = _scaled(x0, keep_x, workspace)
     z0 += _scaled(y0, keep_y, workspace)
     z1 = _scaled(x1, keep_x, workspace)
@@ -472,7 +462,7 @@ def second_readout(
     along0 = np.add(np.multiply(c, z0, out=z0), np.multiply(s, z1, out=z1), out=z0)
     probability0 = np.divide(np.multiply(along0, along0, out=along0), squared_norm, out=along0)
     workspace.give(squared_norm)
-    hit0 = _uniform_below(probability0, rng, n, workspace)
+    hit0 = _uniform_below(probability0, rng, workspace.take(n))
     signals = _reported(hit0, spec, rng, workspace)
     workspace.give(hit0)
     return signals

@@ -815,6 +815,8 @@ class TestInputErrors:
                 ["--manifest", "m.json"], ["--strategy", "/nonexistent.ini"], ["--seed", "-7"],
             )),
             ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
+            # just over the bound: every strategy is built before any runs
+            ["lhv", "--random", "2", "--shots", "100", "--hidden-states", "2097121"],
             ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
             *(["lhv", "--random", "1", "--shots", "10", "--invasiveness", value] for value in ("inf", "nan", "-0.5")),
             ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],

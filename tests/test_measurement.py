@@ -10,6 +10,7 @@ from blgi.measurement import (
     GaussianMeterSpec,
     ProjectiveMeterSpec,
     Workspace,
+    _uniform_below,
     dephasing_factor,
     excess_dephasing_factor,
     first_readout,
@@ -658,6 +659,15 @@ class TestKernelMatchesReference:
             b2 = second_readout(ket, readout, -phi, np.random.default_rng(seed), n)
             want_b2 = second_readout_reference(want_ket, readout, -phi, np.random.default_rng(seed), n)
             _assert_same_bytes((b2,), (want_b2,))
+
+    @pytest.mark.parametrize("n", [1, 77, 65536])
+    @pytest.mark.parametrize("value", [0.0, 1.0, 0.5, 5e-324])
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_uniform_below_is_the_bool_comparison_as_floats(self, n, value, as_array):
+        threshold = np.full(n, value) if as_array else value
+        mask = _uniform_below(threshold, np.random.default_rng(n), np.empty(n))
+        want = (np.random.default_rng(n).random(n) < threshold).astype(np.float64)
+        assert mask.dtype == np.float64 and mask.tobytes() == want.tobytes()
 
     def test_a_workspace_refuses_more_than_its_size(self):
         with pytest.raises(ValueError, match="cannot hold 5"):

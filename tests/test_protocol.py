@@ -673,6 +673,9 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert held <= 7 * 2**20
+        # a Gaussian eta < 1 chunk and an ancilla chunk each fit in the same eleven float64 buffers
+        assert len(workspace._buffers) <= 11
+        assert all(buffer.dtype == np.float64 for buffer in workspace._buffers)
 
 
 class TestWorkspaceReuse:
