@@ -7,10 +7,12 @@ Exit codes: 0 success, 2 usage/config problem, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -169,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhv.add_argument("--random", type=int, default=None, metavar="N", help="check N random calibrated strategies")
     p_lhv.add_argument("--brute-force", action="store_true", default=None, help="print the sign-pattern bound on every local strategy and exit")
     p_lhv.add_argument("--shots", type=int, default=None, help="shots per strategy (default 100000)")
-    p_lhv.add_argument("--hidden-states", type=int, default=None, help="default 2")
-    p_lhv.add_argument("--noise-sigma", type=float, default=None, help="default 1.0")
-    p_lhv.add_argument("--invasiveness", type=float, default=None, help="max readout-mean shift from the first measurement (default 0)")
+    p_lhv.add_argument("--hidden-states", type=int, default=None, help="hidden states of each --random strategy (default 2, at most 2**20)")
+    p_lhv.add_argument("--noise-sigma", type=float, default=None, help="detector noise of --random strategies (default 1.0)")
+    p_lhv.add_argument("--invasiveness", type=float, default=None, help="--random strategies' max readout-mean shift from the first measurement (default 0)")
 
     sub.add_parser("verify", help="run the oracle cross-check suite")
     return parser
@@ -377,14 +379,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_LHV_DEFAULTS = {"shots": 100_000, "hidden_states": 2, "noise_sigma": 1.0, "invasiveness": 0.0}
+_LHV_SHOTS = 100_000
+#: the flags that shape --random's strategies and nothing else, with their defaults
+_LHV_RANDOM_DEFAULTS = {"hidden_states": 2, "noise_sigma": 1.0, "invasiveness": 0.0}
+#: most hidden states of one random strategy: 56 bytes each, so 56 MiB, and
+#: at most one strategy per worker plus one queued exist at once
+_LHV_MAX_HIDDEN_STATES = 1 << 20
 
 
-# shots alive at once across lhv's workers: about 48 bytes each, so some
-# 200 MiB.  A strategy with more shots than this runs alone, as it would
-# without the pool.  It also caps the random strategies, all built first:
-# each holds 56 bytes per hidden state plus some 1.4 kB, 32 states' worth
-_LHV_LIVE_SHOTS = 1 << 22
+def _random_strategies(args: argparse.Namespace, seed: int) -> Iterator[lhv.LHVStrategy]:
+    """The ``--random`` strategies in order, each drawn from substream ``(seed, index)`` when asked for."""
+    for index in range(args.random or 0):
+        try:
+            yield lhv.random_strategy(args.hidden_states, substream_rng(seed, index), args.noise_sigma, args.invasiveness)
+        except ValueError as exc:
+            raise ConfigError(f"--random: {exc}") from exc
 
 
 def cmd_lhv(args: argparse.Namespace) -> int:
@@ -395,57 +404,49 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             raise ConfigError(f"--brute-force takes only --out; drop {', '.join(given)}")
         _write_text(args.out, _fmt(LMR_BOUND) + "\n")
         return EXIT_OK
-    for name, default in _LHV_DEFAULTS.items():
-        if getattr(args, name) is None:
+    for name, default in _LHV_RANDOM_DEFAULTS.items():
+        value = getattr(args, name)
+        if args.random is not None and value is None:
             setattr(args, name, default)
+        # a manifest written before this check stores each at its default with --strategy
+        elif args.random is None and value is not None and (args.stored_config is None or value != default):
+            raise ConfigError(f"{_flag(name)} only shapes --random strategies; drop it")
+    if args.shots is None:
+        args.shots = _LHV_SHOTS
     # the manifest stores the resolved seed, so BLGI_SEED cannot change a re-run
     args.seed = seed = resolve_seed(args.seed)
     _require_two_shots(args.shots)
 
     if args.random is not None and args.random < 1:
         raise ConfigError(f"--random: expected a positive count, got {args.random}")
-    if args.random is not None and args.random * (args.hidden_states + 32) > _LHV_LIVE_SHOTS:
-        raise ConfigError(
-            f"--random x (--hidden-states + 32) must be at most {_LHV_LIVE_SHOTS}, "
-            f"got {args.random} x ({args.hidden_states} + 32)"
-        )
+    if args.random is not None and args.hidden_states > _LHV_MAX_HIDDEN_STATES:
+        raise ConfigError(f"--hidden-states must be at most {_LHV_MAX_HIDDEN_STATES}, got {args.hidden_states}")
 
-    strategies: list[tuple[str, lhv.LHVStrategy]] = []
-    if args.strategy is not None:
-        strategies.append((args.strategy, load_strategy(args.strategy)))
-    if args.random is not None:
-        for index in range(args.random):
-            rng = substream_rng(seed, index)
-            try:
-                strategy = lhv.random_strategy(
-                    args.hidden_states,
-                    rng,
-                    noise_sigma=args.noise_sigma,
-                    max_invasiveness=args.invasiveness,
-                )
-            except ValueError as exc:
-                raise ConfigError(f"--random: {exc}") from exc
-            strategies.append((f"random-{index}", strategy))
-    if not strategies:
+    loaded = [] if args.strategy is None else [load_strategy(args.strategy)]
+    names = [args.strategy] * len(loaded) + [f"random-{index}" for index in range(args.random or 0)]
+    if not names:
         raise ConfigError("lhv needs --strategy, --random or --brute-force")
+    counts = {strategy.num_hidden_states for strategy in loaded} | ({args.hidden_states} if args.random else set())
 
-    # each strategy draws from its own substream, so the worker count never changes a byte
+    # each strategy draws from its own substream, so the worker count never changes
+    # a byte; the pool reads tasks lazily, so each random strategy is built only
+    # when its task is queued, and dropped once its run is done
+    strategies = itertools.chain(loaded, _random_strategies(args, seed))
     tasks = (
         partial(lhv.lhv_mean, strategy, args.shots, substream_rng(seed, (1 << 32) + index))
-        for index, (_, strategy) in enumerate(strategies)
+        for index, strategy in enumerate(strategies)
     )
-    workers = min(len(strategies), _usable_cpus(), max(1, _LHV_LIVE_SHOTS // args.shots))
-    estimates = list(_chunks_in_order(tasks, workers))
+    estimates = list(_chunks_in_order(tasks, min(len(names), _usable_cpus())))
 
     # calibration_ok is true on every row: each strategy checked its rules when
     # built, and its detector noise has mean zero given the hidden state by construction
     lines = ["strategy,mean,stderr,bound_ok,calibration_ok\n"]
     any_violation = False
-    for (name, _), estimate in zip(strategies, estimates):
+    for name, estimate in zip(names, estimates):
         bound_ok = abs(estimate.mean) <= LMR_BOUND + 4.0 * estimate.stderr
         any_violation = any_violation or not bound_ok
         lines.append(f"{name},{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt_bool(bound_ok)},true\n")
-    for count in sorted({strategy.num_hidden_states for _, strategy in strategies}):
+    for count in sorted(counts):
         lines.append(f"# brute_force_max({count} hidden states) = {_fmt(LMR_BOUND)}\n")
     _write_text(args.out, "".join(lines))
     _write_manifest(args, None)

@@ -24,8 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .measurement import _signs, _uniform_below
-from .protocol import Estimate, _sampled_moments, correlator, estimate, require_two_shots
+from .measurement import Workspace, _signs, _uniform_below
+from .protocol import Estimate, _chunk_sizes, _sampled_moments, _workspace, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
 
@@ -90,22 +90,26 @@ class LHVStrategy:
 
 
 def lhv_records(
-    strategy: LHVStrategy, shots: int, rng: np.random.Generator
+    strategy: LHVStrategy, shots: int, rng: np.random.Generator, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized shot sampling; returns ``(zeta, alpha1, alpha2, b1, b2)`` arrays.
 
     Draw order: hidden states, arm-1 noise, arm-2 noise, arm-1 readout,
-    arm-2 readout; one block each.  Beside the five returned arrays one
-    scratch array is alive: the noise draws and each arm's readout mean
-    are built in it in place, and each readout's uniforms become its
-    +/-1 column.
+    arm-2 readout; one block each.  The four float arrays are buffers of
+    ``workspace``, which is reset first; without one, a new workspace of
+    ``shots`` entries is used and they are the caller's own.  One more
+    buffer is scratch: the noise draws and each arm's readout mean are
+    built in it in place, and each readout's uniforms become its +/-1
+    column.  Only ``zeta`` and ``rng.choice``'s uniforms are allocated.
     """
+    workspace = Workspace(shots) if workspace is None else workspace
+    workspace.reset()
     prep = strategy.prep_dist / strategy.prep_dist.sum()
     zeta = rng.choice(strategy.num_hidden_states, size=shots, p=prep)
     # mode="clip" never clips a hidden state; unlike "raise" it writes out= unbuffered
     take = partial(np.take, indices=zeta, mode="clip")
-    alpha1, alpha2 = take(strategy.a1), take(strategy.a2)
-    scratch = np.empty(shots)
+    alpha1, alpha2 = take(strategy.a1, out=workspace.take(shots)), take(strategy.a2, out=workspace.take(shots))
+    scratch = workspace.take(shots)
     for alpha, sigma in ((alpha1, strategy.noise_sigma1), (alpha2, strategy.noise_sigma2)):
         if sigma > 0.0:
             rng.standard_normal(out=scratch)
@@ -119,7 +123,7 @@ def lhv_records(
         # local invasiveness: the observed alpha may shift the same arm's
         # readout mean b + invasiveness*tanh(alpha - a), clamped to [-1, 1];
         # the readout fires +1 with probability (1 + mean)/2
-        mean, column = scratch, np.empty(shots)
+        mean, column = scratch, workspace.take(shots)
         np.subtract(alpha, take(a, out=mean), out=mean)
         np.tanh(mean, out=mean)
         mean *= take(invasiveness, out=column)
@@ -134,11 +138,14 @@ def lhv_records(
 def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Estimate:
     """Monte-Carlo mean of the per-shot correlator, reduced by :func:`blgi.protocol.estimate`.
 
-    Fewer than 2 shots raise ValueError before anything is drawn.
+    The shots are drawn from ``rng`` in :data:`blgi.protocol.CHUNK_SHOTS`
+    blocks, one after another, each into the calling thread's chunk
+    workspace, as the quantum engine draws its chunks.  Fewer than 2
+    shots raise ValueError before anything is drawn.
     """
     require_two_shots(shots)
-    _, moments = _sampled_moments(lambda: lhv_records(strategy, shots, rng)[1:])
-    return estimate([moments])
+    draw = lambda n: lhv_records(strategy, n, rng, _workspace())[1:]
+    return estimate(_sampled_moments(partial(draw, n))[1] for n in _chunk_sizes(shots))
 
 
 def sign_pattern_extrema() -> tuple[float, float]:
@@ -175,17 +182,7 @@ def random_strategy(
         raise ValueError(f"max_invasiveness must be finite and >= 0, got {max_invasiveness}")
     n = num_hidden_states
     prep = rng.dirichlet(np.ones(n))
-    uniform = lambda: rng.uniform(-1.0, 1.0, size=n)
-    invas1 = rng.uniform(0.0, max_invasiveness, size=n) if max_invasiveness > 0.0 else None
-    invas2 = rng.uniform(0.0, max_invasiveness, size=n) if max_invasiveness > 0.0 else None
-    return LHVStrategy(
-        prep_dist=prep,
-        a1=uniform(),
-        a2=uniform(),
-        b1=uniform(),
-        b2=uniform(),
-        noise_sigma1=noise_sigma,
-        noise_sigma2=noise_sigma,
-        invasiveness1=invas1,
-        invasiveness2=invas2,
-    )
+    # draw order: the preparation, both invasiveness vectors, then a1, a2, b1, b2
+    invas1, invas2 = (rng.uniform(0.0, max_invasiveness, size=n) if max_invasiveness > 0.0 else None for _ in range(2))
+    a1, a2, b1, b2 = (rng.uniform(-1.0, 1.0, size=n) for _ in range(4))
+    return LHVStrategy(prep, a1, a2, b1, b2, noise_sigma, noise_sigma, invas1, invas2)

@@ -94,34 +94,33 @@ def require_two_shots(n: int) -> None:
         raise ValueError(f"shots must be >= 2 for a standard error, got {n}")
 
 
-def _moments(alpha1, alpha2, b1, b2, workspace: meas.Workspace | None = None) -> tuple[int, float, float]:
+def _moments(alpha1, alpha2, b1, b2, workspace: meas.Workspace) -> tuple[int, float, float]:
     """Count, sum and sum of squared deviations from the mean of C over one block of records.
 
-    C and its terms go into two buffers of ``workspace`` when one is given.
+    C and its terms go into two buffers of ``workspace``.
     """
-    out = None if workspace is None else (workspace.take(alpha1.size), workspace.take(alpha1.size))
+    out = (workspace.take(alpha1.size), workspace.take(alpha1.size))
     values = correlator(alpha1, alpha2, b1, b2, out)
     total = float(values.sum())
     # the second pass of numpy's own variance, squared in place
     values -= total / values.size
     values *= values
     m2 = float(values.sum())
-    if workspace is not None:
-        workspace.give(*out)
+    workspace.give(*out)
     return values.size, total, m2
 
 
 def _sampled_moments(sample: Callable[[], tuple[np.ndarray, ...]]) -> tuple[tuple[np.ndarray, ...], tuple]:
     """The records ``sample()`` draws and their :func:`_moments`.
 
-    A block of at most :data:`CHUNK_SHOTS` records forms C in the calling
-    thread's :func:`_workspace`; a larger one allocates.
+    ``sample`` draws one block of at most :data:`CHUNK_SHOTS` records, a
+    Monte-Carlo chunk or a hidden-variable block, into the calling
+    thread's :func:`_workspace`, and C is formed in two more of its buffers.
     """
     # an overflow, in the draw or in C, ends in NumericalError from estimate, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         records = sample()
-        workspace = _workspace() if records[0].size <= CHUNK_SHOTS else None
-        return records, _moments(*records, workspace)
+        return records, _moments(*records, _workspace())
 
 
 def estimate(parts: Iterable[tuple[int, float, float]]) -> Estimate:
@@ -212,7 +211,8 @@ def _chunks_in_order(tasks: Iterable[Callable], threads: int) -> Iterator:
     """Run zero-argument ``tasks`` on ``threads`` workers and yield their results in task order.
 
     A task is one chunk of work: a Monte-Carlo chunk's draw and
-    :func:`_moments`, or one hidden-variable strategy's whole run.  At most
+    :func:`_moments`, or one hidden-variable strategy's run, whose blocks
+    the worker draws in turn into its own :func:`_workspace`.  At most
     ``threads + 1`` tasks are submitted and not yet consumed: one queued
     beyond the busy workers, so a worker that finishes picks up the next
     task without waiting for the consumer to wake.  ``tasks`` is read

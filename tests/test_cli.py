@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import blgi
-from blgi.cli import _RECORD_BLOCK, _ROW_TABLE, _write_records, build_parser, main
+from blgi.cli import _LHV_MAX_HIDDEN_STATES, _RECORD_BLOCK, _ROW_TABLE, _write_records, build_parser, main
 from blgi.measurement import METER_KINDS, AncillaMeterSpec, ProjectiveMeterSpec
 from blgi.protocol import SWEEP_AXES, Estimate, _chunks_in_order
 from oracle import write_records_reference
@@ -651,12 +652,23 @@ class TestLhvCommand:
         assert workers == [1, 3]
         assert outputs[0] == outputs[1]
 
+    def test_two_chunk_output_bytes_are_pinned(self, tmp_path):
+        # 70000 shots a strategy: each draws a 65536-shot block, then a 4464-shot one
+        out = tmp_path / "lhv.csv"
+        code = main([
+            "lhv", "--random", "2", "--shots", "70000", "--hidden-states", "3",
+            "--invasiveness", "0.3", "--seed", "3", "--out", str(out),
+        ])
+        assert code == 0
+        digest = "d4dae185003b4242b1c176a19f59385cfdf8e58ac0ef624ebf22fad268e65c0b"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "strategies, shots, cpus, workers",
-        [(4, 50_000_000, 8, 1), (4, 2_000_000, 8, 2), (16, 100_000, 8, 8), (200, 100_000, 2, 2), (3, 100_000, 8, 3)],
+        [(4, 50_000_000, 8, 4), (4, 2_000_000, 8, 4), (16, 100_000, 8, 8), (200, 100_000, 2, 2), (3, 100_000, 8, 3)],
     )
-    def test_workers_are_capped_by_live_shots(self, tmp_path, monkeypatch, strategies, shots, cpus, workers):
-        # every worker holds one strategy's records, so many shots mean fewer workers
+    def test_workers_are_strategies_up_to_usable_cpus(self, tmp_path, monkeypatch, strategies, shots, cpus, workers):
+        # a worker draws its strategy in chunks into its workspace, so no shot count means fewer workers
         seen = []
 
         def spy(tasks, threads):
@@ -670,6 +682,96 @@ class TestLhvCommand:
         argv = ["lhv", "--random", str(strategies), "--shots", str(shots), "--seed", "3"]
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
         assert seen == [workers]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_random_strategies_are_built_as_the_pool_asks(self, tmp_path, monkeypatch, cpus):
+        # each strategy is built when its task is queued and dropped once it has run
+        built, most_alive = [], []
+        random_strategy = blgi.lhv.random_strategy
+
+        def spy(*args, **kwargs):
+            strategy = random_strategy(*args, **kwargs)
+            built.append(weakref.ref(strategy))
+            most_alive.append(sum(ref() is not None for ref in built))
+            return strategy
+
+        monkeypatch.setattr("blgi.lhv.random_strategy", spy)
+        monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+        argv = ["lhv", "--random", "12", "--shots", "2000", "--seed", "3"]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(built) == 12
+        assert max(most_alive) <= cpus + 2
+
+    def test_hidden_states_bound_is_checked_before_any_strategy_is_built(self, tmp_path, monkeypatch, capsys):
+        built = []
+        random_strategy = blgi.lhv.random_strategy
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return random_strategy(*args, **kwargs)
+
+        monkeypatch.setattr("blgi.lhv.random_strategy", spy)
+        monkeypatch.setattr("blgi.cli._LHV_MAX_HIDDEN_STATES", 8)
+        argv = ["lhv", "--random", "2", "--shots", "100", "--seed", "3"]
+        assert main([*argv, "--hidden-states", "8", "--out", str(tmp_path / "at.csv")]) == 0
+        assert len(built) == 2
+        capsys.readouterr()
+        assert main([*argv, "--hidden-states", "9", "--out", str(tmp_path / "over.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--hidden-states" in err[0]
+        assert len(built) == 2
+        assert not (tmp_path / "over.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--hidden-states", "9"], ["--noise-sigma", "5"], ["--invasiveness", "0.7"], ["--hidden-states", "2"]]
+    )
+    def test_random_only_flags_without_random_exit_2(self, tmp_path, capsys, flag):
+        strategy = tmp_path / "s.ini"
+        strategy.write_text(STRATEGY_BODY, encoding="utf-8")
+        out, manifest = tmp_path / "x.csv", tmp_path / "m.json"
+        argv = ["lhv", "--strategy", str(strategy), *flag, "--shots", "100", "--out", str(out)]
+        assert main([*argv, "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag[0] in err[0]
+        assert not out.exists() and not manifest.exists()
+
+    def test_manifest_stores_random_only_flags_for_random_runs(self, tmp_path):
+        strategy = tmp_path / "s.ini"
+        strategy.write_text(STRATEGY_BODY, encoding="utf-8")
+        stored = {}
+        for name, flags in (("file", ["--strategy", str(strategy)]), ("random", ["--random", "1"])):
+            manifest = tmp_path / f"{name}.json"
+            argv = ["lhv", *flags, "--shots", "100", "--out", str(tmp_path / f"{name}.csv")]
+            assert main([*argv, "--manifest", str(manifest)]) == 0
+            stored[name] = {arg.split("=")[0] for arg in json.loads(_read(manifest))["argv"]}
+        random_only = {"--hidden-states", "--noise-sigma", "--invasiveness"}
+        assert not stored["file"] & random_only
+        assert random_only <= stored["random"]
+
+    def test_strategy_manifest_with_stored_defaults_reruns_to_the_same_bytes(self, tmp_path, monkeypatch):
+        # an lhv --strategy manifest as earlier versions wrote it: every flag at its default
+        monkeypatch.chdir(tmp_path)
+        Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
+        manifest = {
+            "command": "lhv",
+            "argv": [
+                "--strategy=s.ini", "--shots=1000", "--hidden-states=2", "--noise-sigma=1.0",
+                "--invasiveness=0.0", "--seed=3", "--out=x.csv",
+            ],
+            "config": {},
+            "version": "0.1.0",
+            "created_utc": "2026-10-19T15:53:03.511474+00:00",
+        }
+        Path("m.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert main(["lhv", "--manifest", "m.json"]) == 0
+        digest = "50dd1baaaae8b4ce6d530639e606294b5d4a52f60fba5bd2bd17a0c27c4e717a"
+        assert hashlib.sha256(Path("x.csv").read_bytes()).hexdigest() == digest
+        # a stored value that is not the default shaped nothing, and is refused
+        manifest["argv"][2] = "--hidden-states=9"
+        Path("m.json").write_text(json.dumps(manifest), encoding="utf-8")
+        Path("x.csv").unlink()
+        assert main(["lhv", "--manifest", "m.json"]) == 2
+        assert not Path("x.csv").exists()
 
     def test_numerical_error_in_a_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("blgi.cli._usable_cpus", lambda: 3)
@@ -815,8 +917,9 @@ class TestInputErrors:
                 ["--manifest", "m.json"], ["--strategy", "/nonexistent.ini"], ["--seed", "-7"],
             )),
             ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
-            # just over the bound: every strategy is built before any runs
+            # over the per-strategy bound on hidden states: exits before any strategy is built
             ["lhv", "--random", "2", "--shots", "100", "--hidden-states", "2097121"],
+            ["lhv", "--random", "1", "--shots", "100", "--hidden-states", str(_LHV_MAX_HIDDEN_STATES + 1)],
             ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
             *(["lhv", "--random", "1", "--shots", "10", "--invasiveness", value] for value in ("inf", "nan", "-0.5")),
             ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],
@@ -925,8 +1028,8 @@ class TestInputErrors:
         ids=["lhv", "simulate"],
     )
     def test_out_of_memory(self, tmp_path, capsys, monkeypatch, target, argv):
-        # a run too large to hold: lhv draws every shot in one block, and
-        # simulate lists every chunk size up front
+        # a run too large to hold: a strategy too large to draw, or a
+        # simulate whose list of chunk sizes does not fit
         def raise_memory_error(*args, **kwargs):
             raise MemoryError()
 

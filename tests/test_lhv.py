@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from blgi.lhv import (
     random_strategy,
     sign_pattern_extrema,
 )
-from blgi.protocol import correlator
+from blgi.measurement import Workspace
+from blgi.protocol import CHUNK_SHOTS, _moments, correlator, estimate
 from oracle import lhv_records_reference, lhv_shot
 
 SIGN_PATTERNS = list(itertools.product((-1.0, 1.0), repeat=4))
@@ -128,6 +130,43 @@ class TestLeanRecords:
         for got, want in zip(lean, reference):
             assert got.dtype == want.dtype and got.shape == want.shape == (shots,)
             assert got.tobytes() == want.tobytes()
+
+
+class TestChunkedDraw:
+    """lhv_mean draws CHUNK_SHOTS blocks in turn from its generator, each into the thread's workspace."""
+
+    def test_blocks_are_the_reference_drawn_in_turn(self):
+        strategy = random_strategy(3, np.random.default_rng(11), max_invasiveness=0.3)
+        got = lhv_mean(strategy, 100_000, np.random.default_rng(12))
+        rng = np.random.default_rng(12)
+        blocks = [lhv_records_reference(strategy, n, rng)[1:] for n in (CHUNK_SHOTS, 100_000 - CHUNK_SHOTS)]
+        want = estimate(_moments(*block, Workspace(CHUNK_SHOTS)) for block in blocks)
+        assert (got.mean, got.stderr, got.shots) == (want.mean, want.stderr, 100_000)
+
+    def test_a_reused_workspace_gives_the_reference_bytes(self):
+        workspace = Workspace(CHUNK_SHOTS)
+        other = random_strategy(9, np.random.default_rng(1), noise_sigma=3.0, max_invasiveness=0.7)
+        lhv_records(other, CHUNK_SHOTS, np.random.default_rng(2), workspace)
+        strategy = random_strategy(4, np.random.default_rng(3), max_invasiveness=0.3)
+        got = lhv_records(strategy, 77, np.random.default_rng(4), workspace)
+        want = lhv_records_reference(strategy, 77, np.random.default_rng(4))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert len(workspace._buffers) == 5
+
+    @pytest.mark.parametrize("shots", [CHUNK_SHOTS, 4 * CHUNK_SHOTS])
+    def test_a_warm_run_allocates_only_the_hidden_state_draw(self, shots):
+        strategy = random_strategy(4, np.random.default_rng(5), max_invasiveness=0.3)
+        lhv_mean(strategy, shots, np.random.default_rng(6))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lhv_mean(strategy, shots, np.random.default_rng(7))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # rng.choice's uniforms and the hidden states: 0.5 MiB each for one block, whatever the shots
+        assert peak < 1.25 * 2**20
 
 
 class TestBound:

@@ -494,7 +494,7 @@ class TestMonteCarlo:
 def _value_moments(values):
     """:func:`_moments` of blocks whose C is ``values``: alpha1 = values, alpha2 = 1, b1 = b2 = 0."""
     values = np.asarray(values, dtype=float)
-    return _moments(values, np.ones_like(values), np.zeros_like(values), np.zeros_like(values))
+    return _moments(values, np.ones_like(values), np.zeros_like(values), np.zeros_like(values), Workspace(values.size))
 
 
 class TestChunksInOrder:
