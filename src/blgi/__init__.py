@@ -39,4 +39,3 @@ from .protocol import (
     sweep,
     violation_threshold,
 )
-from .qmath import embed

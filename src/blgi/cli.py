@@ -476,7 +476,7 @@ def _random_meter(rng: np.random.Generator) -> GaussianMeterSpec | AncillaMeterS
 
 def _random_configs(count: int, seed: int) -> list[ExperimentConfig]:
     """Independently drawn meters on the two arms, angles in [-7, 7], ``v`` in [0, 1]."""
-    rng = np.random.default_rng(seed)
+    rng = substream_rng(seed, 0)
     return [
         ExperimentConfig(
             meter1=_random_meter(rng),

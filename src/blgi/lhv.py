@@ -89,6 +89,31 @@ class LHVStrategy:
         return self.prep_dist.size
 
 
+def _hidden_states(prep: np.ndarray, rng: np.random.Generator, uniforms, probe, steps) -> np.ndarray:
+    """``rng.choice(prep.size, size=uniforms.size, p=prep)``'s draw and bytes, in fewer passes.
+
+    As in ``choice``, the cdf is ``prep``'s running sum over its last entry
+    and a state counts the cdf entries ``<= u`` for its uniform ``u``, drawn
+    into ``uniforms``.  The count is a branchless binary search of the cdf
+    padded with inf to a power of two, one take, compare and add per bit of
+    ``prep.size - 1``, in the float64 scratch arrays ``probe`` and ``steps``.
+    """
+    rounds = (prep.size - 1).bit_length()
+    table = np.full(1 << rounds, np.inf)
+    cdf = np.cumsum(prep, out=table[: prep.size])
+    cdf /= cdf[-1]
+    rng.random(out=uniforms)
+    zeta = np.zeros(uniforms.size, dtype=np.int64)
+    below = np.empty(uniforms.size, dtype=bool)
+    steps = steps.view(np.int64)
+    for step in (1 << r for r in reversed(range(rounds))):
+        # the probed index zeta + step - 1 stays below 1 << rounds, so "clip" never clips
+        np.take(table[step - 1 :], zeta, out=probe, mode="clip")
+        np.less_equal(probe, uniforms, out=below)
+        zeta += np.multiply(below, step, out=steps)
+    return zeta
+
+
 def lhv_records(
     strategy: LHVStrategy, shots: int, rng: np.random.Generator, workspace: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -98,18 +123,19 @@ def lhv_records(
     arm-2 readout; one block each.  The four float arrays are buffers of
     ``workspace``, which is reset first; without one, a new workspace of
     ``shots`` entries is used and they are the caller's own.  One more
-    buffer is scratch: the noise draws and each arm's readout mean are
-    built in it in place, and each readout's uniforms become its +/-1
-    column.  Only ``zeta`` and ``rng.choice``'s uniforms are allocated.
+    buffer is scratch: the hidden states' uniforms, the noise draws and
+    each arm's readout mean are built in it in place, and each readout's
+    uniforms become its +/-1 column.  The hidden-state search works in the
+    two alpha buffers before they are filled.
     """
     workspace = Workspace(shots) if workspace is None else workspace
     workspace.reset()
-    prep = strategy.prep_dist / strategy.prep_dist.sum()
-    zeta = rng.choice(strategy.num_hidden_states, size=shots, p=prep)
+    alpha1, alpha2, scratch = (workspace.take(shots) for _ in range(3))
+    zeta = _hidden_states(strategy.prep_dist / strategy.prep_dist.sum(), rng, scratch, alpha1, alpha2)
     # mode="clip" never clips a hidden state; unlike "raise" it writes out= unbuffered
     take = partial(np.take, indices=zeta, mode="clip")
-    alpha1, alpha2 = take(strategy.a1, out=workspace.take(shots)), take(strategy.a2, out=workspace.take(shots))
-    scratch = workspace.take(shots)
+    take(strategy.a1, out=alpha1)
+    take(strategy.a2, out=alpha2)
     for alpha, sigma in ((alpha1, strategy.noise_sigma1), (alpha2, strategy.noise_sigma2)):
         if sigma > 0.0:
             rng.standard_normal(out=scratch)

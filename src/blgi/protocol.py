@@ -11,10 +11,10 @@ Every term of every C comes from the same shot of a single fixed analyzer
 configuration.  Three routes to the ensemble mean are provided:
 
 * :func:`monte_carlo` averages C over sampled shots,
-* :func:`exact_mean` contracts each weak arm's zeroth and first outcome
-  moments (closed-form instrument maps on the Bell pair's density matrix)
-  with the readout observables, which suffices because C is linear in each
-  alpha,
+* :func:`exact_mean` pairs each weak arm's zeroth and first outcome
+  moments (closed-form instrument maps, applied to the readout observables
+  as real 2x2 matrices) through the Bell pair's amplitudes, which suffices
+  because C is linear in each alpha,
 * :func:`analytic_mean` evaluates the closed form in the arms' dephasing
   factors and the analyzer angles, ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)`` at
   the default angles.
@@ -36,7 +36,6 @@ import numpy as np
 
 from . import measurement as meas
 from .measurement import GaussianMeterSpec, MeterSpec, ProjectiveMeterSpec
-from .qmath import embed
 
 #: analyzer angles (phi_a1, phi_a2, phi_b1, phi_b2) of the standard
 #: maximally violating CHSH configuration
@@ -160,10 +159,12 @@ def correlator(alpha1, alpha2, b1, b2, out: tuple[np.ndarray, np.ndarray] | None
 
 
 def substream_rng(seed: int, index: int) -> np.random.Generator:
-    """Substream ``index`` of ``seed``, for any index below ``2**64``.
+    """Substream ``index`` of ``seed``, for any index below ``2**64``: the runtime's one generator.
 
     Philox is counter based: keying by (seed, index) gives disjoint
-    substreams without sequential jumping.
+    substreams without sequential jumping.  Monte-Carlo chunk ``i`` is index
+    ``i``; ``blgi lhv``'s random strategy ``i`` is ``i`` and its shots are
+    ``2**32 + i``; ``blgi verify``'s random configs are index ``0``.
     """
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
 
@@ -360,66 +361,56 @@ def predicted_stderr(config: ExperimentConfig) -> float:
 
 
 def _projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """The single-qubit projectors onto analyzer ``phi``'s ``ket0`` and ``ket1``."""
+    """The real 2x2 projectors onto analyzer ``phi``'s ``ket0`` and ``ket1``."""
     c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
-    ket0 = np.array([c, s], dtype=complex)
-    ket1 = np.array([-s, c], dtype=complex)
-    return np.outer(ket0, ket0.conj()), np.outer(ket1, ket1.conj())
+    ket0, ket1 = np.array([c, s]), np.array([-s, c])
+    return np.outer(ket0, ket0), np.outer(ket1, ket1)
 
 
-def _arm_moments(spec: MeterSpec, phi: float, arm: int):
-    """Zeroth and first outcome moments of one weak arm, as maps on rho.
+def _arm_observables(spec: MeterSpec, phi_a: float, phi_b: float) -> tuple[np.ndarray, np.ndarray]:
+    """One arm's signal observable ``S`` and its readout ``R`` seen through the weak meter, ``D(R)``.
 
-    With ``P0``/``P1`` the arm's analyzer projectors, the zeroth moment
-    (the outcome-averaged update) is ``P0 rho P0 + P1 rho P1 +
-    Xi*(P0 rho P1 + P1 rho P0)`` and the first moment (signal-weighted
-    update) is ``P0 rho P0 - P1 rho P1`` for either meter, since both
-    signals are calibrated: the Gaussian meter's excess dephasing leaves
-    the diagonal blocks alone, and the ancilla meter's flip-averaged signal
-    is scaled by ``1/v_total = 1/(u*v_ent)``.
+    With ``P0``/``P1`` the weak analyzer's projectors, the zeroth outcome
+    moment (outcome-averaged update) is ``D(X) = P0 X P0 + P1 X P1 +
+    Xi*(P0 X P1 + P1 X P0)`` and the first (signal-weighted) one is ``F(X)
+    = P0 X P0 - P1 X P1`` for either meter, since both signals are
+    calibrated: the Gaussian meter's excess dephasing leaves the diagonal
+    blocks alone, and the ancilla signal is scaled by ``1/v_total``.  Both
+    maps are self-adjoint, so in the Heisenberg picture ``S = F(I) = P0 - P1``.
     """
-    p0, p1 = (embed(projector, arm) for projector in _projectors(phi))
+    p0, p1 = _projectors(phi_a)
+    readout = np.subtract(*_projectors(phi_b))
     xi = meas.dephasing_factor(spec)
-
-    def zeroth(rho: np.ndarray) -> np.ndarray:
-        return p0 @ rho @ p0 + p1 @ rho @ p1 + xi * (p0 @ rho @ p1 + p1 @ rho @ p0)
-
-    def first(rho: np.ndarray) -> np.ndarray:
-        return p0 @ rho @ p0 - p1 @ rho @ p1
-
-    return zeroth, first
+    seen = p0 @ readout @ p0 + p1 @ readout @ p1 + xi * (p0 @ readout @ p1 + p1 @ readout @ p0)
+    return p0 - p1, seen
 
 
 def exact_mean(config: ExperimentConfig) -> float:
     """Deterministic ensemble mean of the correlator, no sampling.
 
     ``C`` is linear in ``alpha1`` and ``alpha2``, so only each weak arm's
-    zeroth and first outcome moments enter (see :func:`_arm_moments`).
-    With ``D``/``S`` the zeroth/first moment maps, ``XY`` the Bell state
-    after map X on arm 1 and map Y on arm 2, and ``R_k`` the readout
-    observable on arm k,
+    zeroth and first outcome moments enter, as the real 2x2 observables
+    ``S_k`` and ``D_k(R_k)`` of :func:`_arm_observables`.  The readout
+    flips (visibility ``v``) are independent per arm, so
 
-        <C> = Tr[SS] + v*Tr[R2 SD] + v*Tr[R1 DS] - v^2*Tr[R1 R2 DD],
+        <C> = <S1 S2> + v<S1 D2(R2)> + v<D1(R1) S2> - v^2<D1(R1) D2(R2)>,
 
-    the readout flips (visibility ``v``) being independent per arm.
+    each a pairing ``<A (x) B> = sum((Psi^T A Psi) * B)`` with ``Psi`` the
+    real :data:`blgi.measurement.BELL_AMPLITUDES` read as a 2x2 matrix
+    (``Tr(A B^T)/2`` for Phi+).  Every planned extension stays such a 2x2
+    operation: the second moment map an exact variance needs is one more
+    self-adjoint map per arm; a Werner pair of purity ``p`` pairs as
+    ``p*pair + (1-p)*Tr A*Tr B/4``; a chain of stages per arm composes
+    that arm's adjoint maps; and a cell law of the records pairs one 2x2
+    effect per arm and outcome.
     """
     phi_a1, phi_a2, phi_b1, phi_b2 = config.angles
-    zeroth1, first1 = _arm_moments(config.meter1, phi_a1, 1)
-    zeroth2, first2 = _arm_moments(config.meter2, phi_a2, 2)
-    readout1 = embed(np.subtract(*_projectors(phi_b1)), 1)
-    readout2 = embed(np.subtract(*_projectors(phi_b2)), 2)
+    s1, d1 = _arm_observables(config.meter1, phi_a1, phi_b1)
+    s2, d2 = _arm_observables(config.meter2, phi_a2, phi_b2)
+    psi = np.reshape(meas.BELL_AMPLITUDES, (2, 2))
+    pair = lambda a, b: float(np.sum((psi.T @ a @ psi) * b))
     v = config.b_spec.v
-
-    psi = np.array(meas.BELL_AMPLITUDES, dtype=complex)
-    rho = np.outer(psi, psi.conj())
-    d1, s1 = zeroth1(rho), first1(rho)
-    mean = (
-        np.trace(first2(s1))
-        + v * np.trace(readout2 @ zeroth2(s1))
-        + v * np.trace(readout1 @ first2(d1))
-        - v * v * np.trace(readout1 @ readout2 @ zeroth2(d1))
-    )
-    return float(mean.real)
+    return pair(s1, s2) + v * pair(s1, d2) + v * pair(d1, s2) - v * v * pair(d1, d2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Density-matrix reference for the tests: states, Kraus operators, single shots.
 
 The runtime never builds a two-qubit density matrix shot by shot: the
-sampler works on four real amplitudes and the exact mean on closed-form
-instrument moments.  This module keeps the textbook formulation beside
+sampler works on four real amplitudes and the exact mean pairs real 2x2
+observables through them.  This module keeps the textbook formulation beside
 them, so that every kernel stage, every meter and the exact mean can be
 checked against it:
 
@@ -10,10 +10,14 @@ checked against it:
   basis, built by :func:`analyzer_basis`,
 * :class:`TwoQubitState` is a validated 4x4 density matrix in the joint
   basis ``|00>, |01>, |10>, |11>`` with arm 1 as the left tensor factor,
+  and :func:`embed` lifts a single-qubit operator to the pair,
 * :func:`gaussian_kraus` and :func:`ancilla_kraus` are the weak meters'
   Kraus operators, :func:`apply_dephasing` the extra dephasing channel,
 * :class:`MeasurementRecord` and :func:`lhv_shot` give one shot as a
   record of four floats,
+* :func:`exact_mean_reference` is the exact mean as four 4x4 traces on
+  the Bell pair's density matrix, the reference for the 2x2 pairings of
+  :func:`blgi.protocol.exact_mean`,
 * :func:`lhv_records_reference` is the hidden-variable sampler written as
   one expression per array, the reference for the in-place
   :func:`blgi.lhv.lhv_records`,
@@ -40,14 +44,29 @@ from blgi.measurement import (
     ProjectiveMeterSpec,
     _signs,
     _squared,
+    dephasing_factor,
     excess_dephasing_factor,
 )
-from blgi.qmath import IDENTITY_2, embed
+from blgi.protocol import ExperimentConfig
 
 ORTHONORMALITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
+
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def embed(op: np.ndarray, arm: int) -> np.ndarray:
+    """Lift a single-qubit operator to the pair: ``op (x) I`` or ``I (x) op``."""
+    op = np.asarray(op, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"single-qubit operator must be 2x2, got shape {op.shape}")
+    if arm == 1:
+        return np.kron(op, IDENTITY_2)
+    if arm == 2:
+        return np.kron(IDENTITY_2, op)
+    raise ValueError(f"arm must be 1 or 2, got {arm}")
 
 
 @dataclass(frozen=True)
@@ -284,6 +303,61 @@ def lhv_records_reference(
     b1 = _signs(rng.random(shots) < (1.0 + mean_b1) / 2.0)
     b2 = _signs(rng.random(shots) < (1.0 + mean_b2) / 2.0)
     return zeta, alpha1, alpha2, b1, b2
+
+
+# ---------------------------------------------------------------------------
+# The exact mean as four 4x4 traces on the Bell pair's density matrix: the
+# Schroedinger-picture reference for the 2x2 pairings of
+# :func:`blgi.protocol.exact_mean`.
+# ---------------------------------------------------------------------------
+
+
+def _projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The single-qubit projectors onto analyzer ``phi``'s ``ket0`` and ``ket1``."""
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    ket0 = np.array([c, s], dtype=complex)
+    ket1 = np.array([-s, c], dtype=complex)
+    return np.outer(ket0, ket0.conj()), np.outer(ket1, ket1.conj())
+
+
+def _arm_moments(spec: MeterSpec, phi: float, arm: int):
+    """Zeroth and first outcome moments of one weak arm, as maps on rho."""
+    p0, p1 = (embed(projector, arm) for projector in _projectors(phi))
+    xi = dephasing_factor(spec)
+
+    def zeroth(rho: np.ndarray) -> np.ndarray:
+        return p0 @ rho @ p0 + p1 @ rho @ p1 + xi * (p0 @ rho @ p1 + p1 @ rho @ p0)
+
+    def first(rho: np.ndarray) -> np.ndarray:
+        return p0 @ rho @ p0 - p1 @ rho @ p1
+
+    return zeroth, first
+
+
+def exact_mean_reference(config: ExperimentConfig) -> float:
+    """``Tr[SS] + v*Tr[R2 SD] + v*Tr[R1 DS] - v^2*Tr[R1 R2 DD]`` on the Bell pair's ``rho``.
+
+    ``XY`` is the Bell state after moment map X on arm 1 and map Y on arm
+    2, ``D``/``S`` the zeroth/first moment maps and ``R_k`` the readout
+    observable on arm k.
+    """
+    phi_a1, phi_a2, phi_b1, phi_b2 = config.angles
+    zeroth1, first1 = _arm_moments(config.meter1, phi_a1, 1)
+    zeroth2, first2 = _arm_moments(config.meter2, phi_a2, 2)
+    readout1 = embed(np.subtract(*_projectors(phi_b1)), 1)
+    readout2 = embed(np.subtract(*_projectors(phi_b2)), 2)
+    v = config.b_spec.v
+
+    psi = np.array(BELL_AMPLITUDES, dtype=complex)
+    rho = np.outer(psi, psi.conj())
+    d1, s1 = zeroth1(rho), first1(rho)
+    mean = (
+        np.trace(first2(s1))
+        + v * np.trace(readout2 @ zeroth2(s1))
+        + v * np.trace(readout1 @ first2(d1))
+        - v * v * np.trace(readout1 @ readout2 @ zeroth2(d1))
+    )
+    return float(mean.real)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,10 @@ from blgi.protocol import (
     ExperimentConfig,
     exact_mean,
     monte_carlo,
+    substream_rng,
     violation_threshold,
 )
-from blgi.qmath import embed
-from oracle import TwoQubitState, analyzer_basis, ancilla_kraus, apply_operator, gaussian_kraus
+from oracle import TwoQubitState, analyzer_basis, ancilla_kraus, apply_operator, embed, gaussian_kraus
 
 SQRT2 = np.sqrt(2.0)
 
@@ -153,7 +153,7 @@ def test_criterion_6_classical_bound():
     shots = 10_000
     violations = 0
     for index in range(num_strategies):
-        rng = np.random.Generator(np.random.Philox(key=(606 << 64) + index))
+        rng = substream_rng(606, index)
         strategy = blgi.random_strategy(
             1 + index % 8,
             rng,

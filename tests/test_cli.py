@@ -1243,3 +1243,11 @@ def test_cli_import_does_not_load_scipy():
         capture_output=True, text=True, env=_child_env(), check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_qmath():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, blgi.cli; print('blgi.qmath' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env(), check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from blgi.lhv import (
     LHVStrategy,
+    _hidden_states,
     lhv_mean,
     lhv_records,
     random_strategy,
@@ -132,6 +133,31 @@ class TestLeanRecords:
             assert got.tobytes() == want.tobytes()
 
 
+def _prep_with_a_zero(states: int, zero: str | None) -> np.ndarray:
+    raw = np.random.default_rng(states).dirichlet(np.ones(states))
+    if zero is not None:
+        raw[{"first": 0, "middle": states // 2, "last": states - 1}[zero]] = 0.0
+    return raw / raw.sum()
+
+
+class TestHiddenStateDraw:
+    """The hidden states are rng.choice's draw: the same states, bytes and generator state after."""
+
+    @pytest.mark.parametrize(
+        "states, zero",
+        [(1, None)] + [(n, zero) for n in (2, 3, 5, 9, 1000, 2**20) for zero in ("first", "middle", "last")],
+    )
+    def test_equals_choice_byte_for_byte(self, states, zero):
+        prep = _prep_with_a_zero(states, zero)
+        rng, reference = (np.random.Generator(np.random.Philox(states)) for _ in range(2))
+        got = _hidden_states(prep, rng, *(np.empty(CHUNK_SHOTS) for _ in range(3)))
+        want = reference.choice(states, size=CHUNK_SHOTS, p=prep)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert rng.random() == reference.random()
+        if zero is not None:
+            assert np.all(prep[got] > 0.0)
+
+
 class TestChunkedDraw:
     """lhv_mean draws CHUNK_SHOTS blocks in turn from its generator, each into the thread's workspace."""
 
@@ -165,7 +191,7 @@ class TestChunkedDraw:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        # rng.choice's uniforms and the hidden states: 0.5 MiB each for one block, whatever the shots
+        # the hidden states, 0.5 MiB for one block, and the search's mask, whatever the shots
         assert peak < 1.25 * 2**20
 
 

@@ -18,7 +18,6 @@ from blgi.measurement import (
     second_readout,
     weak_stage,
 )
-from blgi.qmath import embed
 from oracle import (
     TwoQubitState,
     analyzer_basis,
@@ -26,6 +25,7 @@ from oracle import (
     apply_dephasing,
     apply_operator,
     bell_state,
+    embed,
     first_readout_reference,
     gaussian_kraus,
     sample_records_reference,

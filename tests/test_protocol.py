@@ -39,12 +39,13 @@ from blgi.protocol import (
     sweep,
     violation_threshold,
 )
-from blgi.qmath import embed
 from oracle import (
     MeasurementRecord,
     analyzer_basis,
     ancilla_kraus,
     bell_state,
+    embed,
+    exact_mean_reference,
     gaussian_kraus,
     sample_records_reference,
 )
@@ -307,6 +308,41 @@ class TestExactMean:
             reference, norm = _quadrature_mean(config)
             assert abs(norm - 1.0) < 1e-10, config
             assert abs(exact_mean(config) - reference) < 1e-9, config
+
+    def test_matches_the_4x4_reference_over_random_configs(self):
+        rng = np.random.default_rng(1969)
+        kinds = [(True, True), (True, False), (False, True), (False, False)]
+        for index in range(300):
+            gaussian1, gaussian2 = kinds[index % 4]
+            config = ExperimentConfig(
+                meter1=_random_meter(rng, gaussian1),
+                meter2=_random_meter(rng, gaussian2),
+                b_spec=ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0)),
+                angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
+                shots=1,
+            )
+            assert abs(exact_mean(config) - exact_mean_reference(config)) < 1e-14, config
+
+    @pytest.mark.parametrize(
+        "meter, v",
+        [
+            (GaussianMeterSpec(sigma=0.01), 0.9),
+            (GaussianMeterSpec(sigma=1e154), 0.9),
+            (GaussianMeterSpec(sigma=1.5, eta=0.4), 0.0),
+            (AncillaMeterSpec(v_total=0.7, u=0.7), 0.9),
+            (AncillaMeterSpec(v_total=0.7, u=0.7), 0.0),
+        ],
+        ids=["sigma-0.01", "sigma-1e154", "v-0", "ancilla-v_total-u", "ancilla-v_total-u-v-0"],
+    )
+    def test_matches_the_4x4_reference_at_the_edges(self, meter, v):
+        rng = np.random.default_rng(3)
+        for angles in [DEFAULT_ANGLES, *(tuple(rng.uniform(-7.0, 7.0, size=4)) for _ in range(20))]:
+            config = ExperimentConfig(
+                meter1=meter, meter2=GaussianMeterSpec(sigma=0.8), b_spec=ProjectiveMeterSpec(v=v), angles=angles
+            )
+            # the edge meter on either arm
+            for each in (config, replace(config, meter1=config.meter2, meter2=meter)):
+                assert abs(exact_mean(each) - exact_mean_reference(each)) < 1e-14, each
 
     def test_term_separability_via_readout_visibility(self):
         # the four terms come from one joint distribution, so the mean is

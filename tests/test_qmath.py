@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blgi.qmath import embed
-from oracle import TwoQubitState, ZeroProbabilityError, analyzer_basis, apply_operator, bell_state, expectation
+from oracle import TwoQubitState, ZeroProbabilityError, analyzer_basis, apply_operator, bell_state, embed, expectation
 
 
 class TestBellState:
