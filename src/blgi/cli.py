@@ -9,10 +9,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from contextlib import nullcontext
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -123,11 +124,13 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write_text(out: str | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+def _write_lines(out: str | None, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``out`` (stdout when None) as they come; ``out`` is opened once the first is ready."""
+    lines = iter(lines)
+    first = next(lines)
+    with nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="") as handle:
+        handle.write(first)
+        handle.writelines(lines)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -336,7 +339,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "mean,stderr,exact,analytic,violation\n",
         f"{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt(exact)},{_fmt(analytic)},{_fmt_bool(violation)}\n",
     ]
-    _write_text(args.out, "".join(lines))
+    _write_lines(args.out, lines)
     _write_manifest(args, config)
     return EXIT_OK
 
@@ -374,7 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             f"{_fmt(point.value)},{_fmt(point.estimate.mean)},{_fmt(point.estimate.stderr)},"
             f"{_fmt(point.exact)},{_fmt(point.analytic)}\n"
         )
-    _write_text(args.out, "".join(lines))
+    _write_lines(args.out, lines)
     _write_manifest(args, config)
     return EXIT_OK
 
@@ -382,8 +385,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _LHV_SHOTS = 100_000
 #: the flags that shape --random's strategies and nothing else, with their defaults
 _LHV_RANDOM_DEFAULTS = {"hidden_states": 2, "noise_sigma": 1.0, "invasiveness": 0.0}
-#: most hidden states of one random strategy: 56 bytes each, so 56 MiB, and
-#: at most one strategy per worker plus one queued exist at once
+#: most hidden states of one random strategy: 56 bytes each plus its padded
+#: cdf, so at most 64 MiB, and at most one strategy per worker plus one queued
+#: exist at once
 _LHV_MAX_HIDDEN_STATES = 1 << 20
 
 
@@ -402,7 +406,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         given = _flags_given(args, ("brute_force", "out"))
         if given:
             raise ConfigError(f"--brute-force takes only --out; drop {', '.join(given)}")
-        _write_text(args.out, _fmt(LMR_BOUND) + "\n")
+        _write_lines(args.out, [_fmt(LMR_BOUND) + "\n"])
         return EXIT_OK
     for name, default in _LHV_RANDOM_DEFAULTS.items():
         value = getattr(args, name)
@@ -423,9 +427,10 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         raise ConfigError(f"--hidden-states must be at most {_LHV_MAX_HIDDEN_STATES}, got {args.hidden_states}")
 
     loaded = [] if args.strategy is None else [load_strategy(args.strategy)]
-    names = [args.strategy] * len(loaded) + [f"random-{index}" for index in range(args.random or 0)]
-    if not names:
+    total = len(loaded) + (args.random or 0)
+    if not total:
         raise ConfigError("lhv needs --strategy, --random or --brute-force")
+    names = itertools.chain([args.strategy] * len(loaded), (f"random-{index}" for index in range(args.random or 0)))
     counts = {strategy.num_hidden_states for strategy in loaded} | ({args.hidden_states} if args.random else set())
 
     # each strategy draws from its own substream, so the worker count never changes
@@ -436,19 +441,23 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         partial(lhv.lhv_mean, strategy, args.shots, substream_rng(seed, (1 << 32) + index))
         for index, strategy in enumerate(strategies)
     )
-    estimates = list(_chunks_in_order(tasks, min(len(names), _usable_cpus())))
-
-    # calibration_ok is true on every row: each strategy checked its rules when
-    # built, and its detector noise has mean zero given the hidden state by construction
-    lines = ["strategy,mean,stderr,bound_ok,calibration_ok\n"]
+    estimates = _chunks_in_order(tasks, min(total, _usable_cpus()))
     any_violation = False
-    for name, estimate in zip(names, estimates):
-        bound_ok = abs(estimate.mean) <= LMR_BOUND + 4.0 * estimate.stderr
-        any_violation = any_violation or not bound_ok
-        lines.append(f"{name},{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt_bool(bound_ok)},true\n")
-    for count in sorted(counts):
-        lines.append(f"# brute_force_max({count} hidden states) = {_fmt(LMR_BOUND)}\n")
-    _write_text(args.out, "".join(lines))
+
+    def lines() -> Iterator[str]:
+        # calibration_ok is true on every row: each strategy checked its rules when
+        # built, and its detector noise has mean zero given the hidden state by construction
+        nonlocal any_violation
+        header = "strategy,mean,stderr,bound_ok,calibration_ok\n"
+        for name, estimate in zip(names, estimates):
+            bound_ok = abs(estimate.mean) <= LMR_BOUND + 4.0 * estimate.stderr
+            any_violation = any_violation or not bound_ok
+            yield f"{header}{name},{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt_bool(bound_ok)},true\n"
+            header = ""
+        for hidden_states in sorted(counts):
+            yield f"# brute_force_max({hidden_states} hidden states) = {_fmt(LMR_BOUND)}\n"
+
+    _write_lines(args.out, lines())
     _write_manifest(args, None)
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -88,20 +88,34 @@ class LHVStrategy:
     def num_hidden_states(self) -> int:
         return self.prep_dist.size
 
+    @cached_property
+    def _hidden_state_cdf(self) -> np.ndarray:
+        # built on the first draw and kept; not a field, so no strategy file names it
+        return _cdf_table(self.prep_dist / self.prep_dist.sum())
 
-def _hidden_states(prep: np.ndarray, rng: np.random.Generator, uniforms, probe, steps) -> np.ndarray:
-    """``rng.choice(prep.size, size=uniforms.size, p=prep)``'s draw and bytes, in fewer passes.
 
-    As in ``choice``, the cdf is ``prep``'s running sum over its last entry
-    and a state counts the cdf entries ``<= u`` for its uniform ``u``, drawn
-    into ``uniforms``.  The count is a branchless binary search of the cdf
-    padded with inf to a power of two, one take, compare and add per bit of
-    ``prep.size - 1``, in the float64 scratch arrays ``probe`` and ``steps``.
-    """
-    rounds = (prep.size - 1).bit_length()
-    table = np.full(1 << rounds, np.inf)
+def _cdf_table(prep: np.ndarray) -> np.ndarray:
+    """``rng.choice``'s cdf of ``prep``, its running sum over its last entry, padded with inf to a power of two."""
+    table = np.full(1 << (prep.size - 1).bit_length(), np.inf)
     cdf = np.cumsum(prep, out=table[: prep.size])
     cdf /= cdf[-1]
+    table.setflags(write=False)
+    return table
+
+
+def _hidden_states(
+    prep: np.ndarray, rng: np.random.Generator, uniforms, probe, steps, table: np.ndarray | None = None
+) -> np.ndarray:
+    """``rng.choice(prep.size, size=uniforms.size, p=prep)``'s draw and bytes, in fewer passes.
+
+    As in ``choice``, a state counts the entries ``<= u`` of the cdf
+    ``table``, :func:`_cdf_table` of ``prep`` unless given, for its
+    uniform ``u``, drawn into ``uniforms``.  The count is a branchless
+    binary search of the padded table, one take, compare and add per bit
+    of ``prep.size - 1``, in the float64 scratch arrays ``probe`` and ``steps``.
+    """
+    table = _cdf_table(prep) if table is None else table
+    rounds = table.size.bit_length() - 1
     rng.random(out=uniforms)
     zeta = np.zeros(uniforms.size, dtype=np.int64)
     below = np.empty(uniforms.size, dtype=bool)
@@ -131,7 +145,7 @@ def lhv_records(
     workspace = Workspace(shots) if workspace is None else workspace
     workspace.reset()
     alpha1, alpha2, scratch = (workspace.take(shots) for _ in range(3))
-    zeta = _hidden_states(strategy.prep_dist / strategy.prep_dist.sum(), rng, scratch, alpha1, alpha2)
+    zeta = _hidden_states(strategy.prep_dist, rng, scratch, alpha1, alpha2, strategy._hidden_state_cdf)
     # mode="clip" never clips a hidden state; unlike "raise" it writes out= unbuffered
     take = partial(np.take, indices=zeta, mode="clip")
     take(strategy.a1, out=alpha1)

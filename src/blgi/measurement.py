@@ -18,15 +18,10 @@ true outcome flipped with probability ``(1 - v)/2``, so reported means are
 
 Every measurement is along an analyzer given by its angle ``phi`` in
 radians (the convention is in :mod:`blgi.qmath`).  The record law has one
-implementation, :func:`sample_records`.  It keeps each shot as four real
-amplitudes and runs four elementwise stages (weak arm 1, weak arm 2,
-readout arm 1, readout arm 2) with a fixed RNG draw order; each stage
-works in place on the amplitude arrays it is handed and takes every
-other array from a :class:`Workspace` of float64 buffers that a caller
-may keep from chunk to chunk.  Every coin flip is a uniform block
-written over by its 0.0/1.0 outcome (:func:`_uniform_below`).  Every
-sampler takes an explicit ``numpy.random.Generator`` and is safe to drive
-from disjoint RNG substreams.
+implementation, :func:`sample_records`: four elementwise stages (weak arm 1,
+weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw order, laid
+out in the shot-kernel comment below.  Every sampler takes an explicit
+``numpy.random.Generator`` and is safe to drive from disjoint RNG substreams.
 """
 
 from __future__ import annotations
@@ -174,21 +169,21 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # ``(c00, c01, c10, c11)`` with |psi> = sum_kl c_kl |k,l>, arm 1 first.
 # A stage on one arm rotates that arm into its analyzer frame by phi/2,
 # scales the ket0/ket1 branches by the drawn outcome's Kraus entries,
-# renormalizes and rotates back; every step is elementwise over shots.
-# The excess dephasing of a Gaussian meter with eta < 1 is realized as a
-# stochastic sign flip of the ket1 branch, which is the same channel in
-# expectation.  Scalars broadcast, so a state shared by all shots (the
-# Bell pair) is passed as four floats.  A stage consumes the amplitude
-# arrays it is handed: it rotates and scales them in place and returns
-# them as the post-state, so a chunk holds one set of them.  Every other
-# array, each RNG block included, is a float64 buffer of a Workspace: a
-# stage takes it, writes it through ``out=`` and gives it back once it
-# is summed or compared, so a workspace kept from chunk to chunk
-# allocates nothing after its first chunk.  A coin flip's uniform block
-# becomes its 0.0/1.0 mask, and the mask its signs, in one buffer.  Every
-# element still goes through the operations of the written-out
-# expressions (``c*a + s*b``, ``x*keep_x + y*keep_y``, ...) in the same
-# order, so the records keep every bit.
+# renormalizes and rotates back with the same rotation by -phi; every
+# step is elementwise over shots.  The excess dephasing of a Gaussian
+# meter with eta < 1 is a stochastic sign flip of the ket1 branch, the
+# same channel in expectation.  Scalars broadcast, so a state shared by
+# all shots (the Bell pair) is passed as four floats.  A stage rotates
+# and scales the amplitude arrays it is handed in place and returns them
+# as the post-state, so a chunk holds one set of them.  Every other
+# array, each RNG block included, is a float64 buffer of a Workspace
+# that the stage writes through ``out=`` and gives back once it is
+# summed or compared.  A coin flip's uniform block becomes its 0.0/1.0
+# mask, and the mask its signs, in one buffer.  Every element still goes
+# through the operations of the written-out expressions (``c*a + s*b``,
+# ``x*keep_x + y*keep_y``, ...) in the same order, so the records keep
+# every bit.  The way back by -phi keeps them too: numpy's cos is even
+# and its sin odd, bit for bit, and ``c*x + (-s)*y == c*x - s*y``.
 # ---------------------------------------------------------------------------
 
 Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
@@ -235,19 +230,18 @@ def _rotation(phi: float) -> tuple[float, float]:
     return float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
 
 
-def _to_frame(amps: Amplitudes, arm: int, phi: float, workspace: Workspace):
-    """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
-    indexed by the other arm's computational state.
+def _pairs(amps: Amplitudes, arm: int) -> Amplitudes:
+    # (a0, a1, b0, b1): arm's |0> (a) and |1> (b) amplitudes at the other arm's |0>, |1>; its own inverse
+    return amps if arm == 1 else (amps[0], amps[2], amps[1], amps[3])
 
-    Arrays are rotated in place: ``x0`` and ``y0`` are written over the
-    arm's ``|0>`` and ``|1>`` arrays at the other arm's ``|0>``, and so on.
-    """
-    c00, c01, c10, c11 = amps
-    a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
+
+def _rotate(pairs: Amplitudes, phi: float, workspace: Workspace) -> Amplitudes:
+    """Each pair ``(a, b)`` of ``pairs = (a0, a1, b0, b1)`` becomes ``(c*a + s*b, c*b - s*a)``, arrays in place."""
+    a0, a1, b0, b1 = pairs
     c, s = _rotation(phi)
-    if not isinstance(c00, np.ndarray):
+    if not isinstance(a0, np.ndarray):
         return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
-    sa, sb = workspace.take(c00.size), workspace.take(c00.size)
+    sa, sb = workspace.take(a0.size), workspace.take(a0.size)
     for a, b in ((a0, b0), (a1, b1)):
         np.multiply(s, a, out=sa)
         np.multiply(s, b, out=sb)
@@ -255,21 +249,7 @@ def _to_frame(amps: Amplitudes, arm: int, phi: float, workspace: Workspace):
         np.add(np.multiply(c, a, out=a), sb, out=a)
         np.subtract(np.multiply(c, b, out=b), sa, out=b)
     workspace.give(sa, sb)
-    return a0, a1, b0, b1
-
-
-def _from_frame(x0, x1, y0, y1, arm: int, phi: float, workspace: Workspace) -> Amplitudes:
-    """Rotate the frame components back, in place, into ``(c00, c01, c10, c11)``."""
-    c, s = _rotation(phi)
-    sx, sy = workspace.take(x0.size), workspace.take(x0.size)
-    for x, y in ((x0, y0), (x1, y1)):
-        np.multiply(s, x, out=sx)
-        np.multiply(s, y, out=sy)
-        # c*x - s*y and s*x + c*y, each with the operands in that order
-        np.subtract(np.multiply(c, x, out=x), sy, out=x)
-        np.add(sx, np.multiply(c, y, out=y), out=y)
-    workspace.give(sx, sy)
-    return (x0, x1, y0, y1) if arm == 1 else (x0, y0, x1, y1)
+    return pairs
 
 
 def _scaled(x, w: np.ndarray, workspace: Workspace) -> np.ndarray:
@@ -334,7 +314,7 @@ def weak_stage(
     uniform block (readout flip).
     """
     workspace = Workspace(n) if workspace is None else workspace
-    x0, x1, y0, y1 = _to_frame(amps, arm, phi, workspace)
+    x0, x1, y0, y1 = _rotate(_pairs(amps, arm), phi, workspace)
     p0 = _squared_sum(x0, x1, workspace)
     p1 = _squared_sum(y0, y1, workspace)
     if isinstance(spec, GaussianMeterSpec):
@@ -386,7 +366,7 @@ def weak_stage(
     x0, x1 = _scaled(x0, w0, workspace), _scaled(x1, w0, workspace)
     y0, y1 = _scaled(y0, w1, workspace), _scaled(y1, w1, workspace)
     workspace.give(w0, w1)  # freed before the rotation takes its two: peak memory
-    return signals, _from_frame(x0, x1, y0, y1, arm, phi, workspace)
+    return signals, _pairs(_rotate((x0, x1, y0, y1), -phi, workspace), arm)
 
 
 def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -423,7 +403,7 @@ def first_readout(
     uniform block (flip).
     """
     workspace = Workspace(n) if workspace is None else workspace
-    x0, x1, y0, y1 = _to_frame(amps, 1, phi, workspace)
+    x0, x1, y0, y1 = _rotate(amps, phi, workspace)
     weight0 = _squared_sum(x0, x1, workspace)
     keep_x = _uniform_below(weight0, rng, workspace.take(n))
     workspace.give(weight0)

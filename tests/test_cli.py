@@ -684,23 +684,30 @@ class TestLhvCommand:
         assert seen == [workers]
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_random_strategies_are_built_as_the_pool_asks(self, tmp_path, monkeypatch, cpus):
-        # each strategy is built when its task is queued and dropped once it has run
-        built, most_alive = [], []
+    def test_random_strategies_are_built_as_the_pool_asks(self, monkeypatch, cpus):
+        # each strategy is built when its task is queued and dropped once it has run,
+        # and each row is written as its estimate arrives, row 0 before the last strategy exists
+        built, most_alive, written = [], [], []
         random_strategy = blgi.lhv.random_strategy
+        stdout = io.StringIO()
 
         def spy(*args, **kwargs):
             strategy = random_strategy(*args, **kwargs)
             built.append(weakref.ref(strategy))
             most_alive.append(sum(ref() is not None for ref in built))
+            written.append(stdout.getvalue())
             return strategy
 
         monkeypatch.setattr("blgi.lhv.random_strategy", spy)
         monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("sys.stdout", stdout)
         argv = ["lhv", "--random", "12", "--shots", "2000", "--seed", "3"]
-        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
+        assert main(argv) == 0
         assert len(built) == 12
         assert max(most_alive) <= cpus + 2
+        assert written[0] == ""
+        assert written[11].startswith("strategy,mean,stderr,bound_ok,calibration_ok\nrandom-0,")
+        assert stdout.getvalue().count("\n") == 14
 
     def test_hidden_states_bound_is_checked_before_any_strategy_is_built(self, tmp_path, monkeypatch, capsys):
         built = []

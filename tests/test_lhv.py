@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blgi.lhv
 from blgi.lhv import (
     LHVStrategy,
     _hidden_states,
@@ -178,6 +179,24 @@ class TestChunkedDraw:
         want = lhv_records_reference(strategy, 77, np.random.default_rng(4))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert len(workspace._buffers) == 5
+
+    def test_the_largest_table_is_built_once_per_strategy(self, monkeypatch):
+        builds = []
+        cdf_table = blgi.lhv._cdf_table
+        monkeypatch.setattr("blgi.lhv._cdf_table", lambda prep: builds.append(prep.size) or cdf_table(prep))
+        strategy = random_strategy(2**20, np.random.default_rng(13), max_invasiveness=0.3)
+        workspace = Workspace(CHUNK_SHOTS)
+        rng, reference = np.random.default_rng(14), np.random.default_rng(14)
+        for shots in (CHUNK_SHOTS, CHUNK_SHOTS, 77):
+            got = lhv_records(strategy, shots, rng, workspace)
+            want = lhv_records_reference(strategy, shots, reference)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        got = lhv_mean(strategy, 3 * CHUNK_SHOTS, np.random.default_rng(15))
+        reference = np.random.default_rng(15)
+        blocks = [lhv_records_reference(strategy, CHUNK_SHOTS, reference)[1:] for _ in range(3)]
+        want = estimate(_moments(*block, Workspace(CHUNK_SHOTS)) for block in blocks)
+        assert (got.mean, got.stderr) == (want.mean, want.stderr)
+        assert builds == [2**20]
 
     @pytest.mark.parametrize("shots", [CHUNK_SHOTS, 4 * CHUNK_SHOTS])
     def test_a_warm_run_allocates_only_the_hidden_state_draw(self, shots):
