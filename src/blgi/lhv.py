@@ -25,7 +25,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .measurement import Workspace, _signs, _uniform_below
-from .protocol import Estimate, _chunk_sizes, _sampled_moments, _workspace, correlator, estimate, require_two_shots
+from .protocol import Estimate, _chunk_sizes, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
 
@@ -103,18 +103,15 @@ def _cdf_table(prep: np.ndarray) -> np.ndarray:
     return table
 
 
-def _hidden_states(
-    prep: np.ndarray, rng: np.random.Generator, uniforms, probe, steps, table: np.ndarray | None = None
-) -> np.ndarray:
+def _hidden_states(table: np.ndarray, rng: np.random.Generator, uniforms, probe, steps) -> np.ndarray:
     """``rng.choice(prep.size, size=uniforms.size, p=prep)``'s draw and bytes, in fewer passes.
 
-    As in ``choice``, a state counts the entries ``<= u`` of the cdf
-    ``table``, :func:`_cdf_table` of ``prep`` unless given, for its
-    uniform ``u``, drawn into ``uniforms``.  The count is a branchless
-    binary search of the padded table, one take, compare and add per bit
-    of ``prep.size - 1``, in the float64 scratch arrays ``probe`` and ``steps``.
+    ``table`` is :func:`_cdf_table` of ``prep``.  As in ``choice``, a state
+    counts the entries ``<= u`` of that cdf for its uniform ``u``, drawn
+    into ``uniforms``.  The count is a branchless binary search of the
+    padded table, one take, compare and add per bit of ``prep.size - 1``,
+    in the float64 scratch arrays ``probe`` and ``steps``.
     """
-    table = _cdf_table(prep) if table is None else table
     rounds = table.size.bit_length() - 1
     rng.random(out=uniforms)
     zeta = np.zeros(uniforms.size, dtype=np.int64)
@@ -145,7 +142,7 @@ def lhv_records(
     workspace = Workspace(shots) if workspace is None else workspace
     workspace.reset()
     alpha1, alpha2, scratch = (workspace.take(shots) for _ in range(3))
-    zeta = _hidden_states(strategy.prep_dist, rng, scratch, alpha1, alpha2, strategy._hidden_state_cdf)
+    zeta = _hidden_states(strategy._hidden_state_cdf, rng, scratch, alpha1, alpha2)
     # mode="clip" never clips a hidden state; unlike "raise" it writes out= unbuffered
     take = partial(np.take, indices=zeta, mode="clip")
     take(strategy.a1, out=alpha1)
@@ -179,12 +176,13 @@ def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Est
     """Monte-Carlo mean of the per-shot correlator, reduced by :func:`blgi.protocol.estimate`.
 
     The shots are drawn from ``rng`` in :data:`blgi.protocol.CHUNK_SHOTS`
-    blocks, one after another, each into the calling thread's chunk
-    workspace, as the quantum engine draws its chunks.  Fewer than 2
-    shots raise ValueError before anything is drawn.
+    blocks in turn, each into a workspace lent to it alone, as the quantum
+    engine draws its chunks; a lent workspace stays for the life of the
+    process, at most one per concurrently running block, up to 5.5 MiB each.
+    Fewer than 2 shots raise ValueError before anything is drawn.
     """
     require_two_shots(shots)
-    draw = lambda n: lhv_records(strategy, n, rng, _workspace())[1:]
+    draw = lambda n, workspace: lhv_records(strategy, n, rng, workspace)[1:]
     return estimate(_sampled_moments(partial(draw, n))[1] for n in _chunk_sizes(shots))
 
 

@@ -23,7 +23,6 @@ configuration.  Three routes to the ensemble mean are provided:
 from __future__ import annotations
 
 import os
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -109,17 +108,34 @@ def _moments(alpha1, alpha2, b1, b2, workspace: meas.Workspace) -> tuple[int, fl
     return values.size, total, m2
 
 
-def _sampled_moments(sample: Callable[[], tuple[np.ndarray, ...]]) -> tuple[tuple[np.ndarray, ...], tuple]:
-    """The records ``sample()`` draws and their :func:`_moments`.
+#: the workspaces not lent to a block at the moment; each one built stays for the life
+#: of the process, so there are at most as many as blocks ever ran at once.  Its pop and
+#: append are each atomic, so the pool's threads share it without a lock
+_idle_workspaces: list[meas.Workspace] = []
 
-    ``sample`` draws one block of at most :data:`CHUNK_SHOTS` records, a
-    Monte-Carlo chunk or a hidden-variable block, into the calling
-    thread's :func:`_workspace`, and C is formed in two more of its buffers.
+
+def _sampled_moments(draw: Callable[[meas.Workspace], tuple[np.ndarray, ...]], keep_records: bool = False) -> tuple:
+    """One block's :func:`_moments`, with copies of its records if ``keep_records``, else None.
+
+    ``draw(workspace)`` draws one block of at most :data:`CHUNK_SHOTS`
+    records, a Monte-Carlo chunk or a hidden-variable block, into a
+    workspace lent to this block alone: an idle one, or a new one when
+    none is idle.  C is formed in two more of its buffers, and the
+    workspace goes back only after the copies are made, so no other block
+    writes into records still being read.
     """
-    # an overflow, in the draw or in C, ends in NumericalError from estimate, not in a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        records = sample()
-        return records, _moments(*records, _workspace())
+    try:
+        workspace = _idle_workspaces.pop()
+    except IndexError:
+        workspace = meas.Workspace(CHUNK_SHOTS)
+    try:
+        # an overflow, in the draw or in C, ends in NumericalError from estimate, not in a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = draw(workspace)
+            moments = _moments(*records, workspace)
+        return (tuple(np.copy(r) for r in records) if keep_records else None), moments
+    finally:
+        _idle_workspaces.append(workspace)
 
 
 def estimate(parts: Iterable[tuple[int, float, float]]) -> Estimate:
@@ -169,30 +185,10 @@ def substream_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(int(seed) << 64) + index))
 
 
-_thread = threading.local()
-
-
-def _workspace() -> meas.Workspace:
-    """The calling thread's chunk workspace, made on its first chunk and kept while it lives."""
-    workspace = getattr(_thread, "workspace", None)
-    if workspace is None:
-        workspace = _thread.workspace = meas.Workspace(CHUNK_SHOTS)
-    return workspace
-
-
-def _run_chunk(config: ExperimentConfig, chunk_index: int, n: int) -> tuple[np.ndarray, ...]:
-    """Chunk ``chunk_index``'s ``n`` records, drawn into the calling thread's :func:`_workspace`.
-
-    The thread's next chunk overwrites them.
-    """
+def _run_chunk(config: ExperimentConfig, chunk_index: int, n: int, workspace: meas.Workspace) -> tuple[np.ndarray, ...]:
+    """Chunk ``chunk_index``'s ``n`` records, drawn into ``workspace``, whose next draw overwrites them."""
     rng = substream_rng(config.seed, chunk_index)
-    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.angles, rng, _workspace())
-
-
-def _chunk_moments(config: ExperimentConfig, chunk_index: int, n: int, keep_records: bool) -> tuple:
-    """One chunk's :func:`_moments`, with copies of its records if ``keep_records``, else None."""
-    records, moments = _sampled_moments(partial(_run_chunk, config, chunk_index, n))
-    return (tuple(np.copy(r) for r in records) if keep_records else None), moments
+    return meas.sample_records(n, config.meter1, config.meter2, config.b_spec, config.angles, rng, workspace)
 
 
 def _chunk_sizes(shots: int) -> list[int]:
@@ -208,27 +204,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunks_in_order(tasks: Iterable[Callable], threads: int) -> Iterator:
-    """Run zero-argument ``tasks`` on ``threads`` workers and yield their results in task order.
+def _chunks_in_order(tasks: Iterable[Callable], threads: int | None) -> Iterator:
+    """Run zero-argument ``tasks`` on a pool and yield their results in task order.
 
     A task is one chunk of work: a Monte-Carlo chunk's draw and
     :func:`_moments`, or one hidden-variable strategy's run, whose blocks
-    the worker draws in turn into its own :func:`_workspace`.  At most
-    ``threads + 1`` tasks are submitted and not yet consumed: one queued
-    beyond the busy workers, so a worker that finishes picks up the next
-    task without waiting for the consumer to wake.  ``tasks`` is read
-    lazily; one thread runs them on the calling thread, without a pool.
-    A task's exception is raised from the ``next`` that would have
-    yielded its result.
+    it draws in turn, each into a workspace lent to it alone.  Only here
+    is a worker count set: one per usable CPU, capped by ``threads`` when
+    given, since more would add no speed, only blocks in flight.  The pool
+    starts a thread only when no worker is idle, so one task runs on one
+    thread.  At most ``workers + 1`` tasks are submitted and not yet
+    consumed: one queued beyond the busy workers, so a worker that
+    finishes picks up the next task without waiting for the consumer to
+    wake.  ``tasks`` is read lazily.  A task's exception is raised from
+    the ``next`` that would have yielded its result.  The pool is shut
+    down when the results end, however they end; the lent workspaces stay
+    for the life of the process, at most one per concurrently running
+    block, up to 5.5 MiB each.
     """
-    if threads == 1:
-        yield from (task() for task in tasks)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    usable = _usable_cpus()
+    workers = usable if threads is None else min(threads, usable)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for task in tasks:
             pending.append(pool.submit(task))
-            if len(pending) > threads:
+            if len(pending) > workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
@@ -242,27 +242,22 @@ def _monte_carlo_estimates(
     """The :func:`monte_carlo` estimate of each of ``configs``, in order.
 
     Every chunk of every config goes through one :func:`_chunks_in_order`
-    call, so the workers run on into the next config's chunks while the
-    caller handles the last one's estimate.  The pool has one worker per
-    usable CPU, capped by ``threads`` when given: more workers would add
-    no speed, only threads and chunks of some megabytes in flight.  It is
-    shut down when the estimates end, however they end.
+    call, capped by ``threads``, so the workers run on into the next
+    config's chunks while the caller handles the last one's estimate.
 
-    Each worker draws every chunk it runs into its one :func:`_workspace`,
-    so after its first chunk it allocates no array of a chunk's size.
-    Only with ``on_records`` does a worker copy a chunk's four records
-    out of its workspace; those copies are the consumer's own.
+    Each chunk is drawn into a workspace lent to it alone
+    (:func:`_sampled_moments`), so once the lent workspaces exist no chunk
+    allocates an array of a chunk's size, in this call or a later one.
+    Only with ``on_records`` is a chunk's four records copied out of its
+    workspace; those copies are the consumer's own.
     """
     sizes = [_chunk_sizes(config.shots) for config in configs]
-    keep_records = on_records is not None
     tasks = (
-        partial(_chunk_moments, config, index, n, keep_records)
+        partial(_sampled_moments, partial(_run_chunk, config, index, n), on_records is not None)
         for config, chunks in zip(configs, sizes)
         for index, n in enumerate(chunks)
     )
-    usable = _usable_cpus()
-    workers = usable if threads is None else min(threads, usable)
-    with closing(_chunks_in_order(tasks, workers)) as results:
+    with closing(_chunks_in_order(tasks, threads)) as results:
         for chunks in sizes:
             parts = []
             for records, moments in islice(results, len(chunks)):
@@ -284,10 +279,12 @@ def monte_carlo(
     chunks from counter-based substreams and reduced in chunk order by
     :func:`estimate` (at least two shots), so the result is bit-identical
     for any number of workers.  The chunks run on every usable CPU, or on
-    at most ``threads`` of them, each worker reusing one workspace for all
-    its chunks.  ``on_records``, if given, receives each chunk's
+    at most ``threads`` of them.  Each chunk is drawn into a workspace lent
+    to it alone; lent workspaces stay for the life of the process, at most
+    one per concurrently running block, up to 5.5 MiB each, and later calls reuse
+    them.  ``on_records``, if given, receives each chunk's
     ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the calling
-    thread: exactly the shots being averaged, copied out of the worker's
+    thread: exactly the shots being averaged, copied out of the chunk's
     workspace, so the consumer may keep them.
     """
     [result] = _monte_carlo_estimates([config], threads, on_records)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -319,10 +320,10 @@ def test_one_float_flag_per_spec_field(command):
 
 
 class TestWorkers:
-    """``simulate`` and ``sweep`` run one pool of ``min(--threads or usable CPUs, usable CPUs)`` workers."""
+    """``simulate`` and ``sweep`` run one pool, capped by ``--threads`` when it is given."""
 
     @staticmethod
-    def _spy_pool(monkeypatch, cpus):
+    def _spy_pool(monkeypatch):
         # no thread starts and nothing is drawn: the spy runs each task inline,
         # and every chunk is two fixed shots
         seen = []
@@ -332,8 +333,9 @@ class TestWorkers:
             return (task() for task in tasks)
 
         monkeypatch.setattr("blgi.protocol._chunks_in_order", spy)
-        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: cpus)
-        monkeypatch.setattr("blgi.protocol._run_chunk", lambda config, index, n: tuple(np.ones(2) for _ in range(4)))
+        monkeypatch.setattr(
+            "blgi.protocol._run_chunk", lambda config, index, n, workspace: tuple(np.ones(2) for _ in range(4))
+        )
         return seen
 
     @staticmethod
@@ -341,18 +343,18 @@ class TestWorkers:
         argv = [command, "--shots", "100000000", "--seed", "3", "--out", str(tmp_path / "x.csv")]
         return argv + (["--axis", "sigma", "--values", "1,2,4"] if command == "sweep" else [])
 
-    @pytest.mark.parametrize("flags, workers", [([], 2), (["--threads", "1"], 1), (["--threads", "1000"], 2)])
+    @pytest.mark.parametrize("flags, cap", [([], None), (["--threads", "1"], 1), (["--threads", "1000"], 1000)])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_one_pool_capped_by_usable_cpus(self, tmp_path, monkeypatch, command, flags, workers):
-        seen = self._spy_pool(monkeypatch, cpus=2)
+    def test_one_pool_capped_by_threads(self, tmp_path, monkeypatch, command, flags, cap):
+        seen = self._spy_pool(monkeypatch)
         assert main([*self._argv(command, tmp_path), *flags]) == 0
-        # one pool per command, even for a sweep's three points
-        assert seen == [workers]
+        # one pool per command, even for a sweep's three points; the pool caps the cap at the usable CPUs
+        assert seen == [cap]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_non_positive_threads_exit_2(self, tmp_path, monkeypatch, capsys, command, threads):
-        seen = self._spy_pool(monkeypatch, cpus=2)
+        seen = self._spy_pool(monkeypatch)
         assert main([*self._argv(command, tmp_path), "--threads", threads]) == 2
         assert capsys.readouterr().err.strip() == f"error: --threads: expected a positive count, got {threads}"
         assert seen == []
@@ -631,7 +633,8 @@ class TestLhvCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_worker_count_never_changes_the_bytes(self, tmp_path, monkeypatch):
-        # lhv has no --threads: it runs min(strategies, usable CPUs) workers
+        # lhv has no --threads: it caps its pool at one worker per strategy, and
+        # the pool caps that at the usable CPUs
         workers = []
 
         def spy(tasks, threads):
@@ -645,11 +648,11 @@ class TestLhvCommand:
         ]
         outputs = []
         for cpus in (1, 3):
-            monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+            monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: cpus)
             out = tmp_path / f"lhv-{cpus}.csv"
             assert main([*argv, "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
-        assert workers == [1, 3]
+        assert workers == [7, 7]
         assert outputs[0] == outputs[1]
 
     def test_two_chunk_output_bytes_are_pinned(self, tmp_path):
@@ -668,20 +671,27 @@ class TestLhvCommand:
         [(4, 50_000_000, 8, 4), (4, 2_000_000, 8, 4), (16, 100_000, 8, 8), (200, 100_000, 2, 2), (3, 100_000, 8, 3)],
     )
     def test_workers_are_strategies_up_to_usable_cpus(self, tmp_path, monkeypatch, strategies, shots, cpus, workers):
-        # a worker draws its strategy in chunks into its workspace, so no shot count means fewer workers
-        seen = []
+        # a worker draws its strategy in chunks into lent workspaces, so no shot count means fewer workers
+        seen, pools = [], []
 
         def spy(tasks, threads):
             seen.append(threads)
             return _chunks_in_order(tasks, threads)
 
+        class PoolSpy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(max_workers)
+
         monkeypatch.setattr("blgi.cli._chunks_in_order", spy)
-        monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("blgi.protocol.ThreadPoolExecutor", PoolSpy)
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: cpus)
         # nothing is drawn: a stub stands in for each strategy's run
         monkeypatch.setattr("blgi.lhv.lhv_mean", lambda strategy, n, rng: Estimate(mean=0.0, stderr=0.1, shots=n))
         argv = ["lhv", "--random", str(strategies), "--shots", str(shots), "--seed", "3"]
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
-        assert seen == [workers]
+        assert seen == [strategies]
+        assert pools == [workers]
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_random_strategies_are_built_as_the_pool_asks(self, monkeypatch, cpus):
@@ -699,7 +709,7 @@ class TestLhvCommand:
             return strategy
 
         monkeypatch.setattr("blgi.lhv.random_strategy", spy)
-        monkeypatch.setattr("blgi.cli._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: cpus)
         monkeypatch.setattr("sys.stdout", stdout)
         argv = ["lhv", "--random", "12", "--shots", "2000", "--seed", "3"]
         assert main(argv) == 0
@@ -781,7 +791,7 @@ class TestLhvCommand:
         assert not Path("x.csv").exists()
 
     def test_numerical_error_in_a_worker_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("blgi.cli._usable_cpus", lambda: 3)
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 3)
         out = tmp_path / "x.csv"
         code = main([
             "lhv", "--random", "4", "--noise-sigma", "1e154", "--shots", "1000", "--seed", "3", "--out", str(out),

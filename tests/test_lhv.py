@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import blgi.lhv
 from blgi.lhv import (
     LHVStrategy,
+    _cdf_table,
     _hidden_states,
     lhv_mean,
     lhv_records,
@@ -151,7 +152,7 @@ class TestHiddenStateDraw:
     def test_equals_choice_byte_for_byte(self, states, zero):
         prep = _prep_with_a_zero(states, zero)
         rng, reference = (np.random.Generator(np.random.Philox(states)) for _ in range(2))
-        got = _hidden_states(prep, rng, *(np.empty(CHUNK_SHOTS) for _ in range(3)))
+        got = _hidden_states(_cdf_table(prep), rng, *(np.empty(CHUNK_SHOTS) for _ in range(3)))
         want = reference.choice(states, size=CHUNK_SHOTS, p=prep)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert rng.random() == reference.random()
@@ -160,7 +161,7 @@ class TestHiddenStateDraw:
 
 
 class TestChunkedDraw:
-    """lhv_mean draws CHUNK_SHOTS blocks in turn from its generator, each into the thread's workspace."""
+    """lhv_mean draws CHUNK_SHOTS blocks in turn from its generator, each into a workspace lent to it."""
 
     def test_blocks_are_the_reference_drawn_in_turn(self):
         strategy = random_strategy(3, np.random.default_rng(11), max_invasiveness=0.3)

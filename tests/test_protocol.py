@@ -1,5 +1,7 @@
 import hashlib
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 from functools import partial
 
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import roots_hermite
+
+import blgi.protocol
 
 from blgi.measurement import (
     AncillaMeterSpec,
@@ -433,7 +437,7 @@ class TestMonteCarlo:
     def test_chunk_records_are_pinned(self, config, digest):
         sha = hashlib.sha256()
         for index in (0, 3):
-            for part in _run_chunk(config, index, 4096):
+            for part in _run_chunk(config, index, 4096, Workspace(CHUNK_SHOTS)):
                 sha.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
         assert sha.hexdigest() == digest
 
@@ -495,7 +499,7 @@ class TestMonteCarlo:
         sizes = [CHUNK_SHOTS] * 3 + [123]
         assert [len(chunk[0]) for chunk in chunks] == sizes
         for index, (chunk, n) in enumerate(zip(chunks, sizes)):
-            for got, want in zip(chunk, _run_chunk(config, index, n)):
+            for got, want in zip(chunk, _run_chunk(config, index, n, Workspace(CHUNK_SHOTS))):
                 np.testing.assert_array_equal(got, want)
         assert threaded == monte_carlo(config)
 
@@ -563,6 +567,23 @@ class TestChunksInOrder:
             for result in _chunks_in_order((partial(task, index) for index in range(6)), threads):
                 results.append(result)
         assert results == [0, 1]
+
+    @pytest.mark.parametrize("threads, workers", [(None, 2), (1, 1), (1000, 2)])
+    def test_one_worker_per_usable_cpu_capped_by_threads(self, monkeypatch, threads, workers):
+        pools = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(self)
+
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 2)
+        monkeypatch.setattr("blgi.protocol.ThreadPoolExecutor", Spy)
+        [ident] = _chunks_in_order([threading.get_ident], threads)
+        assert ident != threading.get_ident()
+        assert [pool._max_workers for pool in pools] == [workers]
+        # a pool starts a thread only when none is idle, so one task runs on one thread
+        assert len(pools[0]._threads) == 1
 
 
 class TestEstimateFromSums:
@@ -680,7 +701,7 @@ class TestChunkMemory:
         assert peak <= 7 * 2**20
 
     def test_a_warm_chunk_allocates_nothing_large(self):
-        # after one chunk, the thread's workspace holds every array a chunk needs
+        # after one chunk, the workspace it was lent holds every array a chunk needs, and the next chunk borrows it
         config = _gaussian_config(sigma=10.0, eta=0.5, shots=64 * CHUNK_SHOTS, seed=3)
         _sampled_moments(partial(_run_chunk, config, 0, CHUNK_SHOTS))
         tracemalloc.start()
@@ -715,7 +736,7 @@ class TestChunkMemory:
 
 
 class TestWorkspaceReuse:
-    """A worker's workspace carries no state from one chunk into the next."""
+    """A lent workspace carries no state from one chunk into the next."""
 
     CONFIGS = [
         _gaussian_config(sigma=1.3, eta=1.0, shots=2 * CHUNK_SHOTS + 77, seed=4),
@@ -742,6 +763,44 @@ class TestWorkspaceReuse:
             want = sample_records_reference(n, c.meter1, c.meter2, c.b_spec, c.angles, substream_rng(c.seed, index))
             assert [r.tobytes() for r in records] == [w.tobytes() for w in want]
         assert estimates == list(_monte_carlo_estimates(self.CONFIGS, 1))
+
+
+class TestLentWorkspaces:
+    """Each block borrows a workspace from one list that outlives every pool."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_second_call_builds_no_workspace(self, monkeypatch, threads):
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 2)
+        monkeypatch.setattr("blgi.protocol._idle_workspaces", [])
+        built = []
+
+        class Spy(Workspace):
+            def __init__(self, size):
+                built.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr("blgi.measurement.Workspace", Spy)
+        # each call's first chunks wait for each other, so both calls run `threads` chunks at once
+        meeting = threading.Barrier(threads, timeout=30)
+        run_chunk = blgi.protocol._run_chunk
+
+        def met(config, index, *args):
+            if index < threads:
+                meeting.wait()
+            return run_chunk(config, index, *args)
+
+        monkeypatch.setattr("blgi.protocol._run_chunk", met)
+        config = _gaussian_config(sigma=2.0, eta=0.5, shots=4 * CHUNK_SHOTS, seed=3)
+        first = monte_carlo(config, threads=threads)
+        assert len(built) == threads
+        assert monte_carlo(config, threads=threads) == first
+        assert len(built) == threads
+
+    def test_at_most_one_workspace_per_worker(self, monkeypatch):
+        monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 3)
+        monkeypatch.setattr("blgi.protocol._idle_workspaces", [])
+        monte_carlo(_ancilla_config(v_total=0.6, u=0.9, shots=12 * CHUNK_SHOTS, seed=3), threads=3)
+        assert 1 <= len(blgi.protocol._idle_workspaces) <= 3
 
 
 class TestRetune:
