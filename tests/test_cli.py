@@ -348,7 +348,7 @@ class TestWorkers:
     def test_one_pool_capped_by_threads(self, tmp_path, monkeypatch, command, flags, cap):
         seen = self._spy_pool(monkeypatch)
         assert main([*self._argv(command, tmp_path), *flags]) == 0
-        # one pool per command, even for a sweep's three points; the pool caps the cap at the usable CPUs
+        # one pool per command, even for a sweep's three points; _chunks_in_order sizes it from this cap
         assert seen == [cap]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

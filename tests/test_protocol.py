@@ -1,4 +1,5 @@
 import hashlib
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 import blgi.protocol
-
 from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
@@ -797,10 +797,20 @@ class TestLentWorkspaces:
         assert len(built) == threads
 
     def test_at_most_one_workspace_per_worker(self, monkeypatch):
+        # three workers on any host, switching as often as they can: a workspace
+        # lent to two chunks at once would corrupt a chunk's moments
         monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 3)
         monkeypatch.setattr("blgi.protocol._idle_workspaces", [])
-        monte_carlo(_ancilla_config(v_total=0.6, u=0.9, shots=12 * CHUNK_SHOTS, seed=3), threads=3)
-        assert 1 <= len(blgi.protocol._idle_workspaces) <= 3
+        config = _ancilla_config(v_total=0.6, u=0.9, shots=12 * CHUNK_SHOTS + 5, seed=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = monte_carlo(config, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+        lent = blgi.protocol._idle_workspaces
+        assert 1 <= len(lent) <= 3 and len({id(workspace) for workspace in lent}) == len(lent)
+        assert threaded == monte_carlo(config, threads=1)
 
 
 class TestRetune:
