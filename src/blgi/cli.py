@@ -25,7 +25,6 @@ from .config import (
     config_from_sections,
     load_experiment_config,
     load_strategy,
-    resolve_seed,
 )
 from .measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
 from .protocol import (
@@ -133,8 +132,8 @@ def _write_lines(out: str | None, lines: Iterable[str]) -> None:
         handle.writelines(lines)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+def _add_common_flags(parser: argparse.ArgumentParser, seed_default: str = f"the config's run.seed, else {ExperimentConfig.seed}") -> None:
+    parser.add_argument("--seed", type=int, default=None, help=f"64-bit RNG seed (default: {seed_default})")
     parser.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     parser.add_argument("--manifest", default=None, help="manifest path: re-run if it exists, else written after the run")
 
@@ -169,10 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--values", default=None, help="comma-separated parameter values")
 
     p_lhv = sub.add_parser("lhv", help="check hidden-variable strategies against the classical bound")
-    _add_common_flags(p_lhv)
+    _add_common_flags(p_lhv, seed_default=str(ExperimentConfig.seed))
     p_lhv.add_argument("--strategy", default=None, help="strategy file (INI)")
     p_lhv.add_argument("--random", type=int, default=None, metavar="N", help="check N random calibrated strategies")
-    p_lhv.add_argument("--brute-force", action="store_true", default=None, help="print the sign-pattern bound on every local strategy and exit")
     p_lhv.add_argument("--shots", type=int, default=None, help="shots per strategy (default 100000)")
     p_lhv.add_argument("--hidden-states", type=int, default=None, help="hidden states of each --random strategy (default 2, at most 2**20)")
     p_lhv.add_argument("--noise-sigma", type=float, default=None, help="detector noise of --random strategies (default 1.0)")
@@ -286,12 +284,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             config = replace(config, meter1=spec, meter2=spec)
         values = {name: getattr(args, name) for name in SWEEP_AXES if getattr(args, name) is not None}
         config = retune(config, **values)
-        if args.shots is not None:
-            config = replace(config, shots=args.shots)
         flags = (getattr(args, f"phi_{key}") for key in ANGLE_KEYS)
         angles = tuple(angle if flag is None else flag for angle, flag in zip(config.angles, flags))
-        seed = resolve_seed(args.seed, file_seed=config.seed if args.config is not None else None)
-        config = replace(config, angles=angles, seed=seed)
+        run = {name: getattr(args, name) for name in ("shots", "seed") if getattr(args, name) is not None}
+        config = replace(config, angles=angles, **run)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config
@@ -401,24 +397,17 @@ def _random_strategies(args: argparse.Namespace, seed: int) -> Iterator[lhv.LHVS
 
 
 def cmd_lhv(args: argparse.Namespace) -> int:
-    if args.brute_force:
-        # --brute-force reads no other flag, so none may be given with it
-        given = _flags_given(args, ("brute_force", "out"))
-        if given:
-            raise ConfigError(f"--brute-force takes only --out; drop {', '.join(given)}")
-        _write_lines(args.out, [_fmt(LMR_BOUND) + "\n"])
-        return EXIT_OK
     for name, default in _LHV_RANDOM_DEFAULTS.items():
         value = getattr(args, name)
         if args.random is not None and value is None:
             setattr(args, name, default)
-        # a manifest written before this check stores each at its default with --strategy
-        elif args.random is None and value is not None and (args.stored_config is None or value != default):
+        elif args.random is None and value is not None:
             raise ConfigError(f"{_flag(name)} only shapes --random strategies; drop it")
     if args.shots is None:
         args.shots = _LHV_SHOTS
-    # the manifest stores the resolved seed, so BLGI_SEED cannot change a re-run
-    args.seed = seed = resolve_seed(args.seed)
+    args.seed = seed = ExperimentConfig.seed if args.seed is None else args.seed
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed: expected a 64-bit unsigned integer, got {seed!r}")
     _require_two_shots(args.shots)
 
     if args.random is not None and args.random < 1:
@@ -429,9 +418,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     loaded = [] if args.strategy is None else [load_strategy(args.strategy)]
     total = len(loaded) + (args.random or 0)
     if not total:
-        raise ConfigError("lhv needs --strategy, --random or --brute-force")
+        raise ConfigError("lhv needs --strategy or --random")
     names = itertools.chain([args.strategy] * len(loaded), (f"random-{index}" for index in range(args.random or 0)))
-    counts = {strategy.num_hidden_states for strategy in loaded} | ({args.hidden_states} if args.random else set())
 
     # each strategy draws from its own substream, so the worker count never changes
     # a byte; the pool reads tasks lazily, so each random strategy is built only
@@ -454,8 +442,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             any_violation = any_violation or not bound_ok
             yield f"{header}{name},{_fmt(estimate.mean)},{_fmt(estimate.stderr)},{_fmt_bool(bound_ok)},true\n"
             header = ""
-        for hidden_states in sorted(counts):
-            yield f"# brute_force_max({hidden_states} hidden states) = {_fmt(LMR_BOUND)}\n"
+        yield f"# lmr_bound = {_fmt(LMR_BOUND)}\n"
 
     _write_lines(args.out, lines())
     _write_manifest(args, None)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import configparser
 import json
-import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,8 +20,6 @@ from typing import Any
 from .lhv import LHVStrategy
 from .measurement import METER_KINDS, MeterSpec, ProjectiveMeterSpec, check_meter_field, field_names
 from .protocol import ANGLE_KEYS, DEFAULT_ANGLES, ExperimentConfig
-
-SEED_ENV_VAR = "BLGI_SEED"
 
 #: the config-file sections; the meter, ``b`` and ``run`` keys are dataclass fields
 _SECTIONS = ("meter1", "meter2", "b", "angles", "run")
@@ -144,27 +141,6 @@ def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, Any]]:
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read an experiment config file into an :class:`ExperimentConfig`."""
     return config_from_sections(_read_ini(path))
-
-
-def resolve_seed(flag_seed: int | None, file_seed: int | None = None) -> int:
-    """Seed precedence: command-line flag, then BLGI_SEED, then file, then ``ExperimentConfig``'s default.
-
-    The winner must be a 64-bit unsigned integer.
-    """
-    if flag_seed is not None:
-        seed, where = flag_seed, "--seed"
-    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
-        try:
-            seed, where = int(env), SEED_ENV_VAR
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR}: expected an integer, got {env!r}") from exc
-    elif file_seed is not None:
-        seed, where = file_seed, "run.seed"
-    else:
-        return ExperimentConfig.seed
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{where}: expected a 64-bit unsigned integer, got {seed!r}")
-    return seed
 
 
 def load_strategy(path: str | Path) -> LHVStrategy:

@@ -214,19 +214,6 @@ class TestSimulate:
         row = [float(x) for x in lines[1].split(",")]
         assert row[0] in (-2.0, 2.0) and row[2] in (-1.0, 1.0)
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        out3 = tmp_path / "c.csv"
-        args = ["simulate", "--meter", "ancilla", "--v-total", "0.7", "--shots", "5000"]
-        monkeypatch.setenv("BLGI_SEED", "123")
-        assert main(args + ["--out", str(out1)]) == 0
-        monkeypatch.delenv("BLGI_SEED")
-        assert main(args + ["--seed", "123", "--out", str(out2)]) == 0
-        assert main(args + ["--seed", "7", "--out", str(out3)]) == 0
-        assert _read(out1) == _read(out2)
-        assert _read(out1) != _read(out3)
-
     def test_shot_budget_warning(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         code = main([
@@ -235,6 +222,24 @@ class TestSimulate:
         ])
         assert code == 0
         assert "predicted stderr" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--meter", "ancilla", "--v-total", "0.6", "--u", "0.9", "--shots", "1000"],
+        ["sweep", "--meter", "gaussian", "--axis", "sigma", "--values", "1,2", "--shots", "1000"],
+        ["lhv", "--random", "2", "--shots", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_blgi_seed_in_the_environment_changes_no_byte(tmp_path, monkeypatch, argv):
+    # the seed comes from --seed or the config alone, never from the environment
+    monkeypatch.delenv("BLGI_SEED", raising=False)
+    assert main([*argv, "--out", str(tmp_path / "unset.csv")]) == 0
+    monkeypatch.setenv("BLGI_SEED", "5")
+    assert main([*argv, "--out", str(tmp_path / "set.csv")]) == 0
+    assert _read(tmp_path / "set.csv") == _read(tmp_path / "unset.csv")
 
 
 class TestSweep:
@@ -433,16 +438,14 @@ class TestManifestRoundTrip:
             "[angles]\na1 = 1.1\n\n[run]\nshots = 20000\nseed = 9\n"
         )
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("BLGI_SEED", raising=False)
         manifest = tmp_path / "run.json"
         out1 = tmp_path / "first.csv"
         out2 = tmp_path / "second.csv"
         code = main([*command, "--config", str(config), "--out", str(out1), "--manifest", str(manifest)])
         assert code == 0
         records = _read(tmp_path / "records.csv") if command[0] == "simulate" else None
-        # the re-run needs neither the config file nor the seed source
+        # the re-run needs no config file
         config.unlink()
-        monkeypatch.setenv("BLGI_SEED", "5")
         assert main([command[0], "--manifest", str(manifest), "--out", str(out2)]) == 0
         assert _read(out1) == _read(out2)
         if records is not None:
@@ -455,20 +458,6 @@ class TestManifestRoundTrip:
         first = _read(tmp_path / "-first.csv"), _read(tmp_path / "-records.csv")
         assert main(["simulate", "--manifest", "run.json"]) == 0
         assert (_read(tmp_path / "-first.csv"), _read(tmp_path / "-records.csv")) == first
-
-    def test_lhv_rerun_ignores_blgi_seed(self, tmp_path, monkeypatch):
-        manifest = tmp_path / "run.json"
-        out1 = tmp_path / "first.csv"
-        out2 = tmp_path / "second.csv"
-        monkeypatch.setenv("BLGI_SEED", "11")
-        code = main([
-            "lhv", "--random", "3", "--shots", "20000",
-            "--out", str(out1), "--manifest", str(manifest),
-        ])
-        assert code == 0
-        monkeypatch.setenv("BLGI_SEED", "12")
-        assert main(["lhv", "--manifest", str(manifest), "--out", str(out2)]) == 0
-        assert _read(out1) == _read(out2)
 
     def test_lhv_rerun_is_bit_identical(self, tmp_path):
         manifest = tmp_path / "run.json"
@@ -586,27 +575,6 @@ class TestManifestRerunErrors:
 
 
 class TestLhvCommand:
-    def test_brute_force_prints_two(self, capsys):
-        assert main(["lhv", "--brute-force"]) == 0
-        assert capsys.readouterr().out.strip() == "2"
-
-    @pytest.mark.parametrize("out", [[], ["--out", "bf.csv"]], ids=["stdout", "out"])
-    def test_brute_force_takes_no_hidden_states(self, out, tmp_path, monkeypatch, capsys):
-        # the bound is the same at every hidden-state count, so the flag would change nothing
-        monkeypatch.chdir(tmp_path)
-        assert main(["lhv", "--brute-force", "--hidden-states", "2", *out]) == 2
-        captured = capsys.readouterr()
-        err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "--hidden-states" in err[0]
-        assert captured.out == ""
-        assert list(tmp_path.iterdir()) == []
-
-    def test_brute_force_writes_out(self, tmp_path, capsys):
-        out = tmp_path / "bf.csv"
-        assert main(["lhv", "--brute-force", "--out", str(out)]) == 0
-        assert _read(out) == "2\n"
-        assert capsys.readouterr().out == ""
-
     def test_random_strategies_all_pass(self, tmp_path):
         out = tmp_path / "lhv.csv"
         code = main([
@@ -620,7 +588,7 @@ class TestLhvCommand:
         assert len(data) == 20
         assert all(row[3] == "true" for row in data)
         assert all(row[4] == "true" for row in data)
-        assert any("brute_force_max(3 hidden states) = 2" in line for line in lines)
+        assert lines[-1] == "# lmr_bound = 2"
 
     def test_output_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "lhv.csv"
@@ -629,7 +597,7 @@ class TestLhvCommand:
             "--invasiveness", "0.3", "--seed", "3", "--out", str(out),
         ])
         assert code == 0
-        digest = "8f9ae18ccf537d14f7650357a96cda73c26bc04268402b6570cae902ada13412"
+        digest = "f13ee870a702c626905f8346483c5631b84b1ed144240d0c68047fb4340e36f9"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_worker_count_never_changes_the_bytes(self, tmp_path, monkeypatch):
@@ -663,7 +631,7 @@ class TestLhvCommand:
             "--invasiveness", "0.3", "--seed", "3", "--out", str(out),
         ])
         assert code == 0
-        digest = "d4dae185003b4242b1c176a19f59385cfdf8e58ac0ef624ebf22fad268e65c0b"
+        digest = "cb7c1ab4844b0de3b251ad7ad30de69f0d3b5c2cb029f18e68fc977ae56aea22"
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -765,8 +733,9 @@ class TestLhvCommand:
         assert not stored["file"] & random_only
         assert random_only <= stored["random"]
 
-    def test_strategy_manifest_with_stored_defaults_reruns_to_the_same_bytes(self, tmp_path, monkeypatch):
-        # an lhv --strategy manifest as earlier versions wrote it: every flag at its default
+    def test_strategy_manifest_with_stored_random_only_flags_exits_2(self, tmp_path, monkeypatch, capsys):
+        # an lhv --strategy manifest as earlier versions wrote it, with every flag at its
+        # default, is refused like any other manifest in an earlier layout
         monkeypatch.chdir(tmp_path)
         Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
         manifest = {
@@ -780,15 +749,10 @@ class TestLhvCommand:
             "created_utc": "2026-10-19T15:53:03.511474+00:00",
         }
         Path("m.json").write_text(json.dumps(manifest), encoding="utf-8")
-        assert main(["lhv", "--manifest", "m.json"]) == 0
-        digest = "50dd1baaaae8b4ce6d530639e606294b5d4a52f60fba5bd2bd17a0c27c4e717a"
-        assert hashlib.sha256(Path("x.csv").read_bytes()).hexdigest() == digest
-        # a stored value that is not the default shaped nothing, and is refused
-        manifest["argv"][2] = "--hidden-states=9"
-        Path("m.json").write_text(json.dumps(manifest), encoding="utf-8")
-        Path("x.csv").unlink()
         assert main(["lhv", "--manifest", "m.json"]) == 2
-        assert not Path("x.csv").exists()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--hidden-states" in err[0]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "s.ini"]
 
     def test_numerical_error_in_a_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 3)
@@ -930,9 +894,6 @@ class TestInputErrors:
             ["sweep", "--axis", "v", "--values", "1", "--shots", "10", "--threads", "-2"],
             ["lhv", "--random", "1", "--shots", "100", "--seed", "-1"],
             ["lhv", "--random", "3", "--shots", "1", "--seed", "1"],
-            *(["lhv", "--brute-force", *flag] for flag in (
-                ["--manifest", "m.json"], ["--strategy", "/nonexistent.ini"], ["--seed", "-7"],
-            )),
             ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
             # over the per-strategy bound on hidden states: exits before any strategy is built
             ["lhv", "--random", "2", "--shots", "100", "--hidden-states", "2097121"],
@@ -1102,7 +1063,6 @@ def test_simulate_argv_ends_in_a_documented_exit_code(tmp_path_factory, flags, o
 
 LHV_FLAGS = st.tuples(
     _flag("--random", "-1", "0", "1", "2"),
-    st.sampled_from([[], ["--brute-force"]]),
     _flag("--shots", "-1", "0", "1", "2", "50"),
     _flag("--hidden-states", "0", "1", "8", "9"),
     _flag("--noise-sigma", "0", "1", "2.5", "-1", "nan", "inf"),
@@ -1114,7 +1074,7 @@ LHV_FLAGS = st.tuples(
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flags=LHV_FLAGS)
 # rng.uniform(0, inf) once ended in an OverflowError traceback
-@example(flags=(["--random", "1"], [], ["--shots", "10"], [], [], ["--invasiveness", "inf"], []))
+@example(flags=(["--random", "1"], ["--shots", "10"], [], [], ["--invasiveness", "inf"], []))
 def test_lhv_argv_ends_in_a_documented_exit_code(tmp_path_factory, flags):
     out = tmp_path_factory.mktemp("argv") / "out.csv"
     argv = ["lhv", *(part for flag in flags for part in flag), "--out", str(out)]

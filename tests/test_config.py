@@ -8,8 +8,8 @@ from blgi.config import (
     config_to_sections,
     load_experiment_config,
     load_strategy,
-    resolve_seed,
 )
+from blgi.cli import _parse_args, _resolve_config, build_parser
 from blgi.measurement import AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
 from blgi.protocol import DEFAULT_ANGLES, ExperimentConfig
 
@@ -151,27 +151,25 @@ class TestExperimentConfigFile:
             config_from_sections(sections)
 
 
+def _resolved_seed(argv):
+    return _resolve_config(_parse_args(build_parser(), ["simulate", *argv])).seed
+
+
 class TestSeedResolution:
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("BLGI_SEED", "100")
-        assert resolve_seed(5, file_seed=9) == 5
+    """The seed is ``--seed``, else the config file's ``run.seed``, else ``ExperimentConfig``'s default."""
 
-    def test_env_beats_file(self, monkeypatch):
-        monkeypatch.setenv("BLGI_SEED", "100")
-        assert resolve_seed(None, file_seed=9) == 100
+    def test_flag_wins(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nseed = 9\n")
+        assert _resolved_seed(["--config", str(path), "--seed", "5"]) == 5
 
-    def test_file_beats_default(self, monkeypatch):
-        monkeypatch.delenv("BLGI_SEED", raising=False)
-        assert resolve_seed(None, file_seed=9) == 9
+    def test_file_beats_default(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[run]\nseed = 9\n")
+        assert _resolved_seed(["--config", str(path)]) == 9
 
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("BLGI_SEED", raising=False)
-        assert resolve_seed(None) == ExperimentConfig().seed == 42
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv("BLGI_SEED", "not-a-seed")
-        with pytest.raises(ConfigError, match="BLGI_SEED"):
-            resolve_seed(None)
+    def test_default(self):
+        assert _resolved_seed([]) == ExperimentConfig().seed == 42
 
 
 class TestStrategyFile:
