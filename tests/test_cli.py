@@ -590,6 +590,27 @@ class TestLhvCommand:
         assert all(row[4] == "true" for row in data)
         assert lines[-1] == "# lmr_bound = 2"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--strategy", "s.ini"], ["--random", "2", "--hidden-states", "9"], ["--strategy", "s.ini", "--random", "2"]],
+        ids=["strategy", "random", "both"],
+    )
+    def test_output_ends_with_one_lmr_bound_line(self, tmp_path, monkeypatch, flags):
+        # whatever the strategies and their hidden-state counts, the bound is stated once, after the rows
+        monkeypatch.chdir(tmp_path)
+        Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
+        assert main(["lhv", *flags, "--shots", "1000", "--out", "x.csv"]) == 0
+        lines = _read(tmp_path / "x.csv").splitlines()
+        assert lines[0] == "strategy,mean,stderr,bound_ok,calibration_ok"
+        assert [line for line in lines if line.startswith("#")] == lines[-1:] == ["# lmr_bound = 2"]
+
+    def test_seed_defaults_to_the_experiment_default(self, tmp_path):
+        argv = ["lhv", "--random", "2", "--shots", "1000", "--out"]
+        assert main([*argv, str(tmp_path / "default.csv")]) == 0
+        assert main([*argv, str(tmp_path / "42.csv"), "--seed", "42"]) == 0
+        assert main([*argv, str(tmp_path / "7.csv"), "--seed", "7"]) == 0
+        assert _read(tmp_path / "default.csv") == _read(tmp_path / "42.csv") != _read(tmp_path / "7.csv")
+
     def test_output_bytes_are_pinned(self, tmp_path):
         out = tmp_path / "lhv.csv"
         code = main([
@@ -902,6 +923,7 @@ class TestInputErrors:
             *(["lhv", "--random", "1", "--shots", "10", "--invasiveness", value] for value in ("inf", "nan", "-0.5")),
             ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],
             ["simulate", "--shots", "10", "--seed", str(2**64)],
+            ["sweep", "--axis", "v", "--values", "1", "--shots", "10", "--seed", "-1"],
             ["simulate", "--meter", "gaussian", "--v-total", "0.5", "--u", "0.3", "--shots", "10"],
         ],
         ids=lambda argv: " ".join(argv),
@@ -916,6 +938,13 @@ class TestInputErrors:
         out = tmp_path / "x.csv"
         assert _exit_code(["lhv", "--random", "1", "--shots", "100", *flag, "--out", str(out)]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lhv_has_no_brute_force_flag(self, tmp_path, capsys):
+        # the classical bound is stated once, by the trailing lmr_bound line of every lhv output
+        out = tmp_path / "x.csv"
+        assert _exit_code(["lhv", "--brute-force", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --brute-force" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lhv_manifest_seed_out_of_range(self, tmp_path, capsys):
@@ -1212,6 +1241,17 @@ class TestVerify:
     def test_takes_no_run_flags(self, flag, capsys):
         assert _exit_code(["verify", *flag]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, default",
+    [("simulate", "the config's run.seed, else 42"), ("sweep", "the config's run.seed, else 42"), ("lhv", "42")],
+)
+def test_seed_help_states_its_default(command, default, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"--seed SEED 64-bit RNG seed (default: {default})" in help_text
 
 
 def test_cli_import_does_not_load_scipy():

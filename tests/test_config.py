@@ -151,25 +151,33 @@ class TestExperimentConfigFile:
             config_from_sections(sections)
 
 
-def _resolved_seed(argv):
-    return _resolve_config(_parse_args(build_parser(), ["simulate", *argv])).seed
+def _resolved_seed(command, argv):
+    return _resolve_config(_parse_args(build_parser(), [command, *argv])).seed
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 class TestSeedResolution:
     """The seed is ``--seed``, else the config file's ``run.seed``, else ``ExperimentConfig``'s default."""
 
-    def test_flag_wins(self, tmp_path):
+    def test_flag_wins(self, tmp_path, command):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseed = 9\n")
-        assert _resolved_seed(["--config", str(path), "--seed", "5"]) == 5
+        assert _resolved_seed(command, ["--config", str(path), "--seed", "5"]) == 5
 
-    def test_file_beats_default(self, tmp_path):
+    def test_file_beats_default(self, tmp_path, command):
         path = tmp_path / "run.ini"
         path.write_text("[run]\nseed = 9\n")
-        assert _resolved_seed(["--config", str(path)]) == 9
+        assert _resolved_seed(command, ["--config", str(path)]) == 9
 
-    def test_default(self):
-        assert _resolved_seed([]) == ExperimentConfig().seed == 42
+    def test_default(self, command):
+        assert _resolved_seed(command, []) == ExperimentConfig().seed == 42
+
+    def test_config_seed_out_of_range(self, tmp_path, command):
+        # ExperimentConfig checks the seed's range, wherever the seed came from
+        path = tmp_path / "run.ini"
+        path.write_text(f"[run]\nseed = {2**64}\n")
+        with pytest.raises(ConfigError, match="seed"):
+            _resolved_seed(command, ["--config", str(path)])
 
 
 class TestStrategyFile:
