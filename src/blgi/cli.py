@@ -22,9 +22,12 @@ from . import __version__, lhv
 from .config import (
     ConfigError,
     RunManifest,
+    _build,
+    _parse_vector,
+    _read_ini,
     config_from_sections,
     load_experiment_config,
-    load_strategy,
+    strategy_from_sections,
 )
 from .measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
 from .protocol import (
@@ -257,7 +260,7 @@ def _require_distinct_outputs(args: argparse.Namespace, manifest: str | None) ->
         named[key] = name
 
 
-def _write_manifest(args: argparse.Namespace, config: ExperimentConfig | None) -> None:
+def _write_manifest(args: argparse.Namespace, config: ExperimentConfig | dict) -> None:
     """Write ``--manifest`` after a fresh run; a re-run's args hold no ``--manifest``."""
     if args.manifest is None:
         return
@@ -286,10 +289,13 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         config = retune(config, **values)
         flags = (getattr(args, f"phi_{key}") for key in ANGLE_KEYS)
         angles = tuple(angle if flag is None else flag for angle, flag in zip(config.angles, flags))
-        run = {name: getattr(args, name) for name in ("shots", "seed") if getattr(args, name) is not None}
-        config = replace(config, angles=angles, **run)
+        config = replace(config, angles=angles)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # one flag at a time, so a range error names the flag that set the value
+    for name in ("shots", "seed"):
+        if getattr(args, name) is not None:
+            config = _build(partial(replace, config), {name: getattr(args, name)}, _flag(name))
     return config
 
 
@@ -340,16 +346,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_values(text: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"--values: expected comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise ConfigError("--values: empty list")
-    return values
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.axis is None:
         raise ConfigError("sweep needs --axis")
@@ -357,7 +353,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --values")
     if getattr(args, args.axis) is not None:
         raise ConfigError(f"--axis {args.axis} sweeps {_flag(args.axis)}; drop {_flag(args.axis)}")
-    values = _parse_values(args.values)
+    values = _parse_vector(args.values, "--values")
     # every point sets the axis, and the base config is the first: --u 0.8 never meets v_total = 1
     setattr(args, args.axis, values[0])
     config = _resolve_config(args)
@@ -405,9 +401,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             raise ConfigError(f"{_flag(name)} only shapes --random strategies; drop it")
     if args.shots is None:
         args.shots = _LHV_SHOTS
-    args.seed = seed = ExperimentConfig.seed if args.seed is None else args.seed
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"--seed: expected a 64-bit unsigned integer, got {seed!r}")
+    # lhv takes no config, but its seed has the experiment's default and range
+    args.seed = seed = _build(ExperimentConfig, {} if args.seed is None else {"seed": args.seed}, "--seed").seed
     _require_two_shots(args.shots)
 
     if args.random is not None and args.random < 1:
@@ -415,7 +410,14 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     if args.random is not None and args.hidden_states > _LHV_MAX_HIDDEN_STATES:
         raise ConfigError(f"--hidden-states must be at most {_LHV_MAX_HIDDEN_STATES}, got {args.hidden_states}")
 
-    loaded = [] if args.strategy is None else [load_strategy(args.strategy)]
+    # a re-run builds the strategy from the section its manifest stores and never reads the file
+    if args.stored_config is not None:
+        sections, where = args.stored_config, "manifest config"
+    else:
+        sections, where = ({} if args.strategy is None else _read_ini(args.strategy)), args.strategy
+    if args.strategy is None and sections:
+        raise ConfigError(f"{where}: an lhv manifest without --strategy stores no config")
+    loaded = [] if args.strategy is None else [strategy_from_sections(sections, where)]
     total = len(loaded) + (args.random or 0)
     if not total:
         raise ConfigError("lhv needs --strategy or --random")
@@ -445,7 +447,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         yield f"# lmr_bound = {_fmt(LMR_BOUND)}\n"
 
     _write_lines(args.out, lines())
-    _write_manifest(args, None)
+    _write_manifest(args, sections)
     return EXIT_BOUND_VIOLATION if any_violation else EXIT_OK
 
 

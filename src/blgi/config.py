@@ -3,17 +3,18 @@
 Config files are flat ``key = value`` INI text with sections ``meter1``,
 ``meter2``, ``b``, ``angles`` and ``run``; strategy files use a single
 ``strategy`` section with comma-separated per-hidden-state vectors.  A
-:class:`RunManifest` holds a run's command line and its resolved config in
-the same section layout, so re-running from a manifest reproduces the
-output byte for byte.
+:class:`RunManifest` holds a run's command line and its resolved config or
+strategy in the same section layout, so re-running from a manifest
+reproduces the output byte for byte.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -47,10 +48,10 @@ def _parse_float(value: Any, where: str) -> float:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
 
 
-def _parse_vector(text: str, where: str) -> list[float]:
+def _parse_vector(text: Any, where: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",")]
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected comma-separated numbers, got {text!r}") from exc
 
 
@@ -115,16 +116,13 @@ def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfi
     angles = dict(zip(ANGLE_KEYS, DEFAULT_ANGLES))
     angles.update(_keywords(sections.get("angles", {}), ANGLE_KEYS, "angles", _parse_float))
     run = _keywords(sections.get("run", {}), ("shots", "seed"), "run", _parse_int)
-    try:
-        return ExperimentConfig(
-            meter1=meter1,
-            meter2=meter2,
-            b_spec=_build(ProjectiveMeterSpec, b_values, "b"),
-            angles=tuple(angles.values()),
-            **run,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    b_spec = _build(ProjectiveMeterSpec, b_values, "b")
+    # the meters and readout are built, so only the angles can fail here
+    config = _build(ExperimentConfig, dict(meter1=meter1, meter2=meter2, b_spec=b_spec, angles=tuple(angles.values())), "angles")
+    # one key at a time, so a range error names the key that set the value
+    for key, value in run.items():
+        config = _build(partial(replace, config), {key: value}, f"run.{key}")
+    return config
 
 
 def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, Any]]:
@@ -143,21 +141,17 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return config_from_sections(_read_ini(path))
 
 
-def load_strategy(path: str | Path) -> LHVStrategy:
-    """Read a strategy file into an :class:`LHVStrategy`, which checks its invariants.
+def strategy_from_sections(sections: dict[str, dict[str, Any]], where: str) -> LHVStrategy:
+    """Build an :class:`LHVStrategy`, which checks its invariants, from strategy-file sections.
 
-    Besides ``hidden_states``, the keys are :class:`LHVStrategy` fields: a
+    The one section, ``strategy``, holds :class:`LHVStrategy` fields: a
     field with a float default is a number, any other a vector with one
     entry per hidden state, required when the field has no default.
+    Errors of the whole strategy name ``where``.
     """
-    sections = _read_ini(path)
     if list(sections) != ["strategy"]:
         found = ", ".join(f"[{name}]" for name in sections) or "none"
-        raise ConfigError(f"{path}: expected one section, [strategy], got {found}")
-    section = sections["strategy"]
-    if "hidden_states" not in section:
-        raise ConfigError("strategy.hidden_states is required")
-    n = _parse_int(section.pop("hidden_states"), "strategy.hidden_states")
+        raise ConfigError(f"{where}: expected one section, [strategy], got {found}")
     defaults = {field.name: field.default for field in fields(LHVStrategy)}
 
     def parse(text: str, where: str):
@@ -165,13 +159,16 @@ def load_strategy(path: str | Path) -> LHVStrategy:
         scalar = isinstance(defaults[where.rpartition(".")[2]], float)
         return _parse_float(text, where) if scalar else _parse_vector(text, where)
 
-    values = _keywords(section, tuple(defaults), "strategy", parse)
+    values = _keywords(sections["strategy"], tuple(defaults), "strategy", parse)
     for key, default in defaults.items():
         if default is MISSING and key not in values:
             raise ConfigError(f"strategy.{key} is required")
-    if (count := len(values["prep_dist"])) != n:
-        raise ConfigError(f"strategy.prep_dist must have {n} entries (one per hidden state), got {count}")
-    return _build(LHVStrategy, values, str(path))
+    return _build(LHVStrategy, values, where)
+
+
+def load_strategy(path: str | Path) -> LHVStrategy:
+    """Read a strategy file into an :class:`LHVStrategy`; see :func:`strategy_from_sections`."""
+    return strategy_from_sections(_read_ini(path), str(path))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +182,7 @@ class RunManifest:
 
     ``argv`` holds the command's own flags (never the config ones) and
     ``config`` the resolved config in :func:`config_to_sections` layout,
-    empty for commands that take no config.
+    or for ``lhv`` its strategy file's sections as read, empty without one.
     """
 
     command: str
@@ -195,13 +192,13 @@ class RunManifest:
     created_utc: str
 
     @classmethod
-    def create(cls, command: str, argv: list[str], config: ExperimentConfig | None) -> "RunManifest":
+    def create(cls, command: str, argv: list[str], config: ExperimentConfig | dict[str, dict[str, Any]]) -> "RunManifest":
         from . import __version__
 
         return cls(
             command=command,
             argv=list(argv),
-            config=config_to_sections(config) if config is not None else {},
+            config=config_to_sections(config) if isinstance(config, ExperimentConfig) else config,
             version=__version__,
             created_utc=datetime.now(timezone.utc).isoformat(),
         )

@@ -359,7 +359,7 @@ def predicted_stderr(config: ExperimentConfig) -> float:
 
 def _projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """The real 2x2 projectors onto analyzer ``phi``'s ``ket0`` and ``ket1``."""
-    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    c, s = meas._rotation(phi)
     ket0, ket1 = np.array([c, s]), np.array([-s, c])
     return np.outer(ket0, ket0), np.outer(ket1, ket1)
 

@@ -287,6 +287,16 @@ class TestSweep:
         code = main(["sweep", "--meter", "gaussian", "--axis", "sigma", "--values", "a,b"])
         assert code == 2
 
+    @pytest.mark.parametrize("values", ["1,2,", "1,,2", ",1", ""])
+    def test_empty_value_exits_2_and_writes_nothing(self, values, tmp_path, capsys):
+        # --values is read by the strategy vectors' parser, so an empty part is an error there too
+        out, manifest = tmp_path / "x.csv", tmp_path / "m.json"
+        argv = ["sweep", "--axis", "sigma", "--values", values, "--shots", "100", "--seed", "3"]
+        assert main([*argv, "--out", str(out), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --values: ")
+        assert not out.exists() and not manifest.exists()
+
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_flag_on_the_swept_field_writes_nothing(self, axis, tmp_path, capsys):
         # every point sets the axis, so the flag was ignored and the run exited 0
@@ -459,6 +469,23 @@ class TestManifestRoundTrip:
         assert main(["simulate", "--manifest", "run.json"]) == 0
         assert (_read(tmp_path / "-first.csv"), _read(tmp_path / "-records.csv")) == first
 
+    def test_stored_argv_and_config_are_pinned(self, tmp_path, monkeypatch):
+        # simulate and sweep manifests store their flags and the resolved config in this layout
+        monkeypatch.chdir(tmp_path)
+        experiment = ["--meter", "ancilla", "--v-total", "0.6", "--u", "0.9", "--phi-b2", "2", "--shots", "100", "--seed", "3"]
+        angles = {"a1": 1.5707963267948966, "a2": 0.7853981633974483, "b1": 0.0, "b2": 2.0}
+        meter = {"type": "ancilla", "v_total": 0.6, "u": 0.9}
+        for argv, stored, b in (
+            (["sweep", "--axis", "v", "--values", "0.5,1"], ["--axis=v", "--values=0.5,1", "--out=x.csv"], 0.5),
+            (["simulate", "--records", "r.csv"], ["--records=r.csv", "--out=x.csv"], 1.0),
+        ):
+            assert main([*argv, *experiment, "--out", "x.csv", "--manifest", f"{argv[0]}.json"]) == 0
+            data = json.loads(_read(tmp_path / f"{argv[0]}.json"))
+            assert data["argv"] == stored
+            assert data["config"] == {
+                "meter1": meter, "meter2": meter, "b": {"v": b}, "angles": angles, "run": {"shots": 100, "seed": 3},
+            }
+
     def test_lhv_rerun_is_bit_identical(self, tmp_path):
         manifest = tmp_path / "run.json"
         out1 = tmp_path / "first.csv"
@@ -531,6 +558,8 @@ class TestManifestRerunErrors:
             (SIMULATE, lambda data: OLD_FORMAT_MANIFEST, [], "argv"),
             (LHV, None, ["--shots", "100000"], "--shots"),
             (SIMULATE, _set_config("run", "shots", 1000.7), [], "run.shots"),
+            (SIMULATE, _set_config("run", "seed", -1), [], "run.seed"),
+            (SIMULATE, _set_config("run", "shots", 0), [], "run.shots"),
             (SIMULATE, _set_config("meter1", "sigma", None), [], "meter1.sigma"),
             (SIMULATE, lambda data: {**data, "argv": ["--meter", "ancilla"]}, [], "--meter"),
             (SIMULATE, _set_config("meter1", "v_total", 0.5), [], "meter1.v_total"),
@@ -549,6 +578,8 @@ class TestManifestRerunErrors:
             "manifest without argv",
             "lhv --shots 100000 on a re-run",
             "run.shots 1000.7",
+            "run.seed -1",
+            "run.shots 0",
             "meter1.sigma null",
             "stored config flag",
             "config meter1.v_total on a Gaussian meter",
@@ -775,6 +806,54 @@ class TestLhvCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and "--hidden-states" in err[0]
         assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "s.ini"]
 
+    def test_strategy_file_bytes_are_pinned(self, tmp_path, monkeypatch):
+        # the bytes that earlier versions wrote for this file with a "hidden_states = 2" line
+        monkeypatch.chdir(tmp_path)
+        Path("s.ini").write_text(STRATEGY_FILE, encoding="utf-8")
+        assert main(["lhv", "--strategy", "s.ini", "--shots", "70000", "--seed", "3", "--out", "x.csv"]) == 0
+        digest = "f4dfbb8e273bbd6f3f450ef15b420e1793782a1c49849fc5c024e9ed1f0d2888"
+        assert hashlib.sha256((tmp_path / "x.csv").read_bytes()).hexdigest() == digest
+
+    def test_strategy_manifest_keeps_the_strategy(self, tmp_path, monkeypatch):
+        # a re-run builds the strategy from the manifest: an edit or the removal of the file changes nothing
+        monkeypatch.chdir(tmp_path)
+        strategy = Path("s.ini")
+        strategy.write_text(STRATEGY_FILE, encoding="utf-8")
+        argv = ["lhv", "--strategy", "s.ini", "--shots", "1000", "--seed", "3"]
+        assert main([*argv, "--out", "a.csv", "--manifest", "m.json"]) == 0
+        data = json.loads(_read(tmp_path / "m.json"))
+        assert data["argv"][0] == "--strategy=s.ini"
+        assert data["config"]["strategy"]["b2"] == "-1, 1"
+        strategy.write_text(STRATEGY_FILE.replace("b2 = -1, 1", "b2 = 1, 1"), encoding="utf-8")
+        assert main(["lhv", "--manifest", "m.json", "--out", "b.csv"]) == 0
+        strategy.unlink()
+        assert main(["lhv", "--manifest", "m.json", "--out", "c.csv"]) == 0
+        assert _read(tmp_path / "a.csv") == _read(tmp_path / "b.csv") == _read(tmp_path / "c.csv")
+
+    @pytest.mark.parametrize(
+        "flags, config, named",
+        [
+            (["--strategy", "s.ini"], {}, "[strategy]"),
+            (["--strategy", "s.ini"], {"strategy": {"prep_dist": "1", "a1": "1"}}, "strategy.a2 is required"),
+            (["--strategy", "s.ini"], {"strategy": {}, "run": {"seed": 3}}, "[run]"),
+            (["--random", "1"], {"strategy": {"prep_dist": "1"}}, "stores no config"),
+        ],
+        ids=["earlier layout", "stored key missing", "extra section", "random with a config"],
+    )
+    def test_strategy_manifest_with_a_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, flags, config, named):
+        # an lhv --strategy manifest written before manifests stored the strategy has an empty config
+        monkeypatch.chdir(tmp_path)
+        Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
+        assert main(["lhv", *flags, "--shots", "100", "--seed", "3", "--out", "x.csv", "--manifest", "m.json"]) == 0
+        data = json.loads(_read(tmp_path / "m.json"))
+        Path("m.json").write_text(json.dumps({**data, "config": config}), encoding="utf-8")
+        Path("x.csv").unlink()
+        capsys.readouterr()
+        assert main(["lhv", "--manifest", "m.json"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "s.ini"]
+
     def test_numerical_error_in_a_worker_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("blgi.protocol._usable_cpus", lambda: 3)
         out = tmp_path / "x.csv"
@@ -789,7 +868,7 @@ class TestLhvCommand:
     def test_strategy_file_run(self, tmp_path):
         strategy = tmp_path / "strategy.ini"
         strategy.write_text(
-            "[strategy]\nhidden_states = 1\nprep_dist = 1\na1 = 1\na2 = 1\n"
+            "[strategy]\nprep_dist = 1\na1 = 1\na2 = 1\n"
             "b1 = 1\nb2 = -1\nnoise_sigma1 = 0\nnoise_sigma2 = 0\n"
         )
         out = tmp_path / "report.csv"
@@ -801,7 +880,7 @@ class TestLhvCommand:
     def test_malformed_strategy_exits_2(self, tmp_path, capsys):
         strategy = tmp_path / "bad.ini"
         strategy.write_text(
-            "[strategy]\nhidden_states = 2\nprep_dist = 0.5, 0.4\na1 = 1, -1\na2 = 1, -1\n"
+            "[strategy]\nprep_dist = 0.5, 0.4\na1 = 1, -1\na2 = 1, -1\n"
             "b1 = 1, -1\nb2 = -1, 1\n"
         )
         code = main(["lhv", "--strategy", str(strategy), "--shots", "1000"])
@@ -812,15 +891,13 @@ class TestLhvCommand:
         "replace, named",
         [
             (("prep_dist = 0.5, 0.5", "prep_dist = nan, nan"), "prep_dist"),
-            (("hidden_states = 2", "hidden_states = 3"), "strategy.prep_dist"),
         ],
-        ids=["nan prep_dist", "hidden_states 3"],
+        ids=["nan prep_dist"],
     )
     def test_invalid_strategy_exits_2_with_one_line(self, tmp_path, capsys, replace, named):
-        # prep_dist comes last: the hidden-state count is checked against it, whatever the key order
         strategy = tmp_path / "bad.ini"
         strategy.write_text(
-            "[strategy]\nhidden_states = 2\na1 = 1, -1\na2 = 1, -1\nb1 = 1, -1\nb2 = -1, 1\n"
+            "[strategy]\na1 = 1, -1\na2 = 1, -1\nb1 = 1, -1\nb2 = -1, 1\n"
             "prep_dist = 0.5, 0.5\n".replace(*replace)
         )
         out = tmp_path / "x.csv"
@@ -847,7 +924,12 @@ class TestLhvCommand:
         assert "RuntimeWarning" not in proc.stderr
 
 
-STRATEGY_BODY = "[strategy]\nhidden_states = 1\nprep_dist = 1\na1 = 1\na2 = 1\nb1 = 1\nb2 = 1\n"
+STRATEGY_BODY = "[strategy]\nprep_dist = 1\na1 = 1\na2 = 1\nb1 = 1\nb2 = 1\n"
+#: two hidden states with every optional key kind: a noise width and an invasiveness vector
+STRATEGY_FILE = (
+    "[strategy]\nprep_dist = 0.25, 0.75\na1 = 1, -1\na2 = 1, -0.5\nb1 = 1, -1\nb2 = -1, 1\n"
+    "noise_sigma1 = 0.5\ninvasiveness2 = 0.3, -0.2\n"
+)
 
 
 class TestStrictInputFiles:
@@ -881,8 +963,9 @@ class TestStrictInputFiles:
             ("invasivenes1 = 0.5\n", "strategy.invasivenes1"),
             ("noise_bias1 = 0.2\n", "strategy.noise_bias1"),
             ("[extra]\nx = 1\n", "extra"),
+            ("hidden_states = 1\n", "strategy.hidden_states"),
         ],
-        ids=["noise_sigma", "invasivenes1", "noise_bias1", "extra section"],
+        ids=["noise_sigma", "invasivenes1", "noise_bias1", "extra section", "hidden_states"],
     )
     def test_strategy_file(self, tmp_path, capsys, extra, named):
         path = tmp_path / "strategy.ini"
@@ -932,6 +1015,33 @@ class TestInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["simulate"], "[run]\nseed = -1\n", "run.seed"),
+            (["simulate"], "[run]\nshots = 0\n", "run.shots"),
+            (["sweep", "--axis", "v", "--values", "1"], "[run]\nseed = -1\n", "run.seed"),
+            (["simulate", "--seed", "-1"], None, "--seed"),
+            (["simulate", "--seed", str(2**64)], None, "--seed"),
+            (["simulate", "--shots", "0"], None, "--shots"),
+            (["sweep", "--axis", "v", "--values", "1", "--seed", "-1"], None, "--seed"),
+            (["sweep", "--axis", "v", "--values", "1", "--shots", "-5"], None, "--shots"),
+        ],
+        ids=[
+            "config seed -1", "config shots 0", "sweep config seed -1", "simulate --seed -1",
+            "simulate --seed 2**64", "simulate --shots 0", "sweep --seed -1", "sweep --shots -5",
+        ],
+    )
+    def test_range_error_names_the_key_or_flag(self, argv, config, named, tmp_path, capsys):
+        if config is not None:
+            (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "run.ini")]
+        out, manifest = tmp_path / "x.csv", tmp_path / "m.json"
+        assert main([*argv, "--out", str(out), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
+        assert not out.exists() and not manifest.exists()
 
     @pytest.mark.parametrize("flag", [["--config", "ghost.ini"], ["--threads", "2"]], ids=lambda flag: flag[0])
     def test_lhv_takes_no_experiment_flags(self, flag, tmp_path, capsys):

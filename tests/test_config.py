@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from blgi.config import (
     config_to_sections,
     load_experiment_config,
     load_strategy,
+    strategy_from_sections,
 )
 from blgi.cli import _parse_args, _resolve_config, build_parser
 from blgi.measurement import AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
@@ -37,7 +40,6 @@ seed = 7
 
 GOOD_STRATEGY = """
 [strategy]
-hidden_states = 2
 prep_dist = 0.5, 0.5
 a1 = 1, -1
 a2 = 1, -1
@@ -150,6 +152,22 @@ class TestExperimentConfigFile:
         with pytest.raises(ConfigError, match=where):
             config_from_sections(sections)
 
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({"run": {"seed": -1}}, "run.seed: seed must be a 64-bit unsigned integer, got -1"),
+            ({"run": {"seed": str(2**64)}}, "run.seed: seed must be"),
+            ({"run": {"shots": 0}}, "run.shots: shots must be >= 1, got 0"),
+            ({"run": {"shots": "5", "seed": "-3"}}, "run.seed: seed must be"),
+            ({"angles": {"b2": "inf"}}, "angles: angles must be four finite radians"),
+        ],
+        ids=["seed -1", "seed 2**64", "shots 0", "seed after shots", "angle inf"],
+    )
+    def test_range_error_names_the_key(self, sections, message):
+        # ExperimentConfig states each range; the reader adds the key that set the value
+        with pytest.raises(ConfigError, match=message):
+            config_from_sections(sections)
+
 
 def _resolved_seed(command, argv):
     return _resolve_config(_parse_args(build_parser(), [command, *argv])).seed
@@ -208,7 +226,7 @@ class TestStrategyFile:
         with pytest.raises(ConfigError, match="strategy"):
             load_strategy(path)
 
-    @pytest.mark.parametrize("key", ["hidden_states", "prep_dist", "b2"])
+    @pytest.mark.parametrize("key", ["prep_dist", "b2"])
     def test_missing_required_key(self, tmp_path, key):
         path = tmp_path / "strategy.ini"
         path.write_text("\n".join(line for line in GOOD_STRATEGY.splitlines() if not line.startswith(key)))
@@ -222,6 +240,44 @@ class TestStrategyFile:
         assert strategy.noise_sigma2 == 1.0
         np.testing.assert_array_equal(strategy.invasiveness1, [0.25, 0.5])
         np.testing.assert_array_equal(strategy.invasiveness2, [0.0, 0.0])
+
+    def test_hidden_states_is_an_unknown_key(self, tmp_path):
+        # prep_dist sizes a strategy, so a count of hidden states would state it twice
+        path = tmp_path / "strategy.ini"
+        path.write_text(GOOD_STRATEGY + "hidden_states = 2\n")
+        with pytest.raises(ConfigError, match="strategy.hidden_states: unknown key"):
+            load_strategy(path)
+
+    def test_prep_dist_sets_the_hidden_state_count(self, tmp_path):
+        path = tmp_path / "strategy.ini"
+        path.write_text(GOOD_STRATEGY.replace("prep_dist = 0.5, 0.5", "prep_dist = 0.5, 0.25, 0.25"))
+        with pytest.raises(ConfigError, match="a1"):
+            load_strategy(path)
+
+    def test_sections_build_what_the_file_builds(self, tmp_path):
+        path = tmp_path / "strategy.ini"
+        path.write_text(GOOD_STRATEGY)
+        sections = {"strategy": dict(
+            line.replace(" ", "").split("=") for line in GOOD_STRATEGY.strip().splitlines()[1:]
+        )}
+        loaded, built = load_strategy(path), strategy_from_sections(sections, "manifest config")
+        for field in fields(loaded):
+            np.testing.assert_array_equal(getattr(built, field.name), getattr(loaded, field.name))
+
+    @pytest.mark.parametrize(
+        "sections, message",
+        [
+            ({}, "manifest config: expected one section, \\[strategy\\], got none"),
+            ({"strategy": {"prep_dist": [1.0], "a1": "1", "a2": "1", "b1": "1", "b2": "1"}}, "strategy.prep_dist"),
+            ({"strategy": {"prep_dist": 1, "a1": "1", "a2": "1", "b1": "1", "b2": "1"}}, "strategy.prep_dist"),
+            ({"strategy": {"prep_dist": "0.5, 0.4", "a1": "1, 1", "a2": "1, 1", "b1": "1, 1", "b2": "1, 1"}},
+             "manifest config: prep_dist"),
+        ],
+        ids=["no section", "list vector", "number vector", "bad prep_dist"],
+    )
+    def test_stored_sections_are_checked_like_the_file(self, sections, message):
+        with pytest.raises(ConfigError, match=message):
+            strategy_from_sections(sections, "manifest config")
 
     def test_scalar_field_takes_one_number(self, tmp_path):
         path = tmp_path / "strategy.ini"
