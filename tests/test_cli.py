@@ -841,7 +841,8 @@ class TestLhvCommand:
         ids=["earlier layout", "stored key missing", "extra section", "random with a config"],
     )
     def test_strategy_manifest_with_a_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, flags, config, named):
-        # an lhv --strategy manifest written before manifests stored the strategy has an empty config
+        # an lhv --strategy manifest of earlier versions has an empty config; a stored
+        # section gets the strategy file's checks, and a --random manifest stores none
         monkeypatch.chdir(tmp_path)
         Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
         assert main(["lhv", *flags, "--shots", "100", "--seed", "3", "--out", "x.csv", "--manifest", "m.json"]) == 0

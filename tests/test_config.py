@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -248,32 +246,15 @@ class TestStrategyFile:
         with pytest.raises(ConfigError, match="strategy.hidden_states: unknown key"):
             load_strategy(path)
 
-    def test_prep_dist_sets_the_hidden_state_count(self, tmp_path):
-        path = tmp_path / "strategy.ini"
-        path.write_text(GOOD_STRATEGY.replace("prep_dist = 0.5, 0.5", "prep_dist = 0.5, 0.25, 0.25"))
-        with pytest.raises(ConfigError, match="a1"):
-            load_strategy(path)
-
-    def test_sections_build_what_the_file_builds(self, tmp_path):
-        path = tmp_path / "strategy.ini"
-        path.write_text(GOOD_STRATEGY)
-        sections = {"strategy": dict(
-            line.replace(" ", "").split("=") for line in GOOD_STRATEGY.strip().splitlines()[1:]
-        )}
-        loaded, built = load_strategy(path), strategy_from_sections(sections, "manifest config")
-        for field in fields(loaded):
-            np.testing.assert_array_equal(getattr(built, field.name), getattr(loaded, field.name))
-
     @pytest.mark.parametrize(
         "sections, message",
         [
-            ({}, "manifest config: expected one section, \\[strategy\\], got none"),
             ({"strategy": {"prep_dist": [1.0], "a1": "1", "a2": "1", "b1": "1", "b2": "1"}}, "strategy.prep_dist"),
             ({"strategy": {"prep_dist": 1, "a1": "1", "a2": "1", "b1": "1", "b2": "1"}}, "strategy.prep_dist"),
             ({"strategy": {"prep_dist": "0.5, 0.4", "a1": "1, 1", "a2": "1, 1", "b1": "1, 1", "b2": "1, 1"}},
              "manifest config: prep_dist"),
         ],
-        ids=["no section", "list vector", "number vector", "bad prep_dist"],
+        ids=["list vector", "number vector", "bad prep_dist"],
     )
     def test_stored_sections_are_checked_like_the_file(self, sections, message):
         with pytest.raises(ConfigError, match=message):
