@@ -299,11 +299,12 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _require_two_shots(shots: int) -> None:
+def _require_two_shots(shots: int, args: argparse.Namespace) -> None:
+    """A config error naming ``--shots``, or the config's ``run.shots`` where no flag set it, unless ``shots >= 2``."""
     try:
         require_two_shots(shots)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{'run.shots' if args.shots is None else '--shots'}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +324,7 @@ def _warn_shot_budget(config: ExperimentConfig) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    _require_two_shots(config.shots)
+    _require_two_shots(config.shots, args)
     _warn_shot_budget(config)
     if args.records is None:
         estimate = monte_carlo(config, threads=args.threads)
@@ -357,7 +358,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # every point sets the axis, and the base config is the first: --u 0.8 never meets v_total = 1
     setattr(args, args.axis, values[0])
     config = _resolve_config(args)
-    _require_two_shots(config.shots)
+    _require_two_shots(config.shots, args)
     try:
         points = sweep(config, args.axis, values, threads=args.threads)
     except ValueError as exc:
@@ -403,7 +404,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         args.shots = _LHV_SHOTS
     # lhv takes no config, but its seed has the experiment's default and range
     args.seed = seed = _build(ExperimentConfig, {} if args.seed is None else {"seed": args.seed}, "--seed").seed
-    _require_two_shots(args.shots)
+    _require_two_shots(args.shots, args)
 
     if args.random is not None and args.random < 1:
         raise ConfigError(f"--random: expected a positive count, got {args.random}")

@@ -31,21 +31,26 @@ class ConfigError(Exception):
 
 
 def _parse_int(value: Any, where: str) -> int:
-    """An integer from INI text or a JSON number; a fractional number is an error."""
+    """An integer from INI text or a JSON number; a fractional number or a boolean is an error."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
-    if not isinstance(value, str) and number != value:
+    # int(True) is 1, but a JSON boolean is no integer
+    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
         raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return number
 
 
 def _parse_float(value: Any, where: str) -> float:
+    """A float from INI text or a JSON number; a boolean is an error, though ``float(True)`` is 1.0."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
+    if isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return number
 
 
 def _parse_vector(text: Any, where: str) -> list[float]:

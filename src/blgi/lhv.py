@@ -178,7 +178,7 @@ def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Est
     The shots are drawn from ``rng`` in :data:`blgi.protocol.CHUNK_SHOTS`
     blocks in turn, each into a workspace lent to it alone, as the quantum
     engine draws its chunks; a lent workspace stays for the life of the
-    process, at most one per concurrently running block, up to 5.5 MiB each.
+    process, at most one per concurrently running block, up to 5 MiB each.
     Fewer than 2 shots raise ValueError before anything is drawn.
     """
     require_two_shots(shots)

@@ -19,9 +19,12 @@ true outcome flipped with probability ``(1 - v)/2``, so reported means are
 Every measurement is along an analyzer given by its angle ``phi`` in
 radians (the convention is in :mod:`blgi.qmath`).  The record law has one
 implementation, :func:`sample_records`: four elementwise stages (weak arm 1,
-weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw order, laid
-out in the shot-kernel comment below.  Every sampler takes an explicit
-``numpy.random.Generator`` and is safe to drive from disjoint RNG substreams.
+weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw order.  No
+shot carries a state: each stage draws its outcome from the measured arm's
+Bloch component along its analyzer, which the Bell pair gives in closed form
+from the effects the earlier outcomes left, as the shot-kernel comment below
+lays out.  Every sampler takes an explicit ``numpy.random.Generator`` and is
+safe to drive from disjoint RNG substreams.
 """
 
 from __future__ import annotations
@@ -164,31 +167,57 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # ---------------------------------------------------------------------------
 # The shot kernel.
 #
-# Every shot is a pure state of the pair with real amplitudes (analyzer
-# kets and meter operators are all real), held as four arrays
-# ``(c00, c01, c10, c11)`` with |psi> = sum_kl c_kl |k,l>, arm 1 first.
-# A stage on one arm rotates that arm into its analyzer frame by phi/2,
-# scales the ket0/ket1 branches by the drawn outcome's Kraus entries,
-# renormalizes and rotates back with the same rotation by -phi; every
-# step is elementwise over shots.  The excess dephasing of a Gaussian
-# meter with eta < 1 is a stochastic sign flip of the ket1 branch, the
-# same channel in expectation.  Scalars broadcast, so a state shared by
-# all shots (the Bell pair) is passed as four floats.  A stage rotates
-# and scales the amplitude arrays it is handed in place and returns them
-# as the post-state, so a chunk holds one set of them.  Every other
-# array, each RNG block included, is a float64 buffer of a Workspace
-# that the stage writes through ``out=`` and gives back once it is
-# summed or compared.  A coin flip's uniform block becomes its 0.0/1.0
-# mask, and the mask its signs, in one buffer.  Every element still goes
-# through the operations of the written-out expressions (``c*a + s*b``,
-# ``x*keep_x + y*keep_y``, ...) in the same order, so the records keep
-# every bit.  The way back by -phi keeps them too: numpy's cos is even
-# and its sin odd, bit for bit, and ``c*x + (-s)*y == c*x - s*y``.
+# No shot carries a state.  Every operator here is real, and on the Bell
+# pair an operator on arm 1 acts on arm 2 as its transpose,
+# (K (x) I)|Phi+> = (I (x) K^T)|Phi+>, so every joint probability of the
+# protocol is a pairing <A (x) B> = Tr(A B)/2 of one real symmetric 2x2
+# effect per arm, and each stage's outcome is drawn from the conditional
+# law that these pairings give in closed form.  In an arm's analyzer frame
+# (Z = P0 - P1, X = |ket0><ket1| + |ket1><ket0|) a weak outcome with Kraus
+# operator K = k0 P0 + k1 P1 leaves K K ~ I + T Z, and what the arm's readout
+# P later sees is K P K, which needs one more number, K X K ~ g X.  So each
+# weak stage leaves two per-shot numbers on its arm:
+#
+#   Gaussian  T = tanh(t), g = sech(t) with t = alpha/sigma^2 (k0/k1 = e^t),
+#             g negated where the phase flip of eta < 1 fires;
+#   ancilla   T = +/-v_ent by the branch drawn, g = Xi, one float.
+#
+# Every stage draws its outcome from the measured arm's Bloch component b
+# along its analyzer, given all earlier outcomes: ket0 has probability
+# (1 + b)/2, and the ancilla's plus branch 1/2 + (v_ent/2) b.  With D = a2 - a1,
+# c1, s1 = cos, sin(b1 - a1) and c2, s2 = cos, sin(b2 - a2):
+#
+#   weak arm 1     b = 0
+#   weak arm 2     b = T1 cos D
+#   readout arm 1  b = (c1 T1 + A1 T2) / (1 + cos D T1 T2),  A1 = c1 cos D + s1 sin D g1
+#   readout arm 2  b = (c2 T2 f0 + A2 fz + B2 fx) / ((1 + cos D T1 T2)(1 + e b3)),
+#                  A2 = c2 cos D - s2 sin D g2,  B2 = c2 sin D + s2 cos D g2
+#
+# where e = +/-1 is arm 1's true readout, b3 the Bloch component it was
+# drawn from, and (f0, fz, fx) = (1 + e c1 T1, T1 + e c1, e s1 g1) arm 1's
+# projected effect K1 P K1 ~ f0 I + fz Z + fx X, paired with arm 2's effect
+# in arm 2's frame.
+#
+# A Gaussian chunk with eta < 1 on both arms takes 82 elementwise float
+# passes besides its 8 uniform and 2 normal blocks, and an ancilla chunk 58.
+# The amplitude kernel, which keeps four amplitude arrays per shot, rotates
+# them into and out of each analyzer frame and renormalises them at each
+# weak stage, takes 138 and 132, and one more buffer.  The draws, their
+# order and the signal arithmetic are that kernel's, and each threshold
+# equals its threshold up to rounding, so a record can differ only where a
+# uniform lies within a few ulps of its threshold.  The tests compare the
+# records byte for byte with the amplitude kernel, which
+# ``tests/oracle.py`` keeps as ``sample_records_reference``.
+#
+# Every array is a float64 buffer of a Workspace that a stage writes
+# through ``out=`` and gives back once it is summed or compared.  A coin
+# flip's uniform block becomes its 0.0/1.0 mask, and the mask its signs,
+# in one buffer.  Scalars broadcast: a Bloch component or a coherence
+# shared by every shot is one float.
 # ---------------------------------------------------------------------------
 
-Amplitudes = tuple  # (c00, c01, c10, c11): arrays or floats
-
-BELL_AMPLITUDES: Amplitudes = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
+#: the Bell pair Phi+ in the joint basis |00>, |01>, |10>, |11> (see :mod:`blgi.qmath`)
+BELL_AMPLITUDES = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
 
 
 class Workspace:
@@ -225,47 +254,20 @@ class Workspace:
         self._free = list(self._buffers)
 
 
-def _rotation(phi: float) -> tuple[float, float]:
-    # ket0 = (c, s) and ket1 = (-s, c) with c = cos(phi/2), s = sin(phi/2)
-    return float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
+def _cos_sin(phi_from: float, phi_to: float) -> tuple[float, float]:
+    """``cos`` and ``sin`` of ``phi_to - phi_from``, from each angle's own: no difference is rounded."""
+    c_from, s_from = math.cos(phi_from), math.sin(phi_from)
+    c_to, s_to = math.cos(phi_to), math.sin(phi_to)
+    return c_to * c_from + s_to * s_from, s_to * c_from - c_to * s_from
 
 
-def _pairs(amps: Amplitudes, arm: int) -> Amplitudes:
-    # (a0, a1, b0, b1): arm's |0> (a) and |1> (b) amplitudes at the other arm's |0>, |1>; its own inverse
-    return amps if arm == 1 else (amps[0], amps[2], amps[1], amps[3])
-
-
-def _rotate(pairs: Amplitudes, phi: float, workspace: Workspace) -> Amplitudes:
-    """Each pair ``(a, b)`` of ``pairs = (a0, a1, b0, b1)`` becomes ``(c*a + s*b, c*b - s*a)``, arrays in place."""
-    a0, a1, b0, b1 = pairs
-    c, s = _rotation(phi)
-    if not isinstance(a0, np.ndarray):
-        return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
-    sa, sb = workspace.take(a0.size), workspace.take(a0.size)
-    for a, b in ((a0, b0), (a1, b1)):
-        np.multiply(s, a, out=sa)
-        np.multiply(s, b, out=sb)
-        # c*a + s*b and c*b - s*a, each with the operands in that order
-        np.add(np.multiply(c, a, out=a), sb, out=a)
-        np.subtract(np.multiply(c, b, out=b), sa, out=b)
-    workspace.give(sa, sb)
-    return pairs
-
-
-def _scaled(x, w: np.ndarray, workspace: Workspace) -> np.ndarray:
-    """``x * w``, written over ``x`` where it is an array, else into a buffer."""
-    return np.multiply(x, w, out=x if isinstance(x, np.ndarray) else workspace.take(w.size))
-
-
-def _squared_sum(x, y, workspace: Workspace):
-    """``x*x + y*y``: a float for floats, else a buffer."""
+def _affine(x, scale: float, offset: float, workspace: Workspace, out: np.ndarray | None = None):
+    """``x*scale + offset``: a float for a float ``x``, else written over ``out`` or a new buffer."""
     if not isinstance(x, np.ndarray):
-        return x * x + y * y
-    total = np.multiply(x, x, out=workspace.take(x.size))
-    square = np.multiply(y, y, out=workspace.take(x.size))
-    total += square
-    workspace.give(square)
-    return total
+        return x * scale + offset
+    y = np.multiply(x, scale, out=workspace.take(x.size) if out is None else out)
+    y += offset
+    return y
 
 
 def _uniform_below(threshold, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -274,99 +276,12 @@ def _uniform_below(threshold, rng: np.random.Generator, out: np.ndarray) -> np.n
     return np.less(out, threshold, out=out)
 
 
-def _gaussian_branch_scales(
-    signals: np.ndarray, variance: float, workspace: Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The Kraus entries ``g0, g1`` of pointer readouts ``signals``, up to a
-    common per-shot factor.
-
-    ``g0/g1 = exp(alpha/variance)``, so dividing both by the larger one
-    gives ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t =
-    alpha/variance``: neither underflows to zero with the other.
-    """
-    t = np.divide(signals, variance, out=workspace.take(signals.size))
-    g0 = np.minimum(t, 0.0, out=workspace.take(signals.size))
-    g1 = np.negative(np.maximum(t, 0.0, out=t), out=t)
-    return np.exp(g0, out=g0), np.exp(g1, out=g1)
-
-
-def weak_stage(
-    amps: Amplitudes,
-    arm: int,
-    spec: MeterSpec,
-    phi: float,
-    rng: np.random.Generator,
-    n: int,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, Amplitudes]:
-    """Weakly measure ``arm`` along analyzer angle ``phi`` in ``n`` shots.
-
-    Returns ``(signals, post-state amplitudes)``.  The stage consumes
-    ``amps``: arrays are overwritten and returned as the post-state, so
-    the caller must not read them again.  Floats, such as a state shared
-    by every shot, are left alone, and the post-state is then four
-    buffers of ``workspace``, as ``signals`` always is (a new workspace
-    of ``n`` entries when none is given).
-
-    Draw order: Gaussian, one uniform block (mixture component), one
-    normal block (pointer value) and, only when ``eta < 1``, one uniform
-    block (phase flip); ancilla, one uniform block (branch) and one
-    uniform block (readout flip).
-    """
-    workspace = Workspace(n) if workspace is None else workspace
-    x0, x1, y0, y1 = _rotate(_pairs(amps, arm), phi, workspace)
-    p0 = _squared_sum(x0, x1, workspace)
-    p1 = _squared_sum(y0, y1, workspace)
-    if isinstance(spec, GaussianMeterSpec):
-        component = _uniform_below(p0, rng, workspace.take(n))
-        signals = _signs(component, out=component)
-        normal = rng.standard_normal(out=workspace.take(n))
-        signals += np.multiply(spec.sigma, normal, out=normal)
-        workspace.give(normal)
-        w0, w1 = _gaussian_branch_scales(signals, spec.variance, workspace)
-    elif isinstance(spec, AncillaMeterSpec):
-        half = spec.v_ent / 2.0
-        threshold = np.multiply(0.5 + half, p0, out=workspace.take(n))
-        term = np.multiply(0.5 - half, p1, out=workspace.take(n))
-        threshold += term
-        workspace.give(term)
-        took_plus = _uniform_below(threshold, rng, workspace.take(n))
-        workspace.give(threshold)
-        strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
-        shift = np.multiply(strong - weak, took_plus, out=workspace.take(n))
-        w0 = np.add(weak, shift, out=workspace.take(n))
-        w1 = np.subtract(strong, shift, out=shift)
-        flip = _uniform_below((1.0 - spec.u) / 2.0, rng, workspace.take(n))
-        # a Python-float reciprocal overflows to inf without a numpy warning,
-        # and +/-1 * (1/v) is +/-1/v exactly
-        signals = _signs(np.not_equal(took_plus, flip, out=flip), out=flip)
-        workspace.give(took_plus)
-        signals *= 1.0 / spec.v_total
-    else:
-        raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-    # norm = 1/sqrt(w0*w0*p0 + w1*w1*p1), each buffer given back as soon as it is summed
-    norm = np.multiply(w0, w0, out=workspace.take(n))
-    norm *= p0
-    workspace.give(p0)
-    scratch = np.multiply(w1, w1, out=workspace.take(n))
-    scratch *= p1
-    workspace.give(p1)
-    norm += scratch
-    workspace.give(scratch)
-    np.divide(1.0, np.sqrt(norm, out=norm), out=norm)
-    w0 *= norm
-    w1 *= norm
-    workspace.give(norm)
-    if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
-        flip = _uniform_below(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, workspace.take(n))
-        flip *= -2.0  # 1 - 2*flip: -1.0 where the ket1 branch flips, else +1.0
-        flip += 1.0
-        w1 *= flip
-        workspace.give(flip)
-    x0, x1 = _scaled(x0, w0, workspace), _scaled(x1, w0, workspace)
-    y0, y1 = _scaled(y0, w1, workspace), _scaled(y1, w1, workspace)
-    workspace.give(w0, w1)  # freed before the rotation takes its two: peak memory
-    return signals, _pairs(_rotate((x0, x1, y0, y1), -phi, workspace), arm)
+def _drawn_below(bloch, weight: float, rng: np.random.Generator, n: int, workspace: Workspace) -> np.ndarray:
+    """The 0.0/1.0 mask of ``uniform < 1/2 + weight*bloch``, in a buffer of ``workspace``."""
+    threshold = _affine(bloch, weight, 0.5, workspace)
+    mask = _uniform_below(threshold, rng, workspace.take(n))
+    workspace.give(threshold)
+    return mask
 
 
 def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -377,75 +292,94 @@ def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return signs
 
 
+def _gaussian_effect(signals: np.ndarray, variance: float, workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """``tanh(t)`` and ``sech(t)`` of ``t = signals/variance``, each a new buffer."""
+    t = np.divide(signals, variance, out=workspace.take(signals.size))
+    length = np.tanh(t, out=workspace.take(signals.size))
+    # sech(t) = exp(-|t|) * (1 + |tanh(t)|): no exponent is positive, so nothing overflows
+    coherence = np.abs(length, out=workspace.take(signals.size))
+    coherence += 1.0
+    coherence *= np.exp(np.negative(np.abs(t, out=t), out=t), out=t)
+    workspace.give(t)
+    return length, coherence
+
+
+def weak_stage(
+    spec: MeterSpec,
+    bloch,
+    rng: np.random.Generator,
+    n: int,
+    workspace: Workspace | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+    """Weakly measure, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
+
+    ``bloch`` is ``<P0 - P1>`` on the arm's state given every earlier
+    outcome, a float or one per shot: 0 on an arm of the Bell pair,
+    ``cos(phi)`` on ``|0>``.  Returns ``(signals, length, coherence)``:
+    the signals and the effect each outcome leaves on the arm, its Bloch
+    length ``T`` and signed coherence ``g`` (see the shot-kernel comment).
+    ``bloch`` is left alone.  The arrays returned are buffers of
+    ``workspace`` (a new workspace of ``n`` entries when none is given);
+    an ancilla's coherence is one float.
+
+    Draw order: Gaussian, one uniform block (mixture component), one
+    normal block (pointer value) and, only when ``eta < 1``, one uniform
+    block (phase flip); ancilla, one uniform block (branch) and one
+    uniform block (readout flip).
+    """
+    workspace = Workspace(n) if workspace is None else workspace
+    if isinstance(spec, GaussianMeterSpec):
+        component = _drawn_below(bloch, 0.5, rng, n, workspace)
+        signals = _signs(component, out=component)
+        normal = rng.standard_normal(out=workspace.take(n))
+        signals += np.multiply(spec.sigma, normal, out=normal)
+        workspace.give(normal)
+        length, coherence = _gaussian_effect(signals, spec.variance, workspace)
+        if spec.eta < 1.0:
+            flip = _uniform_below(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, workspace.take(n))
+            flip *= -2.0  # 1 - 2*flip: -1.0 where the phase flips, else +1.0
+            flip += 1.0
+            coherence *= flip
+            workspace.give(flip)
+        return signals, length, coherence
+    if isinstance(spec, AncillaMeterSpec):
+        took_plus = _drawn_below(bloch, spec.v_ent / 2.0, rng, n, workspace)
+        length = np.multiply(took_plus, 2.0 * spec.v_ent, out=workspace.take(n))
+        length -= spec.v_ent
+        flip = _uniform_below((1.0 - spec.u) / 2.0, rng, workspace.take(n))
+        # a Python-float reciprocal overflows to inf without a numpy warning,
+        # and +/-1 * (1/v) is +/-1/v exactly
+        signals = _signs(np.not_equal(took_plus, flip, out=flip), out=flip)
+        workspace.give(took_plus)
+        signals *= 1.0 / spec.v_total
+        return signals, length, dephasing_factor(spec)
+    raise TypeError(f"unsupported meter spec {type(spec).__name__}")
+
+
 def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator, workspace: Workspace):
     # the reported sign is the true one, flipped with probability (1 - v)/2
     flip = _uniform_below((1.0 - spec.v) / 2.0, rng, workspace.take(hit0.size))
     return _signs(np.not_equal(hit0, flip, out=flip), out=flip)
 
 
-def first_readout(
-    amps: Amplitudes,
+def readout_stage(
     spec: ProjectiveMeterSpec,
-    phi: float,
+    bloch,
     rng: np.random.Generator,
     n: int,
     workspace: Workspace | None = None,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Projectively read out arm 1 along analyzer angle ``phi`` in ``n`` shots.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projectively read out, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
 
-    Returns ``(signals, (z0, z1))``: the projection leaves the pair in
-    the product of the true outcome's analyzer ket with arm 2's
-    conditional ket ``z0|0> + z1|1>``, returned unnormalized.  Only the
-    reported sign suffers the misidentification flip.  Like
-    :func:`weak_stage`, the stage consumes the arrays in ``amps``: ``z0``
-    and ``z1`` are written over two of them, and ``signals`` is a buffer
-    of ``workspace``.  Draw order: one uniform block (outcome), one
-    uniform block (flip).
+    Returns ``(signals, hit0)``: the reported signs and the true outcome
+    as a 0.0/1.0 mask, 1.0 for ``ket0``; only the reported sign suffers
+    the misidentification flip.  ``bloch`` is left alone, and both arrays
+    are buffers of ``workspace``, as in :func:`weak_stage`.  Draw order:
+    one uniform block (outcome), one uniform block (flip).
     """
     workspace = Workspace(n) if workspace is None else workspace
-    x0, x1, y0, y1 = _rotate(amps, phi, workspace)
-    weight0 = _squared_sum(x0, x1, workspace)
-    keep_x = _uniform_below(weight0, rng, workspace.take(n))
-    workspace.give(weight0)
-    signals = _reported(keep_x, spec, rng, workspace)
-    # exact select: one of the two products is x*1 or y*1, the other zero
-    keep_y = np.subtract(1.0, keep_x, out=workspace.take(n))
-    z0 = _scaled(x0, keep_x, workspace)
-    z0 += _scaled(y0, keep_y, workspace)
-    z1 = _scaled(x1, keep_x, workspace)
-    z1 += _scaled(y1, keep_y, workspace)
-    workspace.give(keep_x, keep_y)
-    return signals, (z0, z1)
-
-
-def second_readout(
-    ket: tuple[np.ndarray, np.ndarray],
-    spec: ProjectiveMeterSpec,
-    phi: float,
-    rng: np.random.Generator,
-    n: int,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """Projectively read out arm 2 along ``phi``, in state ``ket`` from :func:`first_readout`.
-
-    The last measurement leaves no state behind, so only the ket0
-    probability ``<ket0|z>^2 / <z|z>`` is formed, in place: the stage
-    consumes the arrays of ``ket``.  The signals are a buffer of
-    ``workspace``.  Draw order: one uniform block (outcome), one uniform
-    block (flip).
-    """
-    workspace = Workspace(n) if workspace is None else workspace
-    z0, z1 = ket
-    c, s = _rotation(phi)
-    squared_norm = _squared_sum(z0, z1, workspace)
-    # along0 = c*z0 + s*z1, then along0*along0 / squared_norm, all over z0
-    along0 = np.add(np.multiply(c, z0, out=z0), np.multiply(s, z1, out=z1), out=z0)
-    probability0 = np.divide(np.multiply(along0, along0, out=along0), squared_norm, out=along0)
-    workspace.give(squared_norm)
-    hit0 = _uniform_below(probability0, rng, workspace.take(n))
-    signals = _reported(hit0, spec, rng, workspace)
-    workspace.give(hit0)
-    return signals
+    hit0 = _drawn_below(bloch, 0.5, rng, n, workspace)
+    return _reported(hit0, spec, rng, workspace), hit0
 
 
 def sample_records(
@@ -461,7 +395,8 @@ def sample_records(
 
     ``angles`` are the analyzers ``(a1, a2, b1, b2)`` in radians; a
     non-finite one raises ValueError.  Stages and draws run in the order
-    weak arm 1, weak arm 2, readout arm 1, readout arm 2.
+    weak arm 1, weak arm 2, readout arm 1, readout arm 2, each drawn from
+    the Bloch component the shot-kernel comment gives.
 
     Every array of the chunk, the four records included, is a buffer of
     ``workspace``, which is reset first; without one, a new workspace of
@@ -476,8 +411,51 @@ def sample_records(
             raise ValueError(f"analyzer angle must be finite, got {phi}")
     workspace = Workspace(n) if workspace is None else workspace
     workspace.reset()
-    alpha1, amps = weak_stage(BELL_AMPLITUDES, 1, meter1, phi_a1, rng, n, workspace)
-    alpha2, amps = weak_stage(amps, 2, meter2, phi_a2, rng, n, workspace)
-    b1, ket = first_readout(amps, readout, phi_b1, rng, n, workspace)
-    b2 = second_readout(ket, readout, phi_b2, rng, n, workspace)
+    cos_d, sin_d = _cos_sin(phi_a1, phi_a2)
+    c1, s1 = _cos_sin(phi_a1, phi_b1)
+    c2, s2 = _cos_sin(phi_a2, phi_b2)
+
+    alpha1, t1, g1 = weak_stage(meter1, 0.0, rng, n, workspace)
+    bloch = np.multiply(t1, cos_d, out=workspace.take(n))
+    alpha2, t2, g2 = weak_stage(meter2, bloch, rng, n, workspace)
+
+    # readout arm 1: b3 = (c1 T1 + A1 T2) / norm with norm = 1 + cos D T1 T2
+    coeff_a1 = _affine(g1, s1 * sin_d, c1 * cos_d, workspace)
+    bloch = np.multiply(t2, coeff_a1, out=bloch)
+    workspace.give(coeff_a1)
+    norm = np.multiply(t1, c1, out=workspace.take(n))
+    bloch += norm
+    norm = np.multiply(t1, t2, out=norm)
+    norm *= cos_d
+    norm += 1.0
+    bloch /= norm
+    b1, hit0 = readout_stage(readout, bloch, rng, n, workspace)
+    sign = _signs(hit0, out=hit0)  # e
+    # arm 2's normaliser: norm * (1 + e b3)
+    bloch *= sign
+    bloch += 1.0
+    norm *= bloch
+    workspace.give(bloch)
+
+    # readout arm 2: b4 = (c2 T2 f0 + A2 fz + B2 fx) / norm; g1, g2 and t1 are written over
+    coeff_a2 = _affine(g2, -s2 * sin_d, c2 * cos_d, workspace)
+    coeff_b2 = _affine(g2, s2 * cos_d, c2 * sin_d, workspace, out=g2)
+    fx = np.multiply(sign, g1, out=g1 if isinstance(g1, np.ndarray) else workspace.take(n))
+    fx *= s1
+    fx *= coeff_b2
+    workspace.give(coeff_b2)
+    sign *= c1
+    bloch = np.multiply(sign, t1, out=workspace.take(n))
+    bloch += 1.0  # f0
+    fz = np.add(t1, sign, out=t1)
+    workspace.give(sign)
+    bloch *= t2
+    bloch *= c2
+    fz *= coeff_a2
+    bloch += fz
+    bloch += fx
+    bloch /= norm
+    workspace.give(fz, fx, coeff_a2, t2, norm)
+    b2, hit0 = readout_stage(readout, bloch, rng, n, workspace)
+    workspace.give(bloch, hit0)
     return alpha1, alpha2, b1, b2

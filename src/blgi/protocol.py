@@ -220,7 +220,7 @@ def _chunks_in_order(tasks: Iterable[Callable], threads: int | None) -> Iterator
     the ``next`` that would have yielded its result.  The pool is shut
     down when the results end, however they end; the lent workspaces stay
     for the life of the process, at most one per concurrently running
-    block, up to 5.5 MiB each.
+    block, up to 5 MiB each.
     """
     usable = _usable_cpus()
     workers = usable if threads is None else min(threads, usable)
@@ -281,7 +281,7 @@ def monte_carlo(
     for any number of workers.  The chunks run on every usable CPU, or on
     at most ``threads`` of them.  Each chunk is drawn into a workspace lent
     to it alone; lent workspaces stay for the life of the process, at most
-    one per concurrently running block, up to 5.5 MiB each, and later calls reuse
+    one per concurrently running block, up to 5 MiB each, and later calls reuse
     them.  ``on_records``, if given, receives each chunk's
     ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the calling
     thread: exactly the shots being averaged, copied out of the chunk's
@@ -359,7 +359,7 @@ def predicted_stderr(config: ExperimentConfig) -> float:
 
 def _projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
     """The real 2x2 projectors onto analyzer ``phi``'s ``ket0`` and ``ket1``."""
-    c, s = meas._rotation(phi)
+    c, s = float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
     ket0, ket1 = np.array([c, s]), np.array([-s, c])
     return np.outer(ket0, ket0), np.outer(ket1, ket1)
 

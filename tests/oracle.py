@@ -1,10 +1,10 @@
 """Density-matrix reference for the tests: states, Kraus operators, single shots.
 
 The runtime never builds a two-qubit density matrix shot by shot: the
-sampler works on four real amplitudes and the exact mean pairs real 2x2
-observables through them.  This module keeps the textbook formulation beside
-them, so that every kernel stage, every meter and the exact mean can be
-checked against it:
+sampler draws each stage from a closed-form Bloch component of per-shot 2x2
+effects, and the exact mean pairs real 2x2 observables through the Bell
+amplitudes.  This module keeps the textbook formulation beside them, so that
+every kernel stage, every meter and the exact mean can be checked against it:
 
 * :class:`AnalyzerBasis` is an analyzer angle's orthonormal complex qubit
   basis, built by :func:`analyzer_basis`,
@@ -21,9 +21,10 @@ checked against it:
 * :func:`lhv_records_reference` is the hidden-variable sampler written as
   one expression per array, the reference for the in-place
   :func:`blgi.lhv.lhv_records`,
-* :func:`sample_records_reference` is the record kernel written one
-  expression per array, the reference for the in-place stages of
-  :func:`blgi.measurement.sample_records`,
+* :func:`sample_records_reference` is the amplitude kernel, which keeps
+  each shot's four real amplitudes, written one expression per array: the
+  records of :func:`blgi.measurement.sample_records` must match it byte for
+  byte,
 * :func:`write_records_reference` is the records writer joined field by
   field, the reference for :func:`blgi.cli._write_records`.
 """
@@ -361,9 +362,11 @@ def exact_mean_reference(config: ExperimentConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The record kernel written one expression per array: every stage returns
-# fresh arrays and leaves its inputs alone.  The runtime stages in
-# :mod:`blgi.measurement` work in place; they must match these bit for bit.
+# The amplitude kernel written one expression per array: each shot is a pure
+# state of four real amplitudes, which every stage rotates into the analyzer
+# frame, updates by the drawn outcome and rotates back, returning fresh
+# arrays.  The runtime's Bloch kernel in :mod:`blgi.measurement` draws the
+# same uniforms and normals and must write the same records bit for bit.
 # ---------------------------------------------------------------------------
 
 

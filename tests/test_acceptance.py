@@ -16,7 +16,7 @@ from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    first_readout,
+    readout_stage,
     weak_stage,
 )
 from blgi.protocol import (
@@ -129,10 +129,8 @@ def test_criterion_5_ancilla_mid_strength():
 
     rng = np.random.default_rng(506)
     shots = 1_000_000
-    eigenstate = (1.0, 0.0, 0.0, 0.0)  # |00>, shared by every shot
-    signals, _ = weak_stage(
-        eigenstate, 1, AncillaMeterSpec(v_total=0.6), 0.0, rng, shots
-    )
+    eigenstate = 1.0  # |0> along phi = 0: its Bloch component cos(0), shared by every shot
+    signals, _, _ = weak_stage(AncillaMeterSpec(v_total=0.6), eigenstate, rng, shots)
     variance = signals.var(ddof=1)
     variance_target = 1 / 0.36 - 1
     variance_dev = abs(variance - variance_target) / variance_target
@@ -305,24 +303,24 @@ def _invariant_calibration() -> tuple[bool, str]:
     ok = True
 
     rng = np.random.default_rng(809)
-    eigen = (1.0, 0.0, 0.0, 0.0)  # |00>, shared by every shot
+    eigen = np.cos(phi)  # |0>'s Bloch component along phi, shared by every shot
 
     spec = GaussianMeterSpec(sigma=1.5, eta=0.7)
-    signals, _ = weak_stage(eigen, 1, spec, phi, rng, shots)
+    signals, _, _ = weak_stage(spec, eigen, rng, shots)
     stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"gaussian |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = AncillaMeterSpec(v_total=0.5, u=0.9)
-    signals, _ = weak_stage(eigen, 1, spec, phi, rng, shots)
+    signals, _, _ = weak_stage(spec, eigen, rng, shots)
     stderr = np.sqrt(1 / spec.v_total**2) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"ancilla |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = ProjectiveMeterSpec(v=0.8)
-    signals, _ = first_readout(eigen, spec, phi, rng, shots)
+    signals, _ = readout_stage(spec, eigen, rng, shots)
     stderr = 1 / np.sqrt(shots)
     dev = abs(signals.mean() - spec.v * target)
     ok = ok and dev < 4 * stderr

@@ -1028,10 +1028,17 @@ class TestInputErrors:
             (["simulate", "--shots", "0"], None, "--shots"),
             (["sweep", "--axis", "v", "--values", "1", "--seed", "-1"], None, "--seed"),
             (["sweep", "--axis", "v", "--values", "1", "--shots", "-5"], None, "--shots"),
+            # one shot is in range but has no standard error
+            (["simulate"], "[run]\nshots = 1\n", "run.shots"),
+            (["sweep", "--axis", "v", "--values", "1"], "[run]\nshots = 1\n", "run.shots"),
+            (["simulate", "--shots", "1"], None, "--shots"),
+            (["sweep", "--axis", "v", "--values", "1", "--shots", "1"], None, "--shots"),
+            (["lhv", "--random", "1", "--shots", "1"], None, "--shots"),
         ],
         ids=[
             "config seed -1", "config shots 0", "sweep config seed -1", "simulate --seed -1",
             "simulate --seed 2**64", "simulate --shots 0", "sweep --seed -1", "sweep --shots -5",
+            "config shots 1", "sweep config shots 1", "simulate --shots 1", "sweep --shots 1", "lhv --shots 1",
         ],
     )
     def test_range_error_names_the_key_or_flag(self, argv, config, named, tmp_path, capsys):
@@ -1057,6 +1064,30 @@ class TestInputErrors:
         assert _exit_code(["lhv", "--brute-force", "--out", str(out)]) == 2
         assert "unrecognized arguments: --brute-force" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "first, change, named",
+        [
+            (["simulate"], _set_config("run", "shots", 1), "run.shots: shots must be >= 2"),
+            (["sweep", "--axis", "v", "--values", "1"], _set_config("run", "shots", 1), "run.shots: shots must be >= 2"),
+            (["lhv", "--random", "1"], _set_stored("--shots", "1"), "--shots: shots must be >= 2"),
+            # float(True) and int(True) are 1, but a JSON boolean is no number
+            (["simulate"], _set_config("meter1", "sigma", True), "meter1.sigma: expected a number, got True"),
+            (["simulate"], _set_config("run", "shots", True), "run.shots: expected an integer, got True"),
+            (["sweep", "--axis", "v", "--values", "1"], _set_config("b", "v", False), "b.v: expected a number, got False"),
+        ],
+        ids=["simulate run.shots 1", "sweep run.shots 1", "lhv --shots=1", "meter1.sigma true", "run.shots true", "b.v false"],
+    )
+    def test_manifest_rerun_error_names_the_key_or_flag(self, first, change, named, tmp_path, capsys):
+        manifest = tmp_path / "run.json"
+        argv = [*first, "--shots", "100", "--seed", "3", "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        manifest.write_text(json.dumps(change(json.loads(_read(manifest)))), encoding="utf-8")
+        capsys.readouterr()
+        assert main([first[0], "--manifest", str(manifest), "--out", str(tmp_path / "y.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}")
+        assert not (tmp_path / "y.csv").exists()
 
     def test_lhv_manifest_seed_out_of_range(self, tmp_path, capsys):
         manifest = tmp_path / "run.json"

@@ -1,11 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import roots_hermite
 
 from blgi.measurement import (
-    BELL_AMPLITUDES,
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
@@ -13,9 +13,8 @@ from blgi.measurement import (
     _uniform_below,
     dephasing_factor,
     excess_dephasing_factor,
-    first_readout,
+    readout_stage,
     sample_records,
-    second_readout,
     weak_stage,
 )
 from oracle import (
@@ -33,8 +32,8 @@ from oracle import (
     weak_stage_reference,
 )
 
-#: |00>, one state shared by every shot
-KET_00 = (1.0, 0.0, 0.0, 0.0)
+#: Pauli X, the coherence axis of the analyzer at phi = 0
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _flat_hermite(order, sigma):
@@ -53,7 +52,7 @@ def _product_state(ket1, ket2):
 
 
 def _pure(amps, index):
-    """Density matrix of shot ``index`` of the kernel's amplitude arrays."""
+    """Density matrix of shot ``index`` of amplitude arrays ``(c00, c01, c10, c11)``."""
     psi = np.array([a[index] for a in amps], dtype=float)
     return TwoQubitState.from_rho(np.outer(psi, psi))
 
@@ -63,14 +62,26 @@ def _random_amplitudes(rng, n):
     return tuple(psi / np.linalg.norm(psi, axis=0))
 
 
-def _mean_rho(amps):
-    """Average of the shots' |psi><psi| in the |00>,|01>,|10>,|11> basis."""
-    psi = np.stack(amps)
-    return psi @ psi.T / psi.shape[1]
+def _bloch_along(amps, arm, phi):
+    """Per shot, ``<P0 - P1>`` of analyzer ``phi`` on ``arm`` of normalized amplitude arrays."""
+    c00, c01, c10, c11 = amps
+    a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
+    c, s = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    x0, x1, y0, y1 = c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
+    return (x0 * x0 + x1 * x1) - (y0 * y0 + y1 * y1)
+
+
+def _random_meter(rng, gaussian):
+    """A Gaussian meter (``eta < 1`` half the time) or an ancilla meter, of moderate strength."""
+    if gaussian:
+        eta = 1.0 if rng.random() < 0.5 else rng.uniform(0.3, 1.0)
+        return GaussianMeterSpec(sigma=rng.uniform(0.3, 3.0), eta=eta)
+    u = rng.uniform(0.5, 1.0)
+    return AncillaMeterSpec(v_total=rng.uniform(0.05, u), u=u)
 
 
 class StubGenerator:
-    """Hands out fixed uniform blocks, in order, in place of ``random``."""
+    """Hands out fixed blocks, in order, in place of ``random`` and ``standard_normal``."""
 
     def __init__(self, *blocks):
         self._blocks = list(blocks)
@@ -80,6 +91,8 @@ class StubGenerator:
         assert block.shape == out.shape
         out[:] = block
         return out
+
+    standard_normal = random
 
 
 class TestSpecValidation:
@@ -223,81 +236,78 @@ class TestApplyDephasing:
             assert np.linalg.eigvalsh(updated.rho).min() > -1e-12
 
 
+
+
 class TestGaussianSampling:
     def test_calibration_on_eigenstate(self):
-        # signal mean equals the eigenvalue on an eigenstate of the basis
+        # signal mean equals the eigenvalue on an eigenstate of the analyzer, Bloch component 1
         spec = GaussianMeterSpec(sigma=2.0)
-        phi = 0.0
         rng = np.random.default_rng(42)
         shots = 1_000_000
-        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
+        signals, _, _ = weak_stage(spec, 1.0, rng, shots)
         stderr = spec.sigma / np.sqrt(shots)
         assert abs(signals.mean() - 1.0) < 4 * stderr
 
     def test_calibration_general_state(self):
-        # E[signal] = <O(phi)> for a state that is not an eigenstate
+        # E[signal] = <O(phi)> off an eigenstate: 0 on an arm of the Bell pair
         spec = GaussianMeterSpec(sigma=1.0)
-        phi = 1.1
         rng = np.random.default_rng(1)
         shots = 500_000
-        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, shots)
+        signals, _, _ = weak_stage(spec, 0.0, rng, shots)
         stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
         assert abs(signals.mean() - 0.0) < 4 * stderr
 
     def test_single_shot_outcome_contract(self):
+        # one Kraus operator k0 P0 + k1 P1 leaves a pure effect: T^2 + g^2 = 1
         spec = GaussianMeterSpec(sigma=0.7, eta=0.8)
         rng = np.random.default_rng(9)
-        signals, post = weak_stage(BELL_AMPLITUDES, 1, spec, 0.5, rng, 1)
-        assert signals.shape == (1,) and np.isfinite(signals[0])
-        assert abs(sum(float(a[0]) ** 2 for a in post) - 1) < 1e-12
+        signals, length, coherence = weak_stage(spec, 0.0, rng, 1)
+        assert signals.shape == length.shape == coherence.shape == (1,) and np.isfinite(signals[0])
+        assert abs(length[0] ** 2 + coherence[0] ** 2 - 1) < 1e-12
 
     @pytest.mark.parametrize("eta,factor", [(1.0, np.exp(-0.5)), (0.5, np.exp(-1.0))])
     def test_average_damping_matches_dephasing_factor(self, eta, factor):
-        # ensemble-averaged coherence of |+>|0> after measuring arm 1 in the
-        # computational basis shrinks by the meter's dephasing factor
+        # an arm in |+>, measured along phi = 0, keeps coherence g per shot:
+        # the ensemble average shrinks by the meter's dephasing factor
         spec = GaussianMeterSpec(sigma=1.0, eta=eta)
-        phi = 0.0
         rng = np.random.default_rng(77)
         shots = 400_000
-        plus = 1 / np.sqrt(2)
-        _, (c00, c01, c10, c11) = weak_stage((plus, 0.0, plus, 0.0), 1, spec, phi, rng, shots)
-        coherence = (c00 * c10 + c01 * c11).mean()
-        assert abs(coherence - 0.5 * factor) < 4 * 0.5 / np.sqrt(shots)
+        _, _, coherence = weak_stage(spec, 0.0, rng, shots)
+        assert abs(coherence.mean() - factor) < 4 / np.sqrt(shots)
 
     def test_single_shot_average_damping(self):
-        # the average of the per-shot post-states is the dephasing channel
+        # the average of the per-shot post-states (I + T Z + g X)/2 of |+> is the dephasing channel
         spec = GaussianMeterSpec(sigma=1.0)
         basis = analyzer_basis(0.0)
         rng = np.random.default_rng(123)
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         state = _product_state(plus, np.array([1.0, 0.0]))
         shots = 20_000
-        _, post = weak_stage(tuple(np.kron(plus, [1.0, 0.0])), 1, spec, basis.phi, rng, shots)
+        _, length, coherence = weak_stage(spec, 0.0, rng, shots)
+        mean = (np.eye(2) + length.mean() * basis.observable.real + coherence.mean() * PAULI_X) / 2
         expected = apply_dephasing(state, 1, np.exp(-0.5), basis)
-        np.testing.assert_allclose(_mean_rho(post), expected.rho.real, atol=5 * 0.5 / np.sqrt(shots))
+        np.testing.assert_allclose(mean, expected.reduced(1).real, atol=5 * 0.5 / np.sqrt(shots))
 
 
 class TestAncillaSampling:
     def test_eigenstate_signal_distribution(self):
         spec = AncillaMeterSpec(v_total=0.5, u=1.0)
-        phi = 0.0
         rng = np.random.default_rng(4)
         shots = 1_000_000
-        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
+        signals, _, _ = weak_stage(spec, 1.0, rng, shots)
         assert set(np.unique(signals)) == {-2.0, 2.0}
         p_plus = (signals > 0).mean()
         assert abs(p_plus - 0.75) < 4 * np.sqrt(0.75 * 0.25 / shots)
         assert abs(signals.mean() - 1.0) < 4 * np.sqrt((1 / 0.25 - 1) / shots)
 
     def test_projective_limit(self):
-        # full strength collapses the Bell pair onto |00> or |11>, as signalled
+        # full strength on the Bell pair: each effect is the projector its signal names
         spec = AncillaMeterSpec(v_total=1.0, u=1.0)
         rng = np.random.default_rng(0)
-        signals, (c00, c01, c10, c11) = weak_stage(BELL_AMPLITUDES, 1, spec, 0.0, rng, 200)
+        signals, length, coherence = weak_stage(spec, 0.0, rng, 200)
         assert set(np.unique(signals)) == {-1.0, 1.0}
-        np.testing.assert_allclose(np.abs(c00), signals > 0, atol=1e-12)
-        np.testing.assert_allclose(np.abs(c11), signals < 0, atol=1e-12)
-        np.testing.assert_allclose(np.abs(c01) + np.abs(c10), 0.0, atol=1e-12)
+        np.testing.assert_array_equal(length, signals)
+        assert coherence == 0.0
 
     def test_projective_limit_kraus_update_on_bell_state(self):
         # full-strength plus branch acts as the |0> projector: weight 1/2,
@@ -313,16 +323,15 @@ class TestAncillaSampling:
         spec = AncillaMeterSpec(v_total=0.6)
         rng = np.random.default_rng(8)
         shots = 200_000
-        signals, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi=0.4, rng=rng, n=shots)
+        signals, _, _ = weak_stage(spec, bloch=0.0, rng=rng, n=shots)
         np.testing.assert_allclose(np.abs(signals), 1 / 0.6, atol=1e-12)
 
     def test_eigenstate_variance(self):
         # signal variance on a definite state is 1/V^2 - 1
         spec = AncillaMeterSpec(v_total=0.6)
-        phi = 0.0
         rng = np.random.default_rng(14)
         shots = 500_000
-        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
+        signals, _, _ = weak_stage(spec, 1.0, rng, shots)
         expected = 1 / 0.36 - 1
         assert abs(signals.var(ddof=1) - expected) < 0.01 * expected
 
@@ -341,11 +350,10 @@ class TestAncillaSampling:
     def test_readout_visibility_preserves_calibration(self):
         # u < 1 flips the reported sign but the rescaled mean still matches <O>
         spec = AncillaMeterSpec(v_total=0.4, u=0.8)
-        phi = np.pi / 3
         rng = np.random.default_rng(21)
         shots = 1_000_000
-        signals, _ = weak_stage(KET_00, 1, spec, phi, rng, shots)
         target = np.cos(np.pi / 3)
+        signals, _, _ = weak_stage(spec, target, rng, shots)
         stderr = np.sqrt(1 / spec.v_total**2 - target**2) / np.sqrt(shots)
         assert abs(signals.mean() - target) < 4 * stderr
 
@@ -354,33 +362,32 @@ class TestProjectiveSampling:
     def test_eigenstate_is_deterministic(self):
         spec = ProjectiveMeterSpec(v=1.0)
         rng = np.random.default_rng(2)
-        signals, (z0, z1) = first_readout(KET_00, spec, 0.0, rng, 50)
-        assert np.all(signals == 1.0)
-        assert np.all(second_readout((z0, z1), spec, 0.0, rng, 50) == 1.0)
+        for bloch, sign in ((1.0, 1.0), (-1.0, -1.0)):
+            signals, hit0 = readout_stage(spec, bloch, rng, 50)
+            assert np.all(signals == sign)
+            assert np.all(hit0 == (sign > 0))
 
     def test_zero_visibility_is_coin_flip(self):
         spec = ProjectiveMeterSpec(v=0.0)
         rng = np.random.default_rng(6)
         shots = 200_000
-        signals, _ = first_readout(KET_00, spec, 0.0, rng, shots)
+        signals, _ = readout_stage(spec, 1.0, rng, shots)
         assert set(np.unique(signals)) == {-1.0, 1.0}
         assert abs(signals.mean()) < 4 / np.sqrt(shots)
 
     def test_bell_readouts_agree_at_equal_angles(self):
+        # sigma**2 overflows, so the weak meters see nothing (T = 0, g = 1) and leave the pair alone
         spec = ProjectiveMeterSpec(v=1.0)
-        phi = 0.0
-        rng = np.random.default_rng(10)
-        b1, ket = first_readout(BELL_AMPLITUDES, spec, phi, rng, 200)
-        b2 = second_readout(ket, spec, phi, rng, 200)
+        blind = GaussianMeterSpec(sigma=1e200)
+        _, _, b1, b2 = sample_records(200, blind, blind, spec, (0.7, 0.7, 0.7, 0.7), np.random.default_rng(10))
         assert set(np.unique(b1)) == {-1.0, 1.0}
         np.testing.assert_array_equal(b1, b2)
 
     def test_visibility_scales_reported_mean(self):
         spec = ProjectiveMeterSpec(v=0.7)
-        phi = np.pi / 3
         rng = np.random.default_rng(33)
         shots = 500_000
-        signals, _ = first_readout(KET_00, spec, phi, rng, shots)
+        signals, _ = readout_stage(spec, np.cos(np.pi / 3), rng, shots)
         target = 0.7 * np.cos(np.pi / 3)
         assert abs(signals.mean() - target) < 4 / np.sqrt(shots)
 
@@ -430,22 +437,18 @@ class TestNoSignaling:
         np.testing.assert_allclose(after, before, atol=1e-10)
 
     def test_kernel_average_leaves_the_other_arm_alone(self):
-        # the kernel's weak and readout stages on arm 1, averaged over shots
-        state = self._probe_state()
-        before = state.reduced(2).real
-        psi = np.linalg.eigh(state.rho)[1][:, -1].real
-        amps = tuple(float(a) for a in psi)
+        # averaged over arm 1's outcomes, arm 2 sees the Bell pair's marginal:
+        # the Bloch component T1 cos D its weak stage is handed averages to 0,
+        # and so does its readout behind a meter that sees nothing
         rng = np.random.default_rng(5)
         shots = 400_000
         tolerance = 5 / np.sqrt(shots)
+        blind = GaussianMeterSpec(sigma=1e200)
         for spec in (GaussianMeterSpec(sigma=0.8, eta=0.6), AncillaMeterSpec(v_total=0.7, u=0.9)):
-            _, post = weak_stage(amps, 1, spec, 0.6, rng, shots)
-            after = TwoQubitState.from_rho(_mean_rho(post)).reduced(2).real
-            np.testing.assert_allclose(after, before, atol=tolerance)
-        _, (z0, z1) = first_readout(amps, ProjectiveMeterSpec(v=1.0), -0.4, rng, shots)
-        norm = z0 * z0 + z1 * z1
-        after = np.array([[z0 * z0, z0 * z1], [z1 * z0, z1 * z1]]) / norm
-        np.testing.assert_allclose(after.mean(axis=-1), before, atol=tolerance)
+            _, length, _ = weak_stage(spec, 0.0, rng, shots)
+            assert abs(length.mean()) < tolerance
+            _, _, _, b2 = sample_records(shots, spec, blind, ProjectiveMeterSpec(v=1.0), (0.6, 0.2, -0.4, 1.3), rng)
+            assert abs(b2.mean()) < tolerance
 
 
 class TestBatchMatchesSingleShot:
@@ -453,25 +456,19 @@ class TestBatchMatchesSingleShot:
 
     def test_gaussian_means_agree(self):
         spec = GaussianMeterSpec(sigma=1.5)
-        phi = 0.8
         rng = np.random.default_rng(50)
-        single = np.concatenate(
-            [weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 1)[0] for _ in range(20_000)]
-        )
+        single = np.concatenate([weak_stage(spec, 0.0, rng, 1)[0] for _ in range(20_000)])
         rng = np.random.default_rng(51)
-        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 200_000)
+        batch, _, _ = weak_stage(spec, 0.0, rng, 200_000)
         pooled = np.sqrt(single.var() / single.size + batch.var() / batch.size)
         assert abs(single.mean() - batch.mean()) < 5 * pooled
 
     def test_ancilla_sign_probabilities_agree(self):
         spec = AncillaMeterSpec(v_total=0.6, u=0.9)
-        phi = 0.8
         rng = np.random.default_rng(52)
-        single = np.concatenate(
-            [weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 1)[0] for _ in range(20_000)]
-        )
+        single = np.concatenate([weak_stage(spec, 0.0, rng, 1)[0] for _ in range(20_000)])
         rng = np.random.default_rng(53)
-        batch, _ = weak_stage(BELL_AMPLITUDES, 1, spec, phi, rng, 200_000)
+        batch, _, _ = weak_stage(spec, 0.0, rng, 200_000)
         p_single = (single > 0).mean()
         p_batch = (batch > 0).mean()
         pooled = np.sqrt(0.25 / single.size + 0.25 / batch.size)
@@ -482,27 +479,26 @@ class TestBatchMatchesSingleShot:
         # ancilla's reported sign is + with p+ (1+u)/2 + (1-p+)(1-u)/2
         psi = np.array([2.0, 1.0, 0.0, 1.0]) / np.sqrt(6.0)
         state = TwoQubitState.from_rho(np.outer(psi, psi))
-        amps = tuple(float(a) for a in psi)
         basis = analyzer_basis(0.8)
         rng = np.random.default_rng(54)
         shots = 400_000
         observable = float(np.trace(embed(basis.observable, 1) @ state.rho).real)
         gaussian = GaussianMeterSpec(sigma=1.5)
-        signals, _ = weak_stage(amps, 1, gaussian, basis.phi, rng, shots)
+        signals, _, _ = weak_stage(gaussian, observable, rng, shots)
         assert abs(signals.mean() - observable) < 5 * signals.std() / np.sqrt(shots)
         ancilla = AncillaMeterSpec(v_total=0.6, u=0.9)
         p_plus = apply_operator(state, embed(ancilla_kraus(+1, ancilla.v_ent, basis), 1))[0]
         p_report = p_plus * (1 + ancilla.u) / 2 + (1 - p_plus) * (1 - ancilla.u) / 2
-        signals, _ = weak_stage(amps, 1, ancilla, basis.phi, rng, shots)
+        signals, _, _ = weak_stage(ancilla, observable, rng, shots)
         assert abs((signals > 0).mean() - p_report) < 5 * 0.5 / np.sqrt(shots)
 
 
 class TestKernelMatchesKrausOracle:
-    """Per shot, each kernel stage is the Kraus update of the outcome it drew.
+    """Per shot, each stage draws the outcome of the oracle's branch weight and leaves its Kraus update.
 
     The draws are replayed from an identically seeded generator in the
     documented order, and each shot's outcome is decided from the oracle's
-    branch weight (4x4 density matrices, ``apply_operator``).
+    branch weight on 4x4 density matrices (``apply_operator``).
     """
 
     SHOTS = 24
@@ -511,95 +507,122 @@ class TestKernelMatchesKrausOracle:
     def _weight0(state, arm, basis):
         return float(np.trace(embed(basis.projector0, arm) @ state.rho).real)
 
+    @staticmethod
+    def _components(state, arm, phi):
+        # the arm's Bloch components along analyzer phi (Z) and across it (X, the analyzer phi + pi/2)
+        return tuple(
+            float(np.trace(embed(analyzer_basis(angle).observable, arm) @ state.rho).real)
+            for angle in (phi, phi + np.pi / 2)
+        )
+
+    @staticmethod
+    def _weak_draws(rng, spec, n):
+        """One weak stage's blocks of draws, in the documented order."""
+        if isinstance(spec, AncillaMeterSpec):
+            return [rng.random(n), rng.random(n)]
+        blocks = [rng.random(n), rng.standard_normal(n)]
+        return blocks + ([rng.random(n)] if spec.eta < 1.0 else [])
+
+    @classmethod
+    def _weak_update(cls, state, arm, spec, basis, draws, i):
+        """Shot ``i``'s signal and post-state of a weak stage, by the oracle, from that stage's draws."""
+        if isinstance(spec, GaussianMeterSpec):
+            center = 1.0 if draws[0][i] < cls._weight0(state, arm, basis) else -1.0
+            signal = center + spec.sigma * draws[1][i]
+            _, state = apply_operator(state, embed(gaussian_kraus(signal, spec.sigma, basis), arm))
+            if spec.eta < 1.0 and draws[2][i] < 0.5 * (1.0 - excess_dephasing_factor(spec)):
+                _, state = apply_operator(state, embed(basis.observable, arm))
+            return signal, state
+        plus = embed(ancilla_kraus(+1, spec.v_ent, basis), arm)
+        sign = +1 if draws[0][i] < apply_operator(state, plus)[0] else -1
+        report = -sign if draws[1][i] < (1.0 - spec.u) / 2.0 else sign
+        _, state = apply_operator(state, embed(ancilla_kraus(sign, spec.v_ent, basis), arm))
+        return report / spec.v_total, state
+
     @pytest.mark.parametrize("arm", [1, 2])
     def test_weak_stage(self, arm):
+        # handed the arm's Bloch component, a stage draws the oracle's outcome,
+        # and its effect (T, g) carries the arm's state through the Kraus update
         rng = np.random.default_rng(100 + arm)
         n = self.SHOTS
         for trial in range(8):
-            gaussian = trial % 2 == 0
-            if gaussian:
-                eta = 1.0 if trial % 4 == 0 else rng.uniform(0.3, 1.0)
-                spec = GaussianMeterSpec(sigma=rng.uniform(0.3, 3.0), eta=eta)
-            else:
-                u = rng.uniform(0.5, 1.0)
-                spec = AncillaMeterSpec(v_total=rng.uniform(0.05, u), u=u)
+            spec = _random_meter(rng, gaussian=trial % 2 == 0)
             basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
             amps = _random_amplitudes(rng, n)
+            states = [_pure(amps, i) for i in range(n)]
+            along, across = np.array([self._components(state, arm, basis.phi) for state in states]).T
             seed = int(rng.integers(2**32))
-            # a stage consumes its amplitude arrays, and the checks below read amps
-            copies = tuple(a.copy() for a in amps)
-            signals, post = weak_stage(copies, arm, spec, basis.phi, np.random.default_rng(seed), n)
+            signals, length, coherence = weak_stage(spec, along, np.random.default_rng(seed), n)
+            coherence = np.broadcast_to(coherence, (n,))
 
-            replay = np.random.default_rng(seed)
-            branch_draws = replay.random(n)
-            if gaussian:
-                normal = replay.standard_normal(n)
-                flips = np.zeros(n, dtype=bool)
-                if spec.eta < 1.0:
-                    flips = replay.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
-            else:
-                report_draws = replay.random(n)
+            draws = self._weak_draws(np.random.default_rng(seed), spec, n)
             for i in range(n):
-                state = _pure(amps, i)
-                if gaussian:
-                    center = 1.0 if branch_draws[i] < self._weight0(state, arm, basis) else -1.0
-                    assert signals[i] == center + spec.sigma * normal[i]
-                    kraus = gaussian_kraus(signals[i], spec.sigma, basis)
-                else:
-                    plus = embed(ancilla_kraus(+1, spec.v_ent, basis), arm)
-                    sign = +1 if branch_draws[i] < apply_operator(state, plus)[0] else -1
-                    report = -sign if report_draws[i] < (1.0 - spec.u) / 2.0 else sign
-                    assert signals[i] == report / spec.v_total
-                    kraus = ancilla_kraus(sign, spec.v_ent, basis)
-                _, expected = apply_operator(state, embed(kraus, arm))
-                if gaussian and flips[i]:
-                    _, expected = apply_operator(expected, embed(basis.observable, arm))
-                np.testing.assert_allclose(_pure(post, i).rho, expected.rho, atol=1e-12)
+                signal, expected = self._weak_update(states[i], arm, spec, basis, draws, i)
+                assert signals[i] == signal
+                # (I + b Z + x X)/2 goes to (I + (T + b)/(1 + b T) Z + g x/(1 + b T) X)/2
+                scale = 1.0 + along[i] * length[i]
+                got = ((along[i] + length[i]) / scale, coherence[i] * across[i] / scale)
+                np.testing.assert_allclose(got, self._components(expected, arm, basis.phi), atol=1e-12)
 
-    def test_first_readout(self):
-        rng = np.random.default_rng(200)
+    def test_sample_records(self):
+        # every record of a chunk is the outcome the oracle's branch weight gives
+        # its replayed draw, on the 4x4 state that the earlier outcomes' Kraus
+        # updates and projections left: stages 2-4 see arm 1's back-action
+        rng = np.random.default_rng(400)
         n = self.SHOTS
-        for _ in range(6):
-            spec = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
-            basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
-            amps = _random_amplitudes(rng, n)
+        for trial in range(8):
+            meters = (_random_meter(rng, gaussian=trial % 2 == 0), _random_meter(rng, gaussian=trial % 4 < 2))
+            readout = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
+            angles = tuple(rng.uniform(-np.pi, np.pi, size=4))
             seed = int(rng.integers(2**32))
-            copies = tuple(a.copy() for a in amps)
-            signals, (z0, z1) = first_readout(copies, spec, basis.phi, np.random.default_rng(seed), n)
+            records = sample_records(n, *meters, readout, angles, np.random.default_rng(seed))
 
             replay = np.random.default_rng(seed)
-            hit_draws, flip_draws = replay.random(n), replay.random(n)
+            weak_draws = [self._weak_draws(replay, spec, n) for spec in meters]
+            readout_draws = [(replay.random(n), replay.random(n)) for _ in range(2)]
+            bases = [analyzer_basis(phi) for phi in angles]
             for i in range(n):
-                state = _pure(amps, i)
-                outcome = +1 if hit_draws[i] < self._weight0(state, 1, basis) else -1
-                report = -outcome if flip_draws[i] < (1.0 - spec.v) / 2.0 else outcome
-                assert signals[i] == report
-                projector = basis.projector0 if outcome == +1 else basis.projector1
-                _, expected = apply_operator(state, embed(projector, 1))
-                ket = basis.ket0.real if outcome == +1 else basis.ket1.real
-                psi = np.kron(ket, [z0[i], z1[i]]) / np.hypot(z0[i], z1[i])
-                np.testing.assert_allclose(np.outer(psi, psi), expected.rho, atol=1e-12)
+                state = bell_state()
+                for arm, spec, draws in zip((1, 2), meters, weak_draws):
+                    signal, state = self._weak_update(state, arm, spec, bases[arm - 1], draws, i)
+                    assert records[arm - 1][i] == signal
+                for arm, (hits, flips) in zip((1, 2), readout_draws):
+                    basis = bases[arm + 1]
+                    outcome = +1 if hits[i] < self._weight0(state, arm, basis) else -1
+                    report = -outcome if flips[i] < (1.0 - readout.v) / 2.0 else outcome
+                    assert records[arm + 1][i] == report
+                    if arm == 1:
+                        projector = basis.projector0 if outcome == +1 else basis.projector1
+                        _, state = apply_operator(state, embed(projector, 1))
 
-    def test_second_readout(self):
-        # stub draws straddle the oracle's ket0 probability by 1e-12, so the
-        # outcomes pin the kernel's probability to that precision
+    def test_readout_probabilities(self):
+        # stub draws straddle the oracle's ket0 probability of each readout by
+        # 1e-12, after either outcome on arm 1, so the outcomes pin the
+        # kernel's stage-3 and stage-4 probabilities to that precision
         rng = np.random.default_rng(300)
         n = self.SHOTS
-        below = np.arange(n) % 2 == 0
-        for _ in range(6):
-            basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
-            z0, z1 = rng.normal(size=(2, n))
-            weights = []
+        below3 = np.arange(n) % 2 == 0
+        below4 = np.arange(n) % 4 < 2
+        spec = ProjectiveMeterSpec(v=0.5)
+        for trial in range(6):
+            meters = (_random_meter(rng, gaussian=trial % 2 == 0), _random_meter(rng, gaussian=trial % 3 == 0))
+            angles = tuple(rng.uniform(-np.pi, np.pi, size=4))
+            bases = [analyzer_basis(phi) for phi in angles]
+            weak_draws = [self._weak_draws(rng, meter, n) for meter in meters]
+            draws3, draws4 = np.empty(n), np.empty(n)
             for i in range(n):
-                psi = np.kron([1.0, 0.0], [z0[i], z1[i]]) / np.hypot(z0[i], z1[i])
-                weights.append(self._weight0(TwoQubitState.from_rho(np.outer(psi, psi)), 2, basis))
-            draws = np.asarray(weights) + np.where(below, -1e-12, 1e-12)
-            expected = np.where(below, 1.0, -1.0)
-            spec = ProjectiveMeterSpec(v=0.5)
-            kept = second_readout((z0.copy(), z1.copy()), spec, basis.phi, StubGenerator(draws, np.ones(n)), n)
-            np.testing.assert_array_equal(kept, expected)
-            flipped = second_readout((z0.copy(), z1.copy()), spec, basis.phi, StubGenerator(draws, np.zeros(n)), n)
-            np.testing.assert_array_equal(flipped, -expected)
+                state = bell_state()
+                for arm, meter, draws in zip((1, 2), meters, weak_draws):
+                    _, state = self._weak_update(state, arm, meter, bases[arm - 1], draws, i)
+                draws3[i] = self._weight0(state, 1, bases[2]) + (-1e-12 if below3[i] else 1e-12)
+                projector = bases[2].projector0 if below3[i] else bases[2].projector1
+                _, state = apply_operator(state, embed(projector, 1))
+                draws4[i] = self._weight0(state, 2, bases[3]) + (-1e-12 if below4[i] else 1e-12)
+            for flips, sign in ((np.ones(n), 1.0), (np.zeros(n), -1.0)):
+                stub = StubGenerator(*weak_draws[0], *weak_draws[1], draws3, flips, draws4, flips)
+                _, _, b1, b2 = sample_records(n, *meters, spec, angles, stub)
+                np.testing.assert_array_equal(b1, sign * np.where(below3, 1.0, -1.0))
+                np.testing.assert_array_equal(b2, sign * np.where(below4, 1.0, -1.0))
 
 
 def _assert_same_bytes(lean, reference):
@@ -610,7 +633,7 @@ def _assert_same_bytes(lean, reference):
 
 
 class TestKernelMatchesReference:
-    """The in-place stages write the bytes of the kernel written one expression per array."""
+    """The kernel writes the bytes of the amplitude kernel that ``tests/oracle.py`` keeps."""
 
     METERS = (
         GaussianMeterSpec(sigma=0.7, eta=1.0),
@@ -640,24 +663,28 @@ class TestKernelMatchesReference:
             _assert_same_bytes(reused, reference)
 
     @pytest.mark.parametrize("n", [1, 77, 4096])
-    def test_stages_on_amplitude_arrays(self, n):
-        # sample_records hands arrays to every stage but the first; here every stage gets them
+    def test_stages_on_bloch_arrays(self, n):
+        # handed the per-shot Bloch components of random amplitude arrays, each
+        # stage draws the signals the reference stage draws from the amplitudes
         rng = np.random.default_rng(n)
         for arm, meter in itertools.product((1, 2), self.METERS[:2] + self.METERS[4:]):
             amps = _random_amplitudes(rng, n)
             phi = rng.uniform(-7.0, 7.0)
             seed = int(rng.integers(2**63))
-            signals, post = weak_stage(tuple(a.copy() for a in amps), arm, meter, phi, np.random.default_rng(seed), n)
-            want_signals, want_post = weak_stage_reference(amps, arm, meter, phi, np.random.default_rng(seed), n)
-            _assert_same_bytes((signals, *post), (want_signals, *want_post))
+            signals, _, _ = weak_stage(meter, _bloch_along(amps, arm, phi), np.random.default_rng(seed), n)
+            want_signals, _ = weak_stage_reference(amps, arm, meter, phi, np.random.default_rng(seed), n)
+            _assert_same_bytes((signals,), (want_signals,))
 
             readout = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
-            b1, ket = first_readout(tuple(a.copy() for a in amps), readout, phi, np.random.default_rng(seed), n)
-            want_b1, want_ket = first_readout_reference(amps, readout, phi, np.random.default_rng(seed), n)
-            _assert_same_bytes((b1, *ket), (want_b1, *want_ket))
+            b1, _ = readout_stage(readout, _bloch_along(amps, 1, phi), np.random.default_rng(seed), n)
+            want_b1, (z0, z1) = first_readout_reference(amps, readout, phi, np.random.default_rng(seed), n)
+            _assert_same_bytes((b1,), (want_b1,))
 
-            b2 = second_readout(ket, readout, -phi, np.random.default_rng(seed), n)
-            want_b2 = second_readout_reference(want_ket, readout, -phi, np.random.default_rng(seed), n)
+            # arm 2's conditional ket z, as the pair |0> (x) z/|z|
+            norm = np.hypot(z0, z1)
+            ket = (z0 / norm, z1 / norm, np.zeros(n), np.zeros(n))
+            b2, _ = readout_stage(readout, _bloch_along(ket, 2, -phi), np.random.default_rng(seed), n)
+            want_b2 = second_readout_reference((z0, z1), readout, -phi, np.random.default_rng(seed), n)
             _assert_same_bytes((b2,), (want_b2,))
 
     @pytest.mark.parametrize("n", [1, 77, 65536])
@@ -673,7 +700,23 @@ class TestKernelMatchesReference:
         with pytest.raises(ValueError, match="cannot hold 5"):
             sample_records(5, *self.METERS[:2], ProjectiveMeterSpec(), (0.0, 0.0, 0.0, 0.0), np.random.default_rng(0), Workspace(4))
 
-    def test_a_stage_returns_the_arrays_it_was_handed(self):
-        amps = _random_amplitudes(np.random.default_rng(11), 5)
-        _, post = weak_stage(amps, 2, GaussianMeterSpec(sigma=1.0), 0.3, np.random.default_rng(12), 5)
-        assert {id(a) for a in post} == {id(a) for a in amps}
+    def test_a_stage_leaves_its_bloch_components_alone(self):
+        bloch = np.random.default_rng(11).uniform(-1.0, 1.0, size=5)
+        before = bloch.tobytes()
+        workspace = Workspace(5)
+        for meter in self.METERS[:2] + self.METERS[4:]:
+            weak_stage(meter, bloch, np.random.default_rng(12), 5, workspace)
+        readout_stage(ProjectiveMeterSpec(v=0.8), bloch, np.random.default_rng(12), 5, workspace)
+        assert bloch.tobytes() == before
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_a_strong_gaussian_meter_raises_no_warning(self, eta):
+        # at sigma = 0.01, t = alpha/sigma**2 reaches about 1e4, far past where
+        # cosh overflows (|t| ~ 710): the kernel only exponentiates -|t|
+        meter = GaussianMeterSpec(sigma=0.01, eta=eta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = sample_records(
+                4096, meter, meter, ProjectiveMeterSpec(v=0.9), (0.3, -1.2, 2.5, 0.9), np.random.default_rng(3)
+            )
+        assert all(np.all(np.isfinite(r)) for r in records)
