@@ -60,62 +60,60 @@ LMR_BOUND = lhv.sign_pattern_extrema()[1]
 #: what follows each of a record's four fields; every field is the
 #: ``%.17g`` text of its value, which round-trips every double
 _RECORD_ENDS = (",", ",", ",", "\n")
-#: rows formatted per write: enough to amortize numpy's per-call cost, few
-#: enough that writing a block peaks near 0.4 MiB for an ancilla chunk and
-#: 1.2 MiB for a Gaussian one, whose signals all differ (tracemalloc).  Timed
-#: in one process, 2048 and 8192 rows wrote an ancilla chunk slower, and
-#: 8192 rows a Gaussian one
+#: rows written per call: enough to amortize numpy's per-call cost, few
+#: enough that writing one chunk peaks near 0.5 MiB for an ancilla chunk and
+#: 0.8 MiB for a Gaussian one, whose signals all differ (tracemalloc, to a
+#: handle that keeps nothing).  Timed in one process, 8192 rows wrote an
+#: ancilla chunk twice as slowly, and 2048 rows gained nothing
 _RECORD_BLOCK = 4096
-#: most distinct rows a block formats as whole rows, each once
-_ROW_TABLE = 64
 
 
-def _bit_patterns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A column's distinct bit patterns and each value's index into them.
+def _two_patterns(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The texts of a column's low and high bit patterns and, per value, a ``uint8`` 1 where it holds the high one.
 
-    A column of one or two patterns, as signs and ancilla signals are, is
-    recognized from its min and max without a sort.
+    Found from the min and max without a sort; a column of one pattern
+    holds it as both, and a column of three or more gives None.
     """
     bits = values.view(np.int64)
     low, high = bits.min(), bits.max()
-    if low == high:
-        return bits[:1], np.zeros(len(bits), dtype=np.intp)
     is_high = bits == high
-    if np.count_nonzero(is_high) + np.count_nonzero(bits == low) == len(bits):
-        return np.array([low, high]), is_high.astype(np.intp)
-    return np.unique(bits, return_inverse=True)
+    if not np.all(is_high | (bits == low)):
+        return None
+    texts = ["%.17g" % value for value in np.array([low, high]).view(np.float64).tolist()]
+    return np.array(texts, dtype=object), is_high.view(np.uint8)
 
 
 def _write_records(handle, records: tuple[np.ndarray, ...]) -> None:
-    """Write one chunk's records, formatting each distinct value of a block's column once.
+    """Write one chunk's records, each column classified once for the whole chunk.
 
     The readout signs are always ±1 and an ancilla signal is ±1/v_total, so
-    most columns hold a few distinct doubles.  They are told apart by bit
-    pattern, so 0.0 and -0.0 keep their own text.  When a block holds at
-    most ``_ROW_TABLE`` combinations of them, each distinct row's text is
-    built once and the block is one join over the rows' mixed-radix codes;
-    otherwise it joins field by field.
+    most columns hold at most two doubles.  They are told apart by bit
+    pattern, so 0.0 and -0.0 keep their own text, and each pattern's text
+    is formatted once.  Any other column's values are formatted one by one.
+    When all four columns hold at most two patterns, as in every ancilla
+    run, each of the at most 16 distinct rows is formatted once and a block
+    is one join over the rows' ``uint8`` codes; otherwise a block is one
+    ``%`` call.
     """
-    for start in range(0, len(records[0]), _RECORD_BLOCK):
-        texts, inverses = [], []
-        for values, end in zip(records, _RECORD_ENDS):
-            bits, inverse = _bit_patterns(values[start:start + _RECORD_BLOCK])
-            # one % call formats the distinct values; "\0" never occurs in their text
-            text = ((f"%.17g{end}\0" * len(bits)) % tuple(bits.view(np.float64).tolist())).split("\0")
-            texts.append(text[:-1])
-            inverses.append(inverse)
-        t1, t2, t3, t4 = texts
-        if len(t1) * len(t2) * len(t3) * len(t4) <= _ROW_TABLE:
-            rows = np.array([a + b + c + d for a in t1 for b in t2 for c in t3 for d in t4], dtype=object)
-            code = inverses[0]
-            for text, inverse in zip(texts[1:], inverses[1:]):
-                code = code * len(text) + inverse
-            handle.write("".join(rows[code].tolist()))
-        else:
-            fields = np.empty((len(inverses[0]), len(texts)), dtype=object)
-            for column, (text, inverse) in enumerate(zip(texts, inverses)):
-                fields[:, column] = np.array(text, dtype=object)[inverse]
-            handle.write("".join(fields.ravel().tolist()))
+    columns = [_two_patterns(values) for values in records]
+    row = "".join(("%.17g" if column is None else "%s") + end for column, end in zip(columns, _RECORD_ENDS))
+    n = len(records[0])
+    if None not in columns:
+        table = np.array([row % texts for texts in itertools.product(*(text for text, _ in columns))], dtype=object)
+        code = np.zeros(n, dtype=np.uint8)
+        for _, is_high in columns:
+            code <<= 1
+            code |= is_high
+        for start in range(0, n, _RECORD_BLOCK):
+            handle.write("".join(table[code[start:start + _RECORD_BLOCK]].tolist()))
+        return
+    for start in range(0, n, _RECORD_BLOCK):
+        stop = start + _RECORD_BLOCK
+        fields = np.empty((len(records[0][start:stop]), len(records)), dtype=object)
+        for index, (values, column) in enumerate(zip(records, columns)):
+            # a two-pattern column's texts picked by its codes, or the values themselves
+            fields[:, index] = values[start:stop] if column is None else column[0][column[1][start:stop]]
+        handle.write((row * len(fields)) % tuple(fields.ravel().tolist()))
 
 
 def _fmt(value: float) -> str:

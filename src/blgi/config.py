@@ -171,11 +171,6 @@ def strategy_from_sections(sections: dict[str, dict[str, Any]], where: str) -> L
     return _build(LHVStrategy, values, where)
 
 
-def load_strategy(path: str | Path) -> LHVStrategy:
-    """Read a strategy file into an :class:`LHVStrategy`; see :func:`strategy_from_sections`."""
-    return strategy_from_sections(_read_ini(path), str(path))
-
-
 # ---------------------------------------------------------------------------
 # Manifests.
 # ---------------------------------------------------------------------------

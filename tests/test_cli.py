@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -17,9 +18,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import blgi
-from blgi.cli import _LHV_MAX_HIDDEN_STATES, _RECORD_BLOCK, _ROW_TABLE, _write_records, build_parser, main
-from blgi.measurement import METER_KINDS, AncillaMeterSpec, ProjectiveMeterSpec
-from blgi.protocol import SWEEP_AXES, Estimate, _chunks_in_order
+from blgi.cli import _LHV_MAX_HIDDEN_STATES, _RECORD_BLOCK, _write_records, build_parser, main
+from blgi.measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
+from blgi.protocol import CHUNK_SHOTS, SWEEP_AXES, Estimate, ExperimentConfig, _chunks_in_order, monte_carlo
 from oracle import write_records_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -1318,36 +1319,51 @@ def test_write_records_formats_every_value_with_17_digits(records):
     assert next(((i, a, b) for i, (a, b) in enumerate(zip(written, expected)) if a != b), None) is None
 
 
-#: distinct patterns per column whose product sits at the row-table bound or just above it
-_BOUND_COUNTS = [
-    (_ROW_TABLE, 1, 1, 1),
-    (_ROW_TABLE + 1, 1, 1, 1),
-    (1, 2, _ROW_TABLE // 4, 2),
-    (1, 2, _ROW_TABLE // 4 + 1, 2),
+#: a column of two bit patterns in every block but three over the chunk:
+#: blocks alternate between its patterns 0 and 1 and its patterns 0 and 2
+SPLIT = "split"
+#: the edges of the writer's rule: a chunk is written from a row table only
+#: when each of its four columns holds at most two bit patterns
+_EDGE_COUNTS = [
+    (1, 1, 1, 1),
+    (2, 2, 2, 2),
+    (2, 2, 2, 3),
+    (SPLIT, 2, 2, 2),
+    (2, 1, SPLIT, None),
 ]
 
 
 @st.composite
 def _patterned_chunks(draw):
-    """Four columns of one chunk; every block of a column holds ``count`` distinct patterns, or all differ."""
+    """Four columns of one chunk, each of ``count`` bit patterns over the chunk (or ``SPLIT``), or all distinct.
+
+    Every block holds each of its column's patterns in its first rows.
+    """
     n = draw(st.sampled_from([1, 2, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1, 2 * _RECORD_BLOCK + 1]))
-    counts = draw(st.one_of(st.tuples(*[st.sampled_from([1, 2, 3, None])] * 4), st.sampled_from(_BOUND_COUNTS)))
+    counts = draw(st.one_of(st.tuples(*[st.sampled_from([1, 2, 3, SPLIT, None])] * 4), st.sampled_from(_EDGE_COUNTS)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for count in counts:
         if count is None:
             bits = rng.integers(0, 2**64, size=n, dtype=np.uint64)
         else:
-            pool = draw(st.lists(_BITS, min_size=min(count, 3), max_size=min(count, 3), unique=True))
-            while len(pool) < count:
-                pool = list(dict.fromkeys([*pool, int(rng.integers(0, 2**64, dtype=np.uint64))]))
-            index = rng.integers(count, size=n)
+            pool = draw(st.lists(_BITS, min_size=3, max_size=3, unique=True))
+            per_block = 2 if count == SPLIT else count
+            index = rng.integers(per_block, size=n)
             for start in range(0, n, _RECORD_BLOCK):
-                head = min(count, n - start)
+                head = min(per_block, n - start)
                 index[start:start + head] = rng.permutation(head)
+            if count == SPLIT:
+                index[(index == 1) & (np.arange(n) // _RECORD_BLOCK % 2 == 1)] = 2
             bits = np.array(pool, dtype=np.uint64)[index]
         columns.append(bits.view(np.float64))
     return tuple(columns)
+
+
+def _split_column(first, second, third):
+    """Two blocks and one row of the ``SPLIT`` kind: patterns 0 and 1, then 0 and 2, then 0."""
+    pattern = [first, second] * (_RECORD_BLOCK // 2) + [first, third] * (_RECORD_BLOCK // 2) + [first]
+    return np.array(pattern, dtype=np.uint64).view(np.float64)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1356,6 +1372,12 @@ def _patterned_chunks(draw):
 @example(records=tuple(
     np.resize(np.array(pair, dtype=np.uint64), _RECORD_BLOCK + 1).view(np.float64)
     for pair in (SPECIAL_BITS[0:2], SPECIAL_BITS[2:4], SPECIAL_BITS[2:5:2], SPECIAL_BITS[4:6])
+))
+# a chunk whose blocks each hold two patterns of every column, three of the first over the chunk
+@example(records=(
+    _split_column(*SPECIAL_BITS[0:3]),
+    *(np.resize(np.array(pair, dtype=np.uint64), 2 * _RECORD_BLOCK + 1).view(np.float64)
+      for pair in (SPECIAL_BITS[0:2], SPECIAL_BITS[2:4], SPECIAL_BITS[4:6])),
 ))
 def test_write_records_matches_the_field_by_field_writer(records):
     written, expected = io.StringIO(), io.StringIO()
@@ -1366,6 +1388,64 @@ def test_write_records_matches_the_field_by_field_writer(records):
     if written != expected:
         rows = zip(written.splitlines(keepends=True), expected.splitlines(keepends=True))
         pytest.fail(f"first differing row: {next(((i, a, b) for i, (a, b) in enumerate(rows) if a != b), None)}")
+
+
+#: one full chunk's meters: every column two patterns; both signals all
+#: distinct; and two-pattern columns beside a distinct signal
+_CHUNK_METERS = {
+    "ancilla": (AncillaMeterSpec(v_total=0.6, u=0.9), AncillaMeterSpec(v_total=0.6, u=0.9)),
+    "gaussian": (GaussianMeterSpec(sigma=10.0, eta=0.5), GaussianMeterSpec(sigma=10.0, eta=0.5)),
+    "mixed": (AncillaMeterSpec(v_total=0.6, u=0.9), GaussianMeterSpec(sigma=10.0, eta=0.5)),
+}
+
+
+def _seed_3_chunk(kind):
+    """The records of the first full chunk of a seed-3 run of ``_CHUNK_METERS[kind]``."""
+    meter1, meter2 = _CHUNK_METERS[kind]
+    chunks = []
+    monte_carlo(ExperimentConfig(meter1=meter1, meter2=meter2, shots=CHUNK_SHOTS, seed=3), 1, chunks.append)
+    return chunks[0]
+
+
+class _Discard:
+    """A text handle that keeps nothing, so tracemalloc sees the writer's own peak."""
+
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(_CHUNK_METERS))
+def test_write_records_sorts_no_column(monkeypatch, kind):
+    records = _seed_3_chunk(kind)
+    expected = io.StringIO()
+    write_records_reference(expected, records)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the records writer sorted a column")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    monkeypatch.setattr(np, "sort", no_sort)
+    written = io.StringIO()
+    _write_records(written, records)
+    # compared whole: a diff of the whole text is very slow
+    same = written.getvalue() == expected.getvalue()
+    assert same
+
+
+@pytest.mark.parametrize("kind, mib", [("ancilla", 0.6), ("gaussian", 1.6)])
+def test_writing_one_chunk_peaks_under_its_bound(kind, mib):
+    # the row codes are uint8: chunk-wide intp codes peaked near 3 MiB for an ancilla chunk
+    records = _seed_3_chunk(kind)
+    _write_records(_Discard(), records)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _write_records(_Discard(), records)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 class TestVerify:

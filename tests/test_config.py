@@ -4,10 +4,10 @@ import pytest
 from blgi.config import (
     ConfigError,
     RunManifest,
+    _read_ini,
     config_from_sections,
     config_to_sections,
     load_experiment_config,
-    load_strategy,
     strategy_from_sections,
 )
 from blgi.cli import _parse_args, _resolve_config, build_parser
@@ -200,7 +200,7 @@ class TestStrategyFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "strategy.ini"
         path.write_text(GOOD_STRATEGY)
-        strategy = load_strategy(path)
+        strategy = strategy_from_sections(_read_ini(path), str(path))
         assert strategy.num_hidden_states == 2
         np.testing.assert_allclose(strategy.prep_dist, [0.5, 0.5])
         np.testing.assert_allclose(strategy.b2, [-1, 1])
@@ -210,31 +210,31 @@ class TestStrategyFile:
         path = tmp_path / "strategy.ini"
         path.write_text(GOOD_STRATEGY.replace("prep_dist = 0.5, 0.5", "prep_dist = 0.5, 0.4"))
         with pytest.raises(ConfigError, match="sum to 1"):
-            load_strategy(path)
+            strategy_from_sections(_read_ini(path), str(path))
 
     def test_wrong_vector_length(self, tmp_path):
         path = tmp_path / "strategy.ini"
         path.write_text(GOOD_STRATEGY.replace("a1 = 1, -1", "a1 = 1"))
         with pytest.raises(ConfigError, match="a1"):
-            load_strategy(path)
+            strategy_from_sections(_read_ini(path), str(path))
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "strategy.ini"
         path.write_text("[other]\nx = 1\n")
         with pytest.raises(ConfigError, match="strategy"):
-            load_strategy(path)
+            strategy_from_sections(_read_ini(path), str(path))
 
     @pytest.mark.parametrize("key", ["prep_dist", "b2"])
     def test_missing_required_key(self, tmp_path, key):
         path = tmp_path / "strategy.ini"
         path.write_text("\n".join(line for line in GOOD_STRATEGY.splitlines() if not line.startswith(key)))
         with pytest.raises(ConfigError, match=f"strategy.{key} is required"):
-            load_strategy(path)
+            strategy_from_sections(_read_ini(path), str(path))
 
     def test_optional_vectors_and_defaults(self, tmp_path):
         path = tmp_path / "strategy.ini"
         path.write_text(GOOD_STRATEGY.replace("noise_sigma2 = 0.5\n", "invasiveness1 = 0.25, 0.5\n"))
-        strategy = load_strategy(path)
+        strategy = strategy_from_sections(_read_ini(path), str(path))
         assert strategy.noise_sigma2 == 1.0
         np.testing.assert_array_equal(strategy.invasiveness1, [0.25, 0.5])
         np.testing.assert_array_equal(strategy.invasiveness2, [0.0, 0.0])
@@ -244,7 +244,7 @@ class TestStrategyFile:
         path = tmp_path / "strategy.ini"
         path.write_text(GOOD_STRATEGY + "hidden_states = 2\n")
         with pytest.raises(ConfigError, match="strategy.hidden_states: unknown key"):
-            load_strategy(path)
+            strategy_from_sections(_read_ini(path), str(path))
 
     @pytest.mark.parametrize(
         "sections, message",
@@ -264,7 +264,7 @@ class TestStrategyFile:
         path = tmp_path / "strategy.ini"
         path.write_text(GOOD_STRATEGY.replace("noise_sigma1 = 0.5", "noise_sigma1 = 0.5, 0.5"))
         with pytest.raises(ConfigError, match="strategy.noise_sigma1: expected a number"):
-            load_strategy(path)
+            strategy_from_sections(_read_ini(path), str(path))
 
 
 class TestManifest:
