@@ -172,10 +172,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_lhv, seed_default=str(ExperimentConfig.seed))
     p_lhv.add_argument("--strategy", default=None, help="strategy file (INI)")
     p_lhv.add_argument("--random", type=int, default=None, metavar="N", help="check N random calibrated strategies")
-    p_lhv.add_argument("--shots", type=int, default=None, help="shots per strategy (default 100000)")
-    p_lhv.add_argument("--hidden-states", type=int, default=None, help="hidden states of each --random strategy (default 2, at most 2**20)")
-    p_lhv.add_argument("--noise-sigma", type=float, default=None, help="detector noise of --random strategies (default 1.0)")
-    p_lhv.add_argument("--invasiveness", type=float, default=None, help="--random strategies' max readout-mean shift from the first measurement (default 0)")
+    p_lhv.add_argument("--shots", type=int, default=None, help=f"shots per strategy (default {_LHV_SHOTS})")
+    default = _LHV_RANDOM_DEFAULTS
+    p_lhv.add_argument(
+        "--hidden-states", type=int, default=None,
+        help=f"hidden states of each --random strategy (default {default['hidden_states']}, "
+        f"at most {_LHV_MAX_HIDDEN_STATES})",
+    )
+    p_lhv.add_argument(
+        "--noise-sigma", type=float, default=None,
+        help=f"detector noise of --random strategies (default {default['noise_sigma']})",
+    )
+    p_lhv.add_argument(
+        "--invasiveness", type=float, default=None,
+        help=f"--random strategies' max readout-mean shift from the first measurement (default {default['invasiveness']})",
+    )
 
     sub.add_parser("verify", help="run the oracle cross-check suite")
     return parser

@@ -24,7 +24,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .measurement import Workspace, _signs, _uniform_below
+from .measurement import Workspace, _coin
 from .protocol import Estimate, _chunk_sizes, _sampled_moments, correlator, estimate, require_two_shots
 
 PREP_DIST_TOL = 1e-12
@@ -168,7 +168,7 @@ def lhv_records(
         np.clip(mean, -1.0, 1.0, out=mean)
         mean += 1.0
         mean /= 2.0
-        readouts.append(_signs(_uniform_below(mean, rng, column), out=column))
+        readouts.append(_coin(mean, rng, column))
     return zeta, alpha1, alpha2, *readouts
 
 

@@ -198,8 +198,8 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # projected effect K1 P K1 ~ f0 I + fz Z + fx X, paired with arm 2's effect
 # in arm 2's frame.
 #
-# A Gaussian chunk with eta < 1 on both arms takes 82 elementwise float
-# passes besides its 8 uniform and 2 normal blocks, and an ancilla chunk 58.
+# A Gaussian chunk with eta < 1 on both arms takes 84 elementwise float
+# passes besides its 8 uniform and 2 normal blocks, and an ancilla chunk 60.
 # The amplitude kernel, which keeps four amplitude arrays per shot, rotates
 # them into and out of each analyzer frame and renormalises them at each
 # weak stage, takes 138 and 132, and one more buffer.  The draws, their
@@ -210,9 +210,12 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # ``tests/oracle.py`` keeps as ``sample_records_reference``.
 #
 # Every array is a float64 buffer of a Workspace that a stage writes
-# through ``out=`` and gives back once it is summed or compared.  A coin
-# flip's uniform block becomes its 0.0/1.0 mask, and the mask its signs,
-# in one buffer.  Scalars broadcast: a Bloch component or a coherence
+# through ``out=`` and gives back once it is summed or compared.  Every
+# +/-1 outcome, a weak outcome, a readout or a flip, is one coin: a uniform
+# block compared with its threshold and written over by +/-value, in one
+# buffer, so no stage hands out a 0.0/1.0 mask.  An outcome fires below
+# (1 + b)/2 and a flip below (1 - x)/2 as value -1, and a flip acts as a
+# product of signs.  Scalars broadcast: a Bloch component or a coherence
 # shared by every shot is one float.
 # ---------------------------------------------------------------------------
 
@@ -270,26 +273,17 @@ def _affine(x, scale: float, offset: float, workspace: Workspace, out: np.ndarra
     return y
 
 
-def _uniform_below(threshold, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """``rng.random(out.size) < threshold`` as 1.0/0.0, written over its own uniforms in ``out``."""
+def _coin(threshold, rng: np.random.Generator, out: np.ndarray, value: float = 1.0) -> np.ndarray:
+    """``value`` where a uniform drawn into ``out`` lies below ``threshold``, else ``-value``, written over ``out``.
+
+    The compare stays in float64, so no bool buffer is cast, and a NaN
+    threshold, like ``u < NaN``, is never reached.  ``2*value`` must be finite.
+    """
     rng.random(out=out)
-    return np.less(out, threshold, out=out)
-
-
-def _drawn_below(bloch, weight: float, rng: np.random.Generator, n: int, workspace: Workspace) -> np.ndarray:
-    """The 0.0/1.0 mask of ``uniform < 1/2 + weight*bloch``, in a buffer of ``workspace``."""
-    threshold = _affine(bloch, weight, 0.5, workspace)
-    mask = _uniform_below(threshold, rng, workspace.take(n))
-    workspace.give(threshold)
-    return mask
-
-
-def _signs(mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # +1.0 where mask, else -1.0; several times faster than np.where on
-    # unpredictable masks.  ``out`` may be a 0.0/1.0 float mask itself
-    signs = np.multiply(mask, 2.0, out=out)
-    signs -= 1.0
-    return signs
+    np.less(out, threshold, out=out)
+    out *= 2.0 * value
+    out -= value
+    return out
 
 
 def _gaussian_effect(signals: np.ndarray, variance: float, workspace: Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -329,37 +323,29 @@ def weak_stage(
     """
     workspace = Workspace(n) if workspace is None else workspace
     if isinstance(spec, GaussianMeterSpec):
-        component = _drawn_below(bloch, 0.5, rng, n, workspace)
-        signals = _signs(component, out=component)
+        threshold = _affine(bloch, 0.5, 0.5, workspace)
+        signals = _coin(threshold, rng, workspace.take(n))
+        workspace.give(threshold)
         normal = rng.standard_normal(out=workspace.take(n))
         signals += np.multiply(spec.sigma, normal, out=normal)
         workspace.give(normal)
         length, coherence = _gaussian_effect(signals, spec.variance, workspace)
         if spec.eta < 1.0:
-            flip = _uniform_below(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, workspace.take(n))
-            flip *= -2.0  # 1 - 2*flip: -1.0 where the phase flips, else +1.0
-            flip += 1.0
+            flip = _coin(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, workspace.take(n), -1.0)
             coherence *= flip
             workspace.give(flip)
         return signals, length, coherence
     if isinstance(spec, AncillaMeterSpec):
-        took_plus = _drawn_below(bloch, spec.v_ent / 2.0, rng, n, workspace)
-        length = np.multiply(took_plus, 2.0 * spec.v_ent, out=workspace.take(n))
-        length -= spec.v_ent
-        flip = _uniform_below((1.0 - spec.u) / 2.0, rng, workspace.take(n))
-        # a Python-float reciprocal overflows to inf without a numpy warning,
-        # and +/-1 * (1/v) is +/-1/v exactly
-        signals = _signs(np.not_equal(took_plus, flip, out=flip), out=flip)
-        workspace.give(took_plus)
-        signals *= 1.0 / spec.v_total
+        threshold = _affine(bloch, spec.v_ent / 2.0, 0.5, workspace)
+        length = _coin(threshold, rng, workspace.take(n), spec.v_ent)
+        workspace.give(threshold)
+        signals = _coin((1.0 - spec.u) / 2.0, rng, workspace.take(n), -1.0)
+        # the flip times the branch's sign, as +/-1/v_total; a Python-float
+        # reciprocal overflows to inf without a numpy warning
+        signals *= length
+        np.copysign(1.0 / spec.v_total, signals, out=signals)
         return signals, length, dephasing_factor(spec)
     raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-
-
-def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator, workspace: Workspace):
-    # the reported sign is the true one, flipped with probability (1 - v)/2
-    flip = _uniform_below((1.0 - spec.v) / 2.0, rng, workspace.take(hit0.size))
-    return _signs(np.not_equal(hit0, flip, out=flip), out=flip)
 
 
 def readout_stage(
@@ -371,15 +357,19 @@ def readout_stage(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projectively read out, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
 
-    Returns ``(signals, hit0)``: the reported signs and the true outcome
-    as a 0.0/1.0 mask, 1.0 for ``ket0``; only the reported sign suffers
-    the misidentification flip.  ``bloch`` is left alone, and both arrays
-    are buffers of ``workspace``, as in :func:`weak_stage`.  Draw order:
-    one uniform block (outcome), one uniform block (flip).
+    Returns ``(reported, sign)``: the reported signs and the true ones,
+    +1.0 for ``ket0``; the reported sign is the true one times a flip
+    coin, -1.0 with probability ``(1 - v)/2``.  ``bloch`` is left alone,
+    and both arrays are buffers of ``workspace``, as in :func:`weak_stage`.
+    Draw order: one uniform block (outcome), one uniform block (flip).
     """
     workspace = Workspace(n) if workspace is None else workspace
-    hit0 = _drawn_below(bloch, 0.5, rng, n, workspace)
-    return _reported(hit0, spec, rng, workspace), hit0
+    threshold = _affine(bloch, 0.5, 0.5, workspace)
+    sign = _coin(threshold, rng, workspace.take(n))
+    workspace.give(threshold)
+    reported = _coin((1.0 - spec.v) / 2.0, rng, workspace.take(n), -1.0)
+    reported *= sign
+    return reported, sign
 
 
 def sample_records(
@@ -429,8 +419,7 @@ def sample_records(
     norm *= cos_d
     norm += 1.0
     bloch /= norm
-    b1, hit0 = readout_stage(readout, bloch, rng, n, workspace)
-    sign = _signs(hit0, out=hit0)  # e
+    b1, sign = readout_stage(readout, bloch, rng, n, workspace)  # sign is e
     # arm 2's normaliser: norm * (1 + e b3)
     bloch *= sign
     bloch += 1.0
@@ -456,6 +445,6 @@ def sample_records(
     bloch += fx
     bloch /= norm
     workspace.give(fz, fx, coeff_a2, t2, norm)
-    b2, hit0 = readout_stage(readout, bloch, rng, n, workspace)
-    workspace.give(bloch, hit0)
+    b2, sign = readout_stage(readout, bloch, rng, n, workspace)
+    workspace.give(bloch, sign)
     return alpha1, alpha2, b1, b2

@@ -18,10 +18,14 @@ configuration.  Three routes to the ensemble mean are provided:
 * :func:`analytic_mean` evaluates the closed form in the arms' dephasing
   factors and the analyzer angles, ``(1 + v*xi1)(1 + v*xi2)/sqrt(2)`` at
   the default angles.
+
+:func:`exact_variance` gives C's variance in closed form, and
+:func:`predicted_stderr` the standard error it implies.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -338,18 +342,39 @@ def violation_threshold() -> float:
     return 2.0 ** 0.75 - 1.0
 
 
-def predicted_stderr(config: ExperimentConfig) -> float:
-    """Rough a-priori standard error of :func:`monte_carlo` for this config.
+def exact_variance(config: ExperimentConfig) -> float:
+    """Exact variance of the per-shot correlator, ``E[C^2] - exact_mean(config)**2``.
 
-    Uses the signals' second moments (``sigma^2 + 1`` for a Gaussian arm,
-    ``1/v_total^2`` for an ancilla arm); good to a few tens of percent,
-    which is enough for shot-budget warnings.
+    ``b1**2 = b2**2 = 1``, so no term of ``C^2`` pairs the two readouts or
+    the two arms' first moments.  Each arm's ``m_k = E[alpha_k^2]`` (its
+    meter's ``signal_second_moment``) does not depend on the state, and on
+    the Bell pair, whose marginals are ``I/2``, ``E[alpha_k b_k] = v x_k``
+    with ``x_k = cos(b_k - a_k)``, so that
+
+        E[C^2] = (m1 + 1)(m2 + 1) + 2v (m1 - 1) x2 + 2v (m2 - 1) x1
+               = (m1 - 1)(m2 - 1) + 2 (m1 - 1)(1 + v x2) + 2 (m2 - 1)(1 + v x1) + 4.
+
+    The second form sums products of factors >= 0: a moment that
+    overflows to inf gives inf and never ``inf - inf``, and a product with
+    a zero factor is 0, the limit of a huge moment that C weighs by 0.
     """
+    excess1 = config.meter1.signal_second_moment - 1.0
+    excess2 = config.meter2.signal_second_moment - 1.0
+    phi_a1, phi_a2, phi_b1, phi_b2 = config.angles
+    v = config.b_spec.v
+    pairs = (
+        (excess1, excess2),
+        (excess1, 2.0 * (1.0 + v * math.cos(phi_b2 - phi_a2))),
+        (excess2, 2.0 * (1.0 + v * math.cos(phi_b1 - phi_a1))),
+    )
+    second = 4.0 + sum(x * y if x and y else 0.0 for x, y in pairs)
+    # E[C^2] >= <C>^2; rounding must not take a constant C below 0
+    return max(second - exact_mean(config) ** 2, 0.0)
 
-    m1 = config.meter1.signal_second_moment
-    m2 = config.meter2.signal_second_moment
-    variance = m1 * m2 + m1 + m2 + 1.0
-    return float(np.sqrt(variance / config.shots))
+
+def predicted_stderr(config: ExperimentConfig) -> float:
+    """A-priori standard error of :func:`monte_carlo` for this config: ``sqrt(exact_variance / shots)``."""
+    return float(np.sqrt(exact_variance(config) / config.shots))
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +420,8 @@ def exact_mean(config: ExperimentConfig) -> float:
     each a pairing ``<A (x) B> = sum((Psi^T A Psi) * B)`` with ``Psi`` the
     real :data:`blgi.measurement.BELL_AMPLITUDES` read as a 2x2 matrix
     (``Tr(A B^T)/2`` for Phi+).  Every planned extension stays such a 2x2
-    operation: the second moment map an exact variance needs is one more
-    self-adjoint map per arm; a Werner pair of purity ``p`` pairs as
+    operation (:func:`exact_variance` needs none beyond each arm's marginal):
+    a Werner pair of purity ``p`` pairs as
     ``p*pair + (1-p)*Tr A*Tr B/4``; a chain of stages per arm composes
     that arm's adjoint maps; and a cell law of the records pairs one 2x2
     effect per arm and outcome.

@@ -43,8 +43,6 @@ from blgi.measurement import (
     GaussianMeterSpec,
     MeterSpec,
     ProjectiveMeterSpec,
-    _signs,
-    _squared,
     dephasing_factor,
     excess_dephasing_factor,
 )
@@ -56,6 +54,19 @@ TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-9
 
 IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def _signs(mask: np.ndarray) -> np.ndarray:
+    """+1.0 where the bool ``mask`` holds, else -1.0."""
+    return np.where(mask, 1.0, -1.0)
+
+
+def _squared(x: float) -> float:
+    """``x**2``, or ``inf`` where that overflows: Python's float ``**`` raises instead."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def embed(op: np.ndarray, arm: int) -> np.ndarray:

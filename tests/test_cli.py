@@ -18,7 +18,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import blgi
-from blgi.cli import _LHV_MAX_HIDDEN_STATES, _RECORD_BLOCK, _write_records, build_parser, main
+from blgi.cli import (
+    _LHV_MAX_HIDDEN_STATES,
+    _LHV_RANDOM_DEFAULTS,
+    _LHV_SHOTS,
+    _RECORD_BLOCK,
+    _write_records,
+    build_parser,
+    main,
+)
 from blgi.measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
 from blgi.protocol import CHUNK_SHOTS, SWEEP_AXES, Estimate, ExperimentConfig, _chunks_in_order, monte_carlo
 from oracle import write_records_reference
@@ -1465,6 +1473,45 @@ class TestVerify:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+#: perfbench/run.py's four workload argvs, copied literally, with each output's seed-3 sha256
+_BENCHMARK_ARGVS = {
+    "simulate_mc": (
+        ["simulate", "--meter", "gaussian", "--sigma", "10", "--eta", "0.5", "--threads", "2",
+         "--shots", str(64 * CHUNK_SHOTS)],
+        {"out.csv": "22ae967c67546cda36f52b041f6ef481d8d1912e8b2bd827789c739a99260e31"},
+    ),
+    "simulate_records": (
+        ["simulate", "--meter", "ancilla", "--v-total", "0.6", "--u", "0.9", "--shots", str(8 * CHUNK_SHOTS)],
+        {
+            "out.csv": "7d5fa2d82ddf792f0424d321b23a395fa7b0434fd677567b12da3d969804cef9",
+            "records.csv": "dbfd3aa06d271e5e7522e93139a4961d0c13a3cc9ffecaece2629a9aa6f0f05f",
+        },
+    ),
+    "sweep_exact": (
+        ["sweep", "--meter", "gaussian", "--eta", "0.5", "--v", "0.8", "--axis", "sigma",
+         "--values", "0.25,0.35,0.5,0.7,1,1.4,2,2.8,4,5.7,8,11.3,16,32,100", "--shots", str(CHUNK_SHOTS)],
+        {"out.csv": "399ea9cd4a92a4b3b614194c6590aa2e193242d365277e65f2077227add9da47"},
+    ),
+    "lhv_random": (
+        ["lhv", "--random", "200", "--hidden-states", "4", "--invasiveness", "0.3", "--shots", "100000"],
+        {"out.csv": "e5ed5cae0ead79d6657cc064a293c12a4d7a22fa7efd1b015552915b8f64fbb0"},
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_BENCHMARK_ARGVS))
+def test_benchmark_outputs_are_pinned(tmp_path, workload):
+    # the argv perfbench/run.py builds: --seed, --out and, per workload, --records or --manifest
+    args, digests = _BENCHMARK_ARGVS[workload]
+    argv = [*args, "--seed", "3", "--out", str(tmp_path / "out.csv")]
+    if "records.csv" in digests:
+        argv += ["--records", str(tmp_path / "records.csv")]
+    if workload == "sweep_exact":
+        argv += ["--manifest", str(tmp_path / "manifest.json")]
+    assert main(argv) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in digests} == digests
+
+
 @pytest.mark.parametrize(
     "command, default",
     [("simulate", "the config's run.seed, else 42"), ("sweep", "the config's run.seed, else 42"), ("lhv", "42")],
@@ -1473,6 +1520,29 @@ def test_seed_help_states_its_default(command, default):
     subparsers = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
     seed = next(action for action in subparsers.choices[command]._actions if action.dest == "seed")
     assert seed.default is None and seed.help == f"64-bit RNG seed (default: {default})"
+
+
+def _lhv_help(dest):
+    subparsers = next(action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    return next(action for action in subparsers.choices["lhv"]._actions if action.dest == dest).help
+
+
+@pytest.mark.parametrize("dest", ["shots", "hidden_states", "noise_sigma", "invasiveness"])
+def test_lhv_help_states_the_default_it_runs(monkeypatch, dest):
+    # each help text is formatted from the constant cmd_lhv applies, so a new default shows
+    defaults = {"shots": _LHV_SHOTS, **_LHV_RANDOM_DEFAULTS}
+    assert f"(default {defaults[dest]}" in _lhv_help(dest)
+    if dest == "shots":
+        monkeypatch.setattr("blgi.cli._LHV_SHOTS", 12345)
+    else:
+        monkeypatch.setitem(_LHV_RANDOM_DEFAULTS, dest, 12345)
+    assert "(default 12345" in _lhv_help(dest)
+
+
+def test_hidden_states_help_states_its_bound(monkeypatch):
+    assert f"at most {_LHV_MAX_HIDDEN_STATES})" in _lhv_help("hidden_states")
+    monkeypatch.setattr("blgi.cli._LHV_MAX_HIDDEN_STATES", 8)
+    assert "at most 8)" in _lhv_help("hidden_states")
 
 
 def test_cli_import_does_not_load_scipy():

@@ -10,7 +10,7 @@ from blgi.measurement import (
     GaussianMeterSpec,
     ProjectiveMeterSpec,
     Workspace,
-    _uniform_below,
+    _coin,
     dephasing_factor,
     excess_dephasing_factor,
     readout_stage,
@@ -363,9 +363,15 @@ class TestProjectiveSampling:
         spec = ProjectiveMeterSpec(v=1.0)
         rng = np.random.default_rng(2)
         for bloch, sign in ((1.0, 1.0), (-1.0, -1.0)):
-            signals, hit0 = readout_stage(spec, bloch, rng, 50)
-            assert np.all(signals == sign)
-            assert np.all(hit0 == (sign > 0))
+            reported, true = readout_stage(spec, bloch, rng, 50)
+            assert np.all(reported == sign)
+            assert np.all(true == sign)
+
+    def test_only_the_reported_sign_is_flipped(self):
+        # at v = 0 the flip fires half the time, on the reported sign alone
+        reported, true = readout_stage(ProjectiveMeterSpec(v=0.0), 1.0, np.random.default_rng(4), 1000)
+        assert np.all(true == 1.0)
+        assert set(np.unique(reported)) == {-1.0, 1.0}
 
     def test_zero_visibility_is_coin_flip(self):
         spec = ProjectiveMeterSpec(v=0.0)
@@ -688,13 +694,16 @@ class TestKernelMatchesReference:
             _assert_same_bytes((b2,), (want_b2,))
 
     @pytest.mark.parametrize("n", [1, 77, 65536])
-    @pytest.mark.parametrize("value", [0.0, 1.0, 0.5, 5e-324])
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 5e-324, np.nan])
     @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
-    def test_uniform_below_is_the_bool_comparison_as_floats(self, n, value, as_array):
-        threshold = np.full(n, value) if as_array else value
-        mask = _uniform_below(threshold, np.random.default_rng(n), np.empty(n))
-        want = (np.random.default_rng(n).random(n) < threshold).astype(np.float64)
-        assert mask.dtype == np.float64 and mask.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("value", [1.0, -1.0, 0.25])
+    def test_a_coin_is_value_below_its_threshold_and_minus_value_elsewhere(self, n, threshold, as_array, value):
+        # a NaN threshold is never reached: u < NaN is False
+        threshold = np.full(n, threshold) if as_array else threshold
+        coin = _coin(threshold, np.random.default_rng(n), np.empty(n), value)
+        u = np.random.default_rng(n).random(n)
+        want = np.where(u < threshold, value, -value)
+        assert coin.dtype == np.float64 and coin.tobytes() == want.tobytes()
 
     def test_a_workspace_refuses_more_than_its_size(self):
         with pytest.raises(ValueError, match="cannot hold 5"):

@@ -36,6 +36,7 @@ from blgi.protocol import (
     correlator,
     estimate,
     exact_mean,
+    exact_variance,
     monte_carlo,
     predicted_stderr,
     retune,
@@ -506,6 +507,61 @@ class TestMonteCarlo:
     def test_predicted_stderr_survives_overflowing_moments(self):
         config = _ancilla_config(v_total=1e-200, shots=10)
         assert predicted_stderr(config) == np.inf
+
+    def test_predicted_stderr_is_the_exact_variance_per_shot(self):
+        config = _ancilla_config(v_total=0.6, u=0.9, shots=12_345)
+        assert predicted_stderr(config) == np.sqrt(exact_variance(config) / config.shots)
+
+    def test_exact_variance_matches_sampled_variances(self):
+        # random angles, readout visibilities and meters; each sample variance
+        # s^2 must lie within 5 of its own standard errors, sqrt((mu4 - s^4)/n)
+        rng = np.random.default_rng(2026)
+        for trial in range(6):
+            meters = [
+                GaussianMeterSpec(sigma=rng.uniform(0.4, 2.5), eta=rng.uniform(0.3, 1.0))
+                if (trial + arm) % 2 == 0
+                else AncillaMeterSpec(v_total=rng.uniform(0.5, 1.0))
+                for arm in (1, 2)
+            ]
+            config = ExperimentConfig(
+                meter1=meters[0], meter2=meters[1], b_spec=ProjectiveMeterSpec(v=rng.uniform(0.5, 1.0)),
+                angles=tuple(rng.uniform(-np.pi, np.pi, size=4)), shots=4 * CHUNK_SHOTS, seed=trial,
+            )
+            chunks = []
+            monte_carlo(config, on_records=chunks.append)
+            values = correlator(*(np.concatenate(column) for column in zip(*chunks)))
+            deviations = values - values.mean()
+            sampled = np.mean(deviations**2)
+            stderr = np.sqrt((np.mean(deviations**4) - sampled**2) / values.size)
+            assert abs(sampled - exact_variance(config)) < 5 * stderr
+
+    @pytest.mark.parametrize(
+        "meter1, meter2",
+        [
+            (GaussianMeterSpec(sigma=0.7), GaussianMeterSpec(sigma=0.7)),
+            (GaussianMeterSpec(sigma=3.0, eta=0.4), AncillaMeterSpec(v_total=0.3, u=0.5)),
+            (AncillaMeterSpec(v_total=0.6, u=0.9), AncillaMeterSpec()),
+        ],
+    )
+    @pytest.mark.parametrize("v", [0.0, 0.8, 1.0])
+    def test_at_default_angles_the_second_moment_is_the_old_bound(self, meter1, meter2, v):
+        # both readouts are orthogonal to their weak analyzers there, so
+        # E[C^2] is the product form the a-priori stderr used before
+        config = ExperimentConfig(meter1=meter1, meter2=meter2, b_spec=ProjectiveMeterSpec(v=v))
+        m1, m2 = meter1.signal_second_moment, meter2.signal_second_moment
+        second = exact_variance(config) + exact_mean(config) ** 2
+        np.testing.assert_allclose(second, m1 * m2 + m1 + m2 + 1.0, rtol=1e-12)
+
+    def test_a_moment_weighed_by_zero_leaves_the_variance_finite(self):
+        # arm 2 reads +/-1 exactly and reads out opposite, b2 = -alpha2, so
+        # C = 2 b1 alpha2 never sees alpha1, whose sigma**2 overflows
+        config = ExperimentConfig(
+            meter1=GaussianMeterSpec(sigma=1e200), meter2=AncillaMeterSpec(),
+            angles=(0.0, 0.0, 0.0, np.pi), shots=1000,
+        )
+        assert config.meter1.signal_second_moment == np.inf
+        assert exact_variance(config) == pytest.approx(0.0, abs=1e-12)
+        assert monte_carlo(config).stderr == 0.0
 
     def test_predicted_stderr_is_in_the_ballpark(self):
         config = _gaussian_config(sigma=3.0, shots=100_000, seed=8)
