@@ -387,7 +387,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _LHV_SHOTS = 100_000
 #: the flags that shape --random's strategies and nothing else, with their defaults
 _LHV_RANDOM_DEFAULTS = {"hidden_states": 2, "noise_sigma": 1.0, "invasiveness": 0.0}
-#: most hidden states of one random strategy: 56 bytes each plus its padded
+#: most hidden states of one random strategy: 56 bytes each plus 8 for its
 #: cdf, so at most 64 MiB, and at most one strategy per worker plus one queued
 #: exist at once
 _LHV_MAX_HIDDEN_STATES = 1 << 20

@@ -95,12 +95,11 @@ class LHVStrategy:
 
 
 def _cdf_table(prep: np.ndarray) -> np.ndarray:
-    """``rng.choice``'s cdf of ``prep``, its running sum over its last entry, padded with inf to a power of two."""
-    table = np.full(1 << (prep.size - 1).bit_length(), np.inf)
-    cdf = np.cumsum(prep, out=table[: prep.size])
+    """``rng.choice``'s cdf of ``prep``: its running sum over its last entry."""
+    cdf = np.cumsum(prep)
     cdf /= cdf[-1]
-    table.setflags(write=False)
-    return table
+    cdf.setflags(write=False)
+    return cdf
 
 
 def _hidden_states(table: np.ndarray, rng: np.random.Generator, uniforms, probe, steps) -> np.ndarray:
@@ -109,16 +108,17 @@ def _hidden_states(table: np.ndarray, rng: np.random.Generator, uniforms, probe,
     ``table`` is :func:`_cdf_table` of ``prep``.  As in ``choice``, a state
     counts the entries ``<= u`` of that cdf for its uniform ``u``, drawn
     into ``uniforms``.  The count is a branchless binary search of the
-    padded table, one take, compare and add per bit of ``prep.size - 1``,
-    in the float64 scratch arrays ``probe`` and ``steps``.
+    table, one take, compare and add per bit of ``prep.size - 1``, in the
+    float64 scratch arrays ``probe`` and ``steps``.
     """
-    rounds = table.size.bit_length() - 1
+    rounds = (table.size - 1).bit_length()
     rng.random(out=uniforms)
     zeta = np.zeros(uniforms.size, dtype=np.int64)
     below = np.empty(uniforms.size, dtype=bool)
     steps = steps.view(np.int64)
     for step in (1 << r for r in reversed(range(rounds))):
-        # the probed index zeta + step - 1 stays below 1 << rounds, so "clip" never clips
+        # a probe past the table clips to its last entry, exactly 1.0, which no
+        # uniform in [0, 1) reaches: the count is that of a table padded with inf
         np.take(table[step - 1 :], zeta, out=probe, mode="clip")
         np.less_equal(probe, uniforms, out=below)
         zeta += np.multiply(below, step, out=steps)

@@ -200,14 +200,13 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 #
 # A Gaussian chunk with eta < 1 on both arms takes 84 elementwise float
 # passes besides its 8 uniform and 2 normal blocks, and an ancilla chunk 60.
-# The amplitude kernel, which keeps four amplitude arrays per shot, rotates
-# them into and out of each analyzer frame and renormalises them at each
-# weak stage, takes 138 and 132, and one more buffer.  The draws, their
-# order and the signal arithmetic are that kernel's, and each threshold
-# equals its threshold up to rounding, so a record can differ only where a
-# uniform lies within a few ulps of its threshold.  The tests compare the
-# records byte for byte with the amplitude kernel, which
-# ``tests/oracle.py`` keeps as ``sample_records_reference``.
+# The draws, their order and the signal arithmetic are those of the
+# amplitude kernel, which keeps four amplitude arrays per shot, rotates them
+# into and out of each analyzer frame and renormalises them at each weak
+# stage, and each threshold equals its threshold up to rounding, so a record
+# can differ only where a uniform lies within a few ulps of its threshold.
+# The tests compare the records byte for byte with the amplitude kernel,
+# which ``tests/oracle.py`` keeps as ``sample_records_reference``.
 #
 # Every array is a float64 buffer of a Workspace that a stage writes
 # through ``out=`` and gives back once it is summed or compared.  Every

@@ -419,12 +419,7 @@ def exact_mean(config: ExperimentConfig) -> float:
 
     each a pairing ``<A (x) B> = sum((Psi^T A Psi) * B)`` with ``Psi`` the
     real :data:`blgi.measurement.BELL_AMPLITUDES` read as a 2x2 matrix
-    (``Tr(A B^T)/2`` for Phi+).  Every planned extension stays such a 2x2
-    operation (:func:`exact_variance` needs none beyond each arm's marginal):
-    a Werner pair of purity ``p`` pairs as
-    ``p*pair + (1-p)*Tr A*Tr B/4``; a chain of stages per arm composes
-    that arm's adjoint maps; and a cell law of the records pairs one 2x2
-    effect per arm and outcome.
+    (``Tr(A B^T)/2`` for Phi+).
     """
     phi_a1, phi_a2, phi_b1, phi_b2 = config.angles
     s1, d1 = _arm_observables(config.meter1, phi_a1, phi_b1)

@@ -318,6 +318,15 @@ class TestSweep:
         assert len(err) == 1 and err[0].startswith("error: --axis ") and flag in err[0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_of_range_value_writes_nothing(self, tmp_path, capsys):
+        # every point is retuned before anything is drawn, so a bad value fails the whole sweep
+        out, manifest = tmp_path / "o.csv", tmp_path / "m.json"
+        argv = ["sweep", "--meter", "gaussian", "--axis", "eta", "--values", "0.5,1.5"]
+        assert main([*argv, "--out", str(out), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: invalid eta=1.5: eta must be in (0, 1], got 1.5"]
+        assert not out.exists() and not manifest.exists()
+
     def test_config_value_on_the_swept_field_is_allowed(self, tmp_path):
         config = tmp_path / "c.ini"
         config.write_text("[meter1]\nsigma = 5\n\n[meter2]\nsigma = 5\n", encoding="utf-8")
@@ -901,8 +910,10 @@ class TestLhvCommand:
         "replace, named",
         [
             (("prep_dist = 0.5, 0.5", "prep_dist = nan, nan"), "prep_dist"),
+            # sums to 1, so only the sign check refuses it
+            (("prep_dist = 0.5, 0.5", "prep_dist = 1.5, -0.5"), "prep_dist has negative entries"),
         ],
-        ids=["nan prep_dist"],
+        ids=["nan prep_dist", "negative prep_dist"],
     )
     def test_invalid_strategy_exits_2_with_one_line(self, tmp_path, capsys, replace, named):
         strategy = tmp_path / "bad.ini"

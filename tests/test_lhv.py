@@ -61,6 +61,11 @@ class TestStrategyValidation:
         with pytest.raises(ValueError, match="prep_dist contains non-finite entries"):
             LHVStrategy(prep_dist=[np.nan, np.nan], a1=[1, -1], a2=[1, -1], b1=[1, -1], b2=[1, -1])
 
+    @pytest.mark.parametrize("prep", [[], [[0.5, 0.5]]], ids=["empty", "2-D"])
+    def test_prep_dist_must_be_a_non_empty_vector(self, prep):
+        # a strategy file cannot express either: its parser refuses an empty vector first
+        with pytest.raises(ValueError, match="prep_dist"):
+            LHVStrategy(prep_dist=prep, a1=[1, -1], a2=[1, -1], b1=[1, -1], b2=[1, -1])
 
     def test_caller_arrays_stay_writable(self):
         # the strategy freezes copies of its vectors, never the arrays it was given
@@ -147,7 +152,7 @@ class TestHiddenStateDraw:
 
     @pytest.mark.parametrize(
         "states, zero",
-        [(1, None)] + [(n, zero) for n in (2, 3, 5, 9, 1000, 2**20) for zero in ("first", "middle", "last")],
+        [(1, None)] + [(n, zero) for n in (2, 3, 5, 9, 17, 1000, 1025, 2**20) for zero in ("first", "middle", "last")],
     )
     def test_equals_choice_byte_for_byte(self, states, zero):
         prep = _prep_with_a_zero(states, zero)

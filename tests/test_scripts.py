@@ -22,39 +22,36 @@ def _run(script, *args):
     )
 
 
-@pytest.mark.parametrize(
-    "script, rows",
-    [("run_gaussian_sweep.py", 15), ("run_ancilla_sweep.py", 12)],
-)
-def test_sweep_script(tmp_path, script, rows):
-    proc = _run(script, "--outdir", str(tmp_path), "--shots", "2")
+def test_strength_sweeps_script(tmp_path):
+    proc = _run("run_strength_sweeps.py", "--outdir", str(tmp_path), "--shots", "2")
     assert proc.returncode == 0, proc.stderr
-    csvs = sorted(tmp_path.glob("*.csv"))
-    manifests = sorted(tmp_path.glob("*.manifest.json"))
-    assert len(csvs) == 4 and len(manifests) == 4
-    for path in csvs:
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[:2] == ["# lmr_bound = 2", "value,mc_mean,mc_stderr,exact,analytic"]
-        assert len(lines) == 2 + rows
-    # a written manifest re-runs to the same bytes
-    rerun = tmp_path / "rerun.out"
-    assert main(["sweep", "--manifest", str(manifests[0]), "--out", str(rerun)]) == 0
-    original = tmp_path / manifests[0].name.replace(".manifest.json", ".csv")
-    assert rerun.read_bytes() == original.read_bytes()
+    for meter, rows in (("gaussian", 15), ("ancilla", 12)):
+        csvs = sorted((tmp_path / meter).glob("*.csv"))
+        manifests = sorted((tmp_path / meter).glob("*.manifest.json"))
+        assert len(csvs) == 4 and len(manifests) == 4
+        for path in csvs:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            assert lines[:2] == ["# lmr_bound = 2", "value,mc_mean,mc_stderr,exact,analytic"]
+            assert len(lines) == 2 + rows
+        # a written manifest re-runs to the same bytes
+        rerun = tmp_path / f"rerun-{meter}.out"
+        assert main(["sweep", "--manifest", str(manifests[0]), "--out", str(rerun)]) == 0
+        original = manifests[0].with_name(manifests[0].name.replace(".manifest.json", ".csv"))
+        assert rerun.read_bytes() == original.read_bytes()
 
 
 @pytest.mark.parametrize("flags, threads", [([], None), (["--threads", "3"], "3")])
-@pytest.mark.parametrize("script", ["run_gaussian_sweep.py", "run_ancilla_sweep.py"])
-def test_sweep_script_passes_threads_only_when_given(tmp_path, monkeypatch, script, flags, threads):
+def test_strength_sweeps_script_passes_threads_only_when_given(tmp_path, monkeypatch, flags, threads):
     # without --threads the script leaves the worker count to blgi's default
     calls = []
     monkeypatch.setattr("blgi.cli.main", lambda argv: calls.append(argv) or 0)
-    monkeypatch.setattr(sys, "argv", [script, "--outdir", str(tmp_path), *flags])
+    monkeypatch.setattr(sys, "argv", ["run_strength_sweeps.py", "--outdir", str(tmp_path), *flags])
     with pytest.raises(SystemExit) as exit_info:
-        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        runpy.run_path(str(SCRIPTS / "run_strength_sweeps.py"), run_name="__main__")
     assert exit_info.value.code == 0
-    assert len(calls) == 4
+    assert len(calls) == 8
     for argv in calls:
+        assert argv[0] == "sweep"
         assert (argv[argv.index("--threads") + 1] if "--threads" in argv else None) == threads
 
 
