@@ -9,7 +9,7 @@ strategies and establishes the bound |<C>| <= 2 that the quantum weak
 regime violates.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .lhv import (
     LHVStrategy,

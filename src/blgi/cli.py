@@ -239,6 +239,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str] | None) -> argp
     manifest = RunManifest.load(path)
     if manifest.command != args.command:
         raise ConfigError(f"manifest was written by {manifest.command!r}, but this is {args.command!r}")
+    if manifest.numpy != np.__version__:
+        print(
+            f"warning: manifest {path} was written under numpy {manifest.numpy}, this is numpy "
+            f"{np.__version__}: its seeded outputs may differ",
+            file=sys.stderr,
+        )
     out = [] if args.out is None else ["--out", args.out]
     rerun = parser.parse_args([args.command, *manifest.argv, *out])
     if "threads" in overridable:

@@ -5,7 +5,7 @@ Config files are flat ``key = value`` INI text with sections ``meter1``,
 ``strategy`` section with comma-separated per-hidden-state vectors.  A
 :class:`RunManifest` holds a run's command line and its resolved config or
 strategy in the same section layout, so re-running from a manifest
-reproduces the output byte for byte.
+reproduces the output byte for byte under the numpy version it names.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from functools import partial
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
+from . import __version__
 from .lhv import LHVStrategy
 from .measurement import METER_KINDS, MeterSpec, ProjectiveMeterSpec, check_meter_field, field_names
 from .protocol import ANGLE_KEYS, DEFAULT_ANGLES, ExperimentConfig
@@ -176,6 +179,11 @@ def strategy_from_sections(sections: dict[str, dict[str, Any]], where: str) -> L
 # ---------------------------------------------------------------------------
 
 
+def _draw_contract(version) -> list[str] | None:
+    """The major and minor parts of a blgi version string, else None."""
+    return version.split(".")[:2] if isinstance(version, str) else None
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """A run's command line and resolved config; re-running it reproduces the output.
@@ -183,23 +191,27 @@ class RunManifest:
     ``argv`` holds the command's own flags (never the config ones) and
     ``config`` the resolved config in :func:`config_to_sections` layout,
     or for ``lhv`` its strategy file's sections as read, empty without one.
+    ``version`` is blgi's: versions that share their major and minor
+    parts draw the same seeded outcomes, and :meth:`load` refuses any
+    other.  ``numpy`` is numpy's, whose generators turn the seeded bits
+    into uniforms and normals.
     """
 
     command: str
     argv: list[str]
     config: dict[str, dict[str, Any]]
     version: str
+    numpy: str
     created_utc: str
 
     @classmethod
     def create(cls, command: str, argv: list[str], config: ExperimentConfig | dict[str, dict[str, Any]]) -> "RunManifest":
-        from . import __version__
-
         return cls(
             command=command,
             argv=list(argv),
             config=config_to_sections(config) if isinstance(config, ExperimentConfig) else config,
             version=__version__,
+            numpy=np.__version__,
             created_utc=datetime.now(timezone.utc).isoformat(),
         )
 
@@ -215,6 +227,13 @@ class RunManifest:
             raise ConfigError(f"cannot parse manifest {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read manifest {path}: {exc}") from exc
+        # before the fields: a manifest of another draw contract has other fields too
+        version = data.get("version", __version__) if isinstance(data, dict) else __version__
+        if _draw_contract(version) != _draw_contract(__version__):
+            raise ConfigError(
+                f"manifest {path} was written by blgi {version}, and blgi {__version__} "
+                "draws other seeded outcomes: it cannot reproduce that run"
+            )
         keys = field_names(cls)
         if not (isinstance(data, dict) and set(data) == set(keys)):
             raise ConfigError(f"manifest {path}: expected exactly the fields {', '.join(keys)}")

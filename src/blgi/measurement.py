@@ -175,47 +175,50 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # law that these pairings give in closed form.  In an arm's analyzer frame
 # (Z = P0 - P1, X = |ket0><ket1| + |ket1><ket0|) a weak outcome with Kraus
 # operator K = k0 P0 + k1 P1 leaves K K ~ I + T Z, and what the arm's readout
-# P later sees is K P K, which needs one more number, K X K ~ g X.  So each
-# weak stage leaves two per-shot numbers on its arm:
+# P later sees is K P K, which needs one more number, K X K ~ g X.
+#
+# Only what a record shows is drawn.  Every joint probability is linear in
+# each arm's effect, so a branch that the record does not show is averaged
+# into the effect instead of drawn: the excess dephasing of eta < 1 scales g,
+# the ancilla branch behind its reported sign weights its two effects by
+# (1 +/- u)/2, and a readout's true sign behind its reported one weights its
+# two projections by (1 +/- v)/2.  So each weak stage leaves two per-shot
+# numbers on its arm:
 #
 #   Gaussian  T = tanh(t), g = sech(t) with t = alpha/sigma^2 (k0/k1 = e^t),
-#             g negated where the phase flip of eta < 1 fires;
-#   ancilla   T = +/-v_ent by the branch drawn, g = Xi, one float.
+#             g times excess_dephasing_factor where eta < 1;
+#   ancilla   T = +/-v_total (u v_ent) by the reported sign, g = Xi, one float.
 #
-# Every stage draws its outcome from the measured arm's Bloch component b
-# along its analyzer, given all earlier outcomes: ket0 has probability
-# (1 + b)/2, and the ancilla's plus branch 1/2 + (v_ent/2) b.  With D = a2 - a1,
-# c1, s1 = cos, sin(b1 - a1) and c2, s2 = cos, sin(b2 - a2):
+# Every stage draws its reported outcome from the measured arm's Bloch
+# component b along its analyzer, given all earlier outcomes: ket0 is
+# reported with probability (1 + b)/2 by a weak Gaussian stage, the ancilla's
+# + sign with (1 + v_total b)/2 and a readout's + with (1 + v b)/2.  With
+# D = a2 - a1, c1, s1 = cos, sin(b1 - a1) and c2, s2 = cos, sin(b2 - a2):
 #
 #   weak arm 1     b = 0
 #   weak arm 2     b = T1 cos D
 #   readout arm 1  b = (c1 T1 + A1 T2) / (1 + cos D T1 T2),  A1 = c1 cos D + s1 sin D g1
-#   readout arm 2  b = (c2 T2 f0 + A2 fz + B2 fx) / ((1 + cos D T1 T2)(1 + e b3)),
+#   readout arm 2  b = (c2 T2 f0 + A2 fz + B2 fx) / ((1 + cos D T1 T2)(1 + r b3)),
 #                  A2 = c2 cos D - s2 sin D g2,  B2 = c2 sin D + s2 cos D g2
 #
-# where e = +/-1 is arm 1's true readout, b3 the Bloch component it was
-# drawn from, and (f0, fz, fx) = (1 + e c1 T1, T1 + e c1, e s1 g1) arm 1's
-# projected effect K1 P K1 ~ f0 I + fz Z + fx X, paired with arm 2's effect
-# in arm 2's frame.
+# where r = v b1 is arm 1's reported readout times the visibility, b3 the
+# Bloch component it was drawn from, and (f0, fz, fx) = (1 + r c1 T1,
+# T1 + r c1, r s1 g1) arm 1's effect after that report, K1 (I + r Z) K1 ~
+# f0 I + fz Z + fx X, paired with arm 2's effect in arm 2's frame.
 #
-# A Gaussian chunk with eta < 1 on both arms takes 84 elementwise float
-# passes besides its 8 uniform and 2 normal blocks, and an ancilla chunk 60.
-# The draws, their order and the signal arithmetic are those of the
-# amplitude kernel, which keeps four amplitude arrays per shot, rotates them
-# into and out of each analyzer frame and renormalises them at each weak
-# stage, and each threshold equals its threshold up to rounding, so a record
-# can differ only where a uniform lies within a few ulps of its threshold.
-# The tests compare the records byte for byte with the amplitude kernel,
-# which ``tests/oracle.py`` keeps as ``sample_records_reference``.
+# A Gaussian chunk with eta < 1 on both arms takes 71 elementwise float
+# passes besides its 4 uniform and 2 normal blocks, and an ancilla chunk 45
+# besides its 4 uniform blocks.  The tests draw the same uniforms and
+# normals again and check each outcome against the probability of the
+# instrument of what the record shows, on 4x4 density matrices in
+# ``tests/oracle.py``.
 #
 # Every array is a float64 buffer of a Workspace that a stage writes
 # through ``out=`` and gives back once it is summed or compared.  Every
-# +/-1 outcome, a weak outcome, a readout or a flip, is one coin: a uniform
-# block compared with its threshold and written over by +/-value, in one
-# buffer, so no stage hands out a 0.0/1.0 mask.  An outcome fires below
-# (1 + b)/2 and a flip below (1 - x)/2 as value -1, and a flip acts as a
-# product of signs.  Scalars broadcast: a Bloch component or a coherence
-# shared by every shot is one float.
+# +/-1 outcome is one coin: a uniform block compared with its threshold and
+# written over by +/-value, in one buffer, so no stage hands out a 0.0/1.0
+# mask.  Scalars broadcast: a Bloch component or a coherence shared by every
+# shot is one float.
 # ---------------------------------------------------------------------------
 
 #: the Bell pair Phi+ in the joint basis |00>, |01>, |10>, |11> (see :mod:`blgi.qmath`)
@@ -310,15 +313,18 @@ def weak_stage(
     outcome, a float or one per shot: 0 on an arm of the Bell pair,
     ``cos(phi)`` on ``|0>``.  Returns ``(signals, length, coherence)``:
     the signals and the effect each outcome leaves on the arm, its Bloch
-    length ``T`` and signed coherence ``g`` (see the shot-kernel comment).
+    length ``T`` and coherence ``g`` (see the shot-kernel comment).
     ``bloch`` is left alone.  The arrays returned are buffers of
     ``workspace`` (a new workspace of ``n`` entries when none is given);
     an ancilla's coherence is one float.
 
-    Draw order: Gaussian, one uniform block (mixture component), one
-    normal block (pointer value) and, only when ``eta < 1``, one uniform
-    block (phase flip); ancilla, one uniform block (branch) and one
-    uniform block (readout flip).
+    Draw order: Gaussian, one uniform block (mixture component) and one
+    normal block (pointer value); ancilla, one uniform block (reported
+    sign).  Only what the signal shows is drawn: where ``eta < 1`` the
+    coherence is scaled by :func:`excess_dephasing_factor`, and the
+    ancilla's branch behind its ``u`` flip is averaged out, so its
+    reported sign is + with probability ``(1 + v_total b)/2`` and leaves
+    ``T = +/-v_total``.
     """
     workspace = Workspace(n) if workspace is None else workspace
     if isinstance(spec, GaussianMeterSpec):
@@ -330,19 +336,15 @@ def weak_stage(
         workspace.give(normal)
         length, coherence = _gaussian_effect(signals, spec.variance, workspace)
         if spec.eta < 1.0:
-            flip = _coin(0.5 * (1.0 - excess_dephasing_factor(spec)), rng, workspace.take(n), -1.0)
-            coherence *= flip
-            workspace.give(flip)
+            coherence *= excess_dephasing_factor(spec)
         return signals, length, coherence
     if isinstance(spec, AncillaMeterSpec):
-        threshold = _affine(bloch, spec.v_ent / 2.0, 0.5, workspace)
-        length = _coin(threshold, rng, workspace.take(n), spec.v_ent)
+        threshold = _affine(bloch, spec.v_total / 2.0, 0.5, workspace)
+        length = _coin(threshold, rng, workspace.take(n), spec.v_total)
         workspace.give(threshold)
-        signals = _coin((1.0 - spec.u) / 2.0, rng, workspace.take(n), -1.0)
-        # the flip times the branch's sign, as +/-1/v_total; a Python-float
-        # reciprocal overflows to inf without a numpy warning
-        signals *= length
-        np.copysign(1.0 / spec.v_total, signals, out=signals)
+        # +/-1/v_total by the reported sign; a Python-float reciprocal
+        # overflows to inf without a numpy warning
+        signals = np.copysign(1.0 / spec.v_total, length, out=workspace.take(n))
         return signals, length, dephasing_factor(spec)
     raise TypeError(f"unsupported meter spec {type(spec).__name__}")
 
@@ -353,22 +355,20 @@ def readout_stage(
     rng: np.random.Generator,
     n: int,
     workspace: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Projectively read out, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
 
-    Returns ``(reported, sign)``: the reported signs and the true ones,
-    +1.0 for ``ket0``; the reported sign is the true one times a flip
-    coin, -1.0 with probability ``(1 - v)/2``.  ``bloch`` is left alone,
-    and both arrays are buffers of ``workspace``, as in :func:`weak_stage`.
-    Draw order: one uniform block (outcome), one uniform block (flip).
+    Returns the reported signs, +1.0 for ``ket0``.  The true sign, flipped
+    with probability ``(1 - v)/2``, is never formed: the reported one is
+    one coin, +1.0 with probability ``(1 + v b)/2``.  ``bloch`` is left
+    alone, and the array is a buffer of ``workspace``, as in
+    :func:`weak_stage`.  Draw order: one uniform block (reported sign).
     """
     workspace = Workspace(n) if workspace is None else workspace
-    threshold = _affine(bloch, 0.5, 0.5, workspace)
-    sign = _coin(threshold, rng, workspace.take(n))
+    threshold = _affine(bloch, spec.v / 2.0, 0.5, workspace)
+    reported = _coin(threshold, rng, workspace.take(n))
     workspace.give(threshold)
-    reported = _coin((1.0 - spec.v) / 2.0, rng, workspace.take(n), -1.0)
-    reported *= sign
-    return reported, sign
+    return reported
 
 
 def sample_records(
@@ -418,8 +418,9 @@ def sample_records(
     norm *= cos_d
     norm += 1.0
     bloch /= norm
-    b1, sign = readout_stage(readout, bloch, rng, n, workspace)  # sign is e
-    # arm 2's normaliser: norm * (1 + e b3)
+    b1 = readout_stage(readout, bloch, rng, n, workspace)
+    sign = np.multiply(b1, readout.v, out=workspace.take(n))  # r = v b1
+    # arm 2's normaliser: norm * (1 + r b3)
     bloch *= sign
     bloch += 1.0
     norm *= bloch
@@ -444,6 +445,6 @@ def sample_records(
     bloch += fx
     bloch /= norm
     workspace.give(fz, fx, coeff_a2, t2, norm)
-    b2, sign = readout_stage(readout, bloch, rng, n, workspace)
-    workspace.give(bloch, sign)
+    b2 = readout_stage(readout, bloch, rng, n, workspace)
+    workspace.give(bloch)
     return alpha1, alpha2, b1, b2

@@ -21,10 +21,11 @@ every kernel stage, every meter and the exact mean can be checked against it:
 * :func:`lhv_records_reference` is the hidden-variable sampler written as
   one expression per array, the reference for the in-place
   :func:`blgi.lhv.lhv_records`,
-* :func:`sample_records_reference` is the amplitude kernel, which keeps
-  each shot's four real amplitudes, written one expression per array: the
-  records of :func:`blgi.measurement.sample_records` must match it byte for
-  byte,
+* :func:`apply_instrument` applies the instrument of what a record shows
+  of one stage (:func:`gaussian_terms`, :func:`gaussian_sign_terms`,
+  :func:`ancilla_terms`, :func:`readout_terms`), whose trace is the
+  probability that :func:`blgi.measurement.sample_records` draws each
+  outcome with, and :func:`record_sign_law` is the law of a record's signs,
 * :func:`write_records_reference` is the records writer joined field by
   field, the reference for :func:`blgi.cli._write_records`.
 """
@@ -273,9 +274,8 @@ def apply_dephasing(state: TwoQubitState, arm: int, factor: float, basis: Analyz
     """
     if not (0.0 <= factor <= 1.0):
         raise ValueError(f"dephasing factor must be in [0, 1], got {factor}")
-    obs = embed(basis.observable, arm)
-    rho = 0.5 * (1.0 + factor) * state.rho + 0.5 * (1.0 - factor) * (obs @ state.rho @ obs)
-    return TwoQubitState.from_rho(rho)
+    terms = [(0.5 * (1.0 + factor), np.eye(4)), (0.5 * (1.0 - factor), embed(basis.observable, arm))]
+    return TwoQubitState.from_rho(apply_instrument(state.rho, terms))
 
 
 @dataclass(frozen=True)
@@ -373,164 +373,111 @@ def exact_mean_reference(config: ExperimentConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The amplitude kernel written one expression per array: each shot is a pure
-# state of four real amplitudes, which every stage rotates into the analyzer
-# frame, updates by the drawn outcome and rotates back, returning fresh
-# arrays.  The runtime's Bloch kernel in :mod:`blgi.measurement` draws the
-# same uniforms and normals and must write the same records bit for bit.
+# The instruments of what a record shows.  A record holds each weak signal
+# and each reported readout, so each stage's instrument is its Kraus updates
+# averaged over what the record does not show: the excess dephasing of a
+# Gaussian meter with eta < 1, the ancilla branch behind its reported sign
+# and a readout's true sign behind its reported one.  Each is a list of terms
+# (w, K) of the map rho -> sum w K rho K^dag, whose trace is the probability
+# of the outcome, on one 4x4 density matrix or on a stack of them, one per
+# shot.
 # ---------------------------------------------------------------------------
 
 
-def _rotation(phi: float) -> tuple[float, float]:
-    # ket0 = (c, s) and ket1 = (-s, c) with c = cos(phi/2), s = sin(phi/2)
-    return float(np.cos(phi / 2.0)), float(np.sin(phi / 2.0))
+def apply_instrument(rho: np.ndarray, terms: list) -> np.ndarray:
+    """``sum w K rho K^dag`` over the ``(w, K)`` of ``terms``, unnormalised.
 
-
-def _to_frame(amps: tuple, arm: int, phi: float):
-    """``(x0, x1, y0, y1)``: the ket0 (x) and ket1 (y) components of ``arm``,
-    indexed by the other arm's computational state."""
-    c00, c01, c10, c11 = amps
-    a0, a1, b0, b1 = (c00, c01, c10, c11) if arm == 1 else (c00, c10, c01, c11)
-    c, s = _rotation(phi)
-    return c * a0 + s * b0, c * a1 + s * b1, c * b0 - s * a0, c * b1 - s * a1
-
-
-def _from_frame(x0, x1, y0, y1, arm: int, phi: float) -> tuple:
-    c, s = _rotation(phi)
-    a0, a1, b0, b1 = c * x0 - s * y0, c * x1 - s * y1, s * x0 + c * y0, s * x1 + c * y1
-    return (a0, a1, b0, b1) if arm == 1 else (a0, b0, a1, b1)
-
-
-def _gaussian_branch_scales(signals: np.ndarray, variance: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Kraus entries ``g0, g1`` of pointer readouts ``signals``, up to a
-    common per-shot factor.
-
-    ``g0/g1 = exp(alpha/variance)``, so dividing both by the larger one
-    gives ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t =
-    alpha/variance``: neither underflows to zero with the other.
+    ``rho`` has shape ``(..., 4, 4)``, each ``K`` is 4x4, and each weight
+    is a float or one per matrix.  Each product is one matrix product of
+    the flattened matrices: ``K rho K^dag`` flattens to ``(K (x) conj(K))``
+    times the flattened ``rho``, a real matrix for a real ``K``, so a real
+    ``rho`` stays real.
     """
-    t = signals / variance
-    return np.exp(np.minimum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
+    flat = rho.reshape(*rho.shape[:-2], 16)
+    # a copy: numpy multiplies by a strided transpose of a real part without BLAS
+    total = sum(
+        np.asarray(weight)[..., None] * (flat @ np.real_if_close(np.kron(kraus, kraus.conj())).T.copy())
+        for weight, kraus in terms
+    )
+    return total.reshape(*total.shape[:-1], 4, 4)
 
 
-def weak_stage_reference(
-    amps: tuple,
-    arm: int,
-    spec: MeterSpec,
-    phi: float,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, tuple]:
-    """Weakly measure ``arm`` along analyzer angle ``phi`` in ``n`` shots.
+def _diagonal_terms(weight0, weight1, coherence, arm: int, basis: AnalyzerBasis) -> list:
+    """``weight0 P0 rho P0 + weight1 P1 rho P1 + coherence (P0 rho P1 + P1 rho P0)`` on ``arm``.
 
-    Returns ``(signals, post-state amplitudes)``.
-
-    Draw order: Gaussian, one uniform block (mixture component), one
-    normal block (pointer value) and, only when ``eta < 1``, one uniform
-    block (phase flip); ancilla, one uniform block (branch) and one
-    uniform block (readout flip).
+    ``P0 rho P1 + P1 rho P0`` is ``(rho - O rho O)/2`` with the analyzer's observable ``O``.
     """
-    x0, x1, y0, y1 = _to_frame(amps, arm, phi)
-    p0 = x0 * x0 + x1 * x1
-    p1 = y0 * y0 + y1 * y1
-    if isinstance(spec, GaussianMeterSpec):
-        signals = _signs(rng.random(n) < p0) + spec.sigma * rng.standard_normal(n)
-        w0, w1 = _gaussian_branch_scales(signals, spec.variance)
-    elif isinstance(spec, AncillaMeterSpec):
-        half = spec.v_ent / 2.0
-        took_plus = rng.random(n) < (0.5 + half) * p0 + (0.5 - half) * p1
-        strong, weak = math.sqrt(0.5 + half), math.sqrt(0.5 - half)
-        shift = (strong - weak) * took_plus
-        w0, w1 = weak + shift, strong - shift
-        flip = rng.random(n) < (1.0 - spec.u) / 2.0
-        # a Python-float reciprocal overflows to inf without a numpy warning,
-        # and +/-1 * (1/v) is +/-1/v exactly
-        signals = _signs(took_plus != flip) * (1.0 / spec.v_total)
-    else:
-        raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-    norm = 1.0 / np.sqrt(w0 * w0 * p0 + w1 * w1 * p1)
-    w0 = w0 * norm
-    w1 = w1 * norm
-    if isinstance(spec, GaussianMeterSpec) and spec.eta < 1.0:
-        flip = rng.random(n) < 0.5 * (1.0 - excess_dephasing_factor(spec))
-        w1 = w1 * _signs(~flip)
-    x0, x1, y0, y1 = x0 * w0, x1 * w0, y0 * w1, y1 * w1
-    del p0, p1, w0, w1, norm  # freed before the rotation allocates: peak memory
-    return signals, _from_frame(x0, x1, y0, y1, arm, phi)
+    return [
+        (weight0, embed(basis.projector0, arm)),
+        (weight1, embed(basis.projector1, arm)),
+        (np.multiply(coherence, 0.5), np.eye(4)),
+        (np.multiply(coherence, -0.5), embed(basis.observable, arm)),
+    ]
 
 
-def _reported(hit0: np.ndarray, spec: ProjectiveMeterSpec, rng: np.random.Generator) -> np.ndarray:
-    # the reported sign is the true one, flipped with probability (1 - v)/2
-    return _signs(hit0 != (rng.random(hit0.size) < (1.0 - spec.v) / 2.0))
+def gaussian_terms(alpha, spec: GaussianMeterSpec, arm: int, basis: AnalyzerBasis) -> list:
+    """Pointer value(s) ``alpha``: the Kraus update ``k0 P0 + k1 P1``, then the excess dephasing of ``eta < 1``.
 
-
-def first_readout_reference(
-    amps: tuple,
-    spec: ProjectiveMeterSpec,
-    phi: float,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Projectively read out arm 1 along analyzer angle ``phi`` in ``n`` shots.
-
-    Returns ``(signals, (z0, z1))``: the projection leaves the pair in
-    the product of the true outcome's analyzer ket with arm 2's
-    conditional ket ``z0|0> + z1|1>``, returned unnormalized.  Only the
-    reported sign suffers the misidentification flip.  Draw order: one
-    uniform block (outcome), one uniform block (flip).
+    ``k0, k1`` are :func:`gaussian_kraus`'s entries over the larger one,
+    ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t = alpha/sigma^2``:
+    the same update, and finite where ``sigma**2`` overflows.  The
+    dephasing, :func:`apply_dephasing`'s channel, scales the coherences by
+    :func:`excess_dephasing_factor`.
     """
-    x0, x1, y0, y1 = _to_frame(amps, 1, phi)
-    hit0 = rng.random(n) < x0 * x0 + x1 * x1
-    signals = _reported(hit0, spec, rng)
-    # exact select: one of the two products is x*1 or y*1, the other zero
-    keep_x = hit0.astype(float)
-    keep_y = 1.0 - keep_x
-    return signals, (x0 * keep_x + y0 * keep_y, x1 * keep_x + y1 * keep_y)
+    t = np.asarray(alpha, dtype=float) / spec.variance
+    k0, k1 = np.exp(np.minimum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
+    return _diagonal_terms(k0 * k0, k1 * k1, k0 * k1 * excess_dephasing_factor(spec), arm, basis)
 
 
-def second_readout_reference(
-    ket: tuple[np.ndarray, np.ndarray],
-    spec: ProjectiveMeterSpec,
-    phi: float,
-    rng: np.random.Generator,
-    n: int,
-) -> np.ndarray:
-    """Projectively read out arm 2 along ``phi``, in state ``ket`` from :func:`first_readout_reference`.
+def gaussian_sign_terms(sign: float, spec: GaussianMeterSpec, arm: int, basis: AnalyzerBasis) -> list:
+    """The sign of the pointer value: the Gaussian instrument integrated over ``sign * alpha > 0``.
 
-    The last measurement leaves no state behind, so only the ket0
-    probability ``<ket0|z>^2 / <z|z>`` is formed.  Draw order: one
-    uniform block (outcome), one uniform block (flip).
+    ``P0 rho P0`` is weighted by ``Phi(sign/sigma)``, ``P1 rho P1`` by
+    ``Phi(-sign/sigma)``, and the coherences by ``exp(-1/(2 sigma^2))/2``
+    times the excess factor of ``eta < 1``.
     """
-    z0, z1 = ket
-    c, s = _rotation(phi)
-    along0 = c * z0 + s * z1
-    hit0 = rng.random(n) < along0 * along0 / (z0 * z0 + z1 * z1)
-    return _reported(hit0, spec, rng)
+    # Phi(x) = erfc(-x/sqrt(2))/2
+    z = sign / (spec.sigma * math.sqrt(2.0))
+    coherence = math.exp(-0.5 / spec.variance) * excess_dephasing_factor(spec) / 2.0
+    return _diagonal_terms(0.5 * math.erfc(-z), 0.5 * math.erfc(z), coherence, arm, basis)
 
 
-def sample_records_reference(
-    n: int,
-    meter1: MeterSpec,
-    meter2: MeterSpec,
-    readout: ProjectiveMeterSpec,
-    angles: tuple[float, float, float, float],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``n`` shots of the full protocol from the Bell pair: ``(alpha1, alpha2, b1, b2)``.
+def ancilla_terms(report, spec: AncillaMeterSpec, arm: int, basis: AnalyzerBasis) -> list:
+    """Reported sign(s) ``report``: each branch's update, weighted by its chance ``(1 +/- u)/2`` of that report."""
+    report = np.asarray(report, dtype=float)
+    return [
+        ((1.0 + spec.u * branch * report) / 2.0, embed(ancilla_kraus(branch, spec.v_ent, basis), arm))
+        for branch in (+1, -1)
+    ]
 
-    ``angles`` are the analyzers ``(a1, a2, b1, b2)`` in radians; a
-    non-finite one raises ValueError.  Stages and draws run in the order
-    weak arm 1, weak arm 2, readout arm 1, readout arm 2.
+
+def readout_terms(report, spec: ProjectiveMeterSpec, arm: int, basis: AnalyzerBasis) -> list:
+    """Reported sign(s) ``report``: each projection, weighted by its chance ``(1 +/- v)/2`` of that report."""
+    report = np.asarray(report, dtype=float)
+    return [
+        ((1.0 + spec.v * sign * report) / 2.0, embed(projector, arm))
+        for sign, projector in ((+1, basis.projector0), (-1, basis.projector1))
+    ]
+
+
+def record_sign_law(config: ExperimentConfig) -> np.ndarray:
+    """The probability of each ``(sign alpha1, sign alpha2, b1, b2)`` of a record, index 0 for +1.
+
+    An ancilla signal's sign is its reported sign; a Gaussian signal is
+    zero with probability zero.
     """
-    phi_a1, phi_a2, phi_b1, phi_b2 = angles
-    for phi in angles:
-        if not np.isfinite(phi):
-            raise ValueError(f"analyzer angle must be finite, got {phi}")
-    alpha1, amps = weak_stage_reference(BELL_AMPLITUDES, 1, meter1, phi_a1, rng, n)
-    alpha2, amps = weak_stage_reference(amps, 2, meter2, phi_a2, rng, n)
-    b1, ket = first_readout_reference(amps, readout, phi_b1, rng, n)
-    b2 = second_readout_reference(ket, readout, phi_b2, rng, n)
-    return alpha1, alpha2, b1, b2
+    bases = [analyzer_basis(phi) for phi in config.angles]
+    law = np.empty((2, 2, 2, 2))
+    for index in np.ndindex(law.shape):
+        signs = [1.0 - 2.0 * i for i in index]
+        rho = bell_state().rho
+        for arm, spec in ((1, config.meter1), (2, config.meter2)):
+            terms = gaussian_sign_terms if isinstance(spec, GaussianMeterSpec) else ancilla_terms
+            rho = apply_instrument(rho, terms(signs[arm - 1], spec, arm, bases[arm - 1]))
+        for arm in (1, 2):
+            rho = apply_instrument(rho, readout_terms(signs[arm + 1], config.b_spec, arm, bases[arm + 1]))
+        law[index] = np.trace(rho).real
+    return law
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,7 @@ def _invariant_calibration() -> tuple[bool, str]:
     details.append(f"ancilla |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = ProjectiveMeterSpec(v=0.8)
-    signals, _ = readout_stage(spec, eigen, rng, shots)
+    signals = readout_stage(spec, eigen, rng, shots)
     stderr = 1 / np.sqrt(shots)
     dev = abs(signals.mean() - spec.v * target)
     ok = ok and dev < 4 * stderr

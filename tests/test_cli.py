@@ -150,7 +150,7 @@ class TestSimulate:
             outputs.append((out.read_bytes(), records.read_bytes()))
         assert outputs[0] == outputs[1]
         # pins the text, not just the values: what per-value %.17g formatting wrote
-        digest = "fc4805e759dfd4b915827b47de3fb20b287d388fc825995a37a1748a207237c9"
+        digest = "b40c8213a885c2e29e00c63669c8c34fae59607b63cb892a3de2510d5c9422d1"
         assert hashlib.sha256(outputs[0][1]).hexdigest() == digest
         # the summary reduces exactly the records written
         alpha1, alpha2, b1, b2 = np.loadtxt(tmp_path / "r1.csv", delimiter=",", skiprows=1).T
@@ -168,7 +168,7 @@ class TestSimulate:
             "--out", str(tmp_path / "s.csv"), "--records", str(records),
         ])
         assert code == 0
-        digest = "dbb15cd13b495d3ddc46ab17617c5e1a318b36b1767ef25b5f4a4b5fab44ef20"
+        digest = "dce917a480a12e17f7d3acd0ec677fee18434e915ea53ce61eae01146ad5be07"
         assert hashlib.sha256(records.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("threads", ["1", "3"])
@@ -188,7 +188,7 @@ class TestSimulate:
         ])
         assert code == 0
         # taken from the writer that joined every block field by field
-        digest = "d93314af3c7d3fe3a7c70e2b8aed467a4ecfd5440f0adcff23a4c2608025b166"
+        digest = "e77d2e054c0576b6dc01e2d6f290f961c684d12fef668587725e5b63ffaddd0a"
         assert hashlib.sha256(records.read_bytes()).hexdigest() == digest
 
     def test_flag_overrides_apply_together(self, tmp_path):
@@ -518,7 +518,55 @@ class TestManifestRoundTrip:
         assert _read(out1) == _read(out2)
 
 
-#: a manifest in the earlier layout, with ``seed``/``out``/``extra`` and no ``argv``
+class TestDrawContract:
+    """A manifest names the blgi and numpy versions whose seeded draws it holds."""
+
+    #: a manifest as blgi 0.1 wrote it, in the layout of today but without ``numpy``
+    V01_MANIFEST = {
+        "command": "simulate",
+        "argv": ["--out=x.csv"],
+        "config": {
+            "meter1": {"type": "gaussian", "sigma": 1.0, "eta": 1.0},
+            "meter2": {"type": "gaussian", "sigma": 1.0, "eta": 1.0},
+            "b": {"v": 1.0},
+            "angles": {"a1": 1.5707963267948966, "a2": 0.7853981633974483, "b1": 0.0, "b2": 2.356194490192345},
+            "run": {"shots": 100, "seed": 3},
+        },
+        "version": "0.1.0",
+        "created_utc": "2026-10-19T15:53:03.511474+00:00",
+    }
+
+    @pytest.mark.parametrize("data", [V01_MANIFEST, None], ids=["0.1 layout", "earlier layout"])
+    def test_a_0_1_manifest_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, data):
+        monkeypatch.chdir(tmp_path)
+        Path("m.json").write_text(json.dumps(OLD_FORMAT_MANIFEST if data is None else data), encoding="utf-8")
+        assert main(["simulate", "--manifest", "m.json", "--out", "y.csv"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "blgi 0.1.0" in err[0] and f"blgi {blgi.__version__}" in err[0] and "draws" in err[0]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json"]
+
+    def test_a_manifest_records_both_versions(self, tmp_path):
+        manifest = tmp_path / "m.json"
+        assert main(["simulate", "--shots", "100", "--out", str(tmp_path / "x.csv"), "--manifest", str(manifest)]) == 0
+        data = json.loads(_read(manifest))
+        assert (data["version"], data["numpy"]) == (blgi.__version__, np.__version__)
+
+    def test_a_rerun_under_another_numpy_warns_and_runs(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        argv = ["simulate", "--shots", "100", "--seed", "3", "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        manifest.write_text(json.dumps({**json.loads(_read(manifest)), "numpy": "1.24.0"}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "y.csv")]) == 0
+        err = capsys.readouterr().err.strip().splitlines()
+        warnings = [line for line in err if "numpy" in line]
+        assert len(warnings) == 1 and warnings[0].startswith("warning: ")
+        assert "numpy 1.24.0" in warnings[0] and f"numpy {np.__version__}" in warnings[0]
+        assert _read(tmp_path / "x.csv") == _read(tmp_path / "y.csv")
+
+
+#: a 0.1 manifest in the earlier layout, with ``seed``/``out``/``extra`` and no ``argv``
 OLD_FORMAT_MANIFEST = {
     "command": "simulate",
     "config": {
@@ -573,7 +621,7 @@ class TestManifestRerunErrors:
             (LHV, _set_stored("--shots", "abc"), [], "--shots"),
             (SIMULATE, lambda data: {**data, "argv": [1]}, [], "argv"),
             (SIMULATE, lambda data: {**data, "config": [1]}, [], "config"),
-            (SIMULATE, lambda data: OLD_FORMAT_MANIFEST, [], "argv"),
+            (SIMULATE, lambda data: {key: value for key, value in data.items() if key != "argv"}, [], "argv"),
             (LHV, None, ["--shots", "100000"], "--shots"),
             (SIMULATE, _set_config("run", "shots", 1000.7), [], "run.shots"),
             (SIMULATE, _set_config("run", "seed", -1), [], "run.seed"),
@@ -804,8 +852,8 @@ class TestLhvCommand:
         assert random_only <= stored["random"]
 
     def test_strategy_manifest_with_stored_random_only_flags_exits_2(self, tmp_path, monkeypatch, capsys):
-        # an lhv --strategy manifest as earlier versions wrote it, with every flag at its
-        # default, is refused like any other manifest in an earlier layout
+        # an lhv --strategy manifest that stores every flag at its default, as 0.1
+        # versions wrote it, is refused by its stored flags under this version too
         monkeypatch.chdir(tmp_path)
         Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
         manifest = {
@@ -815,7 +863,8 @@ class TestLhvCommand:
                 "--invasiveness=0.0", "--seed=3", "--out=x.csv",
             ],
             "config": {},
-            "version": "0.1.0",
+            "version": blgi.__version__,
+            "numpy": np.__version__,
             "created_utc": "2026-10-19T15:53:03.511474+00:00",
         }
         Path("m.json").write_text(json.dumps(manifest), encoding="utf-8")
@@ -1489,19 +1538,19 @@ _BENCHMARK_ARGVS = {
     "simulate_mc": (
         ["simulate", "--meter", "gaussian", "--sigma", "10", "--eta", "0.5", "--threads", "2",
          "--shots", str(64 * CHUNK_SHOTS)],
-        {"out.csv": "22ae967c67546cda36f52b041f6ef481d8d1912e8b2bd827789c739a99260e31"},
+        {"out.csv": "587562ef4cd35a3615ef6960a200a3bf29485190fc0c009babcdffe53530c46d"},
     ),
     "simulate_records": (
         ["simulate", "--meter", "ancilla", "--v-total", "0.6", "--u", "0.9", "--shots", str(8 * CHUNK_SHOTS)],
         {
-            "out.csv": "7d5fa2d82ddf792f0424d321b23a395fa7b0434fd677567b12da3d969804cef9",
-            "records.csv": "dbfd3aa06d271e5e7522e93139a4961d0c13a3cc9ffecaece2629a9aa6f0f05f",
+            "out.csv": "3584bc604f6b3548ab05a64a6965563a57f1174eb015d0d0b4dbd6bf19841dc6",
+            "records.csv": "25197ddcb99d6a71d7894252c5ab0743d6b38e97a585d39d4d9580f2c9e68e84",
         },
     ),
     "sweep_exact": (
         ["sweep", "--meter", "gaussian", "--eta", "0.5", "--v", "0.8", "--axis", "sigma",
          "--values", "0.25,0.35,0.5,0.7,1,1.4,2,2.8,4,5.7,8,11.3,16,32,100", "--shots", str(CHUNK_SHOTS)],
-        {"out.csv": "399ea9cd4a92a4b3b614194c6590aa2e193242d365277e65f2077227add9da47"},
+        {"out.csv": "42adfe049dbc4e7275030160f2d42d1e99a7d0b524a96eea8d852425eba9ea97"},
     ),
     "lhv_random": (
         ["lhv", "--random", "200", "--hidden-states", "4", "--invasiveness", "0.3", "--shots", "100000"],
