@@ -22,7 +22,6 @@ from .measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    dephasing_factor,
     sample_records,
 )
 from .protocol import (

@@ -39,7 +39,9 @@ from .protocol import (
     _chunks_in_order,
     analytic_mean,
     config_analytic_mean,
+    correlator,
     exact_mean,
+    exact_variance,
     monte_carlo,
     predicted_stderr,
     require_two_shots,
@@ -546,10 +548,16 @@ def _verify_checks() -> list[tuple[str, float, float]]:
         shots=100_000,
         seed=2013,
     )
-    estimate = monte_carlo(config)
-    checks.append(
-        ("monte carlo vs exact mean, in standard errors", abs(estimate.mean - exact_mean(config)) / estimate.stderr, 5.0)
-    )
+    chunks = []
+    estimate = monte_carlo(config, on_records=chunks.append)
+    pull = abs(estimate.mean - exact_mean(config)) / predicted_stderr(config)
+    checks.append(("monte carlo vs exact mean, in standard errors", pull, 5.0))
+    # the sample variance s^2 against its own standard error, sqrt((mu4 - s^4)/n), from the same run
+    deviations = correlator(*map(np.concatenate, zip(*chunks)))
+    deviations -= deviations.mean()
+    sampled = np.mean(deviations**2)
+    pull = abs(sampled - exact_variance(config)) / np.sqrt((np.mean(deviations**4) - sampled**2) / deviations.size)
+    checks.append(("exact variance vs sample variance, in standard errors", pull, 5.0))
 
     return checks
 

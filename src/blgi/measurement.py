@@ -19,12 +19,14 @@ true outcome flipped with probability ``(1 - v)/2``, so reported means are
 Every measurement is along an analyzer given by its angle ``phi`` in
 radians (the convention is in :mod:`blgi.qmath`).  The record law has one
 implementation, :func:`sample_records`: four elementwise stages (weak arm 1,
-weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw order.  No
-shot carries a state: each stage draws its outcome from the measured arm's
-Bloch component along its analyzer, which the Bell pair gives in closed form
-from the effects the earlier outcomes left, as the shot-kernel comment below
-lays out.  Every sampler takes an explicit ``numpy.random.Generator`` and is
-safe to drive from disjoint RNG substreams.
+weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw order, each
+the ``draw`` method of its arm's spec.  A meter kind is one spec class: its
+fields, its dephasing factor, its signal moments and its stage.  No shot
+carries a state: each stage draws its outcome from the measured arm's Bloch
+component along its analyzer, which the Bell pair gives in closed form from
+the effects the earlier outcomes left, as the shot-kernel comment below lays
+out.  Every sampler takes an explicit ``numpy.random.Generator`` and is safe
+to drive from disjoint RNG substreams.
 """
 
 from __future__ import annotations
@@ -66,6 +68,51 @@ class GaussianMeterSpec:
         """``E[alpha^2] = sigma^2 + 1`` on any state."""
         return self.variance + 1.0
 
+    @property
+    def dephasing_factor(self) -> float:
+        """Coherence damping of the outcome-averaged back-action, ``exp(-1/(2 sigma^2 eta))``.
+
+        The projective-readout visibility factor ``v`` is applied by the
+        caller, not here.
+        """
+        width = 2.0 * self.variance * self.eta
+        # a product that underflows to zero is a full collapse
+        return float(np.exp(-1.0 / width)) if width > 0.0 else 0.0
+
+    @property
+    def excess_dephasing_factor(self) -> float:
+        """Extra damping applied after the quantum-limited update when ``eta < 1``.
+
+        Chosen so that the total average damping is :attr:`dephasing_factor`.
+        """
+        return float(np.exp(-(1.0 / (2.0 * self.variance)) * (1.0 / self.eta - 1.0)))
+
+    def draw(self, bloch, rng: np.random.Generator, n: int, workspace: Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Weakly measure, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
+
+        ``bloch`` is ``<P0 - P1>`` on the arm's state given every earlier
+        outcome, a float or one per shot: 0 on an arm of the Bell pair,
+        ``cos(phi)`` on ``|0>``.  Returns ``(signals, length, coherence)``:
+        the signals and the effect each outcome leaves on the arm, its Bloch
+        length ``T`` and coherence ``g`` (see the shot-kernel comment).
+        ``bloch`` is left alone, and the arrays returned are buffers of
+        ``workspace``.
+
+        Draw order: one uniform block (mixture component) and one normal
+        block (pointer value).  Only what the signal shows is drawn: where
+        ``eta < 1`` the coherence is scaled by :attr:`excess_dephasing_factor`.
+        """
+        threshold = _affine(bloch, 0.5, 0.5, workspace)
+        signals = _coin(threshold, rng, workspace.take(n))
+        workspace.give(threshold)
+        normal = rng.standard_normal(out=workspace.take(n))
+        signals += np.multiply(self.sigma, normal, out=normal)
+        workspace.give(normal)
+        length, coherence = _gaussian_effect(signals, self.variance, workspace)
+        if self.eta < 1.0:
+            coherence *= self.excess_dephasing_factor
+        return signals, length, coherence
+
 
 @dataclass(frozen=True)
 class AncillaMeterSpec:
@@ -97,6 +144,28 @@ class AncillaMeterSpec:
         """``E[alpha^2] = 1/v_total^2``, exactly, or ``inf`` where that overflows."""
         return _squared(1.0 / self.v_total)
 
+    @property
+    def dephasing_factor(self) -> float:
+        """As :attr:`GaussianMeterSpec.dephasing_factor`, here ``sqrt(1 - (v_total/u)^2)``."""
+        return float(np.sqrt(max(1.0 - self.v_ent**2, 0.0)))
+
+    def draw(self, bloch, rng: np.random.Generator, n: int, workspace: Workspace) -> tuple[np.ndarray, np.ndarray, float]:
+        """Weakly measure, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
+
+        As :meth:`GaussianMeterSpec.draw`, except that the coherence is one
+        float, :attr:`dephasing_factor`.  Draw order: one uniform block
+        (reported sign).  Only what the signal shows is drawn: the branch
+        behind the ``u`` flip is averaged out, so the reported sign is +
+        with probability ``(1 + v_total b)/2`` and leaves ``T = +/-v_total``.
+        """
+        threshold = _affine(bloch, self.v_total / 2.0, 0.5, workspace)
+        length = _coin(threshold, rng, workspace.take(n), self.v_total)
+        workspace.give(threshold)
+        # +/-1/v_total by the reported sign; a Python-float reciprocal
+        # overflows to inf without a numpy warning
+        signals = np.copysign(1.0 / self.v_total, length, out=workspace.take(n))
+        return signals, length, self.dephasing_factor
+
 
 @dataclass(frozen=True)
 class ProjectiveMeterSpec:
@@ -109,6 +178,21 @@ class ProjectiveMeterSpec:
     def __post_init__(self):
         if not (0.0 <= self.v <= 1.0):
             raise ValueError(f"v must be in [0, 1], got {self.v}")
+
+    def draw(self, bloch, rng: np.random.Generator, n: int, workspace: Workspace) -> np.ndarray:
+        """Projectively read out, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
+
+        Returns the reported signs, +1.0 for ``ket0``.  The true sign, flipped
+        with probability ``(1 - v)/2``, is never formed: the reported one is
+        one coin, +1.0 with probability ``(1 + v b)/2``.  ``bloch`` is left
+        alone, and the array is a buffer of ``workspace``, as in
+        :meth:`GaussianMeterSpec.draw`.  Draw order: one uniform block
+        (reported sign).
+        """
+        threshold = _affine(bloch, self.v / 2.0, 0.5, workspace)
+        reported = _coin(threshold, rng, workspace.take(n))
+        workspace.give(threshold)
+        return reported
 
 
 MeterSpec = GaussianMeterSpec | AncillaMeterSpec
@@ -140,30 +224,6 @@ def _squared(x: float) -> float:
         return math.inf
 
 
-def dephasing_factor(spec: MeterSpec) -> float:
-    """Coherence damping of the outcome-averaged meter back-action.
-
-    Gaussian: ``exp(-1/(2 sigma^2 eta))``.  Ancilla:
-    ``sqrt(1 - (v_total/u)^2)``.  The projective-readout visibility factor
-    ``v`` is applied by the caller, not here.
-    """
-    if isinstance(spec, GaussianMeterSpec):
-        width = 2.0 * spec.variance * spec.eta
-        # a product that underflows to zero is a full collapse
-        return float(np.exp(-1.0 / width)) if width > 0.0 else 0.0
-    if isinstance(spec, AncillaMeterSpec):
-        return float(np.sqrt(max(1.0 - spec.v_ent**2, 0.0)))
-    raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-
-
-def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
-    """Extra damping applied after the quantum-limited update when ``eta < 1``.
-
-    Chosen so that the total average damping is ``exp(-1/(2 sigma^2 eta))``.
-    """
-    return float(np.exp(-(1.0 / (2.0 * spec.variance)) * (1.0 / spec.eta - 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # The shot kernel.
 #
@@ -182,18 +242,20 @@ def excess_dephasing_factor(spec: GaussianMeterSpec) -> float:
 # into the effect instead of drawn: the excess dephasing of eta < 1 scales g,
 # the ancilla branch behind its reported sign weights its two effects by
 # (1 +/- u)/2, and a readout's true sign behind its reported one weights its
-# two projections by (1 +/- v)/2.  So each weak stage leaves two per-shot
-# numbers on its arm:
+# two projections by (1 +/- v)/2.  So each weak spec's draw leaves two
+# per-shot numbers on its arm:
 #
 #   Gaussian  T = tanh(t), g = sech(t) with t = alpha/sigma^2 (k0/k1 = e^t),
 #             g times excess_dephasing_factor where eta < 1;
 #   ancilla   T = +/-v_total (u v_ent) by the reported sign, g = Xi, one float.
 #
-# Every stage draws its reported outcome from the measured arm's Bloch
-# component b along its analyzer, given all earlier outcomes: ket0 is
-# reported with probability (1 + b)/2 by a weak Gaussian stage, the ancilla's
-# + sign with (1 + v_total b)/2 and a readout's + with (1 + v b)/2.  With
-# D = a2 - a1, c1, s1 = cos, sin(b1 - a1) and c2, s2 = cos, sin(b2 - a2):
+# Every stage, the draw method of its arm's spec (GaussianMeterSpec.draw,
+# AncillaMeterSpec.draw, ProjectiveMeterSpec.draw), draws its reported
+# outcome from the measured arm's Bloch component b along its analyzer, given
+# all earlier outcomes: ket0 is reported with probability (1 + b)/2 by a weak
+# Gaussian stage, the ancilla's + sign with (1 + v_total b)/2 and a readout's
+# + with (1 + v b)/2.  With D = a2 - a1, c1, s1 = cos, sin(b1 - a1) and
+# c2, s2 = cos, sin(b2 - a2):
 #
 #   weak arm 1     b = 0
 #   weak arm 2     b = T1 cos D
@@ -300,77 +362,6 @@ def _gaussian_effect(signals: np.ndarray, variance: float, workspace: Workspace)
     return length, coherence
 
 
-def weak_stage(
-    spec: MeterSpec,
-    bloch,
-    rng: np.random.Generator,
-    n: int,
-    workspace: Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
-    """Weakly measure, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
-
-    ``bloch`` is ``<P0 - P1>`` on the arm's state given every earlier
-    outcome, a float or one per shot: 0 on an arm of the Bell pair,
-    ``cos(phi)`` on ``|0>``.  Returns ``(signals, length, coherence)``:
-    the signals and the effect each outcome leaves on the arm, its Bloch
-    length ``T`` and coherence ``g`` (see the shot-kernel comment).
-    ``bloch`` is left alone.  The arrays returned are buffers of
-    ``workspace`` (a new workspace of ``n`` entries when none is given);
-    an ancilla's coherence is one float.
-
-    Draw order: Gaussian, one uniform block (mixture component) and one
-    normal block (pointer value); ancilla, one uniform block (reported
-    sign).  Only what the signal shows is drawn: where ``eta < 1`` the
-    coherence is scaled by :func:`excess_dephasing_factor`, and the
-    ancilla's branch behind its ``u`` flip is averaged out, so its
-    reported sign is + with probability ``(1 + v_total b)/2`` and leaves
-    ``T = +/-v_total``.
-    """
-    workspace = Workspace(n) if workspace is None else workspace
-    if isinstance(spec, GaussianMeterSpec):
-        threshold = _affine(bloch, 0.5, 0.5, workspace)
-        signals = _coin(threshold, rng, workspace.take(n))
-        workspace.give(threshold)
-        normal = rng.standard_normal(out=workspace.take(n))
-        signals += np.multiply(spec.sigma, normal, out=normal)
-        workspace.give(normal)
-        length, coherence = _gaussian_effect(signals, spec.variance, workspace)
-        if spec.eta < 1.0:
-            coherence *= excess_dephasing_factor(spec)
-        return signals, length, coherence
-    if isinstance(spec, AncillaMeterSpec):
-        threshold = _affine(bloch, spec.v_total / 2.0, 0.5, workspace)
-        length = _coin(threshold, rng, workspace.take(n), spec.v_total)
-        workspace.give(threshold)
-        # +/-1/v_total by the reported sign; a Python-float reciprocal
-        # overflows to inf without a numpy warning
-        signals = np.copysign(1.0 / spec.v_total, length, out=workspace.take(n))
-        return signals, length, dephasing_factor(spec)
-    raise TypeError(f"unsupported meter spec {type(spec).__name__}")
-
-
-def readout_stage(
-    spec: ProjectiveMeterSpec,
-    bloch,
-    rng: np.random.Generator,
-    n: int,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """Projectively read out, in ``n`` shots, an arm whose Bloch component along the analyzer is ``bloch``.
-
-    Returns the reported signs, +1.0 for ``ket0``.  The true sign, flipped
-    with probability ``(1 - v)/2``, is never formed: the reported one is
-    one coin, +1.0 with probability ``(1 + v b)/2``.  ``bloch`` is left
-    alone, and the array is a buffer of ``workspace``, as in
-    :func:`weak_stage`.  Draw order: one uniform block (reported sign).
-    """
-    workspace = Workspace(n) if workspace is None else workspace
-    threshold = _affine(bloch, spec.v / 2.0, 0.5, workspace)
-    reported = _coin(threshold, rng, workspace.take(n))
-    workspace.give(threshold)
-    return reported
-
-
 def sample_records(
     n: int,
     meter1: MeterSpec,
@@ -404,9 +395,9 @@ def sample_records(
     c1, s1 = _cos_sin(phi_a1, phi_b1)
     c2, s2 = _cos_sin(phi_a2, phi_b2)
 
-    alpha1, t1, g1 = weak_stage(meter1, 0.0, rng, n, workspace)
+    alpha1, t1, g1 = meter1.draw(0.0, rng, n, workspace)
     bloch = np.multiply(t1, cos_d, out=workspace.take(n))
-    alpha2, t2, g2 = weak_stage(meter2, bloch, rng, n, workspace)
+    alpha2, t2, g2 = meter2.draw(bloch, rng, n, workspace)
 
     # readout arm 1: b3 = (c1 T1 + A1 T2) / norm with norm = 1 + cos D T1 T2
     coeff_a1 = _affine(g1, s1 * sin_d, c1 * cos_d, workspace)
@@ -418,7 +409,7 @@ def sample_records(
     norm *= cos_d
     norm += 1.0
     bloch /= norm
-    b1 = readout_stage(readout, bloch, rng, n, workspace)
+    b1 = readout.draw(bloch, rng, n, workspace)
     sign = np.multiply(b1, readout.v, out=workspace.take(n))  # r = v b1
     # arm 2's normaliser: norm * (1 + r b3)
     bloch *= sign
@@ -445,6 +436,6 @@ def sample_records(
     bloch += fx
     bloch /= norm
     workspace.give(fz, fx, coeff_a2, t2, norm)
-    b2 = readout_stage(readout, bloch, rng, n, workspace)
+    b2 = readout.draw(bloch, rng, n, workspace)
     workspace.give(bloch)
     return alpha1, alpha2, b1, b2

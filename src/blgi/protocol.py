@@ -165,17 +165,19 @@ def estimate(parts: Iterable[tuple[int, float, float]]) -> Estimate:
 def correlator(alpha1, alpha2, b1, b2, out: tuple[np.ndarray, np.ndarray] | None = None):
     """Per-shot CHSH-form combination of the four signals, elementwise on arrays or floats.
 
-    ``out``, two arrays shaped like the signals, takes C and each later
-    term in turn; the terms are summed in the same order either way.
+    ``out``, two arrays of the signals' broadcast shape, takes C and each
+    later term in turn; without it both are allocated, and C of four
+    floats is a float.
     """
     if out is None:
-        return alpha1 * alpha2 + alpha1 * b2 + b1 * alpha2 - b1 * b2
+        shape = np.broadcast_shapes(*(np.shape(signal) for signal in (alpha1, alpha2, b1, b2)))
+        out = (np.empty(shape), np.empty(shape))
     values, term = out
     np.multiply(alpha1, alpha2, out=values)
     values += np.multiply(alpha1, b2, out=term)
     values += np.multiply(b1, alpha2, out=term)
     values -= np.multiply(b1, b2, out=term)
-    return values
+    return values if values.ndim else float(values)
 
 
 def substream_rng(seed: int, index: int) -> np.random.Generator:
@@ -402,7 +404,7 @@ def _arm_observables(spec: MeterSpec, phi_a: float, phi_b: float) -> tuple[np.nd
     """
     p0, p1 = _projectors(phi_a)
     readout = np.subtract(*_projectors(phi_b))
-    xi = meas.dephasing_factor(spec)
+    xi = spec.dephasing_factor
     seen = p0 @ readout @ p0 + p1 @ readout @ p1 + xi * (p0 @ readout @ p1 + p1 @ readout @ p0)
     return p0 - p1, seen
 
@@ -452,12 +454,7 @@ class SweepPoint:
 
 def config_analytic_mean(config: ExperimentConfig) -> float:
     """Closed-form mean for a config, from the meters' dephasing factors and its angles."""
-    return analytic_mean(
-        meas.dephasing_factor(config.meter1),
-        meas.dephasing_factor(config.meter2),
-        config.b_spec.v,
-        config.angles,
-    )
+    return analytic_mean(config.meter1.dephasing_factor, config.meter2.dephasing_factor, config.b_spec.v, config.angles)
 
 
 def retune(config: ExperimentConfig, **values: float) -> ExperimentConfig:

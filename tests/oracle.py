@@ -44,8 +44,6 @@ from blgi.measurement import (
     GaussianMeterSpec,
     MeterSpec,
     ProjectiveMeterSpec,
-    dephasing_factor,
-    excess_dephasing_factor,
 )
 from blgi.protocol import ExperimentConfig
 
@@ -335,7 +333,7 @@ def _projectors(phi: float) -> tuple[np.ndarray, np.ndarray]:
 def _arm_moments(spec: MeterSpec, phi: float, arm: int):
     """Zeroth and first outcome moments of one weak arm, as maps on rho."""
     p0, p1 = (embed(projector, arm) for projector in _projectors(phi))
-    xi = dephasing_factor(spec)
+    xi = spec.dephasing_factor
 
     def zeroth(rho: np.ndarray) -> np.ndarray:
         return p0 @ rho @ p0 + p1 @ rho @ p1 + xi * (p0 @ rho @ p1 + p1 @ rho @ p0)
@@ -422,11 +420,11 @@ def gaussian_terms(alpha, spec: GaussianMeterSpec, arm: int, basis: AnalyzerBasi
     ``exp(min(t, 0))`` and ``exp(-max(t, 0))`` with ``t = alpha/sigma^2``:
     the same update, and finite where ``sigma**2`` overflows.  The
     dephasing, :func:`apply_dephasing`'s channel, scales the coherences by
-    :func:`excess_dephasing_factor`.
+    :attr:`GaussianMeterSpec.excess_dephasing_factor`.
     """
     t = np.asarray(alpha, dtype=float) / spec.variance
     k0, k1 = np.exp(np.minimum(t, 0.0)), np.exp(-np.maximum(t, 0.0))
-    return _diagonal_terms(k0 * k0, k1 * k1, k0 * k1 * excess_dephasing_factor(spec), arm, basis)
+    return _diagonal_terms(k0 * k0, k1 * k1, k0 * k1 * spec.excess_dephasing_factor, arm, basis)
 
 
 def gaussian_sign_terms(sign: float, spec: GaussianMeterSpec, arm: int, basis: AnalyzerBasis) -> list:
@@ -438,7 +436,7 @@ def gaussian_sign_terms(sign: float, spec: GaussianMeterSpec, arm: int, basis: A
     """
     # Phi(x) = erfc(-x/sqrt(2))/2
     z = sign / (spec.sigma * math.sqrt(2.0))
-    coherence = math.exp(-0.5 / spec.variance) * excess_dephasing_factor(spec) / 2.0
+    coherence = math.exp(-0.5 / spec.variance) * spec.excess_dephasing_factor / 2.0
     return _diagonal_terms(0.5 * math.erfc(-z), 0.5 * math.erfc(z), coherence, arm, basis)
 
 

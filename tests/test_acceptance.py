@@ -16,8 +16,7 @@ from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
     ProjectiveMeterSpec,
-    readout_stage,
-    weak_stage,
+    Workspace,
 )
 from blgi.protocol import (
     ExperimentConfig,
@@ -130,7 +129,7 @@ def test_criterion_5_ancilla_mid_strength():
     rng = np.random.default_rng(506)
     shots = 1_000_000
     eigenstate = 1.0  # |0> along phi = 0: its Bloch component cos(0), shared by every shot
-    signals, _, _ = weak_stage(AncillaMeterSpec(v_total=0.6), eigenstate, rng, shots)
+    signals, _, _ = AncillaMeterSpec(v_total=0.6).draw(eigenstate, rng, shots, Workspace(shots))
     variance = signals.var(ddof=1)
     variance_target = 1 / 0.36 - 1
     variance_dev = abs(variance - variance_target) / variance_target
@@ -306,21 +305,21 @@ def _invariant_calibration() -> tuple[bool, str]:
     eigen = np.cos(phi)  # |0>'s Bloch component along phi, shared by every shot
 
     spec = GaussianMeterSpec(sigma=1.5, eta=0.7)
-    signals, _, _ = weak_stage(spec, eigen, rng, shots)
+    signals, _, _ = spec.draw(eigen, rng, shots, Workspace(shots))
     stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"gaussian |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = AncillaMeterSpec(v_total=0.5, u=0.9)
-    signals, _, _ = weak_stage(spec, eigen, rng, shots)
+    signals, _, _ = spec.draw(eigen, rng, shots, Workspace(shots))
     stderr = np.sqrt(1 / spec.v_total**2) / np.sqrt(shots)
     dev = abs(signals.mean() - target)
     ok = ok and dev < 4 * stderr
     details.append(f"ancilla |dev|={dev:.2e}<= {4 * stderr:.2e}")
 
     spec = ProjectiveMeterSpec(v=0.8)
-    signals = readout_stage(spec, eigen, rng, shots)
+    signals = spec.draw(eigen, rng, shots, Workspace(shots))
     stderr = 1 / np.sqrt(shots)
     dev = abs(signals.mean() - spec.v * target)
     ok = ok and dev < 4 * stderr

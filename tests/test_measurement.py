@@ -12,11 +12,7 @@ from blgi.measurement import (
     ProjectiveMeterSpec,
     Workspace,
     _coin,
-    dephasing_factor,
-    excess_dephasing_factor,
-    readout_stage,
     sample_records,
-    weak_stage,
 )
 from blgi.protocol import ExperimentConfig
 from oracle import (
@@ -242,29 +238,29 @@ class TestAncillaKraus:
 
 class TestDephasingFactor:
     def test_ideally_weak_limits(self):
-        assert dephasing_factor(GaussianMeterSpec(sigma=1e6)) > 1 - 1e-9
-        assert dephasing_factor(AncillaMeterSpec(v_total=1e-6)) > 1 - 1e-9
+        assert GaussianMeterSpec(sigma=1e6).dephasing_factor > 1 - 1e-9
+        assert AncillaMeterSpec(v_total=1e-6).dephasing_factor > 1 - 1e-9
 
     def test_ancilla_three_four_five(self):
-        assert abs(dephasing_factor(AncillaMeterSpec(v_total=0.6, u=1.0)) - 0.8) < 1e-15
+        assert abs(AncillaMeterSpec(v_total=0.6, u=1.0).dephasing_factor - 0.8) < 1e-15
 
     def test_gaussian_sigma_two(self):
         # the exponent carries sigma^2, confirmed by the quadrature oracle above
-        assert abs(dephasing_factor(GaussianMeterSpec(sigma=2.0)) - np.exp(-1 / 8)) < 1e-15
+        assert abs(GaussianMeterSpec(sigma=2.0).dephasing_factor - np.exp(-1 / 8)) < 1e-15
 
     def test_efficiency_accelerates_dephasing(self):
-        assert abs(dephasing_factor(GaussianMeterSpec(sigma=1.0, eta=0.5)) - np.exp(-1.0)) < 1e-15
+        assert abs(GaussianMeterSpec(sigma=1.0, eta=0.5).dephasing_factor - np.exp(-1.0)) < 1e-15
 
     def test_overflowing_width_is_fully_coherent(self):
         # sigma**2 overflows a float; the spec's variance reads inf instead
         spec = GaussianMeterSpec(sigma=1e300, eta=0.5)
         assert spec.variance == np.inf
-        assert dephasing_factor(spec) == 1.0
-        assert excess_dephasing_factor(spec) == 1.0
+        assert spec.dephasing_factor == 1.0
+        assert spec.excess_dephasing_factor == 1.0
 
     def test_ancilla_with_readout_visibility(self):
         spec = AncillaMeterSpec(v_total=0.4, u=0.8)
-        assert abs(dephasing_factor(spec) - np.sqrt(1 - 0.5**2)) < 1e-15
+        assert abs(spec.dephasing_factor - np.sqrt(1 - 0.5**2)) < 1e-15
 
 
 class TestApplyDephasing:
@@ -300,7 +296,7 @@ class TestGaussianSampling:
         spec = GaussianMeterSpec(sigma=2.0)
         rng = np.random.default_rng(42)
         shots = 1_000_000
-        signals, _, _ = weak_stage(spec, 1.0, rng, shots)
+        signals, _, _ = spec.draw(1.0, rng, shots, Workspace(shots))
         stderr = spec.sigma / np.sqrt(shots)
         assert abs(signals.mean() - 1.0) < 4 * stderr
 
@@ -309,7 +305,7 @@ class TestGaussianSampling:
         spec = GaussianMeterSpec(sigma=1.0)
         rng = np.random.default_rng(1)
         shots = 500_000
-        signals, _, _ = weak_stage(spec, 0.0, rng, shots)
+        signals, _, _ = spec.draw(0.0, rng, shots, Workspace(shots))
         stderr = np.sqrt(spec.sigma**2 + 1) / np.sqrt(shots)
         assert abs(signals.mean() - 0.0) < 4 * stderr
 
@@ -319,13 +315,13 @@ class TestGaussianSampling:
         # effect is pure, then the excess dephasing f of eta < 1 on g
         spec = GaussianMeterSpec(sigma=0.7, eta=0.8)
         rng = np.random.default_rng(9)
-        signals, length, coherence = weak_stage(spec, 0.0, rng, 1)
+        signals, length, coherence = spec.draw(0.0, rng, 1, Workspace(1))
         assert signals.shape == length.shape == coherence.shape == (1,) and np.isfinite(signals[0])
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         rho = _product_state(plus, np.array([1.0, 0.0])).rho
         after = _update(rho, gaussian_terms(signals[0], spec, 1, analyzer_basis(0.0)))
         np.testing.assert_allclose((length[0], coherence[0]), _components(after, 1, 0.0), atol=1e-12)
-        assert abs(length[0] ** 2 + (coherence[0] / excess_dephasing_factor(spec)) ** 2 - 1) < 1e-12
+        assert abs(length[0] ** 2 + (coherence[0] / spec.excess_dephasing_factor) ** 2 - 1) < 1e-12
 
     @pytest.mark.parametrize("eta,factor", [(1.0, np.exp(-0.5)), (0.5, np.exp(-1.0))])
     def test_average_damping_matches_dephasing_factor(self, eta, factor):
@@ -334,7 +330,7 @@ class TestGaussianSampling:
         spec = GaussianMeterSpec(sigma=1.0, eta=eta)
         rng = np.random.default_rng(77)
         shots = 400_000
-        _, _, coherence = weak_stage(spec, 0.0, rng, shots)
+        _, _, coherence = spec.draw(0.0, rng, shots, Workspace(shots))
         assert abs(coherence.mean() - factor) < 4 / np.sqrt(shots)
 
     def test_single_shot_average_damping(self):
@@ -345,7 +341,7 @@ class TestGaussianSampling:
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
         state = _product_state(plus, np.array([1.0, 0.0]))
         shots = 20_000
-        _, length, coherence = weak_stage(spec, 0.0, rng, shots)
+        _, length, coherence = spec.draw(0.0, rng, shots, Workspace(shots))
         mean = (np.eye(2) + length.mean() * basis.observable.real + coherence.mean() * PAULI_X) / 2
         expected = apply_dephasing(state, 1, np.exp(-0.5), basis)
         np.testing.assert_allclose(mean, expected.reduced(1).real, atol=5 * 0.5 / np.sqrt(shots))
@@ -356,7 +352,7 @@ class TestAncillaSampling:
         spec = AncillaMeterSpec(v_total=0.5, u=1.0)
         rng = np.random.default_rng(4)
         shots = 1_000_000
-        signals, _, _ = weak_stage(spec, 1.0, rng, shots)
+        signals, _, _ = spec.draw(1.0, rng, shots, Workspace(shots))
         assert set(np.unique(signals)) == {-2.0, 2.0}
         p_plus = (signals > 0).mean()
         assert abs(p_plus - 0.75) < 4 * np.sqrt(0.75 * 0.25 / shots)
@@ -366,7 +362,7 @@ class TestAncillaSampling:
         # full strength on the Bell pair: each effect is the projector its signal names
         spec = AncillaMeterSpec(v_total=1.0, u=1.0)
         rng = np.random.default_rng(0)
-        signals, length, coherence = weak_stage(spec, 0.0, rng, 200)
+        signals, length, coherence = spec.draw(0.0, rng, 200, Workspace(200))
         assert set(np.unique(signals)) == {-1.0, 1.0}
         np.testing.assert_array_equal(length, signals)
         assert coherence == 0.0
@@ -385,7 +381,7 @@ class TestAncillaSampling:
         spec = AncillaMeterSpec(v_total=0.6)
         rng = np.random.default_rng(8)
         shots = 200_000
-        signals, _, _ = weak_stage(spec, bloch=0.0, rng=rng, n=shots)
+        signals, _, _ = spec.draw(bloch=0.0, rng=rng, n=shots, workspace=Workspace(shots))
         np.testing.assert_allclose(np.abs(signals), 1 / 0.6, atol=1e-12)
 
     def test_eigenstate_variance(self):
@@ -393,7 +389,7 @@ class TestAncillaSampling:
         spec = AncillaMeterSpec(v_total=0.6)
         rng = np.random.default_rng(14)
         shots = 500_000
-        signals, _, _ = weak_stage(spec, 1.0, rng, shots)
+        signals, _, _ = spec.draw(1.0, rng, shots, Workspace(shots))
         expected = 1 / 0.36 - 1
         assert abs(signals.var(ddof=1) - expected) < 0.01 * expected
 
@@ -406,7 +402,7 @@ class TestAncillaSampling:
         for sign in (+1, -1):
             kraus = embed(ancilla_kraus(sign, spec.v_ent, basis), 1)
             averaged += kraus @ state.rho @ kraus.conj().T
-        expected = apply_dephasing(state, 1, dephasing_factor(spec), basis)
+        expected = apply_dephasing(state, 1, spec.dephasing_factor, basis)
         np.testing.assert_allclose(averaged, expected.rho, atol=1e-12)
 
     def test_readout_visibility_preserves_calibration(self):
@@ -415,7 +411,7 @@ class TestAncillaSampling:
         rng = np.random.default_rng(21)
         shots = 1_000_000
         target = np.cos(np.pi / 3)
-        signals, _, _ = weak_stage(spec, target, rng, shots)
+        signals, _, _ = spec.draw(target, rng, shots, Workspace(shots))
         stderr = np.sqrt(1 / spec.v_total**2 - target**2) / np.sqrt(shots)
         assert abs(signals.mean() - target) < 4 * stderr
 
@@ -425,7 +421,7 @@ class TestProjectiveSampling:
         spec = ProjectiveMeterSpec(v=1.0)
         rng = np.random.default_rng(2)
         for bloch, sign in ((1.0, 1.0), (-1.0, -1.0)):
-            assert np.all(readout_stage(spec, bloch, rng, 50) == sign)
+            assert np.all(spec.draw(bloch, rng, 50, Workspace(50)) == sign)
 
     def test_reported_sign_fires_below_the_instrument_probability(self):
         # stub draws straddle, by 1e-12, the oracle's probability of a + report:
@@ -438,14 +434,14 @@ class TestProjectiveSampling:
             basis = analyzer_basis(rng.uniform(-np.pi, np.pi))
             spec = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
             draws = _probability(rho, readout_terms(1.0, spec, arm, basis)) - 1e-12 * reports
-            reported = readout_stage(spec, _components(rho, arm, basis.phi)[0], StubGenerator(draws), n)
+            reported = spec.draw(_components(rho, arm, basis.phi)[0], StubGenerator(draws), n, Workspace(n))
             np.testing.assert_array_equal(reported, reports)
 
     def test_zero_visibility_is_coin_flip(self):
         spec = ProjectiveMeterSpec(v=0.0)
         rng = np.random.default_rng(6)
         shots = 200_000
-        signals = readout_stage(spec, 1.0, rng, shots)
+        signals = spec.draw(1.0, rng, shots, Workspace(shots))
         assert set(np.unique(signals)) == {-1.0, 1.0}
         assert abs(signals.mean()) < 4 / np.sqrt(shots)
 
@@ -461,7 +457,7 @@ class TestProjectiveSampling:
         spec = ProjectiveMeterSpec(v=0.7)
         rng = np.random.default_rng(33)
         shots = 500_000
-        signals = readout_stage(spec, np.cos(np.pi / 3), rng, shots)
+        signals = spec.draw(np.cos(np.pi / 3), rng, shots, Workspace(shots))
         target = 0.7 * np.cos(np.pi / 3)
         assert abs(signals.mean() - target) < 4 / np.sqrt(shots)
 
@@ -519,7 +515,7 @@ class TestNoSignaling:
         tolerance = 5 / np.sqrt(shots)
         blind = GaussianMeterSpec(sigma=1e200)
         for spec in (GaussianMeterSpec(sigma=0.8, eta=0.6), AncillaMeterSpec(v_total=0.7, u=0.9)):
-            _, length, _ = weak_stage(spec, 0.0, rng, shots)
+            _, length, _ = spec.draw(0.0, rng, shots, Workspace(shots))
             assert abs(length.mean()) < tolerance
             _, _, _, b2 = sample_records(shots, spec, blind, ProjectiveMeterSpec(v=1.0), (0.6, 0.2, -0.4, 1.3), rng)
             assert abs(b2.mean()) < tolerance
@@ -531,18 +527,18 @@ class TestBatchMatchesSingleShot:
     def test_gaussian_means_agree(self):
         spec = GaussianMeterSpec(sigma=1.5)
         rng = np.random.default_rng(50)
-        single = np.concatenate([weak_stage(spec, 0.0, rng, 1)[0] for _ in range(20_000)])
+        single = np.concatenate([spec.draw(0.0, rng, 1, Workspace(1))[0] for _ in range(20_000)])
         rng = np.random.default_rng(51)
-        batch, _, _ = weak_stage(spec, 0.0, rng, 200_000)
+        batch, _, _ = spec.draw(0.0, rng, 200_000, Workspace(200_000))
         pooled = np.sqrt(single.var() / single.size + batch.var() / batch.size)
         assert abs(single.mean() - batch.mean()) < 5 * pooled
 
     def test_ancilla_sign_probabilities_agree(self):
         spec = AncillaMeterSpec(v_total=0.6, u=0.9)
         rng = np.random.default_rng(52)
-        single = np.concatenate([weak_stage(spec, 0.0, rng, 1)[0] for _ in range(20_000)])
+        single = np.concatenate([spec.draw(0.0, rng, 1, Workspace(1))[0] for _ in range(20_000)])
         rng = np.random.default_rng(53)
-        batch, _, _ = weak_stage(spec, 0.0, rng, 200_000)
+        batch, _, _ = spec.draw(0.0, rng, 200_000, Workspace(200_000))
         p_single = (single > 0).mean()
         p_batch = (batch > 0).mean()
         pooled = np.sqrt(0.25 / single.size + 0.25 / batch.size)
@@ -558,12 +554,12 @@ class TestBatchMatchesSingleShot:
         shots = 400_000
         observable = float(np.trace(embed(basis.observable, 1) @ state.rho).real)
         gaussian = GaussianMeterSpec(sigma=1.5)
-        signals, _, _ = weak_stage(gaussian, observable, rng, shots)
+        signals, _, _ = gaussian.draw(observable, rng, shots, Workspace(shots))
         assert abs(signals.mean() - observable) < 5 * signals.std() / np.sqrt(shots)
         ancilla = AncillaMeterSpec(v_total=0.6, u=0.9)
         p_plus = apply_operator(state, embed(ancilla_kraus(+1, ancilla.v_ent, basis), 1))[0]
         p_report = p_plus * (1 + ancilla.u) / 2 + (1 - p_plus) * (1 - ancilla.u) / 2
-        signals, _, _ = weak_stage(ancilla, observable, rng, shots)
+        signals, _, _ = ancilla.draw(observable, rng, shots, Workspace(shots))
         assert abs((signals > 0).mean() - p_report) < 5 * 0.5 / np.sqrt(shots)
 
 
@@ -602,7 +598,7 @@ class TestKernelMatchesKrausOracle:
             rho = _random_states(rng, n)
             along, across = _components(rho, arm, basis.phi)
             seed = int(rng.integers(2**32))
-            signals, length, coherence = weak_stage(spec, along, np.random.default_rng(seed), n)
+            signals, length, coherence = spec.draw(along, np.random.default_rng(seed), n, Workspace(n))
 
             signal, expected = _weak_outcome(rho, arm, spec, basis, _weak_draws(np.random.default_rng(seed), spec, n))
             np.testing.assert_array_equal(signals, signal)
@@ -679,12 +675,12 @@ class TestKernelMatchesKrausOracle:
             basis = analyzer_basis(rng.uniform(-7.0, 7.0))
             along, _ = _components(rho, arm, basis.phi)
             seed = int(rng.integers(2**63))
-            signals, _, _ = weak_stage(meter, along, np.random.default_rng(seed), n)
+            signals, _, _ = meter.draw(along, np.random.default_rng(seed), n, Workspace(n))
             want, _ = _weak_outcome(rho, arm, meter, basis, _weak_draws(np.random.default_rng(seed), meter, n))
             np.testing.assert_array_equal(signals, want)
 
             readout = ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0))
-            reported = readout_stage(readout, along, np.random.default_rng(seed), n)
+            reported = readout.draw(along, np.random.default_rng(seed), n, Workspace(n))
             want, _ = _readout_outcome(rho, arm, readout, basis, np.random.default_rng(seed).random(n))
             np.testing.assert_array_equal(reported, want)
 
@@ -744,8 +740,8 @@ class TestKernelContract:
         before = bloch.tobytes()
         workspace = Workspace(5)
         for meter in EDGE_METERS[:2] + EDGE_METERS[4:]:
-            weak_stage(meter, bloch, np.random.default_rng(12), 5, workspace)
-        readout_stage(ProjectiveMeterSpec(v=0.8), bloch, np.random.default_rng(12), 5, workspace)
+            meter.draw(bloch, np.random.default_rng(12), 5, workspace)
+        ProjectiveMeterSpec(v=0.8).draw(bloch, np.random.default_rng(12), 5, workspace)
         assert bloch.tobytes() == before
 
     @pytest.mark.parametrize("eta", [1.0, 0.5])

@@ -18,7 +18,6 @@ from blgi.measurement import (
     GaussianMeterSpec,
     ProjectiveMeterSpec,
     Workspace,
-    excess_dephasing_factor,
     sample_records,
 )
 from blgi.protocol import (
@@ -52,6 +51,7 @@ from oracle import (
     embed,
     exact_mean_reference,
     gaussian_kraus,
+    record_sign_law,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -189,7 +189,7 @@ class TestAnalyticMean:
                 angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
                 shots=1,
             )
-            reference, _ = _quadrature_mean(config)
+            reference, _, _ = _quadrature_mean(config)
             assert abs(config_analytic_mean(config) - reference) < 1e-9, config
 
 
@@ -222,7 +222,7 @@ def _oracle_arm(spec, basis, arm):
         # flat weights for integrating f(alpha) d alpha
         weights = SQRT2 * spec.sigma * np.exp(np.log(w) + x * x)
         kraus = np.stack([embed(gaussian_kraus(a, spec.sigma, basis), arm) for a in signals])
-        factor = excess_dephasing_factor(spec)
+        factor = spec.excess_dephasing_factor
     else:
         # (back-action branch, reported sign) pairs; the report is flipped
         # with probability (1 - u)/2
@@ -240,7 +240,7 @@ def _oracle_arm(spec, basis, arm):
 
 
 def _quadrature_mean(config):
-    """``(mean, total probability)`` of the correlator on the oracle grid."""
+    """``(mean, second moment, total probability)`` of the correlator on the oracle grid."""
     basis_a1, basis_a2, basis_b1, basis_b2 = map(analyzer_basis, config.angles)
     s1, w1, k1, channel1 = _oracle_arm(config.meter1, basis_a1, 1)
     s2, w2, k2, channel2 = _oracle_arm(config.meter2, basis_a2, 2)
@@ -262,8 +262,16 @@ def _quadrature_mean(config):
         + v * a2 * expect(readout1)
         - v * v * expect(readout1 @ readout2)
     )
+    # C^2 = a1^2 a2^2 + a1^2 + a2^2 + 1 + 2 a1^2 a2 b2 + 2 a1 a2^2 b1 - 2 a1 b1 - 2 a2 b2
+    squared = (
+        (a1 * a1 * a2 * a2 + a1 * a1 + a2 * a2 + 1.0) * prob
+        + 2.0 * v * a1 * a1 * a2 * expect(readout2)
+        + 2.0 * v * a1 * a2 * a2 * expect(readout1)
+        - 2.0 * v * a1 * expect(readout1)
+        - 2.0 * v * a2 * expect(readout2)
+    )
     weights = w1[:, None] * w2[None, :]
-    return float((weights * integrand).sum()), float((weights * prob).sum())
+    return float((weights * integrand).sum()), float((weights * squared).sum()), float((weights * prob).sum())
 
 
 def _random_meter(rng, gaussian):
@@ -309,9 +317,31 @@ class TestExactMean:
                 angles=tuple(rng.uniform(-np.pi, np.pi, size=4)),
                 shots=1,
             )
-            reference, norm = _quadrature_mean(config)
+            reference, second, norm = _quadrature_mean(config)
             assert abs(norm - 1.0) < 1e-10, config
             assert abs(exact_mean(config) - reference) < 1e-9, config
+            assert abs(exact_variance(config) + exact_mean(config) ** 2 - second) < 1e-12 * second, config
+
+    def test_ancilla_moments_match_the_record_sign_law(self):
+        # ancilla signals are exactly +/-1/v_total by their reported signs,
+        # so the 16 sign atoms of a record carry C's whole law
+        rng = np.random.default_rng(16)
+        signs = np.array([1.0, -1.0])
+        for _ in range(40):
+            config = ExperimentConfig(
+                meter1=_random_meter(rng, False),
+                meter2=_random_meter(rng, False),
+                b_spec=ProjectiveMeterSpec(v=rng.random()),
+                angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
+                shots=1,
+            )
+            alpha1 = signs[:, None, None, None] / config.meter1.v_total
+            alpha2 = signs[None, :, None, None] / config.meter2.v_total
+            values = correlator(alpha1, alpha2, signs[None, None, :, None], signs[None, None, None, :])
+            law = record_sign_law(config)
+            mean, second = float(np.sum(law * values)), float(np.sum(law * values**2))
+            assert abs(mean - exact_mean(config)) < 1e-13, config
+            assert abs(second - (exact_variance(config) + exact_mean(config) ** 2)) < 1e-12 * second, config
 
     def test_matches_the_4x4_reference_over_random_configs(self):
         rng = np.random.default_rng(1969)
