@@ -137,7 +137,8 @@ def lhv_records(
     buffer is scratch: the hidden states' uniforms, the noise draws and
     each arm's readout mean are built in it in place, and each readout's
     uniforms become its +/-1 column.  The hidden-state search works in the
-    two alpha buffers before they are filled.
+    two alpha buffers before they are filled.  The scratch buffer is given
+    back once arm 2's coin has read it, so a caller may take it again.
     """
     workspace = Workspace(shots) if workspace is None else workspace
     workspace.reset()
@@ -169,6 +170,7 @@ def lhv_records(
         mean += 1.0
         mean /= 2.0
         readouts.append(_coin(mean, rng, column))
+    workspace.give(scratch)
     return zeta, alpha1, alpha2, *readouts
 
 
@@ -178,7 +180,9 @@ def lhv_mean(strategy: LHVStrategy, shots: int, rng: np.random.Generator) -> Est
     The shots are drawn from ``rng`` in :data:`blgi.protocol.CHUNK_SHOTS`
     blocks in turn, each into a workspace lent to it alone, as the quantum
     engine draws its chunks; a lent workspace stays for the life of the
-    process, at most one per concurrently running block, up to 5 MiB each.
+    process, at most one per concurrently running block, and a block needs
+    5 of its buffers (2.5 MiB): the four records and the scratch buffer in
+    which :func:`blgi.protocol._moments` forms C.
     Fewer than 2 shots raise ValueError before anything is drawn.
     """
     require_two_shots(shots)

@@ -99,16 +99,17 @@ def require_two_shots(n: int) -> None:
 def _moments(alpha1, alpha2, b1, b2, workspace: meas.Workspace) -> tuple[int, float, float]:
     """Count, sum and sum of squared deviations from the mean of C over one block of records.
 
-    C and its terms go into two buffers of ``workspace``.
+    C goes into one buffer of ``workspace`` and each term after the first
+    over ``alpha1``, which only the first two terms read: ``alpha1`` is
+    consumed, so copy it first to keep it.
     """
-    out = (workspace.take(alpha1.size), workspace.take(alpha1.size))
-    values = correlator(alpha1, alpha2, b1, b2, out)
+    values = correlator(alpha1, alpha2, b1, b2, out=(workspace.take(alpha1.size), alpha1))
     total = float(values.sum())
     # the second pass of numpy's own variance, squared in place
     values -= total / values.size
     values *= values
     m2 = float(values.sum())
-    workspace.give(*out)
+    workspace.give(values)
     return values.size, total, m2
 
 
@@ -124,9 +125,10 @@ def _sampled_moments(draw: Callable[[meas.Workspace], tuple[np.ndarray, ...]], k
     ``draw(workspace)`` draws one block of at most :data:`CHUNK_SHOTS`
     records, a Monte-Carlo chunk or a hidden-variable block, into a
     workspace lent to this block alone: an idle one, or a new one when
-    none is idle.  C is formed in two more of its buffers, and the
-    workspace goes back only after the copies are made, so no other block
-    writes into records still being read.
+    none is idle.  The copies are made before C is formed, in one more of
+    its buffers and over the records' ``alpha1``, and the workspace goes
+    back only after both, so no other block writes into records still
+    being read.
     """
     try:
         workspace = _idle_workspaces.pop()
@@ -136,8 +138,8 @@ def _sampled_moments(draw: Callable[[meas.Workspace], tuple[np.ndarray, ...]], k
         # an overflow, in the draw or in C, ends in NumericalError from estimate, not in a warning
         with np.errstate(over="ignore", invalid="ignore"):
             records = draw(workspace)
-            moments = _moments(*records, workspace)
-        return (tuple(np.copy(r) for r in records) if keep_records else None), moments
+            kept = tuple(np.copy(r) for r in records) if keep_records else None
+            return kept, _moments(*records, workspace)
     finally:
         _idle_workspaces.append(workspace)
 
@@ -167,7 +169,8 @@ def correlator(alpha1, alpha2, b1, b2, out: tuple[np.ndarray, np.ndarray] | None
 
     ``out``, two arrays of the signals' broadcast shape, takes C and each
     later term in turn; without it both are allocated, and C of four
-    floats is a float.
+    floats is a float.  The second may be ``alpha1`` itself, which only
+    the first two terms read: :func:`_moments` writes the terms over it.
     """
     if out is None:
         shape = np.broadcast_shapes(*(np.shape(signal) for signal in (alpha1, alpha2, b1, b2)))
@@ -226,7 +229,9 @@ def _chunks_in_order(tasks: Iterable[Callable], threads: int | None) -> Iterator
     the ``next`` that would have yielded its result.  The pool is shut
     down when the results end, however they end; the lent workspaces stay
     for the life of the process, at most one per concurrently running
-    block, up to 5 MiB each.
+    block.  Each grows to the most buffers that any block drawn into it
+    needed: 10 (5 MiB) for a Gaussian chunk, 9 for an ancilla chunk and 5
+    (2.5 MiB) for a hidden-variable block.
     """
     usable = _usable_cpus()
     workers = usable if threads is None else min(threads, usable)
@@ -287,10 +292,10 @@ def monte_carlo(
     for any number of workers.  The chunks run on every usable CPU, or on
     at most ``threads`` of them.  Each chunk is drawn into a workspace lent
     to it alone; lent workspaces stay for the life of the process, at most
-    one per concurrently running block, up to 5 MiB each, and later calls reuse
-    them.  ``on_records``, if given, receives each chunk's
-    ``(alpha1, alpha2, b1, b2)`` arrays in chunk order on the calling
-    thread: exactly the shots being averaged, copied out of the chunk's
+    one per concurrently running block, each of 10 buffers (5 MiB) after a
+    Gaussian chunk or 9 after an ancilla chunk, and later calls reuse them.
+    ``on_records``, if given, receives each chunk's ``(alpha1, alpha2, b1,
+    b2)`` arrays in chunk order on the calling thread: exactly the shots being averaged, copied out of the chunk's
     workspace, so the consumer may keep them.
     """
     [result] = _monte_carlo_estimates([config], threads, on_records)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 import blgi.protocol
+from blgi.lhv import lhv_records, random_strategy
 from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
@@ -94,6 +95,20 @@ class TestCorrelator:
     @given(finite, finite, st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0]))
     def test_formula(self, a1, a2, b1, b2):
         assert correlator(a1, a2, b1, b2) == a1 * a2 + a1 * b2 + b1 * a2 - b1 * b2
+
+    def test_terms_written_over_alpha1_keep_every_bit(self):
+        # overflowing signals reach _moments: inf, nan and inf - inf must come out as allocated
+        rng = np.random.default_rng(8)
+        special = [np.inf, -np.inf, np.nan, 0.0, 1e308]
+        alpha1 = np.concatenate([rng.normal(size=64), np.repeat(special, 5)])
+        alpha2 = np.concatenate([rng.normal(size=64), np.tile(special, 5)])
+        b1, b2 = (np.where(rng.random(alpha1.size) < 0.5, -1.0, 1.0) for _ in range(2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = correlator(alpha1, alpha2, b1, b2)
+            written = alpha1.copy()
+            got = correlator(written, alpha2, b1, b2, out=(np.empty(alpha1.size), written))
+        assert np.isnan(want).any() and np.isinf(want).any()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConfigValidation:
@@ -619,7 +634,7 @@ class TestMonteCarlo:
 def _value_moments(values):
     """:func:`_moments` of blocks whose C is ``values``: alpha1 = values, alpha2 = 1, b1 = b2 = 0."""
     values = np.asarray(values, dtype=float)
-    return _moments(values, np.ones_like(values), np.zeros_like(values), np.zeros_like(values), Workspace(values.size))
+    return _moments(values.copy(), np.ones_like(values), np.zeros_like(values), np.zeros_like(values), Workspace(values.size))
 
 
 class TestChunksInOrder:
@@ -896,6 +911,39 @@ class TestLentWorkspaces:
         lent = blgi.protocol._idle_workspaces
         assert 1 <= len(lent) <= 3 and len({id(workspace) for workspace in lent}) == len(lent)
         assert threaded == monte_carlo(config, threads=1)
+
+
+def _lhv_block(n, workspace):
+    """One hidden-variable block of ``n`` shots, drawn as ``lhv_mean`` draws it: 4 hidden states, invasive."""
+    strategy = random_strategy(4, np.random.default_rng(3), max_invasiveness=0.3)
+    return lhv_records(strategy, n, np.random.default_rng(4), workspace)[1:]
+
+
+def _block_draws(n):
+    """A Gaussian eta < 1 chunk, an ancilla chunk and an lhv block, each of ``n`` shots."""
+    gaussian = _gaussian_config(sigma=2.0, eta=0.5, shots=n, seed=3)
+    ancilla = _ancilla_config(v_total=0.6, u=0.9, shots=n, seed=3)
+    return [partial(_run_chunk, gaussian, 5, n), partial(_run_chunk, ancilla, 5, n), partial(_lhv_block, n)]
+
+
+class TestBlockWorkingSet:
+    """A block's draw and moments hold only the buffers live at its peak, and kept records are the draw's own."""
+
+    # a kernel's buffers are all live at the readout-1 draw; C takes one already freed there.
+    # An lhv block holds its four records and the scratch buffer that C takes, its terms over alpha1
+    @pytest.mark.parametrize("draw, buffers", zip(_block_draws(CHUNK_SHOTS), [10, 9, 5]))
+    def test_a_lent_workspace_holds_the_block_peak(self, monkeypatch, draw, buffers):
+        monkeypatch.setattr("blgi.protocol._idle_workspaces", [])
+        _sampled_moments(draw)
+        [workspace] = blgi.protocol._idle_workspaces
+        assert len(workspace._buffers) == buffers
+
+    @pytest.mark.parametrize("draw", _block_draws(77))
+    def test_kept_records_are_copied_before_c_is_formed(self, draw):
+        kept, moments = _sampled_moments(draw, keep_records=True)
+        fresh = draw(Workspace(77))
+        assert [k.tobytes() for k in kept] == [f.tobytes() for f in fresh]
+        assert moments == _moments(*fresh, Workspace(77))
 
 
 class TestRetune:
