@@ -13,6 +13,7 @@ __version__ = "0.2.0"
 
 from .lhv import (
     LHVStrategy,
+    RandomStrategySpec,
     lhv_mean,
     lhv_records,
     random_strategy,

@@ -11,7 +11,7 @@ import argparse
 import itertools
 import sys
 from contextlib import nullcontext
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,14 +22,15 @@ from . import __version__, lhv
 from .config import (
     ConfigError,
     RunManifest,
-    _build,
     _parse_vector,
     _read_ini,
+    _set_each,
+    _with_angles,
     config_from_sections,
     load_experiment_config,
     strategy_from_sections,
 )
-from .measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
+from .measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec, field_names
 from .protocol import (
     ANGLE_KEYS,
     SWEEP_AXES,
@@ -44,7 +45,6 @@ from .protocol import (
     exact_variance,
     monte_carlo,
     predicted_stderr,
-    require_two_shots,
     retune,
     substream_rng,
     sweep,
@@ -175,20 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_lhv.add_argument("--strategy", default=None, help="strategy file (INI)")
     p_lhv.add_argument("--random", type=int, default=None, metavar="N", help="check N random calibrated strategies")
     p_lhv.add_argument("--shots", type=int, default=None, help=f"shots per strategy (default {_LHV_SHOTS})")
-    default = _LHV_RANDOM_DEFAULTS
-    p_lhv.add_argument(
-        "--hidden-states", type=int, default=None,
-        help=f"hidden states of each --random strategy (default {default['hidden_states']}, "
-        f"at most {_LHV_MAX_HIDDEN_STATES})",
-    )
-    p_lhv.add_argument(
-        "--noise-sigma", type=float, default=None,
-        help=f"detector noise of --random strategies (default {default['noise_sigma']})",
-    )
-    p_lhv.add_argument(
-        "--invasiveness", type=float, default=None,
-        help=f"--random strategies' max readout-mean shift from the first measurement (default {default['invasiveness']})",
-    )
+    for field in fields(lhv.RandomStrategySpec):
+        most = f", at most {lhv.MAX_HIDDEN_STATES}" if field.name == "hidden_states" else ""
+        p_lhv.add_argument(
+            _flag(field.name), type=type(field.default), default=None,
+            help=f"{field.metadata['help']} (default {field.default}{most})",
+        )
 
     sub.add_parser("verify", help="run the oracle cross-check suite")
     return parser
@@ -202,12 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
 _MANIFEST_FLAGS = {
     "simulate": ("records", "out"),
     "sweep": ("axis", "values", "out"),
-    "lhv": ("strategy", "random", "shots", "hidden_states", "noise_sigma", "invasiveness", "seed", "out"),
+    "lhv": ("strategy", "random", "shots", *field_names(lhv.RandomStrategySpec), "seed", "out"),
 }
 
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
+
+
+def _given(args: argparse.Namespace, names: Iterable[str], dest: str = "{}") -> dict:
+    """The values ``args`` holds at ``dest.format(name)`` for each of ``names``, by name, where set; an unset flag is None."""
+    values = {name: getattr(args, dest.format(name)) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _flags_given(args: argparse.Namespace, allowed: tuple[str, ...]) -> list[str]:
@@ -302,26 +300,12 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         if args.meter is not None:
             spec = METER_KINDS[args.meter]()
             config = replace(config, meter1=spec, meter2=spec)
-        values = {name: getattr(args, name) for name in SWEEP_AXES if getattr(args, name) is not None}
-        config = retune(config, **values)
-        flags = (getattr(args, f"phi_{key}") for key in ANGLE_KEYS)
-        angles = tuple(angle if flag is None else flag for angle, flag in zip(config.angles, flags))
-        config = replace(config, angles=angles)
+        config = retune(config, **_given(args, SWEEP_AXES))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # one flag at a time, so a range error names the flag that set the value
-    for name in ("shots", "seed"):
-        if getattr(args, name) is not None:
-            config = _build(partial(replace, config), {name: getattr(args, name)}, _flag(name))
-    return config
-
-
-def _require_two_shots(shots: int, args: argparse.Namespace) -> None:
-    """A config error naming ``--shots``, or the config's ``run.shots`` where no flag set it, unless ``shots >= 2``."""
-    try:
-        require_two_shots(shots)
-    except ValueError as exc:
-        raise ConfigError(f"{'run.shots' if args.shots is None else '--shots'}: {exc}") from exc
+    config = _set_each(config, _given(args, ANGLE_KEYS, "phi_{}"), "--phi-{}".format, _with_angles)
+    return _set_each(config, _given(args, ("shots", "seed")), _flag)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +325,6 @@ def _warn_shot_budget(config: ExperimentConfig) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    _require_two_shots(config.shots, args)
     _warn_shot_budget(config)
     if args.records is None:
         estimate = monte_carlo(config, threads=args.threads)
@@ -375,7 +358,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # every point sets the axis, and the base config is the first: --u 0.8 never meets v_total = 1
     setattr(args, args.axis, values[0])
     config = _resolve_config(args)
-    _require_two_shots(config.shots, args)
     try:
         points = sweep(config, args.axis, values, threads=args.threads)
     except ValueError as exc:
@@ -393,40 +375,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 _LHV_SHOTS = 100_000
-#: the flags that shape --random's strategies and nothing else, with their defaults
-_LHV_RANDOM_DEFAULTS = {"hidden_states": 2, "noise_sigma": 1.0, "invasiveness": 0.0}
-#: most hidden states of one random strategy: 56 bytes each plus 8 for its
-#: cdf, so at most 64 MiB, and at most one strategy per worker plus one queued
-#: exist at once
-_LHV_MAX_HIDDEN_STATES = 1 << 20
-
-
-def _random_strategies(args: argparse.Namespace, seed: int) -> Iterator[lhv.LHVStrategy]:
-    """The ``--random`` strategies in order, each drawn from substream ``(seed, index)`` when asked for."""
-    for index in range(args.random or 0):
-        try:
-            yield lhv.random_strategy(args.hidden_states, substream_rng(seed, index), args.noise_sigma, args.invasiveness)
-        except ValueError as exc:
-            raise ConfigError(f"--random: {exc}") from exc
 
 
 def cmd_lhv(args: argparse.Namespace) -> int:
-    for name, default in _LHV_RANDOM_DEFAULTS.items():
-        value = getattr(args, name)
-        if args.random is not None and value is None:
-            setattr(args, name, default)
-        elif args.random is None and value is not None:
-            raise ConfigError(f"{_flag(name)} only shapes --random strategies; drop it")
-    if args.shots is None:
-        args.shots = _LHV_SHOTS
-    # lhv takes no config, but its seed has the experiment's default and range
-    args.seed = seed = _build(ExperimentConfig, {} if args.seed is None else {"seed": args.seed}, "--seed").seed
-    _require_two_shots(args.shots, args)
-
+    shaping = _given(args, field_names(lhv.RandomStrategySpec))
+    if args.random is None and shaping:
+        raise ConfigError(f"{_flag(next(iter(shaping)))} only shapes --random strategies; drop it")
+    # lhv takes no config, but its shots and seed have the experiment's defaults and ranges
+    config = _set_each(ExperimentConfig(shots=_LHV_SHOTS), _given(args, ("shots", "seed")), _flag)
     if args.random is not None and args.random < 1:
         raise ConfigError(f"--random: expected a positive count, got {args.random}")
-    if args.random is not None and args.hidden_states > _LHV_MAX_HIDDEN_STATES:
-        raise ConfigError(f"--hidden-states must be at most {_LHV_MAX_HIDDEN_STATES}, got {args.hidden_states}")
+    spec = _set_each(lhv.RandomStrategySpec(), shaping, _flag)
+    # the manifest stores every value the run used
+    args.shots, args.seed = config.shots, config.seed
+    if args.random is not None:
+        vars(args).update(asdict(spec))
 
     # a re-run builds the strategy from the section its manifest stores and never reads the file
     if args.stored_config is not None:
@@ -444,10 +407,10 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     # each strategy draws from its own substream, so the worker count never changes
     # a byte; the pool reads tasks lazily, so each random strategy is built only
     # when its task is queued, and dropped once its run is done
-    strategies = itertools.chain(loaded, _random_strategies(args, seed))
+    randoms = (lhv.random_strategy(spec, substream_rng(config.seed, index)) for index in range(args.random or 0))
     tasks = (
-        partial(lhv.lhv_mean, strategy, args.shots, substream_rng(seed, (1 << 32) + index))
-        for index, strategy in enumerate(strategies)
+        partial(lhv.lhv_mean, strategy, config.shots, substream_rng(config.seed, (1 << 32) + index))
+        for index, strategy in enumerate(itertools.chain(loaded, randoms))
     )
     estimates = _chunks_in_order(tasks, total)
     any_violation = False
@@ -477,7 +440,7 @@ def _closed_form_gap(configs) -> float:
 def _symmetric_configs(specs) -> list[ExperimentConfig]:
     """Both arms on each of ``specs``, at readout visibilities 0.8 and 1."""
     return [
-        ExperimentConfig(meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v), shots=1)
+        ExperimentConfig(meter1=spec, meter2=spec, b_spec=ProjectiveMeterSpec(v=v))
         for spec in specs
         for v in (0.8, 1.0)
     ]
@@ -499,7 +462,6 @@ def _random_configs(count: int, seed: int) -> list[ExperimentConfig]:
             meter2=_random_meter(rng),
             b_spec=ProjectiveMeterSpec(v=float(rng.uniform(0.0, 1.0))),
             angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
-            shots=1,
         )
         for _ in range(count)
     ]
@@ -537,7 +499,7 @@ def _verify_checks() -> list[tuple[str, float, float]]:
 
     threshold_sigma = 1.0 / np.sqrt(-2.0 * np.log(threshold))
     spec = GaussianMeterSpec(sigma=float(threshold_sigma))
-    config = ExperimentConfig(meter1=spec, meter2=spec, shots=1)
+    config = ExperimentConfig(meter1=spec, meter2=spec)
     checks.append(("bound crossing at the threshold width", abs(exact_mean(config) - 2.0), 1e-6))
 
     config = ExperimentConfig(

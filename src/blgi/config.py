@@ -16,14 +16,14 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__
 from .lhv import LHVStrategy
 from .measurement import METER_KINDS, MeterSpec, ProjectiveMeterSpec, check_meter_field, field_names
-from .protocol import ANGLE_KEYS, DEFAULT_ANGLES, ExperimentConfig
+from .protocol import ANGLE_KEYS, ExperimentConfig
 
 #: the config-file sections; the meter, ``b`` and ``run`` keys are dataclass fields
 _SECTIONS = ("meter1", "meter2", "b", "angles", "run")
@@ -95,6 +95,21 @@ def _build(cls: type, values: dict[str, Any], where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _set_each(target, values: dict[str, Any], where: Callable[[str], str], setter: Callable = replace):
+    """``target`` with each of ``values`` set by ``setter`` in turn; a failed invariant names ``where(key)``.
+
+    One key at a time, so a range error names the key or flag that set the value.
+    """
+    for key, value in values.items():
+        target = _build(partial(setter, target), {key: value}, where(key))
+    return target
+
+
+def _with_angles(config: ExperimentConfig, **angles: float) -> ExperimentConfig:
+    """``config`` with the ``angles`` given, keyed by :data:`~blgi.protocol.ANGLE_KEYS`."""
+    return replace(config, angles=tuple({**dict(zip(ANGLE_KEYS, config.angles)), **angles}.values()))
+
+
 def _meter_from_section(section: dict[str, Any], where: str) -> MeterSpec:
     values = dict(section)
     kind = str(values.pop("type", "gaussian")).strip().lower()
@@ -121,16 +136,11 @@ def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfi
     meter1 = _meter_from_section(sections.get("meter1", {}), "meter1")
     meter2 = _meter_from_section(sections.get("meter2", {}), "meter2")
     b_values = _keywords(sections.get("b", {}), field_names(ProjectiveMeterSpec), "b", _parse_float)
-    angles = dict(zip(ANGLE_KEYS, DEFAULT_ANGLES))
-    angles.update(_keywords(sections.get("angles", {}), ANGLE_KEYS, "angles", _parse_float))
+    angles = _keywords(sections.get("angles", {}), ANGLE_KEYS, "angles", _parse_float)
     run = _keywords(sections.get("run", {}), ("shots", "seed"), "run", _parse_int)
-    b_spec = _build(ProjectiveMeterSpec, b_values, "b")
-    # the meters and readout are built, so only the angles can fail here
-    config = _build(ExperimentConfig, dict(meter1=meter1, meter2=meter2, b_spec=b_spec, angles=tuple(angles.values())), "angles")
-    # one key at a time, so a range error names the key that set the value
-    for key, value in run.items():
-        config = _build(partial(replace, config), {key: value}, f"run.{key}")
-    return config
+    config = ExperimentConfig(meter1=meter1, meter2=meter2, b_spec=_build(ProjectiveMeterSpec, b_values, "b"))
+    config = _set_each(config, angles, "angles.{}".format, _with_angles)
+    return _set_each(config, run, "run.{}".format)
 
 
 def config_to_sections(config: ExperimentConfig) -> dict[str, dict[str, Any]]:

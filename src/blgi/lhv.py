@@ -19,7 +19,7 @@ For every valid strategy the ensemble mean of the per-shot combination
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -207,24 +207,43 @@ def sign_pattern_extrema() -> tuple[float, float]:
     return min(values), max(values)
 
 
-def random_strategy(
-    num_hidden_states: int,
-    rng: np.random.Generator,
-    noise_sigma: float = 1.0,
-    max_invasiveness: float = 0.0,
-) -> LHVStrategy:
-    """Draw a calibrated strategy: flat simplex preparation, uniform properties.
+#: most hidden states of one random strategy: 56 bytes each plus 8 for its
+#: cdf, so at most 64 MiB, and at most one strategy per worker plus one queued
+#: exist at once
+MAX_HIDDEN_STATES = 1 << 20
 
-    Each arm's invasiveness is drawn per hidden state from
-    ``[0, max_invasiveness]``, which must be finite and >= 0.
+
+@dataclass(frozen=True)
+class RandomStrategySpec:
+    """The family :func:`random_strategy` draws from, one ``blgi lhv --random`` flag per field.
+
+    Each field's ``help`` metadata starts its command-line help.
     """
-    if num_hidden_states < 1:
-        raise ValueError(f"num_hidden_states must be >= 1, got {num_hidden_states}")
-    if not (np.isfinite(max_invasiveness) and max_invasiveness >= 0.0):
-        raise ValueError(f"max_invasiveness must be finite and >= 0, got {max_invasiveness}")
-    n = num_hidden_states
+
+    hidden_states: int = field(default=2, metadata={"help": "hidden states of each --random strategy"})
+    noise_sigma: float = field(default=1.0, metadata={"help": "detector noise of --random strategies"})
+    invasiveness: float = field(
+        default=0.0, metadata={"help": "--random strategies' max readout-mean shift from the first measurement"}
+    )
+
+    def __post_init__(self):
+        if not (1 <= self.hidden_states <= MAX_HIDDEN_STATES):
+            raise ValueError(f"hidden_states must be in [1, {MAX_HIDDEN_STATES}], got {self.hidden_states}")
+        for name in ("noise_sigma", "invasiveness"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
+def random_strategy(spec: RandomStrategySpec, rng: np.random.Generator) -> LHVStrategy:
+    """Draw a calibrated strategy of ``spec``'s family: flat simplex preparation, uniform properties.
+
+    Both detectors have noise width ``spec.noise_sigma``, and each arm's
+    invasiveness is drawn per hidden state from ``[0, spec.invasiveness]``.
+    """
+    n = spec.hidden_states
     prep = rng.dirichlet(np.ones(n))
     # draw order: the preparation, both invasiveness vectors, then a1, a2, b1, b2
-    invas1, invas2 = (rng.uniform(0.0, max_invasiveness, size=n) if max_invasiveness > 0.0 else None for _ in range(2))
+    invas1, invas2 = (rng.uniform(0.0, spec.invasiveness, size=n) if spec.invasiveness > 0.0 else None for _ in range(2))
     a1, a2, b1, b2 = (rng.uniform(-1.0, 1.0, size=n) for _ in range(4))
-    return LHVStrategy(prep, a1, a2, b1, b2, noise_sigma, noise_sigma, invas1, invas2)
+    return LHVStrategy(prep, a1, a2, b1, b2, spec.noise_sigma, spec.noise_sigma, invas1, invas2)

@@ -58,7 +58,11 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines a run: meters, angles, shots, seed."""
+    """Everything that determines a run: meters, angles, shots, seed.
+
+    ``shots`` is at least 2 (:func:`require_two_shots`), so every config
+    can run and give a standard error; an exact route ignores it.
+    """
 
     meter1: MeterSpec = GaussianMeterSpec()
     meter2: MeterSpec = GaussianMeterSpec()
@@ -74,8 +78,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a meter spec, got {type(spec).__name__}")
         if len(self.angles) != 4 or not all(np.isfinite(a) for a in self.angles):
             raise ValueError(f"angles must be four finite radians, got {self.angles}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+        require_two_shots(self.shots)
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))

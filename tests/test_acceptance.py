@@ -36,7 +36,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def _ancilla_config(v_total, u=1.0, v=1.0, shots=1, seed=42):
+def _ancilla_config(v_total, u=1.0, v=1.0, shots=ExperimentConfig.shots, seed=42):
     return ExperimentConfig(
         meter1=AncillaMeterSpec(v_total=v_total, u=u),
         meter2=AncillaMeterSpec(v_total=v_total, u=u),
@@ -46,7 +46,7 @@ def _ancilla_config(v_total, u=1.0, v=1.0, shots=1, seed=42):
     )
 
 
-def _gaussian_config(sigma, eta=1.0, v=1.0, shots=1, seed=42):
+def _gaussian_config(sigma, eta=1.0, v=1.0, shots=ExperimentConfig.shots, seed=42):
     return ExperimentConfig(
         meter1=GaussianMeterSpec(sigma=sigma, eta=eta),
         meter2=GaussianMeterSpec(sigma=sigma, eta=eta),
@@ -151,12 +151,12 @@ def test_criterion_6_classical_bound():
     violations = 0
     for index in range(num_strategies):
         rng = substream_rng(606, index)
-        strategy = blgi.random_strategy(
+        spec = blgi.RandomStrategySpec(
             1 + index % 8,
-            rng,
             noise_sigma=float(0.25 * (index % 9)),
-            max_invasiveness=0.5 if index % 3 == 0 else 0.0,
+            invasiveness=0.5 if index % 3 == 0 else 0.0,
         )
+        strategy = blgi.random_strategy(spec, rng)
         estimate = blgi.lhv_mean(strategy, shots, rng)
         if abs(estimate.mean) > 2.0 + 4 * estimate.stderr:
             violations += 1

@@ -19,16 +19,15 @@ from hypothesis import strategies as st
 
 import blgi
 from blgi.cli import (
-    _LHV_MAX_HIDDEN_STATES,
-    _LHV_RANDOM_DEFAULTS,
     _LHV_SHOTS,
     _RECORD_BLOCK,
     _write_records,
     build_parser,
     main,
 )
+from blgi.lhv import MAX_HIDDEN_STATES, RandomStrategySpec
 from blgi.measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
-from blgi.protocol import CHUNK_SHOTS, SWEEP_AXES, Estimate, ExperimentConfig, _chunks_in_order, monte_carlo
+from blgi.protocol import ANGLE_KEYS, CHUNK_SHOTS, SWEEP_AXES, Estimate, ExperimentConfig, _chunks_in_order, monte_carlo
 from oracle import write_records_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -814,7 +813,7 @@ class TestLhvCommand:
             return random_strategy(*args, **kwargs)
 
         monkeypatch.setattr("blgi.lhv.random_strategy", spy)
-        monkeypatch.setattr("blgi.cli._LHV_MAX_HIDDEN_STATES", 8)
+        monkeypatch.setattr("blgi.lhv.MAX_HIDDEN_STATES", 8)
         argv = ["lhv", "--random", "2", "--shots", "100", "--seed", "3"]
         assert main([*argv, "--hidden-states", "8", "--out", str(tmp_path / "at.csv")]) == 0
         assert len(built) == 2
@@ -824,6 +823,29 @@ class TestLhvCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and "--hidden-states" in err[0]
         assert len(built) == 2
         assert not (tmp_path / "over.csv").exists()
+
+    @pytest.mark.parametrize("beside", [[], ["--strategy", "s.ini"]], ids=["alone", "beside --strategy"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--hidden-states", "0"], ["--hidden-states", "1048577"], ["--noise-sigma", "-1"],
+            ["--noise-sigma", "nan"], ["--invasiveness", "-0.5"], ["--invasiveness", "inf"],
+        ],
+        ids=" ".join,
+    )
+    def test_random_family_range_error_names_its_flag_before_any_draw(self, tmp_path, monkeypatch, capsys, flag, beside):
+        monkeypatch.chdir(tmp_path)
+        Path("s.ini").write_text(STRATEGY_BODY, encoding="utf-8")
+        calls = []
+        for name in ("random_strategy", "lhv_mean"):
+            real = getattr(blgi.lhv, name)
+            monkeypatch.setattr(f"blgi.lhv.{name}", lambda *args, name=name, real=real: calls.append(name) or real(*args))
+        argv = ["lhv", *beside, "--random", "2", *flag, "--shots", "100", "--out", "x.csv", "--manifest", "m.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {flag[0]}: ")
+        assert calls == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["s.ini"]
 
     @pytest.mark.parametrize(
         "flag", [["--hidden-states", "9"], ["--noise-sigma", "5"], ["--invasiveness", "0.7"], ["--hidden-states", "2"]]
@@ -1071,7 +1093,7 @@ class TestInputErrors:
             ["lhv", "--random", "1", "--shots", "100", "--hidden-states", "0"],
             # over the per-strategy bound on hidden states: exits before any strategy is built
             ["lhv", "--random", "2", "--shots", "100", "--hidden-states", "2097121"],
-            ["lhv", "--random", "1", "--shots", "100", "--hidden-states", str(_LHV_MAX_HIDDEN_STATES + 1)],
+            ["lhv", "--random", "1", "--shots", "100", "--hidden-states", str(MAX_HIDDEN_STATES + 1)],
             ["lhv", "--random", "1", "--shots", "100", "--noise-sigma", "-1"],
             *(["lhv", "--random", "1", "--shots", "10", "--invasiveness", value] for value in ("inf", "nan", "-0.5")),
             ["simulate", "--meter", "gaussian", "--sigma", "1e-200", "--shots", "10"],
@@ -1118,6 +1140,41 @@ class TestInputErrors:
         assert main([*argv, "--out", str(out), "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
+        assert not out.exists() and not manifest.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, named",
+        [
+            (["simulate", "--shots", "0"], None, "--shots"),
+            (["sweep", "--axis", "v", "--values", "1", "--shots", "0"], None, "--shots"),
+            (["lhv", "--random", "1", "--shots", "0"], None, "--shots"),
+            (["simulate"], "[run]\nshots = 0\n", "run.shots"),
+            (["sweep", "--axis", "v", "--values", "1"], "[run]\nshots = 0\n", "run.shots"),
+        ],
+        ids=["simulate --shots 0", "sweep --shots 0", "lhv --shots 0", "simulate run.shots 0", "sweep run.shots 0"],
+    )
+    def test_shot_floor_is_one_rule(self, argv, config, named, tmp_path, capsys):
+        # ExperimentConfig holds the one floor, so zero shots read the two-shot message
+        if config is not None:
+            (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+            argv = [*argv, "--config", str(tmp_path / "run.ini")]
+        assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {named}: shots must be >= 2 for a standard error, got 0"]
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key", ANGLE_KEYS)
+    def test_non_finite_angle_names_its_flag_or_key(self, key, source, tmp_path, capsys):
+        if source == "flag":
+            argv, named = ["simulate", f"--phi-{key}", "inf"], f"--phi-{key}"
+        else:
+            (tmp_path / "run.ini").write_text(f"[angles]\n{key} = nan\n", encoding="utf-8")
+            argv, named = ["simulate", "--config", str(tmp_path / "run.ini")], f"angles.{key}"
+        out, manifest = tmp_path / "x.csv", tmp_path / "m.json"
+        assert main([*argv, "--shots", "100", "--out", str(out), "--manifest", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {named}: angles must be four finite radians")
         assert not out.exists() and not manifest.exists()
 
     @pytest.mark.parametrize("flag", [["--config", "ghost.ini"], ["--threads", "2"]], ids=lambda flag: flag[0])
@@ -1589,19 +1646,20 @@ def _lhv_help(dest):
 
 @pytest.mark.parametrize("dest", ["shots", "hidden_states", "noise_sigma", "invasiveness"])
 def test_lhv_help_states_the_default_it_runs(monkeypatch, dest):
-    # each help text is formatted from the constant cmd_lhv applies, so a new default shows
-    defaults = {"shots": _LHV_SHOTS, **_LHV_RANDOM_DEFAULTS}
-    assert f"(default {defaults[dest]}" in _lhv_help(dest)
+    # each help text is formatted from the default cmd_lhv applies, so a new default shows
     if dest == "shots":
+        assert f"(default {_LHV_SHOTS}" in _lhv_help(dest)
         monkeypatch.setattr("blgi.cli._LHV_SHOTS", 12345)
     else:
-        monkeypatch.setitem(_LHV_RANDOM_DEFAULTS, dest, 12345)
+        field = next(field for field in fields(RandomStrategySpec) if field.name == dest)
+        assert _lhv_help(dest).startswith(f"{field.metadata['help']} (default {field.default}")
+        monkeypatch.setattr(field, "default", 12345)
     assert "(default 12345" in _lhv_help(dest)
 
 
 def test_hidden_states_help_states_its_bound(monkeypatch):
-    assert f"at most {_LHV_MAX_HIDDEN_STATES})" in _lhv_help("hidden_states")
-    monkeypatch.setattr("blgi.cli._LHV_MAX_HIDDEN_STATES", 8)
+    assert f"at most {MAX_HIDDEN_STATES})" in _lhv_help("hidden_states")
+    monkeypatch.setattr("blgi.lhv.MAX_HIDDEN_STATES", 8)
     assert "at most 8)" in _lhv_help("hidden_states")
 
 

@@ -155,9 +155,9 @@ class TestExperimentConfigFile:
         [
             ({"run": {"seed": -1}}, "run.seed: seed must be a 64-bit unsigned integer, got -1"),
             ({"run": {"seed": str(2**64)}}, "run.seed: seed must be"),
-            ({"run": {"shots": 0}}, "run.shots: shots must be >= 1, got 0"),
+            ({"run": {"shots": 0}}, "run.shots: shots must be >= 2 for a standard error, got 0"),
             ({"run": {"shots": "5", "seed": "-3"}}, "run.seed: seed must be"),
-            ({"angles": {"b2": "inf"}}, "angles: angles must be four finite radians"),
+            ({"angles": {"b2": "inf"}}, "angles.b2: angles must be four finite radians"),
         ],
         ids=["seed -1", "seed 2**64", "shots 0", "seed after shots", "angle inf"],
     )

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 import blgi.lhv
 from blgi.lhv import (
+    MAX_HIDDEN_STATES,
     LHVStrategy,
+    RandomStrategySpec,
     _cdf_table,
     _hidden_states,
     lhv_mean,
@@ -37,11 +39,43 @@ def _best_deterministic():
     )
 
 
+class TestRandomStrategySpec:
+    """The ``--random`` family states each default and range once."""
+
+    def test_defaults(self):
+        assert RandomStrategySpec() == RandomStrategySpec(hidden_states=2, noise_sigma=1.0, invasiveness=0.0)
+
+    @pytest.mark.parametrize(
+        "values", [{"hidden_states": 1}, {"hidden_states": MAX_HIDDEN_STATES}, {"noise_sigma": 0.0}, {"invasiveness": 1e308}]
+    )
+    def test_edges_of_each_range(self, values):
+        RandomStrategySpec(**values)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("hidden_states", 0),
+            ("hidden_states", MAX_HIDDEN_STATES + 1),
+            *((name, value) for name in ("noise_sigma", "invasiveness") for value in (-0.5, np.nan, np.inf)),
+        ],
+    )
+    def test_out_of_range_names_the_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            RandomStrategySpec(**{name: value})
+
+    def test_strategy_takes_the_family(self):
+        spec = RandomStrategySpec(hidden_states=5, noise_sigma=0.5, invasiveness=0.25)
+        strategy = random_strategy(spec, np.random.default_rng(0))
+        assert strategy.num_hidden_states == 5
+        assert strategy.noise_sigma1 == strategy.noise_sigma2 == 0.5
+        assert 0.0 <= strategy.invasiveness1.min() and strategy.invasiveness2.max() <= 0.25
+
+
 class TestStrategyValidation:
     """Every invariant is checked by the constructor, so an invalid strategy never exists."""
 
     def test_good_strategy_passes(self):
-        strategy = random_strategy(3, np.random.default_rng(0))
+        strategy = random_strategy(RandomStrategySpec(3), np.random.default_rng(0))
         assert strategy.num_hidden_states == 3
 
     def test_prep_dist_must_sum_to_one(self):
@@ -87,14 +121,14 @@ class TestShots:
             assert (record.alpha1, record.alpha2, record.b1, record.b2) == (1.0, 1.0, 1.0, -1.0)
 
     def test_readouts_are_exactly_plus_minus_one(self):
-        strategy = random_strategy(4, np.random.default_rng(2), noise_sigma=2.0)
+        strategy = random_strategy(RandomStrategySpec(4, noise_sigma=2.0), np.random.default_rng(2))
         _, _, _, b1, b2 = lhv_records(strategy, 5000, np.random.default_rng(3))
         assert set(np.unique(b1)) <= {-1.0, 1.0}
         assert set(np.unique(b2)) <= {-1.0, 1.0}
 
     def test_noisy_signal_calibration(self):
         # E[alpha1] = sum_zeta P(zeta) a1(zeta) despite sigma = 5 noise
-        strategy = random_strategy(5, np.random.default_rng(4), noise_sigma=5.0)
+        strategy = random_strategy(RandomStrategySpec(5, noise_sigma=5.0), np.random.default_rng(4))
         _, alpha1, _, _, _ = lhv_records(strategy, 1_000_000, np.random.default_rng(5))
         target = float(np.dot(strategy.prep_dist, strategy.a1))
         stderr = alpha1.std(ddof=1) / np.sqrt(alpha1.size)
@@ -102,7 +136,7 @@ class TestShots:
 
     def test_detector_noises_factorize_given_zeta(self):
         # residual covariance conditioned on the hidden state vanishes
-        strategy = random_strategy(3, np.random.default_rng(6), noise_sigma=1.0)
+        strategy = random_strategy(RandomStrategySpec(3, noise_sigma=1.0), np.random.default_rng(6))
         zeta, alpha1, alpha2, _, _ = lhv_records(strategy, 400_000, np.random.default_rng(7))
         for z in range(3):
             mask = zeta == z
@@ -126,7 +160,7 @@ class TestLeanRecords:
     def test_matches_the_reference_byte_for_byte(self, hidden_states, invasiveness, shots, quiet_arm, noise_sigma):
         seed = hidden_states * 100 + shots
         strategy = random_strategy(
-            hidden_states, np.random.default_rng(seed), noise_sigma=noise_sigma, max_invasiveness=invasiveness
+            RandomStrategySpec(hidden_states, noise_sigma=noise_sigma, invasiveness=invasiveness), np.random.default_rng(seed)
         )
         if quiet_arm is not None:
             strategy = replace(strategy, **{f"noise_sigma{quiet_arm}": 0.0})
@@ -169,7 +203,7 @@ class TestChunkedDraw:
     """lhv_mean draws CHUNK_SHOTS blocks in turn from its generator, each into a workspace lent to it."""
 
     def test_blocks_are_the_reference_drawn_in_turn(self):
-        strategy = random_strategy(3, np.random.default_rng(11), max_invasiveness=0.3)
+        strategy = random_strategy(RandomStrategySpec(3, invasiveness=0.3), np.random.default_rng(11))
         got = lhv_mean(strategy, 100_000, np.random.default_rng(12))
         rng = np.random.default_rng(12)
         blocks = [lhv_records_reference(strategy, n, rng)[1:] for n in (CHUNK_SHOTS, 100_000 - CHUNK_SHOTS)]
@@ -178,9 +212,9 @@ class TestChunkedDraw:
 
     def test_a_reused_workspace_gives_the_reference_bytes(self):
         workspace = Workspace(CHUNK_SHOTS)
-        other = random_strategy(9, np.random.default_rng(1), noise_sigma=3.0, max_invasiveness=0.7)
+        other = random_strategy(RandomStrategySpec(9, noise_sigma=3.0, invasiveness=0.7), np.random.default_rng(1))
         lhv_records(other, CHUNK_SHOTS, np.random.default_rng(2), workspace)
-        strategy = random_strategy(4, np.random.default_rng(3), max_invasiveness=0.3)
+        strategy = random_strategy(RandomStrategySpec(4, invasiveness=0.3), np.random.default_rng(3))
         got = lhv_records(strategy, 77, np.random.default_rng(4), workspace)
         want = lhv_records_reference(strategy, 77, np.random.default_rng(4))
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
@@ -190,7 +224,7 @@ class TestChunkedDraw:
         builds = []
         cdf_table = blgi.lhv._cdf_table
         monkeypatch.setattr("blgi.lhv._cdf_table", lambda prep: builds.append(prep.size) or cdf_table(prep))
-        strategy = random_strategy(2**20, np.random.default_rng(13), max_invasiveness=0.3)
+        strategy = random_strategy(RandomStrategySpec(2**20, invasiveness=0.3), np.random.default_rng(13))
         workspace = Workspace(CHUNK_SHOTS)
         rng, reference = np.random.default_rng(14), np.random.default_rng(14)
         for shots in (CHUNK_SHOTS, CHUNK_SHOTS, 77):
@@ -206,7 +240,7 @@ class TestChunkedDraw:
 
     @pytest.mark.parametrize("shots", [CHUNK_SHOTS, 4 * CHUNK_SHOTS])
     def test_a_warm_run_allocates_only_the_hidden_state_draw(self, shots):
-        strategy = random_strategy(4, np.random.default_rng(5), max_invasiveness=0.3)
+        strategy = random_strategy(RandomStrategySpec(4, invasiveness=0.3), np.random.default_rng(5))
         lhv_mean(strategy, shots, np.random.default_rng(6))
         tracemalloc.start()
         try:
@@ -234,7 +268,7 @@ class TestBound:
     def test_random_strategies_respect_the_bound(self):
         rng = np.random.default_rng(9)
         for index in range(300):
-            strategy = random_strategy(1 + index % 6, rng, noise_sigma=rng.uniform(0.0, 3.0))
+            strategy = random_strategy(RandomStrategySpec(1 + index % 6, noise_sigma=rng.uniform(0.0, 3.0)), rng)
             estimate = lhv_mean(strategy, 20_000, rng)
             assert abs(estimate.mean) <= 2.0 + 4 * estimate.stderr
 
@@ -242,7 +276,7 @@ class TestBound:
         # local invasiveness randomizes the readouts but cannot break the bound
         rng = np.random.default_rng(10)
         for _ in range(100):
-            strategy = random_strategy(3, rng, noise_sigma=1.0, max_invasiveness=1.0)
+            strategy = random_strategy(RandomStrategySpec(3, noise_sigma=1.0, invasiveness=1.0), rng)
             estimate = lhv_mean(strategy, 20_000, rng)
             assert abs(estimate.mean) <= 2.0 + 4 * estimate.stderr
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_hermite
 
 import blgi.protocol
-from blgi.lhv import lhv_records, random_strategy
+from blgi.lhv import RandomStrategySpec, lhv_records, random_strategy
 from blgi.measurement import (
     AncillaMeterSpec,
     GaussianMeterSpec,
@@ -121,6 +121,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             _gaussian_config(shots=0)
 
+    @pytest.mark.parametrize("shots", [-1, 0, 1])
+    def test_two_shots_is_the_floor(self, shots):
+        # one shot has no standard error, so no config holds fewer than two
+        with pytest.raises(ValueError, match=f"^shots must be >= 2 for a standard error, got {shots}$"):
+            ExperimentConfig(shots=shots)
+        assert ExperimentConfig(shots=2).shots == 2
+
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             _gaussian_config(seed=-1)
@@ -148,7 +155,7 @@ class TestRunShot:
             sample_records(1, spec, spec, ProjectiveMeterSpec(), angles, np.random.default_rng(0))
 
     def test_projective_aligned_angles_are_perfectly_correlated(self):
-        config = _ancilla_config(angles=(0.0, 0.0, 0.0, 0.0), shots=1)
+        config = _ancilla_config(angles=(0.0, 0.0, 0.0, 0.0))
         rng = np.random.default_rng(0)
         for _ in range(60):
             record = self._shot(config, rng)
@@ -156,14 +163,14 @@ class TestRunShot:
             assert record.b1 in (-1.0, 1.0)
 
     def test_gaussian_record_types(self):
-        config = _gaussian_config(sigma=3.0, shots=1)
+        config = _gaussian_config(sigma=3.0)
         rng = np.random.default_rng(1)
         record = self._shot(config, rng)
         assert np.isfinite(record.alpha1) and np.isfinite(record.alpha2)
         assert record.b1 in (-1.0, 1.0) and record.b2 in (-1.0, 1.0)
 
     def test_single_shot_mean_tracks_oracle(self):
-        config = _ancilla_config(v_total=0.8, shots=1)
+        config = _ancilla_config(v_total=0.8)
         rng = np.random.default_rng(7)
         values = [correlator(*astuple(self._shot(config, rng))) for _ in range(4000)]
         values = np.asarray(values)
@@ -202,7 +209,6 @@ class TestAnalyticMean:
                 meter2=_random_meter(rng, gaussian2),
                 b_spec=ProjectiveMeterSpec(v=rng.random()),
                 angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
-                shots=1,
             )
             reference, _, _ = _quadrature_mean(config)
             assert abs(config_analytic_mean(config) - reference) < 1e-9, config
@@ -298,12 +304,12 @@ def _random_meter(rng, gaussian):
 
 class TestExactMean:
     def test_projective_ancilla_limit(self):
-        assert abs(exact_mean(_ancilla_config(shots=1)) - 1 / SQRT2) < 1e-12
+        assert abs(exact_mean(_ancilla_config()) - 1 / SQRT2) < 1e-12
 
     @pytest.mark.parametrize("sigma", [0.5, 2.0])
     @pytest.mark.parametrize("eta", [0.5, 1.0])
     def test_matches_closed_form_gaussian(self, sigma, eta):
-        config = _gaussian_config(sigma=sigma, eta=eta, shots=1)
+        config = _gaussian_config(sigma=sigma, eta=eta)
         assert abs(exact_mean(config) - config_analytic_mean(config)) < 1e-6
 
     def test_matches_closed_form_mixed_meters(self):
@@ -311,14 +317,13 @@ class TestExactMean:
             meter1=GaussianMeterSpec(sigma=1.0),
             meter2=AncillaMeterSpec(v_total=0.5, u=0.9),
             b_spec=ProjectiveMeterSpec(v=0.85),
-            shots=1,
         )
         assert abs(exact_mean(config) - config_analytic_mean(config)) < 1e-6
 
     def test_narrow_signal_width_is_the_projective_limit(self):
         # the moments need no grid, so a signal width far below the
         # eigenvalue spacing resolves to the projective value
-        assert abs(exact_mean(_gaussian_config(sigma=0.01, shots=1)) - 1 / SQRT2) < 1e-12
+        assert abs(exact_mean(_gaussian_config(sigma=0.01)) - 1 / SQRT2) < 1e-12
 
     def test_matches_quadrature_oracle_over_random_configs(self):
         rng = np.random.default_rng(77)
@@ -330,7 +335,6 @@ class TestExactMean:
                 meter2=_random_meter(rng, gaussian2),
                 b_spec=ProjectiveMeterSpec(v=rng.random()),
                 angles=tuple(rng.uniform(-np.pi, np.pi, size=4)),
-                shots=1,
             )
             reference, second, norm = _quadrature_mean(config)
             assert abs(norm - 1.0) < 1e-10, config
@@ -348,7 +352,6 @@ class TestExactMean:
                 meter2=_random_meter(rng, False),
                 b_spec=ProjectiveMeterSpec(v=rng.random()),
                 angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
-                shots=1,
             )
             alpha1 = signs[:, None, None, None] / config.meter1.v_total
             alpha2 = signs[None, :, None, None] / config.meter2.v_total
@@ -368,7 +371,6 @@ class TestExactMean:
                 meter2=_random_meter(rng, gaussian2),
                 b_spec=ProjectiveMeterSpec(v=rng.uniform(0.0, 1.0)),
                 angles=tuple(rng.uniform(-7.0, 7.0, size=4)),
-                shots=1,
             )
             assert abs(exact_mean(config) - exact_mean_reference(config)) < 1e-14, config
 
@@ -398,7 +400,7 @@ class TestExactMean:
         # exactly quadratic in v: two alpha terms are v-free, the two cross
         # terms are linear, the readout-readout term quadratic
         def at(v):
-            return exact_mean(_gaussian_config(sigma=1.2, v=v, shots=1))
+            return exact_mean(_gaussian_config(sigma=1.2, v=v))
 
         c0 = at(0.0)
         c_half, c1 = at(0.5), at(1.0)
@@ -419,7 +421,6 @@ class TestExactMean:
                 meter2=AncillaMeterSpec(v_total=rng.uniform(0.05, u), u=u),
                 b_spec=ProjectiveMeterSpec(v=rng.random()),
                 angles=tuple(rng.uniform(-np.pi, np.pi, size=4)),
-                shots=1,
             )
             assert exact_mean(config) <= bound
         for index in range(100):
@@ -428,7 +429,6 @@ class TestExactMean:
                 meter2=GaussianMeterSpec(sigma=rng.uniform(0.1, 20.0), eta=rng.uniform(0.3, 1.0)),
                 b_spec=ProjectiveMeterSpec(v=rng.random()),
                 angles=tuple(rng.uniform(-np.pi, np.pi, size=4)),
-                shots=1,
             )
             assert exact_mean(config) <= bound
 
@@ -915,7 +915,7 @@ class TestLentWorkspaces:
 
 def _lhv_block(n, workspace):
     """One hidden-variable block of ``n`` shots, drawn as ``lhv_mean`` draws it: 4 hidden states, invasive."""
-    strategy = random_strategy(4, np.random.default_rng(3), max_invasiveness=0.3)
+    strategy = random_strategy(RandomStrategySpec(4, invasiveness=0.3), np.random.default_rng(3))
     return lhv_records(strategy, n, np.random.default_rng(4), workspace)[1:]
 
 

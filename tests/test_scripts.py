@@ -81,7 +81,7 @@ def test_lhv_scan_script_many_hidden_states():
 @pytest.mark.parametrize(
     "args, named",
     [
-        (["--strategies", "1", "--shots", "100", "--noise-sigma", "-1"], "noise_sigma1"),
+        (["--strategies", "1", "--shots", "100", "--noise-sigma", "-1"], "--noise-sigma"),
         (["--strategies", "0"], "--strategies"),
         (["--strategies", "1", "--shots", "100", "--seed", "-1"], "--seed"),
     ],
