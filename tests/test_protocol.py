@@ -440,7 +440,7 @@ class TestMonteCarlo:
         second = monte_carlo(config)
         assert first == second
 
-    # SHA-256 of chunks 0 and 3 (4096 shots each) of three seeded configs,
+    # SHA-256 of chunks 0 and 3 (4096 shots each) of six seeded configs,
     # pinned under the 0.2 draw contract (blgi.__version__): any change to
     # the kernel's draws or their order moves them
     GOLDEN_CHUNKS = [
@@ -476,9 +476,48 @@ class TestMonteCarlo:
             ),
             "6e39cfc0018ccfb197c6707dfab9279f821ddacbdcae5533f0e68abcee181ec9",
         ),
+        # readout 2 with a scalar coherence on arm 1 and a per-shot one on arm 2, then the reverse,
+        # then a strong meter at seeded random angles, where its normaliser comes near 0
+        (
+            ExperimentConfig(
+                meter1=AncillaMeterSpec(v_total=0.45, u=0.7),
+                meter2=GaussianMeterSpec(sigma=1.5, eta=0.5),
+                b_spec=ProjectiveMeterSpec(v=0.8),
+                angles=(0.3, -1.2, 2.5, 0.9),
+                shots=5000,
+                seed=10,
+            ),
+            "183013dc1054c814e0e3eaca2d1955b91d0c4fbb2d7b5e853955a63ca77cbd23",
+        ),
+        (
+            ExperimentConfig(
+                meter1=GaussianMeterSpec(sigma=0.9, eta=0.6),
+                meter2=AncillaMeterSpec(v_total=0.7, u=0.95),
+                b_spec=ProjectiveMeterSpec(v=0.3),
+                angles=(-0.7, 1.9, 0.4, -2.2),
+                shots=5000,
+                seed=11,
+            ),
+            "4cb123e29ca3ae960f90e411b8a65343f1b2568c45186549f03bbec5e02645ad",
+        ),
+        (
+            ExperimentConfig(
+                meter1=GaussianMeterSpec(sigma=0.3),
+                meter2=AncillaMeterSpec(v_total=0.45, u=0.8),
+                b_spec=ProjectiveMeterSpec(v=0.8),
+                angles=tuple(float(phi) for phi in np.random.default_rng(40).uniform(-np.pi, np.pi, 4)),
+                shots=5000,
+                seed=12,
+            ),
+            "f5c6deb69a318f51fa136087eb8235630a57870e39386e3f81b24541fbef89f0",
+        ),
     ]
 
-    @pytest.mark.parametrize("config, digest", GOLDEN_CHUNKS, ids=["gaussian", "ancilla", "mixed"])
+    @pytest.mark.parametrize(
+        "config, digest",
+        GOLDEN_CHUNKS,
+        ids=["gaussian", "ancilla", "mixed", "ancilla-gaussian", "gaussian-ancilla", "strong-mixed"],
+    )
     def test_chunk_records_are_pinned(self, config, digest):
         sha = hashlib.sha256()
         for index in (0, 3):
