@@ -296,14 +296,16 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.stored_config is not None:
         return config_from_sections(args.stored_config)
     config = ExperimentConfig() if args.config is None else load_experiment_config(args.config)
-    try:
-        if args.meter is not None:
-            spec = METER_KINDS[args.meter]()
-            config = replace(config, meter1=spec, meter2=spec)
-        config = retune(config, **_given(args, SWEEP_AXES))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # one flag at a time, so a range error names the flag that set the value
+    if args.meter is not None:
+        spec = METER_KINDS[args.meter]()
+        config = replace(config, meter1=spec, meter2=spec)
+
+    def source(key: str) -> str:
+        # a sweep sets its axis from --values alone: cmd_sweep rejects the axis's own flag
+        return "--values" if key == getattr(args, "axis", None) else _flag(key)
+
+    # a range error names the flag that set the value
+    config = _set_each(config, _given(args, SWEEP_AXES), source, retune)
     config = _set_each(config, _given(args, ANGLE_KEYS, "phi_{}"), "--phi-{}".format, _with_angles)
     return _set_each(config, _given(args, ("shots", "seed")), _flag)
 
@@ -361,7 +363,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         points = sweep(config, args.axis, values, threads=args.threads)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--values: {exc}") from exc
 
     lines = [f"# lmr_bound = {_fmt(LMR_BOUND)}\n", "value,mc_mean,mc_stderr,exact,analytic\n"]
     for point in points:

@@ -96,13 +96,19 @@ def _build(cls: type, values: dict[str, Any], where: str):
 
 
 def _set_each(target, values: dict[str, Any], where: Callable[[str], str], setter: Callable = replace):
-    """``target`` with each of ``values`` set by ``setter`` in turn; a failed invariant names ``where(key)``.
+    """``target`` with ``values`` set by ``setter``; a failed invariant names ``where(key)`` of the key that broke it.
 
-    One key at a time, so a range error names the key or flag that set the value.
+    All at once, so a rule across fields sees only the final values (``u``
+    and ``v_total`` may be raised together in either order); where that
+    fails, one key at a time, so the error names the first key whose value
+    fails beside those set before it.
     """
-    for key, value in values.items():
-        target = _build(partial(setter, target), {key: value}, where(key))
-    return target
+    try:
+        return setter(target, **values)
+    except ValueError:
+        for key, value in values.items():
+            target = _build(partial(setter, target), {key: value}, where(key))
+        raise
 
 
 def _with_angles(config: ExperimentConfig, **angles: float) -> ExperimentConfig:
@@ -121,7 +127,7 @@ def _meter_from_section(section: dict[str, Any], where: str) -> MeterSpec:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     values = {key: _parse_float(value, f"{where}.{key}") for key, value in values.items()}
-    return _build(METER_KINDS[kind], values, where)
+    return _set_each(METER_KINDS[kind](), values, f"{where}.{{}}".format)
 
 
 def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfig:
@@ -138,7 +144,8 @@ def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfi
     b_values = _keywords(sections.get("b", {}), field_names(ProjectiveMeterSpec), "b", _parse_float)
     angles = _keywords(sections.get("angles", {}), ANGLE_KEYS, "angles", _parse_float)
     run = _keywords(sections.get("run", {}), ("shots", "seed"), "run", _parse_int)
-    config = ExperimentConfig(meter1=meter1, meter2=meter2, b_spec=_build(ProjectiveMeterSpec, b_values, "b"))
+    b_spec = _set_each(ProjectiveMeterSpec(), b_values, "b.{}".format)
+    config = ExperimentConfig(meter1=meter1, meter2=meter2, b_spec=b_spec)
     config = _set_each(config, angles, "angles.{}".format, _with_angles)
     return _set_each(config, run, "run.{}".format)
 

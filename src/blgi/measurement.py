@@ -260,16 +260,24 @@ def _squared(x: float) -> float:
 #   weak arm 1     b = 0
 #   weak arm 2     b = T1 cos D
 #   readout arm 1  b = (c1 T1 + A1 T2) / (1 + cos D T1 T2),  A1 = c1 cos D + s1 sin D g1
-#   readout arm 2  b = (c2 T2 f0 + A2 fz + B2 fx) / ((1 + cos D T1 T2)(1 + r b3)),
+#   readout arm 2  b = (P + r Q) / ((1 + cos D T1 T2)(1 + r b3)),
+#                  P = A2 T1 + c2 T2,  Q = c1 (c2 T1 T2 + A2) + s1 g1 B2,
 #                  A2 = c2 cos D - s2 sin D g2,  B2 = c2 sin D + s2 cos D g2
 #
-# where r = v b1 is arm 1's reported readout times the visibility, b3 the
-# Bloch component it was drawn from, and (f0, fz, fx) = (1 + r c1 T1,
-# T1 + r c1, r s1 g1) arm 1's effect after that report, K1 (I + r Z) K1 ~
-# f0 I + fz Z + fx X, paired with arm 2's effect in arm 2's frame.
+# where r = v b1 is arm 1's reported readout times the visibility and b3 the
+# Bloch component it was drawn from.  Arm 1's effect after that report,
+# K1 (I + r Z) K1 ~ f0 I + fz Z + fx X with (f0, fz, fx) = (1 + r c1 T1,
+# T1 + r c1, r s1 g1), paired with arm 2's effect in arm 2's frame gives the
+# numerator c2 T2 f0 + A2 fz + B2 fx, which is P + r Q multiplied out.  P and
+# Q are formed before the readout-1 draw, so T1, T2, g1 and g2 are given
+# back before it: a chunk holds 8 buffers at its peak.  Readout 1's
+# arithmetic is as it was; readout 2's threshold was regrouped, which moves
+# it by a few ulps on some shots, and the records are unchanged on every
+# pinned output.  A record could differ only where a uniform falls between
+# the two thresholds, an ulp-level tie.
 #
-# A Gaussian chunk with eta < 1 on both arms takes 71 elementwise float
-# passes besides its 4 uniform and 2 normal blocks, and an ancilla chunk 45
+# A Gaussian chunk with eta < 1 on both arms takes 69 elementwise float
+# passes besides its 4 uniform and 2 normal blocks, and an ancilla chunk 42
 # besides its 4 uniform blocks.  The tests draw the same uniforms and
 # normals again and check each outcome against the probability of the
 # instrument of what the record shows, on 4x4 density matrices in
@@ -362,6 +370,17 @@ def _gaussian_effect(signals: np.ndarray, variance: float, workspace: Workspace)
     return length, coherence
 
 
+def _product(x, y, workspace: Workspace):
+    """``x*y``: a float for two floats, else written over the buffer of one, the other given back."""
+    if not isinstance(x, np.ndarray):
+        x, y = y, x
+    if not isinstance(x, np.ndarray):
+        return x * y
+    x *= y
+    workspace.give(y)
+    return x
+
+
 def sample_records(
     n: int,
     meter1: MeterSpec,
@@ -399,13 +418,23 @@ def sample_records(
     bloch = np.multiply(t1, cos_d, out=workspace.take(n))
     alpha2, t2, g2 = meter2.draw(bloch, rng, n, workspace)
 
-    # readout arm 1: b3 = (c1 T1 + A1 T2) / norm with norm = 1 + cos D T1 T2
-    coeff_a1 = _affine(g1, s1 * sin_d, c1 * cos_d, workspace)
+    # readout arm 1: b3 = (c1 T1 + A1 T2) / norm with norm = 1 + cos D T1 T2.  Readout arm 2's
+    # P and Q are formed before this draw, over T1, T2, g1 and g2, which no later stage reads
+    coeff_a1 = _affine(g1, s1 * sin_d, c1 * cos_d, workspace, out=bloch)
+    cross = _product(g1, _affine(g2, s1 * s2 * cos_d, s1 * c2 * sin_d, workspace), workspace)  # s1 g1 B2
+    coeff_a2 = _affine(g2, -s2 * sin_d, c2 * cos_d, workspace, out=g2)
     bloch = np.multiply(t2, coeff_a1, out=bloch)
-    workspace.give(coeff_a1)
     norm = np.multiply(t1, c1, out=workspace.take(n))
     bloch += norm
-    norm = np.multiply(t1, t2, out=norm)
+    norm = np.multiply(t1, t2, out=norm)  # T1 T2 until Q is formed
+    t2 *= c2
+    p = np.multiply(t1, coeff_a2, out=t1)
+    p += t2  # P
+    q = np.multiply(norm, c2, out=t2)
+    q += coeff_a2
+    q *= c1
+    q += cross  # Q
+    workspace.give(coeff_a2, cross)
     norm *= cos_d
     norm += 1.0
     bloch /= norm
@@ -415,27 +444,12 @@ def sample_records(
     bloch *= sign
     bloch += 1.0
     norm *= bloch
-    workspace.give(bloch)
 
-    # readout arm 2: b4 = (c2 T2 f0 + A2 fz + B2 fx) / norm; g1, g2 and t1 are written over
-    coeff_a2 = _affine(g2, -s2 * sin_d, c2 * cos_d, workspace)
-    coeff_b2 = _affine(g2, s2 * cos_d, c2 * sin_d, workspace, out=g2)
-    fx = np.multiply(sign, g1, out=g1 if isinstance(g1, np.ndarray) else workspace.take(n))
-    fx *= s1
-    fx *= coeff_b2
-    workspace.give(coeff_b2)
-    sign *= c1
-    bloch = np.multiply(sign, t1, out=workspace.take(n))
-    bloch += 1.0  # f0
-    fz = np.add(t1, sign, out=t1)
-    workspace.give(sign)
-    bloch *= t2
-    bloch *= c2
-    fz *= coeff_a2
-    bloch += fz
-    bloch += fx
-    bloch /= norm
-    workspace.give(fz, fx, coeff_a2, t2, norm)
-    b2 = readout.draw(bloch, rng, n, workspace)
-    workspace.give(bloch)
+    # readout arm 2: b4 = (P + r Q) / norm
+    q *= sign
+    p += q
+    p /= norm
+    workspace.give(bloch, sign, q, norm)
+    b2 = readout.draw(p, rng, n, workspace)
+    workspace.give(p)
     return alpha1, alpha2, b1, b2

@@ -323,7 +323,7 @@ class TestSweep:
         argv = ["sweep", "--meter", "gaussian", "--axis", "eta", "--values", "0.5,1.5"]
         assert main([*argv, "--out", str(out), "--manifest", str(manifest)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["error: invalid eta=1.5: eta must be in (0, 1], got 1.5"]
+        assert err == ["error: --values: eta must be in (0, 1], got 1.5"]
         assert not out.exists() and not manifest.exists()
 
     def test_config_value_on_the_swept_field_is_allowed(self, tmp_path):
@@ -1125,11 +1125,28 @@ class TestInputErrors:
             (["simulate", "--shots", "1"], None, "--shots"),
             (["sweep", "--axis", "v", "--values", "1", "--shots", "1"], None, "--shots"),
             (["lhv", "--random", "1", "--shots", "1"], None, "--shots"),
+            # a meter or readout value names its flag or key; a sweep point names --values
+            (["simulate", "--sigma", "-1"], None, "--sigma"),
+            (["simulate", "--meter", "ancilla", "--v", "2"], None, "--v"),
+            (["simulate"], "[meter1]\nsigma = -1\n", "meter1.sigma"),
+            (["simulate"], "[b]\nv = 2\n", "b.v"),
+            (["sweep", "--axis", "eta", "--values", "1.5,0.5"], None, "--values"),
+            (["sweep", "--axis", "eta", "--values", "0.5,1.5"], None, "--values"),
+            # v_total <= u names the flag or key that broke it
+            (["simulate", "--meter", "ancilla", "--u", "0.5"], None, "--u"),
+            (["simulate", "--v-total", "0.8"], "[meter1]\ntype = ancilla\nv_total = 0.4\nu = 0.5\n"
+             "[meter2]\ntype = ancilla\nv_total = 0.4\nu = 0.5\n", "--v-total"),
+            (["simulate"], "[meter2]\ntype = ancilla\nv_total = 0.6\nu = 0.5\n", "meter2.u"),
+            (["sweep", "--meter", "ancilla", "--v-total", "0.8", "--axis", "u", "--values", "1,0.5"], None,
+             "--values"),
         ],
         ids=[
             "config seed -1", "config shots 0", "sweep config seed -1", "simulate --seed -1",
             "simulate --seed 2**64", "simulate --shots 0", "sweep --seed -1", "sweep --shots -5",
             "config shots 1", "sweep config shots 1", "simulate --shots 1", "sweep --shots 1", "lhv --shots 1",
+            "simulate --sigma -1", "simulate --v 2", "config meter1.sigma -1", "config b.v 2",
+            "sweep first point", "sweep later point", "simulate --u under v_total", "simulate --v-total over u",
+            "config meter2.u under v_total", "sweep u under v_total",
         ],
     )
     def test_range_error_names_the_key_or_flag(self, argv, config, named, tmp_path, capsys):

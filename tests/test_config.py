@@ -124,7 +124,6 @@ class TestExperimentConfigFile:
             ({"angels": {}}, r"\[angels\]: unknown section"),
             ({"angles": {"c1": 1.0}}, "angles.c1: unknown key"),
             ({"run": {"shot": 10}}, "run.shot: unknown key"),
-            ({"b": {"v": 2.0}}, "b: v must be in"),
         ],
     )
     def test_strict_sections(self, sections, message):
@@ -158,13 +157,27 @@ class TestExperimentConfigFile:
             ({"run": {"shots": 0}}, "run.shots: shots must be >= 2 for a standard error, got 0"),
             ({"run": {"shots": "5", "seed": "-3"}}, "run.seed: seed must be"),
             ({"angles": {"b2": "inf"}}, "angles.b2: angles must be four finite radians"),
+            ({"meter1": {"sigma": "-1"}}, r"meter1.sigma: sigma must be positive and finite, got -1.0"),
+            ({"meter2": {"eta": "0"}}, r"meter2.eta: eta must be in \(0, 1\], got 0.0"),
+            ({"b": {"v": 2.0}}, r"b.v: v must be in \[0, 1\], got 2.0"),
+            # a rule across fields names the key that broke it, in either order
+            ({"meter1": {"type": "ancilla", "v_total": "0.5", "u": "0.4"}}, "meter1.u: v_total must not exceed u"),
+            ({"meter2": {"type": "ancilla", "u": "0.4", "v_total": "0.5"}}, "meter2.u: v_total must not exceed u"),
         ],
-        ids=["seed -1", "seed 2**64", "shots 0", "seed after shots", "angle inf"],
+        ids=[
+            "seed -1", "seed 2**64", "shots 0", "seed after shots", "angle inf", "sigma -1", "eta 0", "v 2",
+            "v_total over u", "u under v_total",
+        ],
     )
     def test_range_error_names_the_key(self, sections, message):
-        # ExperimentConfig states each range; the reader adds the key that set the value
+        # each spec and ExperimentConfig state their ranges; the reader adds the key that set the value
         with pytest.raises(ConfigError, match=message):
             config_from_sections(sections)
+
+    def test_a_meter_section_is_checked_on_its_final_values(self):
+        # u = 0.4 alone would fall below the default v_total = 1
+        config = config_from_sections({"meter1": {"type": "ancilla", "u": "0.4", "v_total": "0.3"}})
+        assert config.meter1 == AncillaMeterSpec(v_total=0.3, u=0.4)
 
 
 def _resolved_seed(command, argv):

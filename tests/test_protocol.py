@@ -869,8 +869,8 @@ class TestChunkMemory:
         finally:
             tracemalloc.stop()
         assert held <= 7 * 2**20
-        # a Gaussian eta < 1 chunk and an ancilla chunk each fit in the same eleven float64 buffers
-        assert len(workspace._buffers) <= 11
+        # a Gaussian eta < 1 chunk and an ancilla chunk each fit in the same eight float64 buffers
+        assert len(workspace._buffers) == 8
         assert all(buffer.dtype == np.float64 for buffer in workspace._buffers)
 
 
@@ -959,18 +959,27 @@ def _lhv_block(n, workspace):
 
 
 def _block_draws(n):
-    """A Gaussian eta < 1 chunk, an ancilla chunk and an lhv block, each of ``n`` shots."""
+    """A Gaussian eta < 1 chunk, an ancilla chunk, an lhv block and both mixed chunks at v < 1, each of ``n`` shots."""
     gaussian = _gaussian_config(sigma=2.0, eta=0.5, shots=n, seed=3)
     ancilla = _ancilla_config(v_total=0.6, u=0.9, shots=n, seed=3)
-    return [partial(_run_chunk, gaussian, 5, n), partial(_run_chunk, ancilla, 5, n), partial(_lhv_block, n)]
+    meters = (AncillaMeterSpec(v_total=0.6, u=0.9), GaussianMeterSpec(sigma=2.0, eta=0.5))
+    mixed = [
+        ExperimentConfig(
+            meter1=m1, meter2=m2, b_spec=ProjectiveMeterSpec(v=0.8), angles=(0.3, -1.2, 2.5, 0.9), shots=n, seed=3
+        )
+        for m1, m2 in (meters, meters[::-1])
+    ]
+    chunks = [partial(_run_chunk, config, 5, n) for config in [gaussian, ancilla, *mixed]]
+    return [*chunks[:2], partial(_lhv_block, n), *chunks[2:]]
 
 
 class TestBlockWorkingSet:
     """A block's draw and moments hold only the buffers live at its peak, and kept records are the draw's own."""
 
-    # a kernel's buffers are all live at the readout-1 draw; C takes one already freed there.
+    # a kernel's peak is at the readout-1 draw: both weak records, b3 and its normaliser, readout 2's
+    # P and Q, and the draw's threshold and coin; C takes one buffer already freed there.
     # An lhv block holds its four records and the scratch buffer that C takes, its terms over alpha1
-    @pytest.mark.parametrize("draw, buffers", zip(_block_draws(CHUNK_SHOTS), [10, 9, 5]))
+    @pytest.mark.parametrize("draw, buffers", zip(_block_draws(CHUNK_SHOTS), [8, 8, 5, 8, 8]))
     def test_a_lent_workspace_holds_the_block_peak(self, monkeypatch, draw, buffers):
         monkeypatch.setattr("blgi.protocol._idle_workspaces", [])
         _sampled_moments(draw)
