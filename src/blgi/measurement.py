@@ -17,7 +17,7 @@ true outcome flipped with probability ``(1 - v)/2``, so reported means are
 ``v`` times the ideal ones while the record stays in ``{-1, +1}``.
 
 Every measurement is along an analyzer given by its angle ``phi`` in
-radians (the convention is in :mod:`blgi.qmath`).  The record law has one
+radians (the conventions are below).  The record law has one
 implementation, :func:`sample_records`: four elementwise stages (weak arm 1,
 weak arm 2, readout arm 1, readout arm 2) with a fixed RNG draw order, each
 the ``draw`` method of its arm's spec.  A meter kind is one spec class: its
@@ -27,6 +27,17 @@ component along its analyzer, which the Bell pair gives in closed form from
 the effects the earlier outcomes left, as the shot-kernel comment below lays
 out.  Every sampler takes an explicit ``numpy.random.Generator`` and is safe
 to drive from disjoint RNG substreams.
+
+Conventions used throughout the package:
+
+* The joint basis is ordered ``|00>, |01>, |10>, |11>`` with arm 1 as the
+  left tensor factor; :data:`BELL_AMPLITUDES` is the pair in it, and read
+  as a 2x2 matrix (row: arm 1) it pairs the two arms.
+* An analyzer is an angle ``phi`` in radians, with ``ket0 = cos(phi/2)|0>
+  + sin(phi/2)|1>`` and ``ket1 = -sin(phi/2)|0> + cos(phi/2)|1>``; its
+  dichotomic observable assigns +1 to ``ket0`` and -1 to ``ket1``.
+* Single-qubit operators are real ``(2, 2)`` arrays: every analyzer is a
+  real angle and the pair's amplitudes are real.
 """
 
 from __future__ import annotations
@@ -270,18 +281,16 @@ def _squared(x: float) -> float:
 # T1 + r c1, r s1 g1), paired with arm 2's effect in arm 2's frame gives the
 # numerator c2 T2 f0 + A2 fz + B2 fx, which is P + r Q multiplied out.  P and
 # Q are formed before the readout-1 draw, so T1, T2, g1 and g2 are given
-# back before it: a chunk holds 8 buffers at its peak.  Readout 1's
-# arithmetic is as it was; readout 2's threshold was regrouped, which moves
-# it by a few ulps on some shots, and the records are unchanged on every
-# pinned output.  A record could differ only where a uniform falls between
-# the two thresholds, an ulp-level tie.
+# back before it: a chunk holds 8 buffers at its peak (4 MiB at 65536
+# shots), the two weak records, b3 and its normaliser, P and Q, and the
+# draw's threshold and coin.
 #
 # A Gaussian chunk with eta < 1 on both arms takes 69 elementwise float
-# passes besides its 4 uniform and 2 normal blocks, and an ancilla chunk 42
-# besides its 4 uniform blocks.  The tests draw the same uniforms and
-# normals again and check each outcome against the probability of the
-# instrument of what the record shows, on 4x4 density matrices in
-# ``tests/oracle.py``.
+# passes (67 at eta = 1) besides its 4 uniform and 2 normal blocks, and an
+# ancilla chunk 42 besides its 4 uniform blocks; a test counts them.  The
+# tests draw the same uniforms and normals again and check each outcome
+# against the probability of the instrument of what the record shows, on
+# 4x4 density matrices in ``tests/oracle.py``.
 #
 # Every array is a float64 buffer of a Workspace that a stage writes
 # through ``out=`` and gives back once it is summed or compared.  Every
@@ -291,7 +300,7 @@ def _squared(x: float) -> float:
 # shot is one float.
 # ---------------------------------------------------------------------------
 
-#: the Bell pair Phi+ in the joint basis |00>, |01>, |10>, |11> (see :mod:`blgi.qmath`)
+#: the Bell pair Phi+ in the joint basis |00>, |01>, |10>, |11> (see the module docstring)
 BELL_AMPLITUDES = (1.0 / math.sqrt(2.0), 0.0, 0.0, 1.0 / math.sqrt(2.0))
 
 

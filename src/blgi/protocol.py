@@ -233,8 +233,9 @@ def _chunks_in_order(tasks: Iterable[Callable], threads: int | None) -> Iterator
     down when the results end, however they end; the lent workspaces stay
     for the life of the process, at most one per concurrently running
     block.  Each grows to the most buffers that any block drawn into it
-    needed: 8 (4 MiB) for a Gaussian or an ancilla chunk and 5 (2.5 MiB)
-    for a hidden-variable block.
+    needed, as the shot-kernel comment in :mod:`blgi.measurement` counts
+    them for a quantum chunk and :func:`blgi.lhv.lhv_mean` for a
+    hidden-variable block.
     """
     usable = _usable_cpus()
     workers = usable if threads is None else min(threads, usable)
@@ -295,8 +296,9 @@ def monte_carlo(
     for any number of workers.  The chunks run on every usable CPU, or on
     at most ``threads`` of them.  Each chunk is drawn into a workspace lent
     to it alone; lent workspaces stay for the life of the process, at most
-    one per concurrently running block, each of 8 buffers (4 MiB) after a
-    Gaussian or an ancilla chunk, and later calls reuse them.
+    one per concurrently running block, each as large as the peak that the
+    shot-kernel comment in :mod:`blgi.measurement` counts, and later calls
+    reuse them.
     ``on_records``, if given, receives each chunk's ``(alpha1, alpha2, b1,
     b2)`` arrays in chunk order on the calling thread: exactly the shots being averaged, copied out of the chunk's
     workspace, so the consumer may keep them.

@@ -90,17 +90,14 @@ def _verify_rows() -> dict[str, float]:
 def test_criterion_3_oracle_agreement():
     start = time.monotonic()
     rows = _verify_rows()
-    worst = max(
-        rows["closed form vs instrument moments, gaussian grid"],
-        rows["closed form vs instrument moments, ancilla grid"],
-    )
+    worst = rows["closed form vs instrument moments"]
     elapsed = time.monotonic() - start
     ok = worst < 1e-6 and elapsed < 60.0
     _report(
         "criterion 3 (closed form vs instrument moments)",
         ok,
         f"max |exact - analytic| = {worst:.2e} < 1e-6 over the gaussian and ancilla grids "
-        f"in {elapsed:.1f}s < 60s",
+        f"and 200 random configs in {elapsed:.1f}s < 60s",
     )
 
 

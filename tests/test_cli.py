@@ -21,6 +21,8 @@ import blgi
 from blgi.cli import (
     _LHV_SHOTS,
     _RECORD_BLOCK,
+    _random_configs,
+    _verify_checks,
     _write_records,
     build_parser,
     main,
@@ -1596,6 +1598,27 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 5
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # an ancilla grid config and a random one, each off by ten times the row's tolerance
+            ExperimentConfig(
+                meter1=AncillaMeterSpec(v_total=0.9, u=1.0),
+                meter2=AncillaMeterSpec(v_total=0.9, u=1.0),
+                b_spec=ProjectiveMeterSpec(v=0.8),
+            ),
+            _random_configs(200, seed=2013)[57],
+        ],
+        ids=["grid", "random"],
+    )
+    def test_a_closed_form_off_by_1e_8_on_one_config_fails(self, monkeypatch, capsys, config):
+        analytic = blgi.cli.config_analytic_mean
+        monkeypatch.setattr("blgi.cli.config_analytic_mean", lambda c: analytic(c) + (1e-8 if c == config else 0.0))
+        [(_, deviation, tolerance)] = [row for row in _verify_checks() if row[0] == "closed form vs instrument moments"]
+        assert deviation >= tolerance
+        assert main(["verify"]) == 3
+        assert "FAIL  closed form vs instrument moments" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag",

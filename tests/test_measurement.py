@@ -14,7 +14,7 @@ from blgi.measurement import (
     _coin,
     sample_records,
 )
-from blgi.protocol import ExperimentConfig
+from blgi.protocol import CHUNK_SHOTS, DEFAULT_ANGLES, ExperimentConfig
 from oracle import (
     TwoQubitState,
     analyzer_basis,
@@ -716,8 +716,46 @@ class TestRecordLaw:
         assert statistic < chi2.ppf(0.999, 15)
 
 
+class _CountedBuffer(np.ndarray):
+    """A workspace buffer that counts the ufunc calls that read or write it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        _CountedBuffer.calls += 1
+        plain = lambda x: x.view(np.ndarray) if isinstance(x, _CountedBuffer) else x
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        result = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        return result if out is None else out[0]
+
+
+class _CountingWorkspace(Workspace):
+    def take(self, n):
+        return super().take(n).view(_CountedBuffer)
+
+
 class TestKernelContract:
     """Coins, workspaces and inputs of the record kernel."""
+
+    @pytest.mark.parametrize(
+        "meter, passes",
+        [
+            (GaussianMeterSpec(sigma=2.0, eta=0.5), 69),
+            (GaussianMeterSpec(sigma=2.0, eta=1.0), 67),
+            (AncillaMeterSpec(v_total=0.6, u=0.9), 42),
+        ],
+        ids=["gaussian-eta0.5", "gaussian-eta1", "ancilla"],
+    )
+    def test_a_chunk_takes_the_float_passes_the_kernel_comment_counts(self, meter, passes):
+        # each elementwise pass is one ufunc call on a workspace buffer; the RNG fills are not ufuncs
+        args = (CHUNK_SHOTS, meter, meter, ProjectiveMeterSpec(v=0.8), DEFAULT_ANGLES)
+        _CountedBuffer.calls = 0
+        counted = sample_records(*args, np.random.default_rng(3), _CountingWorkspace(CHUNK_SHOTS))
+        calls = _CountedBuffer.calls
+        want = sample_records(*args, np.random.default_rng(3))
+        assert [c.tobytes() for c in counted] == [w.tobytes() for w in want]
+        assert calls == passes
 
     @pytest.mark.parametrize("n", [1, 77, 65536])
     @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, 5e-324, np.nan])
