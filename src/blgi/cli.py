@@ -480,7 +480,7 @@ def _verify_checks() -> list[tuple[str, float, float]]:
     threshold_sigma = 1.0 / np.sqrt(-2.0 * np.log(threshold))
     spec = GaussianMeterSpec(sigma=float(threshold_sigma))
     config = ExperimentConfig(meter1=spec, meter2=spec)
-    checks.append(("bound crossing at the threshold width", abs(exact_mean(config) - 2.0), 1e-6))
+    checks.append(("bound crossing at the threshold width", abs(exact_mean(config) - 2.0), 1e-12))
 
     config = ExperimentConfig(
         meter1=GaussianMeterSpec(sigma=2.0, eta=0.8),

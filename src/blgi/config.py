@@ -6,6 +6,9 @@ Config files are flat ``key = value`` INI text with sections ``meter1``,
 :class:`RunManifest` holds a run's command line and its resolved config or
 strategy in the same section layout, so re-running from a manifest
 reproduces the output byte for byte under the numpy version it names.
+Every value parses as its field's default says: ``shots`` and ``seed`` as
+integers, strategy fields without a float default as vectors, the rest as
+numbers; a manifest number too large for its type is an error.
 """
 
 from __future__ import annotations
@@ -25,34 +28,26 @@ from .lhv import LHVStrategy
 from .measurement import METER_KINDS, MeterSpec, ProjectiveMeterSpec, check_meter_field, field_names
 from .protocol import ANGLE_KEYS, ExperimentConfig
 
-#: the config-file sections; the meter, ``b`` and ``run`` keys are dataclass fields
-_SECTIONS = ("meter1", "meter2", "b", "angles", "run")
-
-
 class ConfigError(Exception):
     """A config or strategy file problem; the message names the culprit."""
 
 
-def _parse_int(value: Any, where: str) -> int:
-    """An integer from INI text or a JSON number; a fractional number or a boolean is an error."""
+def _parse(value: Any, default: Any, where: str) -> int | float | list[float]:
+    """INI text or a JSON number as ``default``'s type: an integer, a float, else a :func:`_parse_vector` vector.
+
+    A boolean, a fractional number for an integer and a number too large
+    for its type are errors.
+    """
+    if not isinstance(default, (int, float)):
+        return _parse_vector(value, where)
+    kind, expected = (int, "an integer") if isinstance(default, int) else (float, "a number")
     try:
-        number = int(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from exc
-    # int(True) is 1, but a JSON boolean is no integer
-    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
-        raise ConfigError(f"{where}: expected an integer, got {value!r}")
-    return number
-
-
-def _parse_float(value: Any, where: str) -> float:
-    """A float from INI text or a JSON number; a boolean is an error, though ``float(True)`` is 1.0."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from exc
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got {value!r}")
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}") from exc
+    # int(True) is 1 and int(2.5) is 2, but a JSON boolean is no number and a fraction no integer
+    if isinstance(value, bool) or (kind is int and not isinstance(value, str) and number != value):
+        raise ConfigError(f"{where}: expected {expected}, got {value!r}")
     return number
 
 
@@ -79,12 +74,12 @@ def _read_ini(path: str | Path) -> dict[str, dict[str, str]]:
     return {name: dict(parser[name]) for name in parser.sections()}
 
 
-def _keywords(section: dict[str, Any], keys: tuple[str, ...], where: str, parse) -> dict[str, Any]:
-    """``section``'s values parsed by ``parse``; a key outside ``keys`` is an error."""
+def _keywords(section: dict[str, Any], defaults: dict[str, Any], where: str) -> dict[str, Any]:
+    """``section``'s values, each parsed by :func:`_parse` as its default; a key outside ``defaults`` is an error."""
     for key in section:
-        if key not in keys:
-            raise ConfigError(f"{where}.{key}: unknown key; expected one of {', '.join(keys)}")
-    return {key: parse(value, f"{where}.{key}") for key, value in section.items()}
+        if key not in defaults:
+            raise ConfigError(f"{where}.{key}: unknown key; expected one of {', '.join(defaults)}")
+    return {key: _parse(value, defaults[key], f"{where}.{key}") for key, value in section.items()}
 
 
 def _build(cls: type, values: dict[str, Any], where: str):
@@ -121,29 +116,33 @@ def _meter_from_section(section: dict[str, Any], where: str) -> MeterSpec:
     kind = str(values.pop("type", "gaussian")).strip().lower()
     if kind not in METER_KINDS:
         raise ConfigError(f"{where}.type: expected one of {', '.join(METER_KINDS)}, got {kind!r}")
+    default = METER_KINDS[kind]()
     for key in values:
         try:
-            check_meter_field(METER_KINDS[kind], key, where, f"{where}.{key}")
+            check_meter_field(type(default), key, where, f"{where}.{key}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    values = {key: _parse_float(value, f"{where}.{key}") for key, value in values.items()}
-    return _set_each(METER_KINDS[kind](), values, f"{where}.{{}}".format)
+    return _set_each(default, _keywords(values, asdict(default), where), f"{where}.{{}}".format)
 
 
 def config_from_sections(sections: dict[str, dict[str, Any]]) -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from config-file sections.
 
-    Values may be INI text or JSON numbers; a missing key takes its
-    dataclass default, and an unknown section or key is an error.
+    Values may be INI text or JSON numbers, parsed as :func:`_parse` reads
+    their defaults: integers for ``shots`` and ``seed``, else numbers, none
+    too large for its type.  A missing section or key takes its dataclass
+    default (the sections of :func:`config_to_sections`), and an unknown
+    one is an error.
     """
+    defaults = config_to_sections(ExperimentConfig())
     for name in sections:
-        if name not in _SECTIONS:
-            raise ConfigError(f"[{name}]: unknown section; expected one of {', '.join(_SECTIONS)}")
+        if name not in defaults:
+            raise ConfigError(f"[{name}]: unknown section; expected one of {', '.join(defaults)}")
     meter1 = _meter_from_section(sections.get("meter1", {}), "meter1")
     meter2 = _meter_from_section(sections.get("meter2", {}), "meter2")
-    b_values = _keywords(sections.get("b", {}), field_names(ProjectiveMeterSpec), "b", _parse_float)
-    angles = _keywords(sections.get("angles", {}), ANGLE_KEYS, "angles", _parse_float)
-    run = _keywords(sections.get("run", {}), ("shots", "seed"), "run", _parse_int)
+    b_values = _keywords(sections.get("b", {}), defaults["b"], "b")
+    angles = _keywords(sections.get("angles", {}), defaults["angles"], "angles")
+    run = _keywords(sections.get("run", {}), defaults["run"], "run")
     b_spec = _set_each(ProjectiveMeterSpec(), b_values, "b.{}".format)
     config = ExperimentConfig(meter1=meter1, meter2=meter2, b_spec=b_spec)
     config = _set_each(config, angles, "angles.{}".format, _with_angles)
@@ -178,13 +177,7 @@ def strategy_from_sections(sections: dict[str, dict[str, Any]], where: str) -> L
         found = ", ".join(f"[{name}]" for name in sections) or "none"
         raise ConfigError(f"{where}: expected one section, [strategy], got {found}")
     defaults = {field.name: field.default for field in fields(LHVStrategy)}
-
-    def parse(text: str, where: str):
-        # _keywords has rejected unknown keys, so the field is known
-        scalar = isinstance(defaults[where.rpartition(".")[2]], float)
-        return _parse_float(text, where) if scalar else _parse_vector(text, where)
-
-    values = _keywords(sections["strategy"], tuple(defaults), "strategy", parse)
+    values = _keywords(sections["strategy"], defaults, "strategy")
     for key, default in defaults.items():
         if default is MISSING and key not in values:
             raise ConfigError(f"strategy.{key} is required")
@@ -240,7 +233,8 @@ class RunManifest:
         path = Path(path)
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
+            # malformed JSON, bytes that are not UTF-8, or an integer past Python's digit limit
             raise ConfigError(f"cannot parse manifest {path}: {exc}") from exc
         except OSError as exc:
             raise ConfigError(f"cannot read manifest {path}: {exc}") from exc

@@ -61,7 +61,8 @@ class ExperimentConfig:
     """Everything that determines a run: meters, angles, shots, seed.
 
     ``shots`` is at least 2 (:func:`require_two_shots`), so every config
-    can run and give a standard error; an exact route ignores it.
+    can run and give a standard error, and below ``2**63``, so its list of
+    chunk sizes has an index-sized length; an exact route ignores it.
     """
 
     meter1: MeterSpec = GaussianMeterSpec()
@@ -79,6 +80,8 @@ class ExperimentConfig:
         if len(self.angles) != 4 or not all(np.isfinite(a) for a in self.angles):
             raise ValueError(f"angles must be four finite radians, got {self.angles}")
         require_two_shots(self.shots)
+        if self.shots >= 2**63:
+            raise ValueError(f"shots must be < 2**63, got {self.shots}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))

@@ -29,7 +29,16 @@ from blgi.cli import (
 )
 from blgi.lhv import MAX_HIDDEN_STATES, RandomStrategySpec
 from blgi.measurement import METER_KINDS, AncillaMeterSpec, GaussianMeterSpec, ProjectiveMeterSpec
-from blgi.protocol import ANGLE_KEYS, CHUNK_SHOTS, SWEEP_AXES, Estimate, ExperimentConfig, _chunks_in_order, monte_carlo
+from blgi.protocol import (
+    ANGLE_KEYS,
+    CHUNK_SHOTS,
+    SWEEP_AXES,
+    Estimate,
+    ExperimentConfig,
+    _chunks_in_order,
+    monte_carlo,
+    violation_threshold,
+)
 from oracle import write_records_reference
 
 SQRT2 = np.sqrt(2.0)
@@ -928,8 +937,12 @@ class TestLhvCommand:
             (["--strategy", "s.ini"], {"strategy": {"prep_dist": "1", "a1": "1"}}, "strategy.a2 is required"),
             (["--strategy", "s.ini"], {"strategy": {}, "run": {"seed": 3}}, "[run]"),
             (["--random", "1"], {"strategy": {"prep_dist": "1"}}, "stores no config"),
+            # the section STRATEGY_BODY stores, with a JSON integer too large for a float
+            (["--strategy", "s.ini"], {"strategy": {**dict.fromkeys(["prep_dist", "a1", "a2", "b1", "b2"], "1"),
+                                                    "noise_sigma1": 10**400}},
+             "strategy.noise_sigma1: expected a number, got 1000"),
         ],
-        ids=["earlier layout", "stored key missing", "extra section", "random with a config"],
+        ids=["earlier layout", "stored key missing", "extra section", "random with a config", "noise_sigma1 10**400"],
     )
     def test_strategy_manifest_with_a_bad_config_exits_2(self, tmp_path, monkeypatch, capsys, flags, config, named):
         # an lhv --strategy manifest of earlier versions has an empty config; a stored
@@ -985,8 +998,9 @@ class TestLhvCommand:
             (("prep_dist = 0.5, 0.5", "prep_dist = nan, nan"), "prep_dist"),
             # sums to 1, so only the sign check refuses it
             (("prep_dist = 0.5, 0.5", "prep_dist = 1.5, -0.5"), "prep_dist has negative entries"),
+            (("prep_dist = 0.5, 0.5", "prep_dist = 0.5, 0.5\nnoise_sigma1 = -1"), "noise_sigma1 must be finite and >= 0"),
         ],
-        ids=["nan prep_dist", "negative prep_dist"],
+        ids=["nan prep_dist", "negative prep_dist", "negative noise_sigma1"],
     )
     def test_invalid_strategy_exits_2_with_one_line(self, tmp_path, capsys, replace, named):
         strategy = tmp_path / "bad.ini"
@@ -998,6 +1012,7 @@ class TestLhvCommand:
         assert main(["lhv", "--strategy", str(strategy), "--shots", "1000", "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+        assert not out.exists()
         assert not out.exists()
 
     def test_needs_a_mode(self):
@@ -1141,6 +1156,14 @@ class TestInputErrors:
             (["simulate"], "[meter2]\ntype = ancilla\nv_total = 0.6\nu = 0.5\n", "meter2.u"),
             (["sweep", "--meter", "ancilla", "--v-total", "0.8", "--axis", "u", "--values", "1,0.5"], None,
              "--values"),
+            # u itself in (0, 1]
+            (["simulate", "--meter", "ancilla", "--u", "1.5"], None, "--u"),
+            (["simulate"], "[meter1]\ntype = ancilla\nu = 0\n", "meter1.u"),
+            # a count of 2**63 or more, whose chunk list no index could hold, is refused before any draw
+            (["simulate", "--shots", str(10**24)], None, "--shots"),
+            (["sweep", "--axis", "sigma", "--values", "1", "--shots", str(10**24)], None, "--shots"),
+            (["lhv", "--random", "1", "--shots", str(10**24)], None, "--shots"),
+            (["simulate"], f"[run]\nshots = {10**24}\n", "run.shots"),
         ],
         ids=[
             "config seed -1", "config shots 0", "sweep config seed -1", "simulate --seed -1",
@@ -1148,7 +1171,8 @@ class TestInputErrors:
             "config shots 1", "sweep config shots 1", "simulate --shots 1", "sweep --shots 1", "lhv --shots 1",
             "simulate --sigma -1", "simulate --v 2", "config meter1.sigma -1", "config b.v 2",
             "sweep first point", "sweep later point", "simulate --u under v_total", "simulate --v-total over u",
-            "config meter2.u under v_total", "sweep u under v_total",
+            "config meter2.u under v_total", "sweep u under v_total", "simulate --u 1.5", "config meter1.u 0",
+            "simulate --shots 10**24", "sweep --shots 10**24", "lhv --shots 10**24", "config run.shots 10**24",
         ],
     )
     def test_range_error_names_the_key_or_flag(self, argv, config, named, tmp_path, capsys):
@@ -1220,8 +1244,15 @@ class TestInputErrors:
             (["simulate"], _set_config("meter1", "sigma", True), "meter1.sigma: expected a number, got True"),
             (["simulate"], _set_config("run", "shots", True), "run.shots: expected an integer, got True"),
             (["sweep", "--axis", "v", "--values", "1"], _set_config("b", "v", False), "b.v: expected a number, got False"),
+            # a JSON integer too large for a float
+            (["simulate"], _set_config("b", "v", 10**400), "b.v: expected a number, got 1000"),
+            (["simulate"], _set_config("meter1", "sigma", 10**400), "meter1.sigma: expected a number, got 1000"),
+            (["simulate"], _set_config("angles", "a1", 10**400), "angles.a1: expected a number, got 1000"),
         ],
-        ids=["simulate run.shots 1", "sweep run.shots 1", "lhv --shots=1", "meter1.sigma true", "run.shots true", "b.v false"],
+        ids=[
+            "simulate run.shots 1", "sweep run.shots 1", "lhv --shots=1", "meter1.sigma true", "run.shots true",
+            "b.v false", "b.v 10**400", "meter1.sigma 10**400", "angles.a1 10**400",
+        ],
     )
     def test_manifest_rerun_error_names_the_key_or_flag(self, first, change, named, tmp_path, capsys):
         manifest = tmp_path / "run.json"
@@ -1232,6 +1263,20 @@ class TestInputErrors:
         assert main([first[0], "--manifest", str(manifest), "--out", str(tmp_path / "y.csv")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {named}")
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_manifest_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python reads no integer of more than 4300 digits by default: json raises a ValueError
+        manifest = tmp_path / "run.json"
+        argv = ["simulate", "--shots", "100", "--seed", "3", "--out", str(tmp_path / "x.csv")]
+        assert main([*argv, "--manifest", str(manifest)]) == 0
+        text = _read(manifest)
+        assert text.count('"v": 1.0') == 1
+        manifest.write_text(text.replace('"v": 1.0', '"v": ' + "1" * 5000), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["simulate", "--manifest", str(manifest), "--out", str(tmp_path / "y.csv")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "y.csv").exists()
 
     def test_lhv_manifest_seed_out_of_range(self, tmp_path, capsys):
@@ -1619,6 +1664,20 @@ class TestVerify:
         assert deviation >= tolerance
         assert main(["verify"]) == 3
         assert "FAIL  closed form vs instrument moments" in capsys.readouterr().out
+
+    def test_a_crossing_off_by_1e_9_fails(self, monkeypatch, capsys):
+        # exact_mean is closed form, so the crossing row holds it to 1e-12: an error of 1e-9 fails
+        threshold = GaussianMeterSpec(sigma=float(1.0 / np.sqrt(-2.0 * np.log(violation_threshold()))))
+        exact = blgi.cli.exact_mean
+
+        def off(config):
+            return exact(config) + (1e-9 if config == ExperimentConfig(meter1=threshold, meter2=threshold) else 0.0)
+
+        monkeypatch.setattr("blgi.cli.exact_mean", off)
+        [(_, deviation, tolerance)] = [row for row in _verify_checks() if row[0] == "bound crossing at the threshold width"]
+        assert deviation >= tolerance
+        assert main(["verify"]) == 3
+        assert "FAIL  bound crossing at the threshold width" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "flag",

@@ -128,6 +128,16 @@ class TestConfigValidation:
             ExperimentConfig(shots=shots)
         assert ExperimentConfig(shots=2).shots == 2
 
+    def test_shots_stay_below_2_to_the_63(self):
+        # a larger count has a chunk list longer than any index, so it never reaches the pool
+        with pytest.raises(ValueError, match=f"^shots must be < 2\\*\\*63, got {2**63}$"):
+            ExperimentConfig(shots=2**63)
+        assert ExperimentConfig(shots=2**63 - 1).shots == 2**63 - 1
+
+    def test_a_meter_must_be_a_meter_spec(self):
+        with pytest.raises(ValueError, match="^meter1 must be a meter spec, got ProjectiveMeterSpec$"):
+            ExperimentConfig(meter1=ProjectiveMeterSpec())
+
     def test_bad_seed(self):
         with pytest.raises(ValueError):
             _gaussian_config(seed=-1)
@@ -723,6 +733,12 @@ class TestChunksInOrder:
         assert [pool._max_workers for pool in pools] == [workers]
         # a pool starts a thread only when none is idle, so one task runs on one thread
         assert len(pools[0]._threads) == 1
+
+    @pytest.mark.parametrize("count, usable", [(5, 5), (None, 1)])
+    def test_without_an_affinity_mask_every_cpu_is_usable(self, monkeypatch, count, usable):
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: count)
+        assert blgi.protocol._usable_cpus() == usable
 
 
 class TestEstimateFromSums:
