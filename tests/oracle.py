@@ -13,6 +13,8 @@ every kernel stage, every meter and the exact mean can be checked against it:
   and :func:`embed` lifts a single-qubit operator to the pair,
 * :func:`gaussian_kraus` and :func:`ancilla_kraus` are the weak meters'
   Kraus operators, :func:`apply_dephasing` the extra dephasing channel,
+  and :func:`flat_hermite` the Gauss-Hermite rule that integrates the
+  Gaussian meter's pointer,
 * :class:`MeasurementRecord` and :func:`lhv_shot` give one shot as a
   record of four floats,
 * :func:`exact_mean_reference` is the exact mean as four 4x4 traces on
@@ -246,6 +248,22 @@ def gaussian_kraus(alpha: float, sigma: float, basis: AnalyzerBasis) -> np.ndarr
     g0 = norm * np.exp(-((alpha - 1.0) ** 2) / (4.0 * variance))
     g1 = norm * np.exp(-((alpha + 1.0) ** 2) / (4.0 * variance))
     return g0 * basis.projector0 + g1 * basis.projector1
+
+
+def flat_hermite(order: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer values and flat weights for integrating ``f(alpha) d alpha``.
+
+    numpy's Gauss-Hermite rule of ``order`` nodes, scaled to a pointer of
+    width ``sigma``: values ``sqrt(2) sigma x`` and weights
+    ``sqrt(2) sigma w exp(x^2)``, keeping only the nodes whose weight
+    ``w`` is above 0.  ``hermgauss`` overflows from 371 nodes (numpy 2.4),
+    and the suite fails on that warning, so 300 is the largest order it uses.
+    """
+    x, w = np.polynomial.hermite.hermgauss(order)
+    keep = w > 0
+    x, w = x[keep], w[keep]
+    scale = math.sqrt(2.0) * sigma
+    return scale * x, scale * np.exp(np.log(w) + x * x)
 
 
 def ancilla_kraus(sign: int, v_ent: float, basis: AnalyzerBasis) -> np.ndarray:

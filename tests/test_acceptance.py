@@ -7,7 +7,6 @@ to stream them).  Tolerances are fixed here, not tuned at run time.
 import time
 
 import numpy as np
-from scipy.special import roots_hermite
 
 import blgi
 from blgi.cli import _verify_checks
@@ -25,7 +24,7 @@ from blgi.protocol import (
     substream_rng,
     violation_threshold,
 )
-from oracle import TwoQubitState, analyzer_basis, ancilla_kraus, apply_operator, embed, gaussian_kraus
+from oracle import TwoQubitState, analyzer_basis, ancilla_kraus, apply_operator, embed, flat_hermite, gaussian_kraus
 
 SQRT2 = np.sqrt(2.0)
 
@@ -224,10 +223,8 @@ def test_criterion_7_figure_reproduction(tmp_path):
 def _invariant_kraus_completeness() -> float:
     basis = analyzer_basis(0.9)
     worst = 0.0
-    nodes, gh_weights = roots_hermite(200)
     for sigma in (0.5, 1.0, 2.0):
-        alpha = SQRT2 * sigma * nodes
-        flat = SQRT2 * sigma * np.exp(np.log(gh_weights) + nodes * nodes)
+        alpha, flat = flat_hermite(200, sigma)
         total = np.zeros((2, 2), dtype=complex)
         for a, w in zip(alpha, flat):
             kraus = gaussian_kraus(a, sigma, basis)
@@ -266,11 +263,7 @@ def _invariant_no_signaling() -> float:
 
     sigma = 0.7
     basis = analyzer_basis(0.8)
-    nodes, gh_weights = roots_hermite(512)
-    keep = gh_weights > 0
-    nodes, gh_weights = nodes[keep], gh_weights[keep]
-    alpha = SQRT2 * sigma * nodes
-    flat = SQRT2 * sigma * np.exp(np.log(gh_weights) + nodes * nodes)
+    alpha, flat = flat_hermite(300, sigma)
     averaged = np.zeros((4, 4), dtype=complex)
     for a, w in zip(alpha, flat):
         kraus = embed(gaussian_kraus(a, sigma, basis), 1)

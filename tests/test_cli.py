@@ -117,12 +117,18 @@ class TestSimulate:
         assert "numerical error:" in capsys.readouterr().err
 
     def test_numerical_failure_with_records_exits_3(self, tmp_path, capsys):
+        # the records are written chunk by chunk before the mean is reduced, so they
+        # stay whole; the summary and the manifest come after the mean and are not written
+        out, records, manifest = tmp_path / "x.csv", tmp_path / "r.csv", tmp_path / "m.json"
         code = main([
             "simulate", "--meter", "gaussian", "--sigma", "1e300", "--shots", "10",
-            "--out", str(tmp_path / "x.csv"), "--records", str(tmp_path / "r.csv"),
+            "--out", str(out), "--records", str(records), "--manifest", str(manifest),
         ])
         assert code == 3
         assert "numerical error:" in capsys.readouterr().err
+        assert len(_read(records).splitlines()) == 11
+        assert not out.exists()
+        assert not manifest.exists()
 
     @pytest.mark.parametrize(
         "flags, records",
@@ -788,6 +794,27 @@ class TestLhvCommand:
         assert main([*argv, "--out", str(tmp_path / "x.csv")]) == 0
         assert seen == [strategies]
         assert pools == [workers]
+
+    def test_bound_violation_exits_4_and_writes_every_row(self, tmp_path, monkeypatch, capsys):
+        # a stub mean of 2.5 sits 50 standard errors above the bound, so every row fails it
+        monkeypatch.setattr("blgi.lhv.lhv_mean", lambda strategy, n, rng: Estimate(mean=2.5, stderr=0.01, shots=n))
+        out, manifest = tmp_path / "x.csv", tmp_path / "m.json"
+        argv = ["lhv", "--random", "3", "--shots", "100", "--seed", "3", "--out", str(out), "--manifest", str(manifest)]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == ""
+        lines = _read(out).splitlines()
+        assert [line.split(",")[3] for line in lines[1:-1]] == ["false"] * 3
+        assert lines[-1] == "# lmr_bound = 2"
+        assert manifest.exists()
+
+    def test_chance_trips_the_bound_at_two_shots(self, tmp_path):
+        # README's example: at 2 shots a row's stderr can be near 0, so chance alone fails
+        # 50 rows; ROADMAP item 3's exact bound_ok, which checks the strategy itself, will change this
+        out = tmp_path / "x.csv"
+        assert main(["lhv", "--random", "2000", "--shots", "2", "--seed", "3", "--out", str(out)]) == 4
+        rows = [line.split(",") for line in _read(out).splitlines()[1:-1]]
+        assert len(rows) == 2000
+        assert sum(row[3] == "false" for row in rows) == 50
 
     @pytest.mark.parametrize("cpus", [1, 3])
     def test_random_strategies_are_built_as_the_pool_asks(self, monkeypatch, cpus):
@@ -1762,12 +1789,20 @@ def test_hidden_states_help_states_its_bound(monkeypatch):
     assert "at most 8)" in _lhv_help("hidden_states")
 
 
-def test_cli_import_does_not_load_scipy():
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, blgi.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=_child_env(), check=True,
+def test_cli_import_loads_only_blgi_numpy_and_the_stdlib():
+    # only the modules new since the child started: site hooks load their own before it;
+    # the child runs no command, since numpy.random's first use loads Cython's helpers
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import blgi.cli\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(new - sys.stdlib_module_names)))\n"
     )
-    assert result.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), check=True,
+    )
+    assert set(result.stdout.split()) <= {"blgi", "numpy"}
 
 
 def test_cli_import_does_not_load_qmath():

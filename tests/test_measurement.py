@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import roots_hermite
-from scipy.stats import chi2
 
 from blgi.measurement import (
     AncillaMeterSpec,
@@ -25,6 +23,7 @@ from oracle import (
     apply_operator,
     bell_state,
     embed,
+    flat_hermite,
     gaussian_kraus,
     gaussian_terms,
     readout_terms,
@@ -33,16 +32,6 @@ from oracle import (
 
 #: Pauli X, the coherence axis of the analyzer at phi = 0
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _flat_hermite(order, sigma):
-    """Nodes and flat weights for integrating f(alpha) d(alpha)."""
-    x, w = roots_hermite(order)
-    keep = w > 0
-    x, w = x[keep], w[keep]
-    alpha = np.sqrt(2.0) * sigma * x
-    weights = np.sqrt(2.0) * sigma * np.exp(np.log(w) + x * x)
-    return alpha, weights
 
 
 def _product_state(ket1, ket2):
@@ -183,7 +172,7 @@ class TestGaussianKraus:
     @pytest.mark.parametrize("sigma", [0.1, 1.0, 5.0])
     def test_completeness_by_quadrature(self, sigma):
         basis = analyzer_basis(0.9)
-        alpha, weights = _flat_hermite(200, sigma)
+        alpha, weights = flat_hermite(200, sigma)
         total = np.zeros((2, 2), dtype=complex)
         for a, w in zip(alpha, weights):
             kraus = gaussian_kraus(a, sigma, basis)
@@ -202,7 +191,7 @@ class TestGaussianKraus:
         sigma = 1.3
         basis = analyzer_basis(np.pi / 2)
         state = bell_state()
-        alpha, weights = _flat_hermite(300, sigma)
+        alpha, weights = flat_hermite(300, sigma)
         averaged = np.zeros((4, 4), dtype=complex)
         for a, w in zip(alpha, weights):
             kraus = embed(gaussian_kraus(a, sigma, basis), 1)
@@ -476,7 +465,7 @@ class TestNoSignaling:
         before = state.reduced(2)
         sigma = 0.8
         basis = analyzer_basis(0.6)
-        alpha, weights = _flat_hermite(512, sigma)
+        alpha, weights = flat_hermite(300, sigma)
         averaged = np.zeros((4, 4), dtype=complex)
         for a, w in zip(alpha, weights):
             kraus = embed(gaussian_kraus(a, sigma, basis), 1)
@@ -713,7 +702,8 @@ class TestRecordLaw:
             counts += np.bincount(cells, minlength=16)
         expected = self.SHOTS * record_sign_law(config).ravel()
         statistic = ((counts - expected) ** 2 / expected).sum()
-        assert statistic < chi2.ppf(0.999, 15)
+        # the 0.999 quantile of chi-square on 15 degrees of freedom
+        assert statistic < 37.69729821835383
 
 
 class _CountedBuffer(np.ndarray):

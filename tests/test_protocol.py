@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import roots_hermite
 
 import blgi.protocol
 from blgi.lhv import RandomStrategySpec, lhv_records, random_strategy
@@ -51,6 +50,7 @@ from oracle import (
     bell_state,
     embed,
     exact_mean_reference,
+    flat_hermite,
     gaussian_kraus,
     record_sign_law,
 )
@@ -248,10 +248,7 @@ ORACLE_ORDER = 120
 def _oracle_arm(spec, basis, arm):
     """Grid ``(signals, weights, kraus)`` of one weak arm, plus its post-channel."""
     if isinstance(spec, GaussianMeterSpec):
-        x, w = roots_hermite(ORACLE_ORDER)
-        signals = SQRT2 * spec.sigma * x
-        # flat weights for integrating f(alpha) d alpha
-        weights = SQRT2 * spec.sigma * np.exp(np.log(w) + x * x)
+        signals, weights = flat_hermite(ORACLE_ORDER, spec.sigma)
         kraus = np.stack([embed(gaussian_kraus(a, spec.sigma, basis), arm) for a in signals])
         factor = spec.excess_dephasing_factor
     else:
